@@ -1,4 +1,4 @@
-.PHONY: all build test coverage fmt lint bench profile regress gap matrix scaling verify metrics trend ci clean
+.PHONY: all build test coverage fmt lint bench profile regress gap matrix scaling verify metrics trend e2e-trace e2e-compare ci clean
 
 all: build
 
@@ -82,6 +82,18 @@ scaling:
 verify:
 	dune exec bin/nassc_cli.exe -- verify --corpus --jsonl certs.jsonl
 	dune exec bench/main.exe -- --only verify
+
+# the end-to-end benchmark's traced per-layer run of one workload
+# (W: montreal-small | montreal-revlib | eagle-trials | eagle-stream; S: seed)
+W ?= montreal-small
+S ?= 11
+e2e-trace:
+	dune exec bench/e2e/e2e.exe -- --workload $(W) --seed $(S) --seconds 20 --trace 1
+
+# judge run set B against run set A (files written by `e2e.exe sweep`)
+# with the bounds of BENCHMARK.json
+e2e-compare:
+	dune exec bench/e2e/e2e.exe -- compare $(A) $(B)
 
 ci: build test fmt lint
 

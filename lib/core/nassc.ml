@@ -69,11 +69,7 @@ let block_signature ~p1 block =
   let buf = Buffer.create 64 in
   List.iter
     (fun (op : Engine.out_op) ->
-      Gate.add_signature buf op.gate;
-      List.iter
-        (fun q -> Buffer.add_char buf (if q = p1 then '\000' else '\001'))
-        op.op_qubits;
-      Buffer.add_char buf '\255')
+      Qpasses.Blocks.add_op_signature buf ~zero:p1 op.gate op.op_qubits)
     block;
   Buffer.contents buf
 

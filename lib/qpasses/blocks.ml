@@ -102,5 +102,12 @@ let gate_cx_cost (g : Gate.t) =
       List.length (List.filter (fun (x, _) -> x = Gate.CX) lowered)
   | _ -> 0
 
-let block_cx_cost b =
-  List.fold_left (fun acc (i : Qcircuit.Circuit.instr) -> acc + gate_cx_cost i.gate) 0 b.ops
+let add_op_signature buf ~zero g qubits =
+  Gate.add_signature buf g;
+  List.iter (fun q -> Buffer.add_char buf (if q = zero then '\000' else '\001')) qubits;
+  Buffer.add_char buf '\255'
+
+let ops_cx_cost ops =
+  List.fold_left (fun acc (i : Qcircuit.Circuit.instr) -> acc + gate_cx_cost i.gate) 0 ops
+
+let block_cx_cost b = ops_cx_cost b.ops

@@ -78,14 +78,12 @@ let analyze c =
   let instrs = Array.of_list (Qcircuit.Circuit.instrs c) in
   let wire_sets = Array.make (max n 1) [] in
   let index = Hashtbl.create 64 in
+  (* per-wire op ids in circuit order, bucketed in one reverse pass *)
+  let ops_on = Array.make (max n 1) [] in
+  for id = Array.length instrs - 1 downto 0 do
+    List.iter (fun q -> ops_on.(q) <- id :: ops_on.(q)) instrs.(id).Qcircuit.Circuit.qubits
+  done;
   for q = 0 to n - 1 do
-    let ops_on_wire =
-      Array.to_list
-        (Array.of_seq
-           (Seq.filter
-              (fun id -> List.mem q instrs.(id).Qcircuit.Circuit.qubits)
-              (Seq.init (Array.length instrs) (fun i -> i))))
-    in
     (* group consecutive ops: a new op joins the current set iff it commutes
        with every member *)
     let sets = ref [] and current = ref [] in
@@ -110,7 +108,7 @@ let analyze c =
           close ();
           current := [ id ]
         end)
-      ops_on_wire;
+      ops_on.(q);
     close ();
     let in_order = List.rev !sets in
     wire_sets.(q) <- in_order;

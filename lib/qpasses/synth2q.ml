@@ -52,8 +52,6 @@ let classify (x, y, z) =
   else if near z 0.0 then 2
   else 3
 
-let cnot_count u = Weyl.cnot_cost u
-
 let c_kak = Qobs.counter "synth2q.kak_decompositions"
 
 let synthesize u =

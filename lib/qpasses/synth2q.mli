@@ -10,9 +10,6 @@ val synthesize : Mathkit.Mat.t -> (Qgate.Gate.t * int list) list
     (identities dropped).
     @raise Invalid_argument if the input is not a 4x4 unitary. *)
 
-val cnot_count : Mathkit.Mat.t -> int
-(** Same as {!Weyl.cnot_cost}. *)
-
 val ops_unitary : int -> (Qgate.Gate.t * int list) list -> Mathkit.Mat.t
 (** Dense unitary of an op list over [n] qubits; exposed for reuse in tests
     and in block resynthesis. *)

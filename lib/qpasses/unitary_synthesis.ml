@@ -1,3 +1,5 @@
+open Qcircuit
+
 let c_considered = Qobs.counter "synth.blocks_considered"
 let c_accepted = Qobs.counter "synth.blocks_resynthesized"
 
@@ -6,37 +8,53 @@ let resynth_gain b =
   let optimal = Weyl.cnot_cost (Blocks.block_unitary b) in
   max 0 (current - optimal)
 
-let synthesize_block (b : Blocks.block) =
-  let lo, hi = b.pair in
-  let ops = Synth2q.synthesize (Blocks.block_unitary b) in
-  List.map
-    (fun (g, qs) ->
-      { Qcircuit.Circuit.gate = g; qubits = List.map (fun q -> if q = 0 then lo else hi) qs })
-    ops
+(* What the pass does with one block: keep its ops, or replace them by the
+   synthesized body, held on local qubits (0 = low wire, 1 = high wire). *)
+type decision = Keep | Replace of Circuit.instr list
+
+let decide (b : Blocks.block) =
+  let replacement =
+    List.map
+      (fun (g, qs) -> { Circuit.gate = g; qubits = qs })
+      (Synth2q.synthesize (Blocks.block_unitary b))
+  in
+  let old_cx = Blocks.block_cx_cost b and new_cx = Blocks.ops_cx_cost replacement in
+  if new_cx < old_cx || (new_cx = old_cx && List.length replacement < List.length b.ops)
+  then Replace replacement
+  else Keep
+
+(* the decision reads only the block's local unitary, CX cost and op
+   count, so blocks with equal signatures get equal decisions *)
+let signature (b : Blocks.block) =
+  let buf = Buffer.create 64 in
+  List.iter
+    (fun (i : Circuit.instr) -> Blocks.add_op_signature buf ~zero:(fst b.pair) i.gate i.qubits)
+    b.ops;
+  Buffer.contents buf
 
 let run c =
-  let segments = Blocks.collect c in
+  let memo = Hashtbl.create 256 in
   let improve = function
     | Blocks.Single i -> [ i ]
-    | Blocks.Block b ->
+    | Blocks.Block b -> (
         Qobs.incr c_considered;
-        let replacement = synthesize_block b in
-        let cx_of l =
-          List.fold_left
-            (fun acc (i : Qcircuit.Circuit.instr) ->
-              acc + (match i.gate with Qgate.Gate.CX -> 1 | g -> Blocks.gate_cx_cost g))
-            0 l
+        let key = signature b in
+        let d =
+          match Hashtbl.find_opt memo key with
+          | Some d -> d
+          | None ->
+              let d = decide b in
+              Hashtbl.add memo key d;
+              d
         in
-        let old_cx = Blocks.block_cx_cost b in
-        let new_cx = cx_of replacement in
-        if
-          new_cx < old_cx
-          || (new_cx = old_cx && List.length replacement < List.length b.ops)
-        then begin
-          Qobs.incr c_accepted;
-          replacement
-        end
-        else b.ops
+        match d with
+        | Keep -> b.ops
+        | Replace local ->
+            Qobs.incr c_accepted;
+            let lo, hi = b.pair in
+            List.map
+              (fun (i : Circuit.instr) ->
+                { i with qubits = List.map (fun q -> if q = 0 then lo else hi) i.qubits })
+              local)
   in
-  Qcircuit.Circuit.create (Qcircuit.Circuit.n_qubits c)
-    (List.concat_map improve segments)
+  Circuit.create (Circuit.n_qubits c) (List.concat_map improve (Blocks.collect c))

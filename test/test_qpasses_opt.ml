@@ -140,6 +140,93 @@ let test_commutation_sets () =
   let an2 = Commutation.analyze c2 in
   checki "h splits sets" 3 (List.length (Commutation.sets_on_wire an2 0))
 
+(* the per-wire filter scan [Commutation.analyze] used before it bucketed
+   op ids in one pass, kept as the reference: every op touching [q], in
+   circuit order, grouped into maximal pairwise-commuting runs; directives
+   sit alone *)
+let reference_sets_on_wire c q =
+  let instrs = Array.of_list (Circuit.instrs c) in
+  let ops =
+    List.filter
+      (fun id -> List.mem q instrs.(id).Circuit.qubits)
+      (List.init (Array.length instrs) Fun.id)
+  in
+  let as_pair (x : Circuit.instr) = (x.gate, x.qubits) in
+  let sets = ref [] and current = ref [] in
+  let close () =
+    if !current <> [] then begin
+      sets := List.rev !current :: !sets;
+      current := []
+    end
+  in
+  List.iter
+    (fun id ->
+      let i = instrs.(id) in
+      if Gate.is_directive i.gate then begin
+        close ();
+        current := [ id ];
+        close ()
+      end
+      else if List.for_all (fun m -> Commutation.commute (as_pair instrs.(m)) (as_pair i)) !current
+      then current := id :: !current
+      else begin
+        close ();
+        current := [ id ]
+      end)
+    ops;
+  close ();
+  List.rev !sets
+
+(* random circuits with barriers, measures and 3-qubit gates *)
+let random_mixed_circuit rng n len =
+  let b = Circuit.Builder.create n in
+  let distinct k =
+    let rec pick acc =
+      if List.length acc = k then acc
+      else
+        let q = Rng.int rng n in
+        pick (if List.mem q acc then acc else q :: acc)
+    in
+    pick []
+  in
+  for _ = 1 to len do
+    match Rng.int rng 10 with
+    | 0 -> Circuit.Builder.add b Gate.H (distinct 1)
+    | 1 -> Circuit.Builder.add b (Gate.RZ (Float.of_int (Rng.int rng 3) *. 0.5)) (distinct 1)
+    | 2 -> Circuit.Builder.add b Gate.X (distinct 1)
+    | 3 | 4 -> Circuit.Builder.add b Gate.CX (distinct 2)
+    | 5 -> Circuit.Builder.add b Gate.CZ (distinct 2)
+    | 6 -> Circuit.Builder.add b Gate.CCX (distinct 3)
+    | 7 -> Circuit.Builder.add b Gate.CSWAP (distinct 3)
+    | 8 -> Circuit.Builder.add b Gate.Measure (distinct 1)
+    | _ ->
+        let k = 1 + Rng.int rng n in
+        Circuit.Builder.add b (Gate.Barrier k) (List.sort compare (distinct k))
+  done;
+  Circuit.Builder.circuit b
+
+let qcheck_analyze_matches_reference =
+  QCheck.Test.make ~name:"analyze = per-wire filter scan" ~count:150
+    (QCheck.make (QCheck.Gen.int_range 0 1_000_000))
+    (fun seed ->
+      let rng = Rng.create seed in
+      let n = 3 + Rng.int rng 3 in
+      let c = random_mixed_circuit rng n (5 + Rng.int rng 40) in
+      let an = Commutation.analyze c in
+      let n_ops = List.length (Circuit.instrs c) in
+      List.for_all
+        (fun q ->
+          let sets = reference_sets_on_wire c q in
+          Commutation.sets_on_wire an q = sets
+          && List.for_all
+               (fun op ->
+                 let expected = List.find_index (List.mem op) sets in
+                 match Commutation.set_index an ~wire:q ~op with
+                 | si -> expected = Some si
+                 | exception Not_found -> expected = None)
+               (List.init n_ops Fun.id))
+        (List.init n Fun.id))
+
 (* ---------- Cancellation ---------- *)
 
 let test_cancel_adjacent_cx () =
@@ -331,6 +418,51 @@ let test_resynth_random_preserves () =
     check "resynthesis preserves unitary" true (preserves_unitary Unitary_synthesis.run c)
   done
 
+(* the pass without its memo: every block is decided on its own *)
+let reference_resynthesis c =
+  let improve = function
+    | Blocks.Single i -> [ i ]
+    | Blocks.Block b ->
+        let lo, hi = b.pair in
+        let replacement =
+          List.map
+            (fun (g, qs) ->
+              { Circuit.gate = g; qubits = List.map (fun q -> if q = 0 then lo else hi) qs })
+            (Synth2q.synthesize (Blocks.block_unitary b))
+        in
+        let old_cx = Blocks.block_cx_cost b and new_cx = Blocks.ops_cx_cost replacement in
+        if new_cx < old_cx || (new_cx = old_cx && List.length replacement < List.length b.ops)
+        then replacement
+        else b.ops
+  in
+  Circuit.create (Circuit.n_qubits c) (List.concat_map improve (Blocks.collect c))
+
+(* a small alphabet, so block signatures repeat within one circuit; CX is
+   drawn in both orientations, so equal gate sequences recur with the low
+   wire as control in one block and as target in another *)
+let random_repeating_circuit rng n len =
+  let b = Circuit.Builder.create n in
+  for _ = 1 to len do
+    let a = Rng.int rng n in
+    let c = (a + 1 + Rng.int rng (n - 1)) mod n in
+    match Rng.int rng 7 with
+    | 0 -> Circuit.Builder.add b Gate.H [ a ]
+    | 1 -> Circuit.Builder.add b Gate.T [ a ]
+    | 2 -> Circuit.Builder.add b Gate.SX [ a ]
+    | 3 -> Circuit.Builder.add b (Gate.CP 0.5) [ a; c ]
+    | _ -> Circuit.Builder.add b Gate.CX [ a; c ]
+  done;
+  Circuit.Builder.circuit b
+
+let qcheck_resynth_memo_matches_reference =
+  QCheck.Test.make ~name:"memoized run = independent per-block decisions" ~count:200
+    (QCheck.make (QCheck.Gen.int_range 0 1_000_000))
+    (fun seed ->
+      let rng = Rng.create seed in
+      let n = 3 + Rng.int rng 3 in
+      let c = random_repeating_circuit rng n (10 + Rng.int rng 50) in
+      Circuit.equal (Unitary_synthesis.run c) (reference_resynthesis c))
+
 (* ---------- Basis ---------- *)
 
 let test_basis_output_is_basis () =
@@ -373,6 +505,7 @@ let () =
         [
           Alcotest.test_case "pairs" `Quick test_commute_pairs;
           Alcotest.test_case "sets" `Quick test_commutation_sets;
+          QCheck_alcotest.to_alcotest qcheck_analyze_matches_reference;
         ] );
       ( "cancellation",
         [
@@ -396,6 +529,7 @@ let () =
           Alcotest.test_case "free swap" `Quick test_resynth_free_swap;
           Alcotest.test_case "gain" `Quick test_resynth_gain;
           Alcotest.test_case "random preserves" `Quick test_resynth_random_preserves;
+          QCheck_alcotest.to_alcotest qcheck_resynth_memo_matches_reference;
         ] );
       ( "basis",
         [
