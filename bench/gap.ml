@@ -15,13 +15,7 @@ let kind = "nassc-bench-gap"
    are small enough that certified optima matter more than latency *)
 let oracle_budget = { Qroute.Exact.max_nodes = 5_000_000; max_seconds = infinity }
 
-let routers =
-  [
-    ("sabre", Qroute.Pipeline.Sabre_router);
-    ("nassc", Qroute.Pipeline.Nassc_router Qroute.Nassc.default_config);
-    ("astar", Qroute.Pipeline.Astar_router);
-    ("hybrid", Qroute.Pipeline.Hybrid_router Qroute.Hybrid.default_config);
-  ]
+let routers = Qroute.Pipeline.select_routers [ "sabre"; "nassc"; "astar"; "hybrid" ]
 
 type row = {
   circuit : string;

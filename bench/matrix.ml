@@ -28,7 +28,7 @@ let run ~quick ~out () =
        (List.sort_uniq compare
           (List.map (fun (i : Qbench.Matrix.instance) -> i.family) instances)))
     (List.length topologies)
-    (List.length Qbench.Matrix.routers)
+    (List.length Qroute.Pipeline.routers)
     (Qobs.Trace.counter_total trace "matrix.esp_evals")
     (Qobs.Trace.counter_total trace "matrix.cells_skipped");
   let sha = Regress.git_short_sha () in

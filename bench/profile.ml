@@ -4,11 +4,7 @@
    traffic, realized vs predicted CNOT savings).  This is the breakdown
    future performance PRs should quote before/after numbers from. *)
 
-let routers =
-  [
-    ("sabre", Qroute.Pipeline.Sabre_router);
-    ("nassc", Qroute.Pipeline.Nassc_router Qroute.Nassc.default_config);
-  ]
+let routers = Qroute.Pipeline.select_routers [ "sabre"; "nassc" ]
 
 let run ?(seed = 11) ?(trials = 4) () =
   (* opt into the per-step scoring-time histogram for the summaries *)

@@ -8,15 +8,9 @@
 let schema_version = 2
 let kind = "nassc-bench-regress"
 
-let routers =
-  [
-    ("sabre", Qroute.Pipeline.Sabre_router);
-    ("nassc", Qroute.Pipeline.Nassc_router Qroute.Nassc.default_config);
-    (* hybrid rows are newer than the checked-in baseline; compare_baseline
-       tolerates missing baseline entries ("new"), so adding the router
-       needs no schema bump and no baseline regeneration *)
-    ("hybrid", Qroute.Pipeline.Hybrid_router Qroute.Hybrid.default_config);
-  ]
+(* the checked-in baseline has no hybrid rows; compare_baseline reports a
+   row without a baseline entry as "new" instead of failing *)
+let routers = Qroute.Pipeline.select_routers [ "sabre"; "nassc"; "hybrid" ]
 
 let git_short_sha () =
   try

@@ -42,11 +42,6 @@ let coupling_of = function
   | "osprey" -> Topology.Devices.osprey ()
   | d -> invalid_arg ("scaling: unknown device " ^ d)
 
-let router_of = function
-  | "sabre" -> Qroute.Pipeline.Sabre_router
-  | "nassc" -> Qroute.Pipeline.Nassc_router Qroute.Nassc.default_config
-  | r -> invalid_arg ("scaling: unknown router " ^ r)
-
 (* gate-budget-matched lazy sources; each family sizes its repetition
    parameter so the pre-lowering instruction count is ~spec.gates *)
 let source_of ~n spec =
@@ -110,7 +105,11 @@ let run_one ~seed spec =
   let n = Topology.Coupling.n_qubits coupling in
   let source = source_of ~n spec in
   let params = { Qroute.Engine.default_params with seed } in
-  let router = router_of spec.router in
+  let router =
+    match Qroute.Pipeline.router_of_name spec.router with
+    | Ok r -> r
+    | Error e -> invalid_arg ("scaling: " ^ e)
+  in
   Printf.printf "  %-10s %-20s %-6s %6s ...%!" spec.device (row_name spec) spec.router
     (size_label spec.gates);
   (* start each run from a settled heap so its sampled RSS reflects the

@@ -8,11 +8,7 @@
 let schema_version = 1
 let kind = "nassc-score-microbench"
 
-let routers =
-  [
-    ("sabre", Qroute.Pipeline.Sabre_router);
-    ("nassc", Qroute.Pipeline.Nassc_router Qroute.Nassc.default_config);
-  ]
+let routers = Qroute.Pipeline.select_routers [ "sabre"; "nassc" ]
 
 let benches = [ "VQE 8-qubits"; "Adder 10-qubits"; "QFT 15-qubits" ]
 

@@ -11,13 +11,9 @@ let workloads =
   let circuit = Qbench.Generators.grover 6 in
   List.concat_map
     (fun (tname, coupling) ->
-      [
-        (tname ^ "/sabre", transpile Qroute.Pipeline.Sabre_router coupling circuit);
-        ( tname ^ "/nassc",
-          transpile
-            (Qroute.Pipeline.Nassc_router Qroute.Nassc.default_config)
-            coupling circuit );
-      ])
+      List.map
+        (fun (rname, router) -> (tname ^ "/" ^ rname, transpile router coupling circuit))
+        (Qroute.Pipeline.select_routers [ "sabre"; "nassc" ]))
     [
       ("table1-montreal", Topology.Devices.montreal);
       ("table3-linear", Topology.Devices.linear 25);

@@ -19,7 +19,9 @@ let size_arg =
   Arg.(value & opt int 27 & info [ "n"; "size" ] ~docv:"N" ~doc)
 
 let router_arg =
-  let doc = "Router: sabre | nassc | sabre-ha | nassc-ha | hybrid | none." in
+  let doc =
+    "Router: " ^ String.concat " | " (List.map fst Qroute.Pipeline.routers @ [ "none" ]) ^ "."
+  in
   Arg.(value & opt string "nassc" & info [ "r"; "router" ] ~docv:"ROUTER" ~doc)
 
 let seed_arg =
@@ -211,17 +213,6 @@ let with_obs ~trace ~times ~record ~fmt ~metrics ~wide ~sample f =
   | _ -> ());
   (result, trace_v, Option.map Qobs.Recorder.totals recorder)
 
-let router_of_string cal = function
-  | "sabre" -> Ok Qroute.Pipeline.Sabre_router
-  | "nassc" -> Ok (Qroute.Pipeline.Nassc_router Qroute.Nassc.default_config)
-  | "sabre-ha" ->
-      ignore cal;
-      Ok Qroute.Pipeline.Sabre_ha
-  | "nassc-ha" -> Ok (Qroute.Pipeline.Nassc_ha Qroute.Nassc.default_config)
-  | "hybrid" -> Ok (Qroute.Pipeline.Hybrid_router Qroute.Hybrid.default_config)
-  | "none" -> Ok Qroute.Pipeline.Full_connectivity
-  | r -> Error ("unknown router " ^ r)
-
 let check_pool_args trials workers =
   if trials < 1 then Error "--trials must be >= 1"
   else
@@ -277,9 +268,11 @@ let stream_diag rule msg =
 let run_stream ~router_name ~router ~trials ~window ~seed ~cal coupling label circuit =
   if not (Qroute.Pipeline.streamable router) then
     stream_diag "route.stream-unsupported"
-      (Printf.sprintf
-         "--stream needs a windowable router (sabre | nassc | sabre-ha | nassc-ha); %s \
-          requires the whole circuit"
+      (Printf.sprintf "--stream needs a windowable router (%s); %s requires the whole circuit"
+         (String.concat " | "
+            (List.filter_map
+               (fun (n, r) -> if Qroute.Pipeline.streamable r then Some n else None)
+               Qroute.Pipeline.routers))
          router_name)
   else if trials > 1 then
     stream_diag "route.stream-unsupported" "--stream routes a single trial; drop --trials"
@@ -334,7 +327,7 @@ let transpile_cmd benchmark topology size router seed trials workers qasm lint t
       in
       let cal = Topology.Calibration.generate coupling in
       let router_name = router in
-      match router_of_string cal router with
+      match Qroute.Pipeline.router_of_name router with
       | Error e ->
           prerr_endline e;
           1
@@ -409,7 +402,7 @@ let transpile_file_cmd path topology size router seed trials workers qasm lint t
       in
       let cal = Topology.Calibration.generate coupling in
       let router_name = router in
-      match router_of_string cal router with
+      match Qroute.Pipeline.router_of_name router with
       | Error e ->
           prerr_endline e;
           1
@@ -512,7 +505,7 @@ let verify_cmd files topology size router_name seed corpus jsonl =
                     in
                     cell ~name ~tname ~rname ~trials ~original r)
                   Golden_defs.trials_axis)
-              Golden_defs.routers)
+              Qroute.Pipeline.routers)
           (Golden_defs.topologies ()))
       (Golden_defs.circuits ());
   let file_errors = ref 0 in
@@ -523,8 +516,7 @@ let verify_cmd files topology size router_name seed corpus jsonl =
         prerr_endline m;
         exit 1
     in
-    let cal = Topology.Calibration.generate coupling in
-    match router_of_string cal router_name with
+    match Qroute.Pipeline.router_of_name router_name with
     | Error e ->
         prerr_endline e;
         incr file_errors
@@ -611,7 +603,7 @@ let check_cmd files topology size router_name seed pipeline suite no_audit jsonl
       exit 1
   in
   let cal = Topology.Calibration.generate coupling in
-  match router_of_string cal router_name with
+  match Qroute.Pipeline.router_of_name router_name with
   | Error e ->
       prerr_endline e;
       1
@@ -725,7 +717,7 @@ let cmd_check =
          "Static analysis: validate pass-contract orderings, audit the commutation and \
           CNOT-savings tables against ground truth, and lint circuits end to end. Exit \
           status is 1 when any $(b,error)-severity diagnostic fired and 0 otherwise — \
-          warnings (e.g. gate.dead, distmat.legacy) never fail the run. With --jsonl \
+          warnings (e.g. gate.dead) never fail the run. With --jsonl \
           FILE every diagnostic is also appended to FILE as one JSON object per line \
           with the stable fields kind/severity/rule/message plus the location when \
           known."

@@ -181,7 +181,6 @@ let c_h_lookahead = Qobs.counter "engine.h_lookahead_evals"
 let c_swaps = Qobs.counter "engine.swaps_emitted"
 let c_force = Qobs.counter "engine.force_progress_escapes"
 let c_score_cache = Qobs.counter "engine.score_cache_hits"
-let c_legacy_dist = Qobs.counter "engine.legacy_distmat_routes"
 let g_predicted = Qobs.gauge "engine.predicted_cnot_savings"
 let g_window_peak = Qobs.gauge "engine.window_peak_resident"
 
@@ -514,13 +513,34 @@ let route_core params coupling ~rng ~dist ~bonus ~oracle ~stream ~mapping wk =
         decay.(p1) <- decay.(p1) +. params.decay_delta;
         decay.(p2) <- decay.(p2) +. params.decay_delta
   in
+  (* an unscored SWAP (oracle or escape valve): emitted and applied
+     verbatim — Swap_plain, so downstream finalizers treat it like any
+     heuristic swap — and recorded as a single-candidate step so flight
+     records stay replayable *)
+  let apply_fixed_swap ~forced ~front_n (p, q) =
+    ignore (emit Gate.SWAP [ p; q ] Swap_plain);
+    if Qobs.Recorder.active () then
+      Qobs.Recorder.record_step ~front:front_n ~forced
+        ~candidates:
+          [
+            {
+              Qobs.Recorder.p1 = min p q;
+              p2 = max p q;
+              h_basic = 0.0;
+              h_lookahead = 0.0;
+              h = 0.0;
+              bonus = 0.0;
+            };
+          ]
+        ~chosen:(p, q) ~chosen_bonus:0.0 ();
+    apply_swap mapping p q;
+    incr n_swaps;
+    Qobs.incr c_swaps
+  in
   (* exact-window hook: on a stuck front, let the caller hand back a full
-     SWAP sequence (the hybrid router's oracle).  The swaps are emitted and
-     applied verbatim — Swap_plain, so downstream finalizers treat them like
-     any heuristic swap — and each is recorded as a single-candidate step so
-     flight records stay replayable.  Declining (None / empty) falls through
-     to the heuristic path untouched; with no hook installed this is free
-     and the engine's behavior is byte-identical to before. *)
+     SWAP sequence (the hybrid router's oracle).  Declining (None / empty)
+     falls through to the heuristic path untouched; with no hook installed
+     this is free and the engine's behavior is byte-identical to before. *)
   let try_window front_ids =
     match oracle with
     | None -> false
@@ -530,27 +550,7 @@ let route_core params coupling ~rng ~dist ~bonus ~oracle ~stream ~mapping wk =
         | None | Some [] -> false
         | Some swaps ->
             let front_n = List.length front_pairs in
-            List.iter
-              (fun (p, q) ->
-                ignore (emit Gate.SWAP [ p; q ] Swap_plain);
-                if Qobs.Recorder.active () then
-                  Qobs.Recorder.record_step ~front:front_n
-                    ~candidates:
-                      [
-                        {
-                          Qobs.Recorder.p1 = min p q;
-                          p2 = max p q;
-                          h_basic = 0.0;
-                          h_lookahead = 0.0;
-                          h = 0.0;
-                          bonus = 0.0;
-                        };
-                      ]
-                    ~chosen:(p, q) ~chosen_bonus:0.0 ();
-                apply_swap mapping p q;
-                incr n_swaps;
-                Qobs.incr c_swaps)
-              swaps;
+            List.iter (apply_fixed_swap ~forced:false ~front_n) swaps;
             true)
   in
   let force_progress front_ids =
@@ -570,24 +570,7 @@ let route_core params coupling ~rng ~dist ~bonus ~oracle ~stream ~mapping wk =
             in
             let rec walk = function
               | p :: q :: rest when rest <> [] ->
-                  ignore (emit Gate.SWAP [ p; q ] Swap_plain);
-                  if Qobs.Recorder.active () then
-                    Qobs.Recorder.record_step ~front:front_n ~forced:true
-                      ~candidates:
-                        [
-                          {
-                            Qobs.Recorder.p1 = min p q;
-                            p2 = max p q;
-                            h_basic = 0.0;
-                            h_lookahead = 0.0;
-                            h = 0.0;
-                            bonus = 0.0;
-                          };
-                        ]
-                      ~chosen:(p, q) ~chosen_bonus:0.0 ();
-                  apply_swap mapping p q;
-                  incr n_swaps;
-                  Qobs.incr c_swaps;
+                  apply_fixed_swap ~forced:true ~front_n (p, q);
                   walk (q :: rest)
               | _ -> ()
             in
@@ -625,7 +608,6 @@ let route_once params coupling ~rng ~dist ~bonus ?window ?dag circuit init_layou
   if n_log > n_phys then invalid_arg "Engine.route_once: circuit larger than device";
   if Distmat.n dist <> n_phys then
     invalid_arg "Engine.route_once: distance matrix size does not match device";
-  if Distmat.is_legacy dist then Qobs.incr c_legacy_dist;
   List.iter
     (fun (i : Qcircuit.Circuit.instr) ->
       if Gate.arity i.gate > 2 && not (Gate.is_directive i.gate) then
@@ -667,7 +649,6 @@ let route_stream params coupling ~rng ~dist ~bonus ~window ?(keep = 64) ~sink so
   if n_log > n_phys then invalid_arg "Engine.route_stream: circuit larger than device";
   if Distmat.n dist <> n_phys then
     invalid_arg "Engine.route_stream: distance matrix size does not match device";
-  if Distmat.is_legacy dist then Qobs.incr c_legacy_dist;
   let mapping = mapping_of_layout ~n_phys init_layout in
   let initial_layout = Array.copy mapping.l2p in
   (* gate arity and qubit-range validation happens per admission inside

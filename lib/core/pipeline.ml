@@ -60,6 +60,47 @@ let post_stages : stage list =
 
 let run_stages stages c = List.fold_left (fun c (name, f) -> pass name f c) c stages
 
+(* ---- the router registry ----
+
+   The one name -> router table: the CLI, the bench harnesses, the
+   matrix/golden corpora and the tests all resolve names here.  Subsets
+   (streamable, noise-aware, a test's chosen columns) are filters over it
+   or name lists looked up in it, never second tables of constructors. *)
+
+let routers =
+  [
+    ("sabre", Sabre_router);
+    ("nassc", Nassc_router Nassc.default_config);
+    ("astar", Astar_router);
+    ("sabre-ha", Sabre_ha);
+    ("nassc-ha", Nassc_ha Nassc.default_config);
+    ("hybrid", Hybrid_router Hybrid.default_config);
+  ]
+
+let router_of_name = function
+  | "none" -> Ok Full_connectivity
+  | name -> (
+      match List.assoc_opt name routers with
+      | Some r -> Ok r
+      | None ->
+          Error
+            (Printf.sprintf "unknown router %s (valid: %s)" name
+               (String.concat " | " (List.map fst routers @ [ "none" ]))))
+
+let select_routers names =
+  List.map
+    (fun name ->
+      match router_of_name name with
+      | Ok r -> (name, r)
+      | Error e -> invalid_arg ("Pipeline.select_routers: " ^ e))
+    names
+
+let streamable = function
+  | Sabre_router | Nassc_router _ | Sabre_ha | Nassc_ha _ -> true
+  | Full_connectivity | Astar_router | Hybrid_router _ -> false
+
+let noise_aware = function Sabre_ha | Nassc_ha _ -> true | _ -> false
+
 let stage_names ~router =
   let names stages = List.map fst stages in
   ("lower_to_2q" :: names pre_stages)
@@ -72,10 +113,17 @@ let pre_optimize c =
 let post_optimize c =
   Qobs.span "pipeline.post_optimize" @@ fun () -> run_stages post_stages c
 
-let noise_dist calibration coupling =
-  match calibration with
-  | Some cal -> Topology.Calibration.noise_distmat cal
-  | None -> Topology.Calibration.noise_distmat (Topology.Calibration.generate coupling)
+(* eq. 3's noise-aware distance matrix for the HA routers, [None] for the
+   rest; built once per call, outside the trial fan-out *)
+let noise_dist router calibration coupling =
+  if noise_aware router then
+    Some
+      (Qobs.span "pipeline.noise_dist" @@ fun () ->
+       Topology.Calibration.noise_distmat
+         (match calibration with
+         | Some cal -> cal
+         | None -> Topology.Calibration.generate coupling))
+  else None
 
 (* per-trial outcome gauges; recorded on the trial's own collector *)
 let g_cx = Qobs.gauge "trial.cx_total"
@@ -110,18 +158,16 @@ type stream_result = {
   sr_final_layout : int array;
 }
 
-let streamable = function
-  | Sabre_router | Nassc_router _ | Sabre_ha | Nassc_ha _ -> true
-  | Full_connectivity | Astar_router | Hybrid_router _ -> false
-
 let transpile_stream ?(params = Engine.default_params) ?calibration ?(window = 4096)
     ?(chunk = 4096) ?(optimize = false) ~router ~sink coupling source =
   if window < 1 then invalid_arg "Pipeline.transpile_stream: window must be >= 1";
   if chunk < 1 then invalid_arg "Pipeline.transpile_stream: chunk must be >= 1";
   if not (streamable router) then
     invalid_arg
-      "Pipeline.transpile_stream: router needs the whole circuit (streaming supports \
-       sabre/nassc/sabre-ha/nassc-ha)";
+      (Printf.sprintf
+         "Pipeline.transpile_stream: router needs the whole circuit (streaming supports %s)"
+         (String.concat "/"
+            (List.filter_map (fun (n, r) -> if streamable r then Some n else None) routers)));
   Qobs.span "pipeline.transpile_stream" @@ fun () ->
   let n_phys = Topology.Coupling.n_qubits coupling in
   (* streaming lowering to the <=2q basis: each pulled instruction expands
@@ -132,10 +178,9 @@ let transpile_stream ?(params = Engine.default_params) ?calibration ?(window = 4
         |> List.map (fun (g, qs) -> { Qcircuit.Circuit.gate = g; qubits = qs }))
   in
   let dist =
-    match router with
-    | Sabre_ha | Nassc_ha _ ->
-        Qobs.span "pipeline.noise_dist" (fun () -> noise_dist calibration coupling)
-    | _ ->
+    match noise_dist router calibration coupling with
+    | Some d -> d
+    | None ->
         (* on-demand rows: mega-scale devices never allocate the dense
            n^2 hop matrix *)
         Topology.Distmat.hops_lazy coupling
@@ -244,20 +289,15 @@ let transpile ?(params = Engine.default_params) ?calibration ?(trials = 1) ?work
      distance matrix.  Per-trial mutable state (mappings, decay, RNG) lives
      inside the routers, domain-locally. *)
   let logical = pre_optimize (Qobs.span "pipeline.lower_to_2q" (fun () -> lower_to_2q circuit)) in
-  let dist_ha =
-    match router with
-    | Sabre_ha | Nassc_ha _ ->
-        Some (Qobs.span "pipeline.noise_dist" (fun () -> noise_dist calibration coupling))
-    | _ -> None
-  in
+  let dist_ha = noise_dist router calibration coupling in
   let route_with params =
     match router with
     | Full_connectivity -> (logical, 0, None)
-    | Sabre_router ->
-        let r = Sabre.route ~params coupling logical in
+    | Sabre_router | Sabre_ha ->
+        let r = Sabre.route ~params ?dist:dist_ha coupling logical in
         (Sabre.decompose_swaps r.circuit, r.n_swaps, Some (r.initial_layout, r.final_layout))
-    | Nassc_router config ->
-        let r = Nassc.route ~params ~config coupling logical in
+    | Nassc_router config | Nassc_ha config ->
+        let r = Nassc.route ~params ~config ?dist:dist_ha coupling logical in
         (r.circuit, r.n_swaps, Some (r.initial_layout, r.final_layout))
     | Astar_router ->
         let r =
@@ -267,14 +307,6 @@ let transpile ?(params = Engine.default_params) ?calibration ?(trials = 1) ?work
         (Sabre.decompose_swaps r.circuit, r.n_swaps, Some (r.initial_layout, r.final_layout))
     | Hybrid_router config ->
         let r = Hybrid.route ~params ~config coupling logical in
-        (r.circuit, r.n_swaps, Some (r.initial_layout, r.final_layout))
-    | Sabre_ha ->
-        let dist = Option.get dist_ha in
-        let r = Sabre.route ~params ~dist coupling logical in
-        (Sabre.decompose_swaps r.circuit, r.n_swaps, Some (r.initial_layout, r.final_layout))
-    | Nassc_ha config ->
-        let dist = Option.get dist_ha in
-        let r = Nassc.route ~params ~config ~dist coupling logical in
         (r.circuit, r.n_swaps, Some (r.initial_layout, r.final_layout))
   in
   let report =

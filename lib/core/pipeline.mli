@@ -26,6 +26,37 @@ type router =
   | Hybrid_router of Hybrid.config
       (** NASSC engine with exact-oracle front windows ({!Hybrid.route}) *)
 
+(** {2 The router registry}
+
+    The one name -> {!router} table.  Every front end (CLI, bench
+    harnesses, benchmark matrix, golden corpora, tests) resolves router
+    names here; a subset is a filter over {!routers} (e.g. on
+    {!streamable} or {!noise_aware}) or a list of names looked up in it. *)
+
+val routers : (string * router) list
+(** The six routing routers with their default configs, in the
+    routing-golden column order: sabre, nassc, astar, sabre-ha, nassc-ha,
+    hybrid. *)
+
+val router_of_name : string -> (router, string) Stdlib.result
+(** A name of {!routers}, or ["none"] for {!Full_connectivity}.  The
+    error text names every valid name. *)
+
+val select_routers : string list -> (string * router) list
+(** [select_routers names] pairs each name with its {!router_of_name}
+    router, in the given order: how a harness picks a column subset.
+    @raise Invalid_argument on an unknown name. *)
+
+val streamable : router -> bool
+(** Routers the streaming flow ({!transpile_stream}) supports:
+    [Sabre_router], [Nassc_router], and their noise-aware variants.
+    [Astar_router], [Hybrid_router] and [Full_connectivity] need the whole
+    circuit. *)
+
+val noise_aware : router -> bool
+(** [Sabre_ha] and [Nassc_ha]: the routers that route on the
+    calibration's noise-aware distance matrix (eq. 3). *)
+
 type result = {
   circuit : Qcircuit.Circuit.t;  (** final circuit in the hardware basis *)
   cx_total : int;
@@ -117,11 +148,6 @@ type stream_result = {
   sr_initial_layout : int array;
   sr_final_layout : int array;
 }
-
-val streamable : router -> bool
-(** Routers the streaming flow supports: [Sabre_router], [Nassc_router],
-    and their noise-aware variants.  [Astar_router], [Hybrid_router] and
-    [Full_connectivity] need the whole circuit. *)
 
 val transpile_stream :
   ?params:Engine.params ->

@@ -79,17 +79,6 @@ let full_topologies () =
     ("montreal", Topology.Devices.montreal);
   ]
 
-(* the full router column set of the routing golden corpus *)
-let routers =
-  [
-    ("sabre", Qroute.Pipeline.Sabre_router);
-    ("nassc", Qroute.Pipeline.Nassc_router Qroute.Nassc.default_config);
-    ("astar", Qroute.Pipeline.Astar_router);
-    ("sabre-ha", Qroute.Pipeline.Sabre_ha);
-    ("nassc-ha", Qroute.Pipeline.Nassc_ha Qroute.Nassc.default_config);
-    ("hybrid", Qroute.Pipeline.Hybrid_router Qroute.Hybrid.default_config);
-  ]
-
 type cell = {
   family : string;
   instance : string;
@@ -168,7 +157,7 @@ let run ?(seed = default_seed) ?(trials = default_trials) ?workers ~instances ~t
                   rec_steps = t.Qobs.Recorder.steps;
                   rec_candidates = t.Qobs.Recorder.candidates;
                 })
-              routers
+              Qroute.Pipeline.routers
           end)
         topologies)
     instances

@@ -31,10 +31,6 @@ val golden_topologies : unit -> (string * Topology.Coupling.t) list
 val full_topologies : unit -> (string * Topology.Coupling.t) list
 (** line12, ring12, grid3x4, heavyhex2x3, montreal. *)
 
-val routers : (string * Qroute.Pipeline.router) list
-(** All six routers, in the routing-golden column order:
-    sabre, nassc, astar, sabre-ha, nassc-ha, hybrid. *)
-
 type cell = {
   family : string;
   instance : string;
@@ -66,8 +62,9 @@ val run :
   unit ->
   cell list
 (** Evaluate every (instance, topology, router) cell, in axis order
-    (instances outermost, routers innermost).  Instances wider than a
-    topology are skipped (counted on [matrix.cells_skipped]).  Defaults:
+    (instances outermost, then topologies, then {!Qroute.Pipeline.routers}).
+    Instances wider than a topology are skipped (counted on
+    [matrix.cells_skipped]).  Defaults:
     [seed] 11, [trials] 4; results are independent of [workers].
     Counters: [matrix.cells], [matrix.esp_evals], [matrix.cells_skipped]
     (recorded when a {!Qobs} collector is installed). *)

@@ -265,13 +265,10 @@ let optimality ?(seed = 11) () =
   let scenarios = ref 0 in
   let diags = ref [] in
   let params = { Qroute.Engine.default_params with seed } in
+  (* the hop-metric routers; the -ha variants differ from sabre/nassc only
+     in the distance matrix they route on *)
   let routers =
-    [
-      ("sabre", Qroute.Pipeline.Sabre_router);
-      ("nassc", Qroute.Pipeline.Nassc_router Qroute.Nassc.default_config);
-      ("astar", Qroute.Pipeline.Astar_router);
-      ("hybrid", Qroute.Pipeline.Hybrid_router Qroute.Hybrid.default_config);
-    ]
+    List.filter (fun (_, r) -> not (Qroute.Pipeline.noise_aware r)) Qroute.Pipeline.routers
   in
   let entry name =
     List.find (fun (e : Qbench.Gapcorpus.entry) -> e.name = name)

@@ -163,17 +163,6 @@ let layout coupling l2p =
     l2p;
   List.rev !diags
 
-let distmat d =
-  count_check ();
-  if Topology.Distmat.is_legacy d then
-    [
-      Diagnostic.warning ~loc:(Diagnostic.Stage "route") ~rule:"distmat.legacy"
-        "distance matrix was built from nested rows (Distmat.of_rows); use \
-         Distmat.hops, Calibration.noise_distmat or Distmat.of_flat for the \
-         flat fast path";
-    ]
-  else []
-
 (* a parameterized gate whose angles make it the identity (up to global
    phase); 2pi-periodic, matching the rotation semantics of the gate set *)
 let angle_dead a =

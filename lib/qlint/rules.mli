@@ -44,15 +44,6 @@ val layout : Topology.Coupling.t -> int array -> Diagnostic.t list
 (** [route.layout]: the layout is an injection of logical qubits into the
     device's physical qubits (in range, no duplicates). *)
 
-val distmat : Topology.Distmat.t -> Diagnostic.t list
-(** [distmat.legacy] (warning): the distance matrix about to be handed to a
-    router came through the nested-rows compatibility constructor
-    ({!Topology.Distmat.of_rows}) instead of a flat-native one
-    ({!Topology.Distmat.hops}, [Calibration.noise_distmat],
-    {!Topology.Distmat.of_flat}).  Legacy matrices route correctly but pay a
-    copy on construction, and their use is also surfaced at runtime by the
-    engine counter [engine.legacy_distmat_routes]. *)
-
 val check_circuit :
   ?coupling:Topology.Coupling.t ->
   ?props:Contract.prop list ->

@@ -93,6 +93,3 @@ let noise_distmat ?(alpha1 = 0.5) ?(alpha2 = 0.0) ?(alpha3 = 0.5) t =
     loop ()
   done;
   Distmat.of_flat ~n flat
-
-let noise_distance_matrix ?alpha1 ?alpha2 ?alpha3 t =
-  Distmat.to_rows (noise_distmat ?alpha1 ?alpha2 ?alpha3 t)

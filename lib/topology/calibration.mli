@@ -42,10 +42,4 @@ val coupling : t -> Coupling.t
 val noise_distmat : ?alpha1:float -> ?alpha2:float -> ?alpha3:float -> t -> Distmat.t
 (** The paper's eq. 3: weighted all-pairs shortest paths over edge weights
     [a1 * eps + a2 * T + a3 * 1], with [eps] and [T] normalized to [0, 1]
-    across edges.  Defaults are the paper's (0.5, 0, 0.5).  Flat-native:
-    this is the constructor the routers should be fed. *)
-
-val noise_distance_matrix :
-  ?alpha1:float -> ?alpha2:float -> ?alpha3:float -> t -> float array array
-(** {!noise_distmat} as a nested matrix (kept for existing callers and
-    tests; entries are identical). *)
+    across edges.  Defaults are the paper's (0.5, 0, 0.5). *)

@@ -4,13 +4,11 @@ type t = {
   rows : float array option array;  (* row cache, on-demand matrices only *)
   producer : (int -> float array) option;
   lock : Mutex.t;
-  legacy : bool;
 }
 
 let c_rows = Qobs.counter "distmat.rows_materialized"
 
-let dense ~size ~legacy data =
-  { size; data; rows = [||]; producer = None; lock = Mutex.create (); legacy }
+let dense ~size data = { size; data; rows = [||]; producer = None; lock = Mutex.create () }
 
 let n t = t.size
 let is_dense t = Array.length t.data > 0 || t.size = 0
@@ -65,7 +63,7 @@ let hops coupling =
       if v <> max_int then data.((a * size) + b) <- float_of_int v
     done
   done;
-  dense ~size ~legacy:false data
+  dense ~size data
 
 let lazy_rows ~n:size produce =
   if size <= 0 then invalid_arg "Distmat.lazy_rows: need at least one qubit";
@@ -75,7 +73,6 @@ let lazy_rows ~n:size produce =
     rows = Array.make size None;
     producer = Some produce;
     lock = Mutex.create ();
-    legacy = false;
   }
 
 let hops_lazy coupling =
@@ -87,20 +84,4 @@ let hops_lazy coupling =
 
 let of_flat ~n data =
   if Array.length data <> n * n then invalid_arg "Distmat.of_flat: length <> n*n";
-  dense ~size:n ~legacy:false data
-
-let of_rows nested =
-  let size = Array.length nested in
-  let data = Array.make (size * size) infinity in
-  Array.iteri
-    (fun a r ->
-      if Array.length r <> size then invalid_arg "Distmat.of_rows: ragged matrix";
-      Array.blit r 0 data (a * size) size)
-    nested;
-  dense ~size ~legacy:true data
-
-let to_rows t =
-  if is_dense t then Array.init t.size (fun a -> Array.sub t.data (a * t.size) t.size)
-  else Array.init t.size (fun a -> Array.copy (row t a))
-
-let is_legacy t = t.legacy
+  dense ~size:n data

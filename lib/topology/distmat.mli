@@ -4,11 +4,7 @@
     innermost loop of the whole system.  A nested [float array array] costs
     a bounds-checked indirection per row; storing the matrix row-major in
     one flat [float array] keeps the lookup a single offset computation and
-    the whole matrix contiguous in cache.
-
-    Construction provenance is tracked so tooling ({!Qlint}) can flag
-    callers still building nested matrices and converting them ([of_rows],
-    the legacy adapter) instead of using a flat-native constructor. *)
+    the whole matrix contiguous in cache. *)
 
 type t
 
@@ -51,16 +47,4 @@ val rows_materialized : t -> int
 val is_dense : t -> bool
 
 val of_flat : n:int -> float array -> t
-(** Wrap an already-flat row-major array (length must be [n * n]).
-    Flat-native. *)
-
-val of_rows : float array array -> t
-(** Adapter for legacy nested matrices (copies into flat storage).  The
-    result is marked {!is_legacy}; prefer {!hops},
-    {!Calibration.noise_distmat} or {!of_flat}. *)
-
-val to_rows : t -> float array array
-(** Fresh nested copy (for callers that still want rows, e.g. tests). *)
-
-val is_legacy : t -> bool
-(** True iff the matrix came through the {!of_rows} compatibility path. *)
+(** Wrap an already-flat row-major array (length must be [n * n]). *)

@@ -50,16 +50,6 @@ let topologies () =
     ("heavyhex2x2", Topology.Devices.heavy_hex 2 2);
   ]
 
-let routers =
-  [
-    ("sabre", Qroute.Pipeline.Sabre_router);
-    ("nassc", Qroute.Pipeline.Nassc_router Qroute.Nassc.default_config);
-    ("astar", Qroute.Pipeline.Astar_router);
-    ("sabre-ha", Qroute.Pipeline.Sabre_ha);
-    ("nassc-ha", Qroute.Pipeline.Nassc_ha Qroute.Nassc.default_config);
-    ("hybrid", Qroute.Pipeline.Hybrid_router Qroute.Hybrid.default_config);
-  ]
-
 let trials_axis = [ 1; 8 ]
 let seed = 11
 
@@ -95,7 +85,7 @@ let lines () =
                   in
                   cell_line cname tname rname trials r)
                 trials_axis)
-            routers)
+            Qroute.Pipeline.routers)
         (topologies ()))
     (circuits ())
 
@@ -111,13 +101,7 @@ let generate () = String.concat "\n" (lines ()) ^ "\n"
 
 let gap_oracle_budget = { Qroute.Exact.max_nodes = 5_000_000; max_seconds = infinity }
 
-let gap_routers =
-  [
-    ("sabre", Qroute.Pipeline.Sabre_router);
-    ("nassc", Qroute.Pipeline.Nassc_router Qroute.Nassc.default_config);
-    ("astar", Qroute.Pipeline.Astar_router);
-    ("hybrid", Qroute.Pipeline.Hybrid_router Qroute.Hybrid.default_config);
-  ]
+let gap_routers = Qroute.Pipeline.select_routers [ "sabre"; "nassc"; "astar"; "hybrid" ]
 
 let gap_line (e : Qbench.Gapcorpus.entry) tname coupling =
   let logical = Qroute.Pipeline.pre_optimize (Qroute.Pipeline.lower_to_2q (e.build ())) in

@@ -44,12 +44,7 @@ let topologies =
     ("heavy-hex", Topology.Devices.heavy_hex 2 2);
   ]
 
-let routers =
-  [
-    ("sabre", Qroute.Pipeline.Sabre_router);
-    ("nassc", Qroute.Pipeline.Nassc_router Qroute.Nassc.default_config);
-    ("hybrid", Qroute.Pipeline.Hybrid_router Qroute.Hybrid.default_config);
-  ]
+let routers = Qroute.Pipeline.select_routers [ "sabre"; "nassc"; "hybrid" ]
 
 let equivalent_after ~router ~coupling c seed =
   let params = { Qroute.Engine.default_params with seed = 1 + (seed mod 997) } in
@@ -201,7 +196,7 @@ let test_matrix_families_equivalent () =
                 (Printf.sprintf "%s/%s/%s preserves semantics" fname rname tname)
                 true
                 (equivalent_after ~router ~coupling c 11))
-            Qbench.Matrix.routers)
+            Qroute.Pipeline.routers)
         [ ("linear", Topology.Devices.linear 7); ("grid", Topology.Devices.grid 2 4) ])
     family_circuits
 

@@ -62,12 +62,10 @@ let rows () =
   |> List.filter (fun l -> String.trim l <> "")
   |> List.map parse_line
 
-let router_of_name = function
-  | "sabre" -> Qroute.Pipeline.Sabre_router
-  | "nassc" -> Qroute.Pipeline.Nassc_router Qroute.Nassc.default_config
-  | "astar" -> Qroute.Pipeline.Astar_router
-  | "hybrid" -> Qroute.Pipeline.Hybrid_router Qroute.Hybrid.default_config
-  | r -> Alcotest.fail ("gap.golden: unknown router " ^ r)
+let router_of_name name =
+  match Qroute.Pipeline.router_of_name name with
+  | Ok r -> r
+  | Error e -> Alcotest.fail ("gap.golden: " ^ e)
 
 let corpus_entry name =
   match

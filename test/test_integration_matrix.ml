@@ -14,12 +14,7 @@ let topologies =
     ("grid5x5", Topology.Devices.grid 5 5);
   ]
 
-let routers =
-  [
-    ("sabre", Qroute.Pipeline.Sabre_router);
-    ("nassc", Qroute.Pipeline.Nassc_router Qroute.Nassc.default_config);
-    ("astar", Qroute.Pipeline.Astar_router);
-  ]
+let routers = Qroute.Pipeline.select_routers [ "sabre"; "nassc"; "astar" ]
 
 let entries = Qbench.Suite.small_suite
 

@@ -51,7 +51,7 @@ let test_cell_coverage () =
         (Printf.sprintf "%s appears once per (instance, topology)" rname)
         (5 * 2)
         (List.length (List.filter (fun c -> c.Matrix.router = rname) cells)))
-    Matrix.routers
+    Qroute.Pipeline.routers
 
 (* every matrix row must be reproducible by a direct pipeline run of the
    same (circuit, topology, router, seed, trials) tuple *)
@@ -66,7 +66,7 @@ let test_rows_agree_with_pipeline () =
           (Matrix.instances ~quick:true)
       in
       let coupling = List.assoc c.topology (Matrix.golden_topologies ()) in
-      let router = List.assoc c.router Matrix.routers in
+      let router = List.assoc c.router Qroute.Pipeline.routers in
       let r =
         Qroute.Pipeline.transpile ~params ~trials:Matrix.default_trials ~router coupling
           (i.build ())

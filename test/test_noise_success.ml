@@ -109,17 +109,15 @@ let ring5_cal =
     ()
 
 let test_default_weights_are_paper_defaults () =
-  let d = Topology.Calibration.noise_distance_matrix ring5_cal in
+  let d = Topology.Calibration.noise_distmat ring5_cal in
   let e =
-    Topology.Calibration.noise_distance_matrix ~alpha1:0.5 ~alpha2:0.0 ~alpha3:0.5
-      ring5_cal
+    Topology.Calibration.noise_distmat ~alpha1:0.5 ~alpha2:0.0 ~alpha3:0.5 ring5_cal
   in
-  check "defaults = (0.5, 0, 0.5)" true (d = e)
+  check "defaults = (0.5, 0, 0.5)" true (Topology.Distmat.raw d = Topology.Distmat.raw e)
 
 let test_constant_weight_reproduces_hop_distance () =
   let d =
-    Topology.Calibration.noise_distance_matrix ~alpha1:0.0 ~alpha2:0.0 ~alpha3:1.0
-      ring5_cal
+    Topology.Calibration.noise_distmat ~alpha1:0.0 ~alpha2:0.0 ~alpha3:1.0 ring5_cal
   in
   let coupling = Topology.Calibration.coupling ring5_cal in
   for a = 0 to 4 do
@@ -127,7 +125,7 @@ let test_constant_weight_reproduces_hop_distance () =
       checkf
         (Printf.sprintf "hops %d-%d" a b)
         (float_of_int (Topology.Coupling.distance coupling a b))
-        d.(a).(b)
+        (Topology.Distmat.get d a b)
     done
   done
 
@@ -135,8 +133,7 @@ let test_error_weight_prefers_quiet_path () =
   (* alpha = (1, 0, 0): path cost is summed normalized error, so the
      noisiest edge is avoided when a quieter detour has lower total *)
   let d =
-    Topology.Calibration.noise_distance_matrix ~alpha1:1.0 ~alpha2:0.0 ~alpha3:0.0
-      ring5_cal
+    Topology.Calibration.noise_distmat ~alpha1:1.0 ~alpha2:0.0 ~alpha3:0.0 ring5_cal
   in
   let eps a b =
     Topology.Calibration.cx_error ring5_cal a b
@@ -144,8 +141,9 @@ let test_error_weight_prefers_quiet_path () =
     (* edge (3,4) carries the max error: min a b = 3 *)
   in
   (* 0 and 4 are adjacent on the ring; direct hop weight must match *)
-  checkf "adjacent noise distance is the edge weight" (eps 0 4) d.(0).(4);
-  check "triangle inequality" true (d.(0).(2) <= d.(0).(1) +. d.(1).(2) +. 1e-12)
+  let d = Topology.Distmat.get d in
+  checkf "adjacent noise distance is the edge weight" (eps 0 4) (d 0 4);
+  check "triangle inequality" true (d 0 2 <= d 0 1 +. d 1 2 +. 1e-12)
 
 let () =
   Alcotest.run "noise_success"

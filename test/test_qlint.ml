@@ -53,16 +53,7 @@ let random_circuit rng n len =
 
 (* ---------- every router x topology result passes the full rule set ---------- *)
 
-let routers =
-  [
-    ("none", Qroute.Pipeline.Full_connectivity);
-    ("sabre", Qroute.Pipeline.Sabre_router);
-    ("nassc", Qroute.Pipeline.Nassc_router Qroute.Nassc.default_config);
-    ("sabre-ha", Qroute.Pipeline.Sabre_ha);
-    ("nassc-ha", Qroute.Pipeline.Nassc_ha Qroute.Nassc.default_config);
-    ("astar", Qroute.Pipeline.Astar_router);
-    ("hybrid", Qroute.Pipeline.Hybrid_router Qroute.Hybrid.default_config);
-  ]
+let routers = ("none", Qroute.Pipeline.Full_connectivity) :: Qroute.Pipeline.routers
 
 let topologies =
   [
@@ -131,30 +122,6 @@ let test_bad_fixtures () =
        ~props:[ Contract.Lowered_2q; Contract.Hardware_basis; Contract.Routed_for ]
     = []);
   check "dag consistent" true (Rules.dag_consistency good = [])
-
-(* ---------- legacy distance-matrix provenance ---------- *)
-
-let test_distmat_rule () =
-  let linear4 = Topology.Devices.linear 4 in
-  let flat = Topology.Distmat.hops linear4 in
-  check "flat-native matrix clean" true (Rules.distmat flat = []);
-  let legacy = Topology.Distmat.of_rows (Topology.Distmat.to_rows flat) in
-  (match Rules.distmat legacy with
-  | [ d ] ->
-      Alcotest.(check string) "legacy rule" "distmat.legacy" d.rule;
-      check "warning, not error" true (d.severity = Diagnostic.Warning)
-  | ds -> Alcotest.failf "expected one diagnostic, got %d" (List.length ds));
-  (* the runtime twin: routing with a legacy matrix bumps the engine counter *)
-  let root = Qobs.Collector.create ~label:"qlint-test" () in
-  let c = Qcircuit.Circuit.create 4 [ instr Gate.CX [ 0; 3 ] ] in
-  Qobs.with_collector root (fun () ->
-      ignore
-        (Qroute.Sabre.route ~dist:legacy linear4 c));
-  let counters = Qobs.Trace.counters_total (Qobs.Trace.of_root root) in
-  check "legacy routes counted" true
-    (match List.assoc_opt "engine.legacy_distmat_routes" counters with
-    | Some v -> v > 0
-    | None -> false)
 
 let test_lint_qasm () =
   (match Rules.lint_qasm "qreg q[2];\nfoo q[0];\n" with
@@ -351,7 +318,6 @@ let () =
         [
           Alcotest.test_case "bad fixtures trip their rule" `Quick test_bad_fixtures;
           Alcotest.test_case "qasm lint" `Quick test_lint_qasm;
-          Alcotest.test_case "legacy distmat provenance" `Quick test_distmat_rule;
           Alcotest.test_case "dead gates warn, never error" `Quick test_dead_gates;
           Alcotest.test_case "diagnostic format" `Quick test_diagnostic_format;
         ] );

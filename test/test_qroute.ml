@@ -275,6 +275,26 @@ let test_pipeline_routers_beat_nothing () =
   let sabre = Pipeline.transpile ~router:Pipeline.Sabre_router coupling c in
   check "routing adds gates" true (sabre.cx_total >= base.cx_total)
 
+let test_router_registry () =
+  let names = List.map fst Pipeline.routers in
+  check "golden column order" true
+    (names = [ "sabre"; "nassc"; "astar"; "sabre-ha"; "nassc-ha"; "hybrid" ]);
+  List.iter
+    (fun (name, router) ->
+      check (name ^ " round-trips") true (Pipeline.router_of_name name = Ok router))
+    (("none", Pipeline.Full_connectivity) :: Pipeline.routers);
+  match Pipeline.router_of_name "qiskit" with
+  | Ok _ -> Alcotest.fail "unknown name accepted"
+  | Error e ->
+      let mentions w =
+        let n = String.length w in
+        let rec at i = i + n <= String.length e && (String.sub e i n = w || at (i + 1)) in
+        at 0
+      in
+      List.iter
+        (fun name -> check ("error names " ^ name) true (mentions name))
+        ("none" :: "qiskit" :: names)
+
 let test_nassc_beats_sabre_on_average () =
   (* headline claim, on a seed-averaged small set; generous margin *)
   let coupling = Topology.Devices.linear 10 in
@@ -362,6 +382,7 @@ let () =
           Alcotest.test_case "baseline" `Quick test_pipeline_baseline_no_layout;
           Alcotest.test_case "grover4 calibration" `Quick test_pipeline_grover4_calibration;
           Alcotest.test_case "routing adds gates" `Quick test_pipeline_routers_beat_nothing;
+          Alcotest.test_case "router registry" `Quick test_router_registry;
           Alcotest.test_case "nassc vs sabre" `Quick test_nassc_beats_sabre_on_average;
         ] );
       ("ha", [ Alcotest.test_case "noise-aware routing" `Quick test_ha_routing_valid ]);

@@ -243,7 +243,7 @@ let test_routed_swap () =
 
 (* ---- pipeline results over the golden corpus axes ---- *)
 
-let routers = Golden_defs.routers
+let routers = Qroute.Pipeline.routers
 
 let transpile ?(seed = Golden_defs.seed) ~router coupling c =
   let params = { Qroute.Engine.default_params with seed } in

@@ -51,13 +51,7 @@ let test_children_in_trial_order () =
 (* ---------- the chosen SWAP is always a recorded candidate ---------- *)
 
 let routers =
-  [
-    ("sabre", Qroute.Pipeline.Sabre_router);
-    ("nassc", nassc_router);
-    ("astar", Qroute.Pipeline.Astar_router);
-    ("sabre-ha", Qroute.Pipeline.Sabre_ha);
-    ("nassc-ha", Qroute.Pipeline.Nassc_ha Qroute.Nassc.default_config);
-  ]
+  Qroute.Pipeline.select_routers [ "sabre"; "nassc"; "astar"; "sabre-ha"; "nassc-ha" ]
 
 let topologies =
   [

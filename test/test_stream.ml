@@ -73,11 +73,7 @@ let batch_reference ?dist ~router coupling circuit =
       (r.circuit, r.initial_layout, r.final_layout, r.n_swaps)
   | _ -> assert false
 
-let stream_routers =
-  [
-    ("sabre", Qroute.Pipeline.Sabre_router);
-    ("nassc", Qroute.Pipeline.Nassc_router Qroute.Nassc.default_config);
-  ]
+let stream_routers = Qroute.Pipeline.select_routers [ "sabre"; "nassc" ]
 
 (* ---- QCheck: degenerate windows are byte-identical to batch routing,
    whatever worker count the batch side uses ---- *)
@@ -156,27 +152,40 @@ let test_ha_variants () =
       check (name ^ ": streamed = batch") true (Circuit.instrs streamed = Circuit.instrs batch);
       check (name ^ ": layouts") true
         (sr.Qroute.Pipeline.sr_initial_layout = il && sr.Qroute.Pipeline.sr_final_layout = fl))
-    [
-      ("sabre-ha", Qroute.Pipeline.Sabre_ha);
-      ("nassc-ha", Qroute.Pipeline.Nassc_ha Qroute.Nassc.default_config);
-    ]
+    (List.filter (fun (_, r) -> Qroute.Pipeline.noise_aware r) Qroute.Pipeline.routers)
 
-(* ---- whole-circuit routers are rejected up front ---- *)
+(* ---- every registered router: streamable ones match their batch
+   reference at an unbounded window, the rest are rejected up front ---- *)
 
 let test_streamable_guard () =
+  let circuit = random_circuit 3 in
   let coupling = Topology.Devices.linear 5 in
-  check "astar not streamable" false (Qroute.Pipeline.streamable Qroute.Pipeline.Astar_router);
-  check "hybrid not streamable" false
-    (Qroute.Pipeline.streamable (Qroute.Pipeline.Hybrid_router Qroute.Hybrid.default_config));
-  check "sabre streamable" true (Qroute.Pipeline.streamable Qroute.Pipeline.Sabre_router);
-  Alcotest.check_raises "astar raises Invalid_argument"
-    (Invalid_argument
-       "Pipeline.transpile_stream: router needs the whole circuit (streaming supports \
-        sabre/nassc/sabre-ha/nassc-ha)") (fun () ->
-      ignore
-        (Qroute.Pipeline.transpile_stream ~router:Qroute.Pipeline.Astar_router ~sink:ignore
-           coupling
-           (Source.of_circuit (random_circuit 3))))
+  let cal = Topology.Calibration.generate coupling in
+  let noise = Topology.Calibration.noise_distmat cal in
+  List.iter
+    (fun (name, router) ->
+      if Qroute.Pipeline.streamable router then begin
+        let dist = if Qroute.Pipeline.noise_aware router then Some noise else None in
+        let streamed, sr =
+          stream_route ~calibration:cal ~window:max_int ~router coupling circuit
+        in
+        let batch, il, fl, _ = batch_reference ?dist ~router coupling circuit in
+        check (name ^ ": streamed = batch") true
+          (Circuit.instrs streamed = Circuit.instrs batch);
+        check (name ^ ": layouts") true
+          (sr.Qroute.Pipeline.sr_initial_layout = il
+          && sr.Qroute.Pipeline.sr_final_layout = fl)
+      end
+      else
+        Alcotest.check_raises
+          (name ^ " raises Invalid_argument")
+          (Invalid_argument
+             "Pipeline.transpile_stream: router needs the whole circuit (streaming supports \
+              sabre/nassc/sabre-ha/nassc-ha)") (fun () ->
+            ignore
+              (Qroute.Pipeline.transpile_stream ~router ~sink:ignore coupling
+                 (Source.of_circuit circuit))))
+    Qroute.Pipeline.routers
 
 (* ---- chunked emission reassembles to the unchunked output ---- *)
 

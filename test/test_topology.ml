@@ -207,16 +207,16 @@ let test_calibration_uncoupled_raises () =
 let test_noise_distance_matrix () =
   let c = Devices.linear 5 in
   let cal = Calibration.generate c in
-  let d = Calibration.noise_distance_matrix cal in
+  let d = Distmat.get (Calibration.noise_distmat cal) in
   (* diagonal zero, symmetric, monotone along the line *)
   for i = 0 to 4 do
-    Alcotest.(check (float 1e-12)) "diag zero" 0.0 d.(i).(i)
+    Alcotest.(check (float 1e-12)) "diag zero" 0.0 (d i i)
   done;
-  check "symmetric" true (Float.abs (d.(0).(3) -. d.(3).(0)) < 1e-12);
-  check "monotone" true (d.(0).(1) < d.(0).(2) && d.(0).(2) < d.(0).(4));
+  check "symmetric" true (Float.abs (d 0 3 -. d 3 0) < 1e-12);
+  check "monotone" true (d 0 1 < d 0 2 && d 0 2 < d 0 4);
   (* with alpha = (0, 0, 1) the matrix reduces to hop counts *)
-  let hops = Calibration.noise_distance_matrix ~alpha1:0.0 ~alpha2:0.0 ~alpha3:1.0 cal in
-  Alcotest.(check (float 1e-9)) "pure hops" 3.0 hops.(0).(3)
+  let hops = Calibration.noise_distmat ~alpha1:0.0 ~alpha2:0.0 ~alpha3:1.0 cal in
+  Alcotest.(check (float 1e-9)) "pure hops" 3.0 (Distmat.get hops 0 3)
 
 let test_noise_distance_prefers_good_edges () =
   (* a triangle where one 2-hop detour is much cleaner than the direct edge
@@ -225,9 +225,9 @@ let test_noise_distance_prefers_good_edges () =
      quality for equal hop counts *)
   let c = Coupling.create 4 [ (0, 1); (1, 3); (0, 2); (2, 3) ] in
   let cal = Calibration.generate ~seed:3 c in
-  let d = Calibration.noise_distance_matrix cal in
-  let via1 = d.(0).(1) +. d.(1).(3) and via2 = d.(0).(2) +. d.(2).(3) in
-  check "path choice reflects errors" true (Float.abs (d.(0).(3) -. Float.min via1 via2) < 1e-9)
+  let d = Distmat.get (Calibration.noise_distmat cal) in
+  let via1 = d 0 1 +. d 1 3 and via2 = d 0 2 +. d 2 3 in
+  check "path choice reflects errors" true (Float.abs (d 0 3 -. Float.min via1 via2) < 1e-9)
 
 let () =
   Alcotest.run "topology"

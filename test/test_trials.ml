@@ -39,16 +39,6 @@ let topology_for seed n_log =
   | 2 -> ("grid", Topology.Devices.grid 2 4)
   | _ -> ("heavy-hex", Topology.Devices.heavy_hex 2 2)
 
-let all_routers =
-  [
-    ("sabre", Qroute.Pipeline.Sabre_router);
-    ("nassc", Qroute.Pipeline.Nassc_router Qroute.Nassc.default_config);
-    ("astar", Qroute.Pipeline.Astar_router);
-    ("sabre-ha", Qroute.Pipeline.Sabre_ha);
-    ("nassc-ha", Qroute.Pipeline.Nassc_ha Qroute.Nassc.default_config);
-    ("hybrid", Qroute.Pipeline.Hybrid_router Qroute.Hybrid.default_config);
-  ]
-
 (* ---------- seed-splitting scheme ---------- *)
 
 let test_seed_stream () =
@@ -90,7 +80,7 @@ let qcheck_props =
         in
         equal_ok && rn.cx_total <= r1.cx_total)
   in
-  List.map QCheck_alcotest.to_alcotest (List.map prop_for all_routers)
+  List.map QCheck_alcotest.to_alcotest (List.map prop_for Qroute.Pipeline.routers)
 
 (* ---------- determinism ---------- *)
 
