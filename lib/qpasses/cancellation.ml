@@ -1,12 +1,5 @@
 open Qgate
 
-(* Cancellation key: ops are interchangeable (cancellable in pairs / angle
-   mergeable) when they are the same gate on the same qubits and share a
-   commute set on EVERY wire they touch. *)
-let group_key (an : Commutation.t) id (i : Qcircuit.Circuit.instr) =
-  let sets = List.map (fun q -> (q, Commutation.set_index an ~wire:q ~op:id)) i.qubits in
-  (Gate.name i.gate, i.qubits, sets)
-
 let is_z_rotation = function Gate.RZ _ | Gate.P _ | Gate.Z | Gate.S | Gate.Sdg | Gate.T | Gate.Tdg -> true | _ -> false
 
 let z_angle = function
@@ -29,41 +22,39 @@ let norm a =
   let a = Float.rem a two_pi in
   if a > Float.pi then a -. two_pi else if a <= -.Float.pi then a +. two_pi else a
 
-let run c =
-  let an = Commutation.analyze c in
-  let instrs = Array.of_list (Qcircuit.Circuit.instrs c) in
-  let n_ops = Array.length instrs in
-  let drop = Array.make n_ops false in
-  let replace : (int, Qcircuit.Circuit.instr) Hashtbl.t = Hashtbl.create 16 in
-  (* group candidate ops *)
-  let groups : (string * int list * (int * int) list, int list) Hashtbl.t =
-    Hashtbl.create 64
+(* One round over the candidate ops [cands]: ops are interchangeable
+   (cancellable in pairs / angle mergeable) when they are the same gate on
+   the same qubits and share a commute set on EVERY wire they touch.
+   Removals and merges go through [an]; returns the number of ops removed. *)
+let round an cands =
+  let groups : (string * int list * int list, int list) Hashtbl.t = Hashtbl.create 64 in
+  let zgroups : (int list * int list, int list) Hashtbl.t = Hashtbl.create 64 in
+  let add tbl k id =
+    Hashtbl.replace tbl k (id :: Option.value ~default:[] (Hashtbl.find_opt tbl k))
   in
-  let zgroups : ((int * int) list * int list, int list) Hashtbl.t = Hashtbl.create 64 in
-  Array.iteri
-    (fun id (i : Qcircuit.Circuit.instr) ->
-      if Gate.is_self_inverse i.gate && not (Gate.is_directive i.gate) then begin
-        let k = group_key an id i in
-        Hashtbl.replace groups k (id :: Option.value ~default:[] (Hashtbl.find_opt groups k))
-      end
-      else if is_z_rotation i.gate then begin
-        let sets = List.map (fun q -> (q, Commutation.set_index an ~wire:q ~op:id)) i.qubits in
-        let k = (sets, i.qubits) in
-        Hashtbl.replace zgroups k (id :: Option.value ~default:[] (Hashtbl.find_opt zgroups k))
-      end)
-    instrs;
-  (* self-inverse gates: cancel in pairs (keep one when odd count) *)
+  List.iter
+    (fun id ->
+      let i = Commutation.instr an id in
+      let sets = List.mapi (fun operand _ -> Commutation.set_id an ~op:id ~operand) i.qubits in
+      if Gate.is_self_inverse i.gate && not (Gate.is_directive i.gate) then
+        add groups (Gate.name i.gate, i.qubits, sets) id
+      else if is_z_rotation i.gate then add zgroups (sets, i.qubits) id)
+    cands;
+  let removed = ref 0 in
+  let remove id =
+    incr removed;
+    Commutation.remove an id
+  in
+  (* self-inverse gates: cancel in pairs in circuit order, keeping the last
+     one when the count is odd *)
   Hashtbl.iter
     (fun _ ids ->
       let ids = List.sort compare ids in
       let k = List.length ids in
-      if k >= 2 then begin
-        let keep = k mod 2 in
-        (* drop all but the last [keep] occurrences *)
-        List.iteri (fun pos id -> if pos < k - keep then drop.(id) <- true) ids
-      end)
+      List.iteri (fun pos id -> if pos < k - (k mod 2) then remove id) ids)
     groups;
-  (* z rotations: merge angles into the last op of the group *)
+  (* z rotations: merge angles into the last op of the group, summed in
+     circuit order *)
   Hashtbl.iter
     (fun _ ids ->
       let ids = List.sort compare ids in
@@ -71,30 +62,38 @@ let run c =
       | last :: (_ :: _ as earlier_rev) ->
           Qobs.incr c_merged;
           let total =
-            List.fold_left (fun acc id -> acc +. z_angle instrs.(id).Qcircuit.Circuit.gate) 0.0 ids
+            List.fold_left
+              (fun acc id -> acc +. z_angle (Commutation.instr an id).Qcircuit.Circuit.gate)
+              0.0 ids
           in
-          List.iter (fun id -> drop.(id) <- true) earlier_rev;
+          List.iter remove earlier_rev;
           let total = norm total in
-          if Float.abs total < 1e-10 then drop.(last) <- true
-          else
-            Hashtbl.replace replace last
-              { instrs.(last) with Qcircuit.Circuit.gate = Gate.RZ total }
+          if Float.abs total < 1e-10 then remove last
+          else Commutation.rewrite an last (Gate.RZ total)
       | _ -> ())
     zgroups;
-  Qobs.add c_cancelled (Array.fold_left (fun acc d -> if d then acc + 1 else acc) 0 drop);
-  let out = ref [] in
-  Array.iteri
-    (fun id i ->
-      if not drop.(id) then
-        out := (match Hashtbl.find_opt replace id with Some r -> r | None -> i) :: !out)
-    instrs;
-  Qcircuit.Circuit.create (Qcircuit.Circuit.n_qubits c) (List.rev !out)
+  Qobs.add c_cancelled !removed;
+  !removed
 
-let rec run_fixpoint ?(max_rounds = 5) c =
+let all_ops an = List.init (Commutation.n_ops an) Fun.id
+
+let run c =
+  let an = Commutation.analyze c in
+  ignore (round an (all_ops an));
+  Commutation.circuit an
+
+(* A group with two or more members after a round must hold an op of a
+   re-formed set, and then all its members sit in that set; so a round
+   after the first only needs the ops [Commutation.rescan] re-grouped. *)
+let run_fixpoint ?(max_rounds = 5) c =
   if max_rounds = 0 then c
   else begin
-    Qobs.incr c_rounds;
-    let c' = run c in
-    if Qcircuit.Circuit.size c' = Qcircuit.Circuit.size c then c'
-    else run_fixpoint ~max_rounds:(max_rounds - 1) c'
+    let an = Commutation.analyze c in
+    let rec go rounds_left cands =
+      Qobs.incr c_rounds;
+      if round an cands > 0 && rounds_left <> 1 then
+        go (rounds_left - 1) (Commutation.rescan an)
+    in
+    go max_rounds (all_ops an);
+    Commutation.circuit an
   end

@@ -68,57 +68,196 @@ let commute (g1, qs1) (g2, qs2) =
             Hashtbl.replace cache k v;
             v)
 
+(* The analysis lives over a fixed instruction array with stable op ids, so
+   a caller that removes ops or rewrites gates re-forms only the commute sets
+   its edits touched ([rescan]).  Per wire: the op ids in circuit order and,
+   per position, whether that op starts a commute set.  Per op and operand:
+   the id of its set on that wire.  Set ids are never reused, so a set that
+   a rescan leaves alone keeps its id. *)
+type wire = { mutable ops : int array; mutable starts : bool array }
+
 type t = {
-  wire_sets : int list list array;  (* per wire: sets in order, ops in order *)
-  index : (int * int, int) Hashtbl.t;  (* (wire, op) -> set index *)
+  instrs : Qcircuit.Circuit.instr array;
+  alive : bool array;
+  wires : wire array;
+  set_of : int array array;  (* op -> operand -> set id *)
+  mutable next_set : int;
+  mutable edited : int list;  (* ops removed or rewritten since the last scan *)
 }
 
+let as_pair (x : Qcircuit.Circuit.instr) = (x.gate, x.qubits)
+
+(* position of [op] in a wire's ascending op ids, or -1 *)
+let position ops op =
+  let rec go lo hi =
+    if lo > hi then -1
+    else
+      let mid = (lo + hi) / 2 in
+      if ops.(mid) = op then mid else if ops.(mid) < op then go (mid + 1) hi else go lo (mid - 1)
+  in
+  go 0 (Array.length ops - 1)
+
+(* The one greedy set-forming scan, on wire [q]: an op joins the open set iff
+   it commutes with every member, and a directive sits alone.  Greedy
+   grouping from a set start depends only on the ops after it.  [changes]
+   holds the ascending positions of the ops removed ([n_removed] of them) or
+   rewritten since the wire's last scan.  Whenever a set would open at an
+   old set start with every change at or before it passed, the scan stops if
+   no change is left, and otherwise skips ahead to the old set before the
+   one holding the next change, when that lies ahead: removing or rewriting
+   the first op of a set can let the next op join the set before it.  The
+   first such skip happens at position 0.  Skipped sets keep their ids;
+   every scanned op gets a fresh set and is passed to [visit].  A wire with
+   no old set starts is scanned in full. *)
+let scan t q changes n_removed visit =
+  let w = t.wires.(q) in
+  let old_ops = w.ops and old_starts = w.starts in
+  let len = Array.length old_ops in
+  let ops = Array.make (len - n_removed) 0 and starts = Array.make (len - n_removed) false in
+  let n = ref 0 in
+  let keep lo hi =
+    Array.blit old_ops lo ops !n (hi - lo);
+    Array.blit old_starts lo starts !n (hi - lo);
+    n := !n + hi - lo
+  in
+  let rec set_start p = if old_starts.(p) then p else set_start (p - 1) in
+  let resync_point p =
+    let s = set_start p in
+    if s = 0 then 0 else set_start (s - 1)
+  in
+  let n_changes = Array.length changes in
+  let next = ref 0 and pos = ref 0 in
+  let members = ref [] and set = ref (-1) in
+  while !pos < len do
+    let p = !pos and id = old_ops.(!pos) in
+    while !next < n_changes && changes.(!next) < p do
+      incr next
+    done;
+    if not t.alive.(id) then incr pos
+    else begin
+      let i = t.instrs.(id) in
+      let directive = Gate.is_directive i.gate in
+      let opens =
+        directive || !members = []
+        || not (List.for_all (fun m -> commute (as_pair t.instrs.(m)) (as_pair i)) !members)
+      in
+      let settled = opens && old_starts.(p) && (!next = n_changes || changes.(!next) > p) in
+      if settled && !next = n_changes then begin
+        keep p len;
+        pos := len
+      end
+      else if settled && resync_point changes.(!next) > p then begin
+        let r = resync_point changes.(!next) in
+        keep p r;
+        pos := r;
+        members := []
+      end
+      else begin
+        if opens then begin
+          set := t.next_set;
+          t.next_set <- t.next_set + 1;
+          starts.(!n) <- true
+        end;
+        ops.(!n) <- id;
+        t.set_of.(id).(Option.get (List.find_index (( = ) q) i.qubits)) <- !set;
+        visit id;
+        members := (if directive then [] else if opens then [ id ] else id :: !members);
+        incr n;
+        incr pos
+      end
+    end
+  done;
+  w.ops <- ops;
+  w.starts <- starts
+
 let analyze c =
-  let n = Qcircuit.Circuit.n_qubits c in
   let instrs = Array.of_list (Qcircuit.Circuit.instrs c) in
-  let wire_sets = Array.make (max n 1) [] in
-  let index = Hashtbl.create 64 in
   (* per-wire op ids in circuit order, bucketed in one reverse pass *)
-  let ops_on = Array.make (max n 1) [] in
+  let ops_on = Array.make (Qcircuit.Circuit.n_qubits c) [] in
   for id = Array.length instrs - 1 downto 0 do
     List.iter (fun q -> ops_on.(q) <- id :: ops_on.(q)) instrs.(id).Qcircuit.Circuit.qubits
   done;
-  for q = 0 to n - 1 do
-    (* group consecutive ops: a new op joins the current set iff it commutes
-       with every member *)
-    let sets = ref [] and current = ref [] in
-    let close () =
-      if !current <> [] then begin
-        sets := List.rev !current :: !sets;
-        current := []
-      end
-    in
-    List.iter
-      (fun id ->
-        let i = instrs.(id) in
-        let as_pair (x : Qcircuit.Circuit.instr) = (x.gate, x.qubits) in
-        if Gate.is_directive i.gate then begin
-          close ();
-          current := [ id ];
-          close ()
-        end
-        else if List.for_all (fun m -> commute (as_pair instrs.(m)) (as_pair i)) !current
-        then current := id :: !current
-        else begin
-          close ();
-          current := [ id ]
-        end)
-      ops_on.(q);
-    close ();
-    let in_order = List.rev !sets in
-    wire_sets.(q) <- in_order;
-    List.iteri (fun si set -> List.iter (fun id -> Hashtbl.replace index (q, id) si) set) in_order
-  done;
-  { wire_sets; index }
+  let t =
+    {
+      instrs;
+      alive = Array.make (Array.length instrs) true;
+      wires =
+        Array.map
+          (fun l ->
+            let ops = Array.of_list l in
+            { ops; starts = Array.make (Array.length ops) false })
+          ops_on;
+      set_of =
+        Array.map
+          (fun (i : Qcircuit.Circuit.instr) -> Array.make (List.length i.qubits) (-1))
+          instrs;
+      next_set = 0;
+      edited = [];
+    }
+  in
+  Array.iteri (fun q _ -> scan t q [||] 0 ignore) t.wires;
+  t
 
-let sets_on_wire t q = t.wire_sets.(q)
+let n_ops t = Array.length t.instrs
+let instr t op = t.instrs.(op)
+let set_id t ~op ~operand = t.set_of.(op).(operand)
+
+let remove t op =
+  t.alive.(op) <- false;
+  t.edited <- op :: t.edited
+
+let rewrite t op gate =
+  t.instrs.(op) <- { (t.instrs.(op)) with gate };
+  t.edited <- op :: t.edited
+
+let rescan t =
+  let changes = Array.make (Array.length t.wires) [] in
+  List.iter
+    (fun op ->
+      List.iter
+        (fun q -> changes.(q) <- position t.wires.(q).ops op :: changes.(q))
+        t.instrs.(op).Qcircuit.Circuit.qubits)
+    t.edited;
+  t.edited <- [];
+  let seen = Bytes.make (Array.length t.instrs) '\000' and visited = ref [] in
+  let visit op =
+    if Bytes.get seen op = '\000' then begin
+      Bytes.set seen op '\001';
+      visited := op :: !visited
+    end
+  in
+  Array.iteri
+    (fun q ps ->
+      if ps <> [] then begin
+        let ps = Array.of_list (List.sort_uniq compare ps) in
+        let ops = t.wires.(q).ops in
+        let n_removed = Array.fold_left (fun k p -> if t.alive.(ops.(p)) then k else k + 1) 0 ps in
+        scan t q ps n_removed visit
+      end)
+    changes;
+  !visited
+
+let circuit t =
+  let out = ref [] in
+  for op = Array.length t.instrs - 1 downto 0 do
+    if t.alive.(op) then out := t.instrs.(op) :: !out
+  done;
+  Qcircuit.Circuit.create (Array.length t.wires) !out
+
+let sets_on_wire t q =
+  let w = t.wires.(q) in
+  let sets = ref [] and set = ref [] in
+  for p = Array.length w.ops - 1 downto 0 do
+    set := w.ops.(p) :: !set;
+    if w.starts.(p) then begin
+      sets := !set :: !sets;
+      set := []
+    end
+  done;
+  !sets
 
 let set_index t ~wire ~op =
-  match Hashtbl.find_opt t.index (wire, op) with
-  | Some v -> v
+  if wire < 0 || wire >= Array.length t.wires then raise Not_found;
+  match List.find_index (List.mem op) (sets_on_wire t wire) with
+  | Some k -> k
   | None -> raise Not_found

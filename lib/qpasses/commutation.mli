@@ -13,16 +13,57 @@
     cache. *)
 
 type t
+(** The commute sets of a circuit whose instructions keep stable op ids (the
+    indices of the analyzed circuit) while a caller removes ops and rewrites
+    gates.  Every set is formed by one greedy scan per wire: an op joins the
+    open set iff it commutes with every member, and a directive sits alone.
+    {!analyze} runs that scan over every wire; {!rescan} runs the same scan
+    over only the sets that the edits since the last scan can change. *)
 
 val analyze : Qcircuit.Circuit.t -> t
 
 val sets_on_wire : t -> int -> int list list
 (** [sets_on_wire t q] lists the commute sets on wire [q] in circuit order;
-    each set is the list of instruction indices (circuit order). *)
+    each set is the list of op ids (circuit order).  It describes the last
+    scan: call {!rescan} after edits. *)
 
 val set_index : t -> wire:int -> op:int -> int
-(** Index of the commute set holding instruction [op] on [wire].
-    @raise Not_found if [op] does not touch [wire]. *)
+(** Index of the commute set holding op [op] on [wire], in the order of
+    {!sets_on_wire}.
+    @raise Not_found if [op] does not touch [wire], is out of range, or was
+    removed before the last scan. *)
+
+val n_ops : t -> int
+(** Number of ops of the analyzed circuit, removed ones included. *)
+
+val instr : t -> int -> Qcircuit.Circuit.instr
+(** The op's instruction, with its gate as last rewritten. *)
+
+val set_id : t -> op:int -> operand:int -> int
+(** Id of the commute set that holds [op] on its [operand]-th qubit.  Ids
+    are unique within [t] and never reused, so two ops share a set on a
+    wire iff they have the same id there, and a set that {!rescan} leaves
+    alone keeps its id. *)
+
+val remove : t -> int -> unit
+(** Remove an op that is present at the last scan. *)
+
+val rewrite : t -> int -> Qgate.Gate.t -> unit
+(** Replace the gate of an op that is present at the last scan by a gate
+    of the same arity. *)
+
+val rescan : t -> int list
+(** Re-form the commute sets that the edits since the last scan can
+    change, and return the ops that the scan placed in fresh sets, each
+    once.  Greedy grouping from a set start depends only on the ops after
+    it, so on each wire with an edit the scan starts at the set before the
+    one holding the first edit.  It stops at the first old set start where
+    a set opens once every edit on the wire lies behind it, and it jumps
+    over runs of old sets with no edit nearby.  The sets are those that
+    {!analyze} would form on the edited circuit. *)
+
+val circuit : t -> Qcircuit.Circuit.t
+(** The ops not removed, in circuit order, with their current gates. *)
 
 val commute :
   Qgate.Gate.t * int list -> Qgate.Gate.t * int list -> bool

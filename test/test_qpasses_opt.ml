@@ -312,6 +312,188 @@ let test_cancel_random_preserves () =
       (preserves_unitary (Cancellation.run_fixpoint ~max_rounds:4) c)
   done
 
+(* The whole-circuit cancellation that [Cancellation.run_fixpoint] used
+   before its rounds revisited only re-formed commute sets, kept as the
+   reference: every round regroups every op of a freshly built circuit,
+   with set indices from [reference_sets_on_wire], and the loop stops at the
+   first round that leaves the size unchanged.  Returns the circuit and the
+   rounds, gates cancelled and z-rotation merges it counts. *)
+let reference_fixpoint ~max_rounds c =
+  let rounds = ref 0 and cancelled = ref 0 and merged = ref 0 in
+  let is_z = function
+    | Gate.RZ _ | Gate.P _ | Gate.Z | Gate.S | Gate.Sdg | Gate.T | Gate.Tdg -> true
+    | _ -> false
+  in
+  let z_angle = function
+    | Gate.RZ a | Gate.P a -> a
+    | Gate.Z -> Float.pi
+    | Gate.S -> Float.pi /. 2.0
+    | Gate.Sdg -> -.Float.pi /. 2.0
+    | Gate.T -> Float.pi /. 4.0
+    | Gate.Tdg -> -.Float.pi /. 4.0
+    | _ -> assert false
+  in
+  let norm a =
+    let two_pi = 2.0 *. Float.pi in
+    let a = Float.rem a two_pi in
+    if a > Float.pi then a -. two_pi else if a <= -.Float.pi then a +. two_pi else a
+  in
+  let run c =
+    let index = Hashtbl.create 64 in
+    for q = 0 to Circuit.n_qubits c - 1 do
+      List.iteri
+        (fun si set -> List.iter (fun id -> Hashtbl.replace index (q, id) si) set)
+        (reference_sets_on_wire c q)
+    done;
+    let instrs = Array.of_list (Circuit.instrs c) in
+    let drop = Array.make (Array.length instrs) false in
+    let replace = Hashtbl.create 16 in
+    let groups = Hashtbl.create 64 and zgroups = Hashtbl.create 64 in
+    let add tbl k id =
+      Hashtbl.replace tbl k (id :: Option.value ~default:[] (Hashtbl.find_opt tbl k))
+    in
+    Array.iteri
+      (fun id (i : Circuit.instr) ->
+        let sets = List.map (fun q -> (q, Hashtbl.find index (q, id))) i.qubits in
+        if Gate.is_self_inverse i.gate && not (Gate.is_directive i.gate) then
+          add groups (Gate.name i.gate, i.qubits, sets) id
+        else if is_z i.gate then add zgroups (sets, i.qubits) id)
+      instrs;
+    Hashtbl.iter
+      (fun _ ids ->
+        let ids = List.sort compare ids in
+        let k = List.length ids in
+        if k >= 2 then List.iteri (fun pos id -> if pos < k - (k mod 2) then drop.(id) <- true) ids)
+      groups;
+    Hashtbl.iter
+      (fun _ ids ->
+        let ids = List.sort compare ids in
+        match List.rev ids with
+        | last :: (_ :: _ as earlier_rev) ->
+            incr merged;
+            let total = List.fold_left (fun acc id -> acc +. z_angle instrs.(id).gate) 0.0 ids in
+            List.iter (fun id -> drop.(id) <- true) earlier_rev;
+            let total = norm total in
+            if Float.abs total < 1e-10 then drop.(last) <- true
+            else Hashtbl.replace replace last { (instrs.(last)) with gate = Gate.RZ total }
+        | _ -> ())
+      zgroups;
+    Array.iter (fun d -> if d then incr cancelled) drop;
+    let out = ref [] in
+    Array.iteri
+      (fun id i ->
+        if not drop.(id) then
+          out := Option.value ~default:i (Hashtbl.find_opt replace id) :: !out)
+      instrs;
+    Circuit.create (Circuit.n_qubits c) (List.rev !out)
+  in
+  let rec loop k c =
+    if k = 0 then c
+    else begin
+      incr rounds;
+      let c' = run c in
+      if Circuit.size c' = Circuit.size c then c' else loop (k - 1) c'
+    end
+  in
+  let out = loop max_rounds c in
+  (out, !rounds, !cancelled, !merged)
+
+(* [Cancellation.run_fixpoint] with the three cancellation counters read
+   from a Qobs collector *)
+let counted_fixpoint ~max_rounds c =
+  let col = Qobs.Collector.create () in
+  let out = Qobs.with_collector col (fun () -> Cancellation.run_fixpoint ~max_rounds c) in
+  let count name =
+    Option.value ~default:0 (List.assoc_opt ("cancellation." ^ name) (Qobs.Collector.counters col))
+  in
+  (out, count "rounds", count "gates_cancelled", count "z_rotations_merged")
+
+(* random circuits over Clifford+T, z rotations at multiples of pi/2 and
+   full-width barriers: gates that cancel or merge often enough that a
+   removal in one round opens another in the next *)
+let random_cancellable_circuit rng n len =
+  let b = Circuit.Builder.create n in
+  let angles = [| Float.pi; Float.pi /. 2.0; -.Float.pi /. 2.0; 0.25; 1.5 |] in
+  for _ = 1 to len do
+    let a = Rng.int rng n in
+    let c = (a + 1 + Rng.int rng (n - 1)) mod n in
+    let angle () = angles.(Rng.int rng (Array.length angles)) in
+    match Rng.int rng 15 with
+    | 0 | 1 -> Circuit.Builder.add b Gate.CX [ a; c ]
+    | 2 -> Circuit.Builder.add b Gate.CZ [ a; c ]
+    | 3 -> Circuit.Builder.add b Gate.H [ a ]
+    | 4 -> Circuit.Builder.add b Gate.X [ a ]
+    | 5 -> Circuit.Builder.add b Gate.Y [ a ]
+    | 6 -> Circuit.Builder.add b Gate.Z [ a ]
+    | 7 -> Circuit.Builder.add b Gate.S [ a ]
+    | 8 -> Circuit.Builder.add b Gate.T [ a ]
+    | 9 -> Circuit.Builder.add b Gate.Tdg [ a ]
+    | 10 -> Circuit.Builder.add b Gate.SX [ a ]
+    | 11 -> Circuit.Builder.add b (Gate.RZ (angle ())) [ a ]
+    | 12 -> Circuit.Builder.add b (Gate.P (angle ())) [ a ]
+    | 13 when Rng.int rng 4 = 0 -> Circuit.Builder.add b (Gate.Barrier n) (List.init n Fun.id)
+    | _ -> Circuit.Builder.add b Gate.H [ a ]
+  done;
+  Circuit.Builder.circuit b
+
+(* cases seen and cases whose second round removed gates *)
+let fixpoint_cases = ref 0
+let fixpoint_cascades = ref 0
+
+let qcheck_fixpoint_matches_reference =
+  QCheck.Test.make ~name:"run_fixpoint = whole-circuit reference" ~count:400 ~long_factor:20
+    (QCheck.make (QCheck.Gen.int_range 0 1_000_000))
+    (fun seed ->
+      let rng = Rng.create seed in
+      let n = 2 + Rng.int rng 4 in
+      let c = random_cancellable_circuit rng n (4 + Rng.int rng 40) in
+      incr fixpoint_cases;
+      let _, _, cancelled1, _ = reference_fixpoint ~max_rounds:1 c in
+      let _, _, cancelled2, _ = reference_fixpoint ~max_rounds:2 c in
+      if cancelled2 > cancelled1 then incr fixpoint_cascades;
+      List.for_all
+        (fun max_rounds ->
+          let out, rounds, cancelled, merged = counted_fixpoint ~max_rounds c in
+          let out', rounds', cancelled', merged' = reference_fixpoint ~max_rounds c in
+          Circuit.equal out out' && rounds = rounds' && cancelled = cancelled' && merged = merged')
+        [ 1; 2; 3; 4; 5 ])
+
+(* the property above, failing too when fewer than 1 case in 25 had a
+   second round that removed gates: a generator that lost that power would
+   pass the equality without ever exercising a re-formed set *)
+let fixpoint_matches_reference =
+  let name, speed, run = QCheck_alcotest.to_alcotest qcheck_fixpoint_matches_reference in
+  ( name,
+    speed,
+    fun () ->
+      fixpoint_cases := 0;
+      fixpoint_cascades := 0;
+      run ();
+      check
+        (Printf.sprintf "second round removes gates in %d of %d cases" !fixpoint_cascades
+           !fixpoint_cases)
+        true
+        (!fixpoint_cascades * 25 >= !fixpoint_cases) )
+
+(* S H X X H Sdg on one wire: each round exposes the next pair, and the
+   round that removes nothing still counts *)
+let test_cancel_cascade_rounds () =
+  let c =
+    Circuit.create 1
+      (List.map
+         (fun gate -> { Circuit.gate; qubits = [ 0 ] })
+         [ Gate.S; Gate.H; Gate.X; Gate.X; Gate.H; Gate.Sdg ])
+  in
+  List.iter
+    (fun (max_rounds, size, rounds, cancelled, merged) ->
+      let out, rounds', cancelled', merged' = counted_fixpoint ~max_rounds c in
+      let at what = Printf.sprintf "%s at max_rounds %d" what max_rounds in
+      checki (at "size") size (Circuit.size out);
+      checki (at "rounds") rounds rounds';
+      checki (at "gates cancelled") cancelled cancelled';
+      checki (at "z rotations merged") merged merged')
+    [ (1, 4, 1, 2, 0); (2, 2, 2, 4, 0); (3, 0, 3, 6, 1); (4, 0, 4, 6, 1) ]
+
 (* ---------- Blocks ---------- *)
 
 let test_collect_single_block () =
@@ -516,6 +698,8 @@ let () =
           Alcotest.test_case "rz merge" `Quick test_cancel_rz_merge;
           Alcotest.test_case "t merge" `Quick test_cancel_t_gates_merge;
           Alcotest.test_case "random preserves" `Quick test_cancel_random_preserves;
+          Alcotest.test_case "cascade rounds" `Quick test_cancel_cascade_rounds;
+          fixpoint_matches_reference;
         ] );
       ( "blocks",
         [
