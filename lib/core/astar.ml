@@ -68,18 +68,18 @@ let route ?(params = default_params) coupling circuit =
       (fun l p -> if p = p1 then l2p.(l) <- p2 else if p = p2 then l2p.(l) <- p1)
       l2p
   in
+  (* the edges touching a mapped qubit of [pairs], in the order a
+     [Hashtbl.create 16] would fold them (see [Engine.Candidates]) *)
+  let cands = Engine.Candidates.create ~initial_buckets:16 coupling in
   let candidate_swaps l2p pairs =
-    let set = Hashtbl.create 16 in
+    Engine.Candidates.clear cands;
     List.iter
       (fun (a, b) ->
-        List.iter
-          (fun p ->
-            List.iter
-              (fun nb -> Hashtbl.replace set (min p nb, max p nb) ())
-              (Coupling.neighbors coupling p))
-          [ l2p.(a); l2p.(b) ])
+        Engine.Candidates.add cands l2p.(a);
+        Engine.Candidates.add cands l2p.(b))
       pairs;
-    Hashtbl.fold (fun k () acc -> k :: acc) set []
+    List.init (Engine.Candidates.order cands) (fun i ->
+        (Engine.Candidates.p1 cands i, Engine.Candidates.p2 cands i))
   in
   let solve_layer pairs =
     (* returns the swap list (in order) making every pair adjacent *)

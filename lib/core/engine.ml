@@ -221,6 +221,7 @@ module Scoring = struct
     touch_f : (int * int) list array;
     touch_e : (int * int) list array;
     mutable dirty : int list;
+    acc : float array;  (* [delta]'s one-slot accumulator *)
   }
 
   type t = {
@@ -242,7 +243,15 @@ module Scoring = struct
       touch_f = Array.make n_phys [];
       touch_e = Array.make n_phys [];
       dirty = [];
+      acc = [| 0.0 |];
     }
+
+  (* adds the distances of [pairs] into [acc.(0)] in list order *)
+  let rec sum_dist acc d dn dist dense = function
+    | [] -> acc.(0)
+    | (a, b) :: tl ->
+        acc.(0) <- (acc.(0) +. if dense then d.((a * dn) + b) else Distmat.get dist a b);
+        sum_dist acc d dn dist dense tl
 
   let prepare sc ~dist ~front ~ext =
     List.iter
@@ -268,9 +277,8 @@ module Scoring = struct
     (* base sums fold the pair lists in order, exactly as the full rescan
        did, so the unexchanged sums are bit-identical to the old code's *)
     let base pairs =
-      if dense then
-        List.fold_left (fun acc (a, b) -> acc +. d.((a * dn) + b)) 0.0 pairs
-      else List.fold_left (fun acc (a, b) -> acc +. Distmat.get dist a b) 0.0 pairs
+      sc.acc.(0) <- 0.0;
+      sum_dist sc.acc d dn dist dense pairs
     in
     let base_front = base front and base_ext = base ext in
     List.iter (mark sc.touch_f) front;
@@ -308,31 +316,140 @@ module Scoring = struct
         acc +. mapped t p1 p2 a b)
       0.0 pairs
 
+  (* adds each pair's change into [acc.(0)], skipping pairs that touch
+     [skip]; a float array slot, unlike a [ref], takes the sum unboxed *)
+  let rec add_deltas t acc p1 p2 skip = function
+    | [] -> ()
+    | (a, b) :: tl ->
+        if a <> skip && b <> skip then begin
+          t.evals <- t.evals + 1;
+          acc.(0) <- acc.(0) +. (mapped t p1 p2 a b -. dget t a b)
+        end;
+        add_deltas t acc p1 p2 skip tl
+
   (* delta over [touch.(p1)] then the pairs of [touch.(p2)] not already
      counted (those touching p1 too) *)
-  let delta t touch p1 p2 =
-    let acc = ref 0.0 in
-    List.iter
-      (fun (a, b) ->
-        t.evals <- t.evals + 1;
-        acc := !acc +. (mapped t p1 p2 a b -. dget t a b))
-      touch.(p1);
-    List.iter
-      (fun (a, b) ->
-        if a <> p1 && b <> p1 then begin
-          t.evals <- t.evals + 1;
-          acc := !acc +. (mapped t p1 p2 a b -. dget t a b)
-        end)
-      touch.(p2);
-    !acc
+  let[@inline] delta t touch p1 p2 =
+    let acc = t.sc.acc in
+    acc.(0) <- 0.0;
+    add_deltas t acc p1 p2 (-1) touch.(p1);
+    add_deltas t acc p1 p2 p1 touch.(p2);
+    acc.(0)
 
-  let front_after t p1 p2 =
+  let[@inline] front_after t p1 p2 =
     if t.finite then t.base_front +. delta t t.sc.touch_f p1 p2
     else full_after t p1 p2 t.front
 
-  let ext_after t p1 p2 =
+  let[@inline] ext_after t p1 p2 =
     if t.finite then t.base_ext +. delta t t.sc.touch_e p1 p2
     else full_after t p1 p2 t.ext
+end
+
+(* ---- candidate SWAP enumeration ----
+
+   A step's candidates are the coupling edges touching a physical qubit of
+   a front gate, and their order is the tie-break order [Rng.pick] sees.
+   That order is pinned to the one the routers have always used:
+   [replace] each [(min p nb, max p nb)] into a fresh [Hashtbl.create 32],
+   then fold it with [k :: acc].  The stdlib fixes that order: [replace]
+   puts a new key at the head of bucket [hash land (nb - 1)]; a resize
+   (when the count exceeds [2 * nb]) doubles [nb] and keeps each bucket's
+   order; the fold walks the buckets upwards, heads first, and consing
+   reverses it all.  So the list runs through the buckets downwards, each
+   bucket in first-insertion order.  [order] replays that rule on edge ids
+   with [Hashtbl.hash], which is unseeded, so unlike a real table the
+   order also holds under [OCAMLRUNPARAM=R]. *)
+
+module Candidates = struct
+  type t = {
+    initial : int;  (* the bucket count [Hashtbl.create] starts from *)
+    eids : int array array;  (* per physical qubit: its edges' ids, in
+                                [Coupling.neighbors] order *)
+    lo : int array;  (* per edge id: the smaller endpoint *)
+    hi : int array;
+    hash : int array;  (* [Hashtbl.hash (lo, hi)] *)
+    stamp : int array;  (* per edge id: the last step it was added in *)
+    mutable epoch : int;
+    ins : int array;  (* this step's distinct edges, first-insertion order *)
+    mutable count : int;
+    ord : int array;  (* the same edges in the stdlib's fold order *)
+    counts : int array;  (* per-bucket offsets for the counting sort *)
+  }
+
+  (* the bucket count of a table that starts with [nb] buckets after [n]
+     distinct insertions *)
+  let rec buckets nb n = if n > 2 * nb then buckets (2 * nb) n else nb
+
+  let create ~initial_buckets coupling =
+    let edges = Array.of_list (Coupling.edges coupling) in
+    let n_edges = Array.length edges in
+    let id = Hashtbl.create (2 * n_edges) in
+    Array.iteri (fun e key -> Hashtbl.replace id key e) edges;
+    let rec pow2_above s = if s >= initial_buckets then s else pow2_above (2 * s) in
+    let initial = pow2_above 16 in
+    {
+      initial;
+      eids =
+        Array.init (Coupling.n_qubits coupling) (fun p ->
+            Array.of_list
+              (List.map
+                 (fun q -> Hashtbl.find id (min p q, max p q))
+                 (Coupling.neighbors coupling p)));
+      lo = Array.map fst edges;
+      hi = Array.map snd edges;
+      hash = Array.map Hashtbl.hash edges;
+      stamp = Array.make n_edges 0;
+      epoch = 0;
+      ins = Array.make n_edges 0;
+      count = 0;
+      ord = Array.make n_edges 0;
+      counts = Array.make (buckets initial n_edges) 0;
+    }
+
+  let capacity t = Array.length t.ins
+
+  let clear t =
+    t.epoch <- t.epoch + 1;
+    t.count <- 0
+
+  let add t p =
+    let eids = t.eids.(p) in
+    for j = 0 to Array.length eids - 1 do
+      let e = eids.(j) in
+      if t.stamp.(e) <> t.epoch then begin
+        t.stamp.(e) <- t.epoch;
+        t.ins.(t.count) <- e;
+        t.count <- t.count + 1
+      end
+    done
+
+  (* the ordering rule: a stable counting sort of [ins] by bucket,
+     highest bucket first *)
+  let order t =
+    let n = t.count in
+    let nb = buckets t.initial n in
+    let mask = nb - 1 in
+    Array.fill t.counts 0 nb 0;
+    for i = 0 to n - 1 do
+      let b = t.hash.(t.ins.(i)) land mask in
+      t.counts.(b) <- t.counts.(b) + 1
+    done;
+    let start = ref 0 in
+    for b = nb - 1 downto 0 do
+      let c = t.counts.(b) in
+      t.counts.(b) <- !start;
+      start := !start + c
+    done;
+    for i = 0 to n - 1 do
+      let e = t.ins.(i) in
+      let b = t.hash.(e) land mask in
+      t.ord.(t.counts.(b)) <- e;
+      t.counts.(b) <- t.counts.(b) + 1
+    done;
+    n
+
+  let p1 t i = t.lo.(t.ord.(i))
+  let p2 t i = t.hi.(t.ord.(i))
 end
 
 (* ---- the traversal walker ----
@@ -366,23 +483,42 @@ let two_qubit_front_of wk front_ids mapping =
     front_ids
 
 (* the main routing loop, generic over the walker; returns the SWAP count.
-   [oracle] is the exact-window hook ([?window] of [route_once]). *)
+   [oracle] is the exact-window hook ([?window] of [route_once]).  With
+   [stream = None] (a layout-search pass) nothing is emitted and [bonus] is
+   never called: the pass only moves [mapping]. *)
 let route_core params coupling ~rng ~dist ~bonus ~oracle ~stream ~mapping wk =
   let n_phys = Coupling.n_qubits coupling in
   let scratch = Scoring.make_scratch ~n_phys in
+  let cands = Candidates.create ~initial_buckets:32 coupling in
+  (* per-candidate scores, reused by every step *)
+  let cap = Candidates.capacity cands in
+  let c_h = Array.make cap 0.0 in
+  let c_basic = Array.make cap 0.0 in
+  let c_ext = Array.make cap 0.0 in
+  let c_bonus = Array.make cap 0.0 in
+  let c_action = Array.make cap no_action in
   let n_swaps = ref 0 in
   let decay = Array.make n_phys 1.0 in
   let stall = ref 0 in
-  let emit gate qubits tag =
-    let op = { gate; op_qubits = qubits; tag } in
-    stream_push stream op;
-    op
+  (* [action] is the winning candidate's bonus callback, run on its op *)
+  let emit_swap p1 p2 action =
+    match stream with
+    | None -> ()
+    | Some s ->
+        let op = { gate = Gate.SWAP; op_qubits = [ p1; p2 ]; tag = Swap_plain } in
+        stream_push s op;
+        action op
   in
   let emit_mapped id =
-    ignore
-      (emit (wk.wk_gate id)
-         (List.map (fun q -> mapping.l2p.(q)) (wk.wk_qubits id))
-         Not_swap)
+    match stream with
+    | None -> ()
+    | Some s ->
+        stream_push s
+          {
+            gate = wk.wk_gate id;
+            op_qubits = List.map (fun q -> mapping.l2p.(q)) (wk.wk_qubits id);
+            tag = Not_swap;
+          }
   in
   (* execute every currently executable front gate; returns true if any.
      The first round reuses the caller's front snapshot (the single front
@@ -417,50 +553,45 @@ let route_core params coupling ~rng ~dist ~bonus ~oracle ~stream ~mapping wk =
         (wk.wk_lookahead params.ext_size)
     in
     (* candidate swaps: all couplings touching a physical qubit of a front
-       gate.  Enumeration order (hence the tie-break set fed to Rng.pick)
-       is kept byte-for-byte: same insertions into a same-sized table, same
-       fold. *)
-    let candidate_set = Hashtbl.create 32 in
+       gate, in the order a [Hashtbl.create 32] would fold them *)
+    Candidates.clear cands;
     List.iter
       (fun (pa, pb) ->
-        List.iter
-          (fun p ->
-            List.iter
-              (fun nb ->
-                let key = (min p nb, max p nb) in
-                Hashtbl.replace candidate_set key ())
-              (Coupling.neighbors coupling p))
-          [ pa; pb ])
+        Candidates.add cands pa;
+        Candidates.add cands pb)
       front_pairs;
-    let candidates = Hashtbl.fold (fun k () acc -> k :: acc) candidate_set [] in
+    let n_cand = Candidates.order cands in
     let timing = Qobs.timing_enabled () && Qobs.active () in
     let t0 = if timing then Unix.gettimeofday () else 0.0 in
     let sc = Scoring.prepare scratch ~dist ~front:front_pairs ~ext:ext_pairs in
     let base_front = Scoring.base_front sc in
     let nf = float_of_int (max 1 (List.length front_pairs)) in
     let ne = float_of_int (max 1 (List.length ext_pairs)) in
-    let scored =
-      List.map
-        (fun (p1, p2) ->
-          let front_after = Scoring.front_after sc p1 p2 in
-          (* Optimization bonuses only discriminate between candidates that
-             actually advance the front layer; a SWAP that cancels CNOTs but
-             moves no qubit closer is still wasted work. *)
-          let bonus_v, action =
-            if front_after < base_front -. 1e-9 then bonus ~stream ~mapping p1 p2
-            else no_bonus
-          in
-          let h_basic = ((3.0 *. front_after) -. (params.bonus_weight *. bonus_v)) /. nf in
-          let h_ext =
-            if ext_pairs = [] then 0.0
-            else params.ext_weight /. ne *. Scoring.ext_after sc p1 p2
-          in
-          let h = (h_basic +. h_ext) *. Float.max decay.(p1) decay.(p2) in
-          (h, h_basic, h_ext, bonus_v, (p1, p2), action))
-        candidates
-    in
+    let best_h = ref infinity in
+    for i = 0 to n_cand - 1 do
+      let p1 = Candidates.p1 cands i and p2 = Candidates.p2 cands i in
+      let front_after = Scoring.front_after sc p1 p2 in
+      (* Optimization bonuses only discriminate between candidates that
+         actually advance the front layer; a SWAP that cancels CNOTs but
+         moves no qubit closer is still wasted work. *)
+      let bonus_v, action =
+        match stream with
+        | Some stream when front_after < base_front -. 1e-9 -> bonus ~stream ~mapping p1 p2
+        | _ -> no_bonus
+      in
+      let h_basic = ((3.0 *. front_after) -. (params.bonus_weight *. bonus_v)) /. nf in
+      let h_ext =
+        if ext_pairs = [] then 0.0 else params.ext_weight /. ne *. Scoring.ext_after sc p1 p2
+      in
+      let h = (h_basic +. h_ext) *. Float.max decay.(p1) decay.(p2) in
+      c_h.(i) <- h;
+      c_basic.(i) <- h_basic;
+      c_ext.(i) <- h_ext;
+      c_bonus.(i) <- bonus_v;
+      c_action.(i) <- action;
+      best_h := Float.min !best_h h
+    done;
     if Qobs.active () then begin
-      let n_cand = List.length candidates in
       Qobs.add c_candidates n_cand;
       Qobs.add c_h_basic n_cand;
       if ext_pairs <> [] then Qobs.add c_h_lookahead n_cand;
@@ -469,56 +600,56 @@ let route_core params coupling ~rng ~dist ~bonus ~oracle ~stream ~mapping wk =
       let full = n_cand * (List.length front_pairs + List.length ext_pairs) in
       Qobs.add c_score_cache (max 0 (full - Scoring.pair_evals sc))
     end;
-    match scored with
-    | [] ->
-        raise (Routing_stuck { front = front_pairs; l2p = Array.copy mapping.l2p })
-    | _ ->
-        let best_h =
-          List.fold_left (fun m (h, _, _, _, _, _) -> Float.min m h) infinity scored
-        in
-        let best = List.filter (fun (h, _, _, _, _, _) -> h <= best_h +. 1e-12) scored in
-        let _, _, _, bonus_v, (p1, p2), action = Rng.pick rng best in
-        if timing then
-          Qobs.observe h_score_time ((Unix.gettimeofday () -. t0) *. 1000.0);
-        if Qobs.Recorder.active () then begin
-          Qobs.Recorder.record_step
-            ~front:(List.length front_pairs)
-            ~candidates:
-              (List.map
-                 (fun (h, hb, he, bv, (a, b), _) ->
-                   {
-                     Qobs.Recorder.p1 = a;
-                     p2 = b;
-                     h_basic = hb;
-                     h_lookahead = he;
-                     h;
-                     bonus = bv;
-                   })
-                 scored)
-            ~chosen:(p1, p2) ~chosen_bonus:bonus_v ();
-          List.iter (fun (h, _, _, _, _, _) -> Qobs.observe h_candidate h) scored;
-          Qobs.observe h_chosen best_h;
-          Qobs.observe h_front (float_of_int (List.length front_pairs))
-        end;
-        let op = emit Gate.SWAP [ p1; p2 ] Swap_plain in
-        action op;
-        apply_swap mapping p1 p2;
-        incr n_swaps;
-        Qobs.incr c_swaps;
-        (* eq. 1's prediction for the chosen SWAP: the CNOTs the downstream
-           passes are expected to recover.  Paired with the realized savings
-           recorded by the pipeline, this turns the paper's central claim
-           into a runtime metric. *)
-        Qobs.gauge_add g_predicted bonus_v;
-        decay.(p1) <- decay.(p1) +. params.decay_delta;
-        decay.(p2) <- decay.(p2) +. params.decay_delta
+    if n_cand = 0 then
+      raise (Routing_stuck { front = front_pairs; l2p = Array.copy mapping.l2p });
+    let best_h = !best_h in
+    (* the ties in candidate order: [Rng.pick]'s choice depends on it *)
+    let ties = ref [] in
+    for i = n_cand - 1 downto 0 do
+      if c_h.(i) <= best_h +. 1e-12 then ties := i :: !ties
+    done;
+    let chosen = Rng.pick rng !ties in
+    let p1 = Candidates.p1 cands chosen and p2 = Candidates.p2 cands chosen in
+    let bonus_v = c_bonus.(chosen) in
+    if timing then Qobs.observe h_score_time ((Unix.gettimeofday () -. t0) *. 1000.0);
+    if Qobs.Recorder.active () then begin
+      Qobs.Recorder.record_step
+        ~front:(List.length front_pairs)
+        ~candidates:
+          (List.init n_cand (fun i ->
+               {
+                 Qobs.Recorder.p1 = Candidates.p1 cands i;
+                 p2 = Candidates.p2 cands i;
+                 h_basic = c_basic.(i);
+                 h_lookahead = c_ext.(i);
+                 h = c_h.(i);
+                 bonus = c_bonus.(i);
+               }))
+        ~chosen:(p1, p2) ~chosen_bonus:bonus_v ();
+      for i = 0 to n_cand - 1 do
+        Qobs.observe h_candidate c_h.(i)
+      done;
+      Qobs.observe h_chosen best_h;
+      Qobs.observe h_front (float_of_int (List.length front_pairs))
+    end;
+    emit_swap p1 p2 c_action.(chosen);
+    apply_swap mapping p1 p2;
+    incr n_swaps;
+    Qobs.incr c_swaps;
+    (* eq. 1's prediction for the chosen SWAP: the CNOTs the downstream
+       passes are expected to recover.  Paired with the realized savings
+       recorded by the pipeline, this turns the paper's central claim
+       into a runtime metric. *)
+    Qobs.gauge_add g_predicted bonus_v;
+    decay.(p1) <- decay.(p1) +. params.decay_delta;
+    decay.(p2) <- decay.(p2) +. params.decay_delta
   in
   (* an unscored SWAP (oracle or escape valve): emitted and applied
      verbatim — Swap_plain, so downstream finalizers treat it like any
      heuristic swap — and recorded as a single-candidate step so flight
      records stay replayable *)
   let apply_fixed_swap ~forced ~front_n (p, q) =
-    ignore (emit Gate.SWAP [ p; q ] Swap_plain);
+    emit_swap p q no_action;
     if Qobs.Recorder.active () then
       Qobs.Recorder.record_step ~front:front_n ~forced
         ~candidates:
@@ -601,8 +732,9 @@ let route_core params coupling ~rng ~dist ~bonus ~oracle ~stream ~mapping wk =
   done;
   !n_swaps
 
-let route_once params coupling ~rng ~dist ~bonus ?window ?dag circuit init_layout =
-  Qobs.span "engine.route_once" @@ fun () ->
+(* The checks and the DAG walker shared by every pass over a materialized
+   circuit: [route_once] and the layout search's passes. *)
+let start_pass coupling ~dist ?dag circuit init_layout =
   let n_phys = Coupling.n_qubits coupling in
   let n_log = Qcircuit.Circuit.n_qubits circuit in
   if n_log > n_phys then invalid_arg "Engine.route_once: circuit larger than device";
@@ -614,7 +746,6 @@ let route_once params coupling ~rng ~dist ~bonus ?window ?dag circuit init_layou
         invalid_arg "Engine.route_once: lower gates to <=2 qubits before routing")
     (Qcircuit.Circuit.instrs circuit);
   let mapping = mapping_of_layout ~n_phys init_layout in
-  let initial_layout = Array.copy mapping.l2p in
   (* the DAG is a pure function of the circuit, so callers that route the
      same circuit repeatedly (the layout search) build it once and pass it
      in; per-pass mutable state lives in the traversal, created below *)
@@ -630,9 +761,16 @@ let route_once params coupling ~rng ~dist ~bonus ?window ?dag circuit init_layou
       wk_lookahead = (fun k -> Qcircuit.Dag.Traversal.lookahead tr k);
     }
   in
-  let stream = stream_create ~n_phys () in
+  (mapping, wk)
+
+let route_once params coupling ~rng ~dist ~bonus ?window ?dag circuit init_layout =
+  Qobs.span "engine.route_once" @@ fun () ->
+  let mapping, wk = start_pass coupling ~dist ?dag circuit init_layout in
+  let initial_layout = Array.copy mapping.l2p in
+  let stream = stream_create ~n_phys:(Coupling.n_qubits coupling) () in
   let n_swaps =
-    route_core params coupling ~rng ~dist ~bonus ~oracle:window ~stream ~mapping wk
+    route_core params coupling ~rng ~dist ~bonus ~oracle:window ~stream:(Some stream)
+      ~mapping wk
   in
   {
     routed = List.rev stream.s_rev;
@@ -666,7 +804,8 @@ let route_stream params coupling ~rng ~dist ~bonus ~window ?(keep = 64) ~sink so
   in
   let stream = stream_create ~sink ~keep ~n_phys () in
   let n_swaps =
-    route_core params coupling ~rng ~dist ~bonus ~oracle:None ~stream ~mapping wk
+    route_core params coupling ~rng ~dist ~bonus ~oracle:None ~stream:(Some stream)
+      ~mapping wk
   in
   stream_drain stream;
   Qobs.gauge_set g_window_peak (float_of_int (Qcircuit.Streamdag.peak_resident sd));
@@ -686,6 +825,8 @@ let reverse_circuit c =
           (Qcircuit.Circuit.instrs c)))
 
 let find_layout params coupling ~rng ~dist ~bonus ?dag circuit =
+  (* a layout pass has no output stream for a bonus to read *)
+  if bonus != zero_bonus then invalid_arg "Engine.find_layout: bonus must be zero_bonus";
   Qobs.span "engine.find_layout" @@ fun () ->
   (* The forward/backward layout search routes the circuit repeatedly; only
      the final routing pass belongs in the flight record. *)
@@ -698,18 +839,20 @@ let find_layout params coupling ~rng ~dist ~bonus ?dag circuit =
   let fwd = circuit and bwd = reverse_circuit circuit in
   let fwd_dag = match dag with Some d -> d | None -> Qcircuit.Dag.of_circuit fwd in
   let bwd_dag = Qcircuit.Dag.of_circuit bwd in
+  (* a layout-only pass: [route_once]'s walk without an output stream,
+     keeping only where the qubits end up.  Each pass replays a fresh
+     route stream, matching the historical behavior (and SABRE's, where
+     every pass is seeded alike). *)
+  let pass dag c layout =
+    Qobs.span "engine.route_once" @@ fun () ->
+    let mapping, wk = start_pass coupling ~dist ~dag c layout in
+    ignore
+      (route_core params coupling ~rng:(route_rng params) ~dist ~bonus ~oracle:None
+         ~stream:None ~mapping wk);
+    mapping.l2p
+  in
   for _ = 1 to params.iterations do
-    (* each refinement pass replays a fresh route stream, matching the
-       historical behavior (and SABRE's, where every pass is seeded alike) *)
-    let r1 =
-      route_once params coupling ~rng:(route_rng params) ~dist ~bonus ~dag:fwd_dag fwd
-        !layout
-    in
-    let r2 =
-      route_once params coupling ~rng:(route_rng params) ~dist ~bonus ~dag:bwd_dag bwd
-        r1.final_layout
-    in
-    layout := r2.final_layout
+    layout := pass bwd_dag bwd (pass fwd_dag fwd !layout)
   done;
   !layout
 

@@ -165,6 +165,48 @@ module Scoring : sig
       [engine.score_cache_hits] counter is computed from. *)
 end
 
+module Candidates : sig
+  (** Candidate SWAP enumeration without a hash table per step.
+
+      A routing step's candidates are the coupling edges touching a set of
+      physical qubits.  Their order is the tie-break order [Rng.pick] sees,
+      and it is the order the routers have always used: distinct keys
+      [(min p nb, max p nb)], added per qubit in [Coupling.neighbors] order,
+      listed as [Hashtbl.fold (fun k () acc -> k :: acc)] lists an unseeded
+      [Hashtbl.create initial_buckets] filled by [replace].  That is: by
+      bucket [Hashtbl.hash key land (nb - 1)], highest first, and within a
+      bucket in first-insertion order, where [nb] is the table's bucket
+      count after the insertions (the initial count, doubled while the key
+      count exceeds [2 * nb]).  [Hashtbl.hash] is unseeded, so the order
+      does not change under [OCAMLRUNPARAM=R].  The engine uses 32 initial
+      buckets, the A* router 16. *)
+
+  type t
+  (** Per-device tables (each qubit's edge ids, each edge's key hash) plus
+      reusable per-step scratch; not safe to share between concurrent
+      routes. *)
+
+  val create : initial_buckets:int -> Topology.Coupling.t -> t
+
+  val capacity : t -> int
+  (** The most candidates a step can have: the device's edge count. *)
+
+  val clear : t -> unit
+  (** Start a new candidate set. *)
+
+  val add : t -> int -> unit
+  (** Add every coupling edge touching a physical qubit (edges already in
+      the set keep their first insertion). *)
+
+  val order : t -> int
+  (** Put the set in the order above and return its size [n]. *)
+
+  val p1 : t -> int -> int
+  (** [p1 t i], for [i < n]: the smaller qubit of the [i]-th candidate. *)
+
+  val p2 : t -> int -> int
+end
+
 val route_once :
   params ->
   Topology.Coupling.t ->
@@ -235,7 +277,15 @@ val find_layout :
 (** Random initial layout refined by reverse-traversal rounds (the paper
     reuses SABRE's bidirectional scheme).  [rng] drives the initial
     permutation; each refinement pass replays the canonical {!route_rng}
-    stream so a fixed seed reproduces historical layouts exactly. *)
+    stream so a fixed seed reproduces historical layouts exactly.
+
+    The passes are layout-only: each one makes the same SWAP decisions as
+    {!route_once} with [zero_bonus] (and opens the same
+    [engine.route_once] span), but emits no ops and builds no {!result},
+    keeping only the final layout.  A layout pass has no output stream for
+    a bonus to read, so [bonus] must be {!zero_bonus}.
+    @raise Invalid_argument if [bonus] is not physically {!zero_bonus}, or
+    as {!route_once}. *)
 
 val to_circuit : n_phys:int -> out_op list -> Qcircuit.Circuit.t
 (** Materialize routed ops (SWAP tags ignored: swaps stay SWAP gates). *)

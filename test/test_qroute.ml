@@ -51,6 +51,110 @@ let test_mapping_layout_validation () =
        false
      with Invalid_argument _ -> true)
 
+(* ---------- candidate enumeration and the layout search ---------- *)
+
+(* what the routers enumerated before [Engine.Candidates]: every edge
+   touching a listed qubit, [replace]d into an unseeded table and folded *)
+let stdlib_candidates ~initial_buckets coupling qubits =
+  let set = Hashtbl.create ~random:false initial_buckets in
+  List.iter
+    (fun p ->
+      List.iter
+        (fun nb -> Hashtbl.replace set (min p nb, max p nb) ())
+        (Topology.Coupling.neighbors coupling p))
+    qubits;
+  Hashtbl.fold (fun k () acc -> k :: acc) set []
+
+let engine_candidates cands qubits =
+  Engine.Candidates.clear cands;
+  List.iter (Engine.Candidates.add cands) qubits;
+  List.init (Engine.Candidates.order cands) (fun i ->
+      (Engine.Candidates.p1 cands i, Engine.Candidates.p2 cands i))
+
+let random_coupling rng n n_edges =
+  let edges = Hashtbl.create 64 in
+  while Hashtbl.length edges < n_edges do
+    let a = Rng.int rng n and b = Rng.int rng n in
+    if a <> b then Hashtbl.replace edges (min a b, max a b) ()
+  done;
+  Topology.Coupling.create n (List.sort compare (Hashtbl.fold (fun e () acc -> e :: acc) edges []))
+
+(* random graphs up to 300 edges and fronts of up to 40 qubit pairs, so
+   sets past 32, 64 and 128 keys take the stdlib's resize paths *)
+let test_candidates_match_stdlib () =
+  let rng = Rng.create 2024 in
+  let sizes = ref [] in
+  for _ = 1 to 60 do
+    let n = 8 + Rng.int rng 80 in
+    let coupling = random_coupling rng n (min (n * (n - 1) / 2) (n + Rng.int rng 240)) in
+    List.iter
+      (fun initial_buckets ->
+        let cands = Engine.Candidates.create ~initial_buckets coupling in
+        (* one enumerator per graph, reused across steps as the routers do *)
+        for _ = 1 to 5 do
+          let qubits = List.init (2 * (1 + Rng.int rng 40)) (fun _ -> Rng.int rng n) in
+          let expected = stdlib_candidates ~initial_buckets coupling qubits in
+          sizes := List.length expected :: !sizes;
+          check "same candidates, same order" true
+            (engine_candidates cands qubits = expected)
+        done)
+      [ 16; 32 ]
+  done;
+  check "a set resized to 64 buckets" true (List.exists (fun k -> k > 64 && k <= 128) !sizes);
+  check "a set resized to 128 buckets" true (List.exists (fun k -> k > 128) !sizes)
+
+(* the layout search as it was before its passes became layout-only:
+   whole [route_once] passes, keeping only the final layouts *)
+let reference_find_layout params coupling ~rng ~dist circuit =
+  let perm = Rng.permutation rng (Topology.Coupling.n_qubits coupling) in
+  let layout = ref (Array.init (Circuit.n_qubits circuit) (fun l -> perm.(l))) in
+  let bwd =
+    Circuit.create (Circuit.n_qubits circuit)
+      (List.rev
+         (List.filter (fun (i : Circuit.instr) -> i.gate <> Gate.Measure) (Circuit.instrs circuit)))
+  in
+  for _ = 1 to params.Engine.iterations do
+    let pass c l =
+      (Engine.route_once params coupling ~rng:(Engine.route_rng params) ~dist
+         ~bonus:Engine.zero_bonus c l)
+        .final_layout
+    in
+    layout := pass bwd (pass circuit !layout)
+  done;
+  !layout
+
+let test_find_layout_matches_reference () =
+  let rng = Rng.create 99 in
+  List.iter
+    (fun coupling ->
+      let dist = Topology.Distmat.hops coupling in
+      let n = min 6 (Topology.Coupling.n_qubits coupling) in
+      List.iter
+        (fun seed ->
+          let params = { Engine.default_params with seed } in
+          let c = random_2q_circuit rng n 40 in
+          let layout =
+            Engine.find_layout params coupling ~rng:(Engine.layout_rng params) ~dist
+              ~bonus:Engine.zero_bonus c
+          in
+          check "find_layout equals whole-pass reference" true
+            (layout
+            = reference_find_layout params coupling ~rng:(Engine.layout_rng params) ~dist c))
+        [ 1; 5; 11; 23 ])
+    Topology.Devices.[ linear 7; ring 7; grid 3 3; heavy_hex 2 2 ]
+
+let test_find_layout_rejects_bonus () =
+  let coupling = Topology.Devices.linear 5 in
+  let c = random_2q_circuit (Rng.create 4) 4 20 in
+  let params = Engine.default_params in
+  check "a non-zero bonus is refused" true
+    (try
+       ignore
+         (Engine.find_layout params coupling ~rng:(Engine.layout_rng params)
+            ~dist:(Topology.Distmat.hops coupling) ~bonus:(Nassc.bonus Nassc.default_config) c);
+       false
+     with Invalid_argument _ -> true)
+
 (* ---------- SABRE ---------- *)
 
 let devices =
@@ -356,6 +460,9 @@ let () =
           Alcotest.test_case "full connectivity" `Quick test_fully_connected_no_swaps;
           Alcotest.test_case "rejects wide gates" `Quick test_route_rejects_wide_gates;
           Alcotest.test_case "layout validation" `Quick test_mapping_layout_validation;
+          Alcotest.test_case "candidates in stdlib order" `Quick test_candidates_match_stdlib;
+          Alcotest.test_case "find_layout reference" `Quick test_find_layout_matches_reference;
+          Alcotest.test_case "find_layout needs zero_bonus" `Quick test_find_layout_rejects_bonus;
         ] );
       ( "sabre",
         [
