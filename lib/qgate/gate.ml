@@ -86,53 +86,59 @@ let pp ppf g =
   | MCX k | MCZ k -> Format.fprintf ppf "%s%d" (name g) k
   | _ -> Format.pp_print_string ppf (name g)
 
+let tag = function
+  | Id -> 0
+  | X -> 1
+  | Y -> 2
+  | Z -> 3
+  | H -> 4
+  | S -> 5
+  | Sdg -> 6
+  | T -> 7
+  | Tdg -> 8
+  | SX -> 9
+  | SXdg -> 10
+  | RX _ -> 11
+  | RY _ -> 12
+  | RZ _ -> 13
+  | P _ -> 14
+  | U _ -> 15
+  | CX -> 16
+  | CY -> 17
+  | CZ -> 18
+  | CH -> 19
+  | SWAP -> 20
+  | CRX _ -> 21
+  | CRY _ -> 22
+  | CRZ _ -> 23
+  | CP _ -> 24
+  | RZZ _ -> 25
+  | CCX -> 26
+  | CCZ -> 27
+  | CSWAP -> 28
+  | MCX _ -> 29
+  | MCZ _ -> 30
+  | Unitary2 _ -> 31
+  | Barrier _ -> 32
+  | Measure -> 33
+
 (* Exact binary signature: one constructor tag byte plus the bit patterns
    of every parameter ([Int64.bits_of_float], so distinct gates always get
    distinct signatures — no decimal rounding).  Used as a memoization key
-   component by the commutation and Weyl-cost caches, where it must be both
-   injective and cheap (no [Format]). *)
+   component by the Weyl-cost and block-resynthesis caches, where it must
+   be both injective and cheap (no [Format]). *)
 let add_float_bits buf f = Buffer.add_int64_le buf (Int64.bits_of_float f)
 
 let add_signature buf g =
-  let tag i = Buffer.add_char buf (Char.chr i) in
+  Buffer.add_char buf (Char.chr (tag g));
   match g with
-  | Id -> tag 0
-  | X -> tag 1
-  | Y -> tag 2
-  | Z -> tag 3
-  | H -> tag 4
-  | S -> tag 5
-  | Sdg -> tag 6
-  | T -> tag 7
-  | Tdg -> tag 8
-  | SX -> tag 9
-  | SXdg -> tag 10
-  | RX a -> tag 11; add_float_bits buf a
-  | RY a -> tag 12; add_float_bits buf a
-  | RZ a -> tag 13; add_float_bits buf a
-  | P a -> tag 14; add_float_bits buf a
+  | RX a | RY a | RZ a | P a | CRX a | CRY a | CRZ a | CP a | RZZ a -> add_float_bits buf a
   | U (a, b, c) ->
-      tag 15;
       add_float_bits buf a;
       add_float_bits buf b;
       add_float_bits buf c
-  | CX -> tag 16
-  | CY -> tag 17
-  | CZ -> tag 18
-  | CH -> tag 19
-  | SWAP -> tag 20
-  | CRX a -> tag 21; add_float_bits buf a
-  | CRY a -> tag 22; add_float_bits buf a
-  | CRZ a -> tag 23; add_float_bits buf a
-  | CP a -> tag 24; add_float_bits buf a
-  | RZZ a -> tag 25; add_float_bits buf a
-  | CCX -> tag 26
-  | CCZ -> tag 27
-  | CSWAP -> tag 28
-  | MCX k -> tag 29; Buffer.add_int32_le buf (Int32.of_int k)
-  | MCZ k -> tag 30; Buffer.add_int32_le buf (Int32.of_int k)
+  | MCX k | MCZ k | Barrier k -> Buffer.add_int32_le buf (Int32.of_int k)
   | Unitary2 m ->
-      tag 31;
       let rows = Mathkit.Mat.rows m and cols = Mathkit.Mat.cols m in
       Buffer.add_char buf (Char.chr rows);
       Buffer.add_char buf (Char.chr cols);
@@ -143,8 +149,9 @@ let add_signature buf g =
           add_float_bits buf v.Complex.im
         done
       done
-  | Barrier n -> tag 32; Buffer.add_int32_le buf (Int32.of_int n)
-  | Measure -> tag 33
+  | Id | X | Y | Z | H | S | Sdg | T | Tdg | SX | SXdg | CX | CY | CZ | CH | SWAP | CCX | CCZ
+  | CSWAP | Measure ->
+      ()
 
 let is_directive = function Barrier _ | Measure -> true | _ -> false
 let is_two_qubit g = (not (is_directive g)) && arity g = 2

@@ -49,12 +49,18 @@ val name : t -> string
 
 val pp : Format.formatter -> t -> unit
 
+val tag : t -> int
+(** The constructor's number, 0 to 33 in declaration order ([Id] is 0,
+    [Measure] is 33).  Parameters are ignored: [tag (RZ a) = tag (RZ b)].
+    Together with a gate's parameters it identifies the gate; the
+    commutation cache and the cancellation groups key on it. *)
+
 val add_signature : Buffer.t -> t -> unit
-(** Append an exact binary signature of the gate: a constructor tag byte
+(** Append an exact binary signature of the gate: its {!tag} as one byte
     plus the bit patterns of every float parameter.  Injective (distinct
     gates produce distinct signatures, with no decimal rounding) and cheap;
-    the memoization caches (commutation, Weyl cost) build their keys from
-    it. *)
+    the memoization caches (Weyl cost, block resynthesis) build their keys
+    from it. *)
 
 val is_two_qubit : t -> bool
 (** Arity exactly 2 and a unitary (not barrier/measure). *)

@@ -22,23 +22,37 @@ let norm a =
   let a = Float.rem a two_pi in
   if a > Float.pi then a -. two_pi else if a <= -.Float.pi then a +. two_pi else a
 
+(* Groups keyed by int lists: a set id per operand, after the gate's tag
+   for self-inverse gates.  Set ids are unique within the analysis and a
+   set lies on one wire, so the ids also fix the wires and their order. *)
+module Group = Hashtbl.Make (struct
+  type t = int list
+
+  let equal = List.equal Int.equal
+  let hash = List.fold_left (fun h x -> (h * 65599) + x) 0
+end)
+
+let rec set_ids an op operand = function
+  | [] -> []
+  | _ :: rest -> Commutation.set_id an ~op ~operand :: set_ids an op (operand + 1) rest
+
 (* One round over the candidate ops [cands]: ops are interchangeable
    (cancellable in pairs / angle mergeable) when they are the same gate on
    the same qubits and share a commute set on EVERY wire they touch.
-   Removals and merges go through [an]; returns the number of ops removed. *)
+   Removals and merges go through [an]; returns the number of ops removed.
+   Groups are independent of one another, so the output does not depend on
+   the order they are visited in. *)
 let round an cands =
-  let groups : (string * int list * int list, int list) Hashtbl.t = Hashtbl.create 64 in
-  let zgroups : (int list * int list, int list) Hashtbl.t = Hashtbl.create 64 in
+  let groups = Group.create 64 and zgroups = Group.create 64 in
   let add tbl k id =
-    Hashtbl.replace tbl k (id :: Option.value ~default:[] (Hashtbl.find_opt tbl k))
+    Group.replace tbl k (id :: Option.value ~default:[] (Group.find_opt tbl k))
   in
   List.iter
     (fun id ->
       let i = Commutation.instr an id in
-      let sets = List.mapi (fun operand _ -> Commutation.set_id an ~op:id ~operand) i.qubits in
       if Gate.is_self_inverse i.gate && not (Gate.is_directive i.gate) then
-        add groups (Gate.name i.gate, i.qubits, sets) id
-      else if is_z_rotation i.gate then add zgroups (sets, i.qubits) id)
+        add groups (Gate.tag i.gate :: set_ids an id 0 i.qubits) id
+      else if is_z_rotation i.gate then add zgroups (set_ids an id 0 i.qubits) id)
     cands;
   let removed = ref 0 in
   let remove id =
@@ -47,17 +61,17 @@ let round an cands =
   in
   (* self-inverse gates: cancel in pairs in circuit order, keeping the last
      one when the count is odd *)
-  Hashtbl.iter
+  Group.iter
     (fun _ ids ->
-      let ids = List.sort compare ids in
+      let ids = List.sort Int.compare ids in
       let k = List.length ids in
       List.iteri (fun pos id -> if pos < k - (k mod 2) then remove id) ids)
     groups;
   (* z rotations: merge angles into the last op of the group, summed in
      circuit order *)
-  Hashtbl.iter
+  Group.iter
     (fun _ ids ->
-      let ids = List.sort compare ids in
+      let ids = List.sort Int.compare ids in
       match List.rev ids with
       | last :: (_ :: _ as earlier_rev) ->
           Qobs.incr c_merged;

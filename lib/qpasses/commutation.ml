@@ -1,42 +1,151 @@
 open Mathkit
 open Qgate
 
-(* cache of pairwise commutation results, keyed by gate pair + qubit overlap
-   pattern.  One cache per domain (DLS), so the trials engine's parallel
-   optimization passes never contend on a lock; entries are pure functions
-   of the key, so a cold cache costs only recomputes.  [reset_cache] empties
-   the calling domain's cache — the trial engine calls it at the start of
-   every traced trial so cache hit/miss counters are a pure function of the
-   trial's own work (deterministic across worker counts). *)
-let cache_key : (string, bool) Hashtbl.t Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> Hashtbl.create 256)
+(* The pairwise commutation cache.  A key is an int code plus the exact bits
+   of the two gates' parameters:
+   - the code packs the two gate tags (bits 0-11), the relative qubit
+     pattern (bits 12-23: each operand's rank in the sorted union of both
+     lists, plus one, and 0 for an absent second operand) and the number
+     of parameters (bits 24-26, so [grow] can rehash a slot);
+   - the parameters (at most 3 per gate, for [U]) live in an append-only
+     pool and compare by [Int64.bits_of_float], so [0.0] and [-0.0] are
+     different keys.
+   Only pairs whose operand lists hold at most 2 qubits are cached, which
+   after lowering is every pair; [Unitary2], [MCX], [MCZ] and wider gates
+   are evaluated uncached.  The table is open addressing with linear
+   probing over one int array: a slot holds the code, the answer (bit 27)
+   and the offset of its parameters in the pool (from bit 28), so a hit
+   allocates nothing.  It is emptied when it holds [cache_cap] entries and
+   another is added.  One cache per domain (DLS), so the trials engine's
+   parallel optimization passes never contend on a lock; entries are pure
+   functions of the key, so a cold cache costs only recomputes.
+   [reset_cache] empties the calling domain's cache — the trial engine
+   calls it at the start of every traced trial so cache hit/miss counters
+   are a pure function of the trial's own work (deterministic across
+   worker counts). *)
+type cache = {
+  mutable slots : int array;  (* [empty], or code, answer and offset *)
+  mutable size : int;
+  mutable pool : Float.Array.t;
+  mutable pool_len : int;
+  params : Float.Array.t;  (* the parameters of the pair being looked up *)
+}
 
-let reset_cache () = Hashtbl.reset (Domain.DLS.get cache_key)
+let cache_cap = 1 lsl 16
+let initial_slots = 256
+let empty = -1
+let code_mask = (1 lsl 27) - 1
+let answer_bit = 1 lsl 27
+let offset_shift = 28
+
+let clear c =
+  c.slots <- Array.make initial_slots empty;
+  c.size <- 0;
+  c.pool <- Float.Array.create initial_slots;
+  c.pool_len <- 0
+
+let cache_key : cache Domain.DLS.key =
+  Domain.DLS.new_key (fun () ->
+      let c =
+        {
+          slots = [||];
+          size = 0;
+          pool = Float.Array.create 0;
+          pool_len = 0;
+          params = Float.Array.create 6;
+        }
+      in
+      clear c;
+      c)
+
+let reset_cache () = clear (Domain.DLS.get cache_key)
 
 let c_lookups = Qobs.counter "commutation.cache_lookups"
 let c_hits = Qobs.counter "commutation.cache_hits"
 let c_misses = Qobs.counter "commutation.cache_misses"
 let c_uncached = Qobs.counter "commutation.uncached_evals"
 
-(* cache key: exact binary gate signatures (Gate.add_signature — injective,
-   no Format round-trips on the hot path) plus the relative qubit layout of
-   the two operand lists *)
-let key (g1, qs1) (g2, qs2) =
-  let all = List.sort_uniq compare (qs1 @ qs2) in
-  let buf = Buffer.create 32 in
-  let rel qs =
-    List.iter
-      (fun q ->
-        Buffer.add_char buf
-          (Char.chr (Option.get (List.find_index (( = ) q) all))))
-      qs;
-    Buffer.add_char buf '\255'
-  in
-  Gate.add_signature buf g1;
-  rel qs1;
-  Gate.add_signature buf g2;
-  rel qs2;
-  Buffer.contents buf
+(* writes [g]'s parameters into [p] from [off]; returns how many *)
+let put_params p off (g : Gate.t) =
+  match g with
+  | RX a | RY a | RZ a | P a | CRX a | CRY a | CRZ a | CP a | RZZ a ->
+      Float.Array.unsafe_set p off a;
+      1
+  | U (a, b, l) ->
+      Float.Array.unsafe_set p off a;
+      Float.Array.unsafe_set p (off + 1) b;
+      Float.Array.unsafe_set p (off + 2) l;
+      3
+  | _ -> 0
+
+let bits p i = Int64.bits_of_float (Float.Array.unsafe_get p i)
+
+(* of a code and its [n] parameters at [off] in [p]; every parameter bit,
+   the sign included, reaches the low bits that pick the slot *)
+let hash code p off n =
+  let h = ref (code * 0x27d4eb2f165667c5) in
+  for i = off to off + n - 1 do
+    let b = bits p i in
+    let x = Int64.to_int b lxor Int64.to_int (Int64.shift_right_logical b 32) in
+    h := (!h lxor x) * 0x165667b19e3779f9
+  done;
+  !h lxor (!h lsr 29)
+
+(* the slot holding the key [code] with [c.params], or the empty slot where
+   it would go *)
+let probe c code n h =
+  let mask = Array.length c.slots - 1 in
+  let i = ref (h land mask) in
+  while
+    let e = Array.unsafe_get c.slots !i in
+    e <> empty
+    && not
+         (e land code_mask = code
+         &&
+         let off = e lsr offset_shift and j = ref 0 in
+         while !j < n && Int64.equal (bits c.pool (off + !j)) (bits c.params !j) do
+           incr j
+         done;
+         !j = n)
+  do
+    i := (!i + 1) land mask
+  done;
+  !i
+
+(* the first empty slot at or after [h]'s *)
+let free_slot slots h =
+  let mask = Array.length slots - 1 in
+  let i = ref (h land mask) in
+  while slots.(!i) <> empty do
+    i := (!i + 1) land mask
+  done;
+  !i
+
+let grow c =
+  let old = c.slots in
+  c.slots <- Array.make (2 * Array.length old) empty;
+  Array.iter
+    (fun e ->
+      if e <> empty then begin
+        let code = e land code_mask in
+        c.slots.(free_slot c.slots (hash code c.pool (e lsr offset_shift) (code lsr 24))) <- e
+      end)
+    old
+
+(* adds a key that [probe] did not find, emptying a full cache first *)
+let insert c code n h v =
+  if c.size >= cache_cap then clear c
+  else if 2 * (c.size + 1) > Array.length c.slots then grow c;
+  if c.pool_len + n > Float.Array.length c.pool then begin
+    let pool = Float.Array.create (2 * Float.Array.length c.pool) in
+    Float.Array.blit c.pool 0 pool 0 c.pool_len;
+    c.pool <- pool
+  end;
+  Float.Array.blit c.params 0 c.pool c.pool_len n;
+  c.slots.(free_slot c.slots h) <-
+    code lor (if v then answer_bit else 0) lor (c.pool_len lsl offset_shift);
+  c.pool_len <- c.pool_len + n;
+  c.size <- c.size + 1
 
 let compute_commute (g1, qs1) (g2, qs2) =
   let all = List.sort_uniq compare (qs1 @ qs2) in
@@ -46,27 +155,68 @@ let compute_commute (g1, qs1) (g2, qs2) =
   let u2 = Qcircuit.Circuit.embed ~n (Unitary.of_gate g2) (local qs2) in
   Mat.frobenius_distance (Mat.mul u1 u2) (Mat.mul u2 u1) < 1e-9
 
-let commute (g1, qs1) (g2, qs2) =
-  if Gate.is_directive g1 || Gate.is_directive g2 then false
-  else if not (List.exists (fun q -> List.mem q qs2) qs1) then true
+let rec mem (q : int) = function [] -> false | x :: rest -> x = q || mem q rest
+let rec overlaps qs1 qs2 = match qs1 with [] -> false | q :: rest -> mem q qs2 || overlaps rest qs2
+
+let cacheable (g : Gate.t) qs =
+  match (g, qs) with
+  | (Unitary2 _ | MCX _ | MCZ _), _ -> false
+  | _, ([] | [ _ ] | [ _; _ ]) -> true
+  | _ -> false
+
+(* an operand list's first and second qubit, [absent] past its end *)
+let absent = max_int
+let first = function q :: _ -> q | [] -> absent
+let second = function _ :: q :: _ -> q | _ -> absent
+
+(* 1 + the number of distinct qubits among [a b c d] below [x], or 0 when
+   [x] is absent: [x]'s place in the old key's sorted union *)
+let rank (x : int) a b c d =
+  if x = absent then 0
   else
-    match ((g1 : Gate.t), (g2 : Gate.t)) with
-    | Gate.Unitary2 _, _ | _, Gate.Unitary2 _ ->
-        Qobs.incr c_uncached;
-        compute_commute (g1, qs1) (g2, qs2)
-    | _ ->
-        let k = key (g1, qs1) (g2, qs2) in
-        let cache = Domain.DLS.get cache_key in
-        Qobs.incr c_lookups;
-        (match Hashtbl.find_opt cache k with
-        | Some v ->
-            Qobs.incr c_hits;
-            v
-        | None ->
-            Qobs.incr c_misses;
-            let v = compute_commute (g1, qs1) (g2, qs2) in
-            Hashtbl.replace cache k v;
-            v)
+    1
+    + (if a < x then 1 else 0)
+    + (if b <> a && b < x then 1 else 0)
+    + (if c <> a && c <> b && c < x then 1 else 0)
+    + if d <> a && d <> b && d <> c && d < x then 1 else 0
+
+let commute_q g1 qs1 g2 qs2 =
+  if Gate.is_directive g1 || Gate.is_directive g2 then false
+  else if not (overlaps qs1 qs2) then true
+  else if not (cacheable g1 qs1 && cacheable g2 qs2) then begin
+    Qobs.incr c_uncached;
+    compute_commute (g1, qs1) (g2, qs2)
+  end
+  else begin
+    let c = Domain.DLS.get cache_key in
+    let n1 = put_params c.params 0 g1 in
+    let n = n1 + put_params c.params n1 g2 in
+    let a = first qs1 and b = second qs1 and cq = first qs2 and d = second qs2 in
+    let code =
+      Gate.tag g1
+      lor (Gate.tag g2 lsl 6)
+      lor (rank a a b cq d lsl 12)
+      lor (rank b a b cq d lsl 15)
+      lor (rank cq a b cq d lsl 18)
+      lor (rank d a b cq d lsl 21)
+      lor (n lsl 24)
+    in
+    let h = hash code c.params 0 n in
+    Qobs.incr c_lookups;
+    let e = c.slots.(probe c code n h) in
+    if e <> empty then begin
+      Qobs.incr c_hits;
+      e land answer_bit <> 0
+    end
+    else begin
+      Qobs.incr c_misses;
+      let v = compute_commute (g1, qs1) (g2, qs2) in
+      insert c code n h v;
+      v
+    end
+  end
+
+let commute (g1, qs1) (g2, qs2) = commute_q g1 qs1 g2 qs2
 
 (* The analysis lives over a fixed instruction array with stable op ids, so
    a caller that removes ops or rewrites gates re-forms only the commute sets
@@ -85,7 +235,16 @@ type t = {
   mutable edited : int list;  (* ops removed or rewritten since the last scan *)
 }
 
-let as_pair (x : Qcircuit.Circuit.instr) = (x.gate, x.qubits)
+(* whether [g] on [qs] commutes with every op in [members] *)
+let rec commutes_with_all instrs g qs = function
+  | [] -> true
+  | m :: rest ->
+      let (x : Qcircuit.Circuit.instr) = instrs.(m) in
+      commute_q x.gate x.qubits g qs && commutes_with_all instrs g qs rest
+
+let rec index_of (q : int) k = function
+  | [] -> raise Not_found
+  | x :: rest -> if x = q then k else index_of q (k + 1) rest
 
 (* position of [op] in a wire's ascending op ids, or -1 *)
 let position ops op =
@@ -139,7 +298,7 @@ let scan t q changes n_removed visit =
       let directive = Gate.is_directive i.gate in
       let opens =
         directive || !members = []
-        || not (List.for_all (fun m -> commute (as_pair t.instrs.(m)) (as_pair i)) !members)
+        || not (commutes_with_all t.instrs i.gate i.qubits !members)
       in
       let settled = opens && old_starts.(p) && (!next = n_changes || changes.(!next) > p) in
       if settled && !next = n_changes then begin
@@ -159,7 +318,7 @@ let scan t q changes n_removed visit =
           starts.(!n) <- true
         end;
         ops.(!n) <- id;
-        t.set_of.(id).(Option.get (List.find_index (( = ) q) i.qubits)) <- !set;
+        t.set_of.(id).(index_of q 0 i.qubits) <- !set;
         visit id;
         members := (if directive then [] else if opens then [ id ] else id :: !members);
         incr n;

@@ -6,11 +6,22 @@
     on the union of their qubits; results of the pairwise check are cached
     per gate pair, in a per-domain cache (no lock).
 
+    The cache key is an int code plus the exact parameter bits of both
+    gates.  The code packs the two gates' {!Qgate.Gate.tag}s, the relative
+    qubit pattern (each operand's rank in the sorted union of the two
+    operand lists, or absent) and the parameter count.  Parameters compare
+    by [Int64.bits_of_float], so [RZ 0.0] and [RZ (-0.0)] are distinct keys
+    even though they are equal floats.  The table is open addressing over
+    flat arrays with the parameters in an append-only float pool, so a hit
+    allocates nothing.  Only pairs whose operand lists each hold at most 2
+    qubits are cached, which after lowering is every pair; [Unitary2],
+    [MCX], [MCZ] and wider gates are evaluated uncached.  The cache is
+    emptied when it holds {!cache_cap} entries and another is added.
+
     Observability: cache traffic is counted on the current {!Qobs}
     collector as [commutation.cache_lookups] / [cache_hits] /
     [cache_misses] (hits + misses = lookups), plus
-    [commutation.uncached_evals] for [Unitary2] operands that bypass the
-    cache. *)
+    [commutation.uncached_evals] for the pairs that bypass the cache. *)
 
 type t
 (** The commute sets of a circuit whose instructions keep stable op ids (the
@@ -69,6 +80,11 @@ val commute :
   Qgate.Gate.t * int list -> Qgate.Gate.t * int list -> bool
 (** Pairwise commutation check between two instructions (exact, matrix
     based).  Instructions on disjoint qubits always commute. *)
+
+val cache_cap : int
+(** Entries a domain's cache holds at most (65,536): adding one more
+    empties it first, so a long-lived process cannot grow it without
+    bound.  A whole untraced benchmark run stays well below it. *)
 
 val reset_cache : unit -> unit
 (** Empty the calling domain's commutation cache.  The trial engine resets

@@ -227,6 +227,175 @@ let qcheck_analyze_matches_reference =
                (List.init n_ops Fun.id))
         (List.init n Fun.id))
 
+(* the commutation cache's string key before the int code: exact gate
+   signatures plus each operand's index in the sorted union of the two
+   operand lists, one byte each, then a separator *)
+let reference_key (g1, qs1) (g2, qs2) =
+  let all = List.sort_uniq compare (qs1 @ qs2) in
+  let buf = Buffer.create 32 in
+  let rel qs =
+    List.iter
+      (fun q -> Buffer.add_char buf (Char.chr (Option.get (List.find_index (( = ) q) all))))
+      qs;
+    Buffer.add_char buf '\255'
+  in
+  Gate.add_signature buf g1;
+  rel qs1;
+  Gate.add_signature buf g2;
+  rel qs2;
+  Buffer.contents buf
+
+(* the counter traffic that [Commutation.commute] made with the string key
+   over a [Hashtbl]: directives and disjoint pairs touch nothing, a
+   [Unitary2] operand is an uncached evaluation, and every other pair is a
+   lookup that hits iff its key was seen before *)
+let reference_traffic seen (lookups, hits, misses, uncached) (g1, qs1) (g2, qs2) =
+  let disjoint = not (List.exists (fun q -> List.mem q qs2) qs1) in
+  match ((g1 : Gate.t), (g2 : Gate.t)) with
+  | _ when Gate.is_directive g1 || Gate.is_directive g2 || disjoint ->
+      (lookups, hits, misses, uncached)
+  | Unitary2 _, _ | _, Unitary2 _ -> (lookups, hits, misses, uncached + 1)
+  | _ ->
+      let k = reference_key (g1, qs1) (g2, qs2) in
+      if Hashtbl.mem seen k then (lookups + 1, hits + 1, misses, uncached)
+      else begin
+        Hashtbl.replace seen k ();
+        (lookups + 1, hits, misses + 1, uncached)
+      end
+
+(* ground truth as [Qlint.Audit] computes it: the unitaries of the two
+   orderings as circuits on every wire up to the highest operand *)
+let commutes_exactly (g1, qs1) (g2, qs2) =
+  let n = 1 + List.fold_left max 0 (qs1 @ qs2) in
+  let circuit ops = Circuit.create n (List.map (fun (gate, qubits) -> { Circuit.gate; qubits }) ops) in
+  Mat.frobenius_distance
+    (Circuit.unitary (circuit [ (g1, qs1); (g2, qs2) ]))
+    (Circuit.unitary (circuit [ (g2, qs2); (g1, qs1) ]))
+  < 1e-9
+
+let commutation_counters col =
+  let count name =
+    Option.value ~default:0
+      (List.assoc_opt ("commutation." ^ name) (Qobs.Collector.counters col))
+  in
+  (count "cache_lookups", count "cache_hits", count "cache_misses", count "uncached_evals")
+
+(* angles at and near the points where a rotation commutes with more
+   gates, both zeros included: their bits differ, so they are two keys *)
+let edge_angles =
+  [|
+    0.0; -0.0; 1e-12; -1e-12; 1e-6; Float.pi /. 2.0; -.Float.pi /. 2.0;
+    (Float.pi /. 2.0) +. 1e-12; Float.pi; -.Float.pi; 2.0 *. Float.pi; 0.7;
+  |]
+
+(* a gate of the 1q/2q catalog on distinct wires of 0..3, so every overlap
+   pattern of two operand lists occurs *)
+let random_catalog_app rng =
+  let angle () = edge_angles.(Rng.int rng (Array.length edge_angles)) in
+  let wire () = Rng.int rng 4 in
+  let one g = (g, [ wire () ]) in
+  let two g =
+    let a = wire () in
+    (g, [ a; (a + 1 + Rng.int rng 3) mod 4 ])
+  in
+  match Rng.int rng 27 with
+  | 0 -> one Gate.Id
+  | 1 -> one Gate.X
+  | 2 -> one Gate.Y
+  | 3 -> one Gate.Z
+  | 4 -> one Gate.H
+  | 5 -> one Gate.S
+  | 6 -> one Gate.Sdg
+  | 7 -> one Gate.T
+  | 8 -> one Gate.Tdg
+  | 9 -> one Gate.SX
+  | 10 -> one Gate.SXdg
+  | 11 -> one (Gate.RX (angle ()))
+  | 12 -> one (Gate.RY (angle ()))
+  | 13 -> one (Gate.RZ (angle ()))
+  | 14 -> one (Gate.P (angle ()))
+  | 15 -> one (Gate.U (angle (), angle (), angle ()))
+  | 16 -> two Gate.CX
+  | 17 -> two Gate.CY
+  | 18 -> two Gate.CZ
+  | 19 -> two Gate.CH
+  | 20 -> two Gate.SWAP
+  | 21 -> two (Gate.CRX (angle ()))
+  | 22 -> two (Gate.CRY (angle ()))
+  | 23 -> two (Gate.CRZ (angle ()))
+  | 24 -> two (Gate.CP (angle ()))
+  | 25 -> two (Gate.RZZ (angle ()))
+  | _ ->
+      two
+        (Gate.Unitary2
+           (if Rng.int rng 2 = 0 then Unitary.of_gate Gate.CZ else Randmat.su4 rng))
+
+let qcheck_commute_matches_truth_and_old_key =
+  QCheck.Test.make ~name:"commute = ground truth, counters = string-key cache" ~count:200
+    ~long_factor:20
+    (QCheck.make (QCheck.Gen.int_range 0 1_000_000))
+    (fun seed ->
+      let rng = Rng.create seed in
+      let pairs =
+        List.init (4 + Rng.int rng 12) (fun _ ->
+            let a = random_catalog_app rng in
+            (a, random_catalog_app rng))
+      in
+      let col = Qobs.Collector.create () in
+      let seen = Hashtbl.create 16 and expected = ref (0, 0, 0, 0) in
+      let answers_ok =
+        Qobs.with_collector col (fun () ->
+            Commutation.reset_cache ();
+            List.for_all
+              (fun (a, b) ->
+                let truth = commutes_exactly a b in
+                List.for_all
+                  (fun () ->
+                    expected := reference_traffic seen !expected a b;
+                    Commutation.commute a b = truth)
+                  [ (); () ])
+              pairs)
+      in
+      answers_ok && commutation_counters col = !expected)
+
+(* a long-lived process: the cache is emptied once it holds
+   [Commutation.cache_cap] entries and another is added *)
+let test_commute_cache_cap () =
+  let col = Qobs.Collector.create () in
+  let query k =
+    ignore (Commutation.commute (Gate.RZ (Float.of_int k *. 1e-3), [ 0 ]) (Gate.CX, [ 0; 1 ]))
+  in
+  Qobs.with_collector col (fun () ->
+      Commutation.reset_cache ();
+      for k = 0 to Commutation.cache_cap - 1 do
+        query k
+      done;
+      let _, hits, misses, _ = commutation_counters col in
+      checki "cap distinct pairs miss" Commutation.cache_cap misses;
+      query 0;
+      let _, hits', _, _ = commutation_counters col in
+      checki "first pair still a hit at the cap" (hits + 1) hits';
+      query Commutation.cache_cap;
+      query 0;
+      let _, hits'', misses'', _ = commutation_counters col in
+      checki "first pair a miss after the reset" (misses + 2) misses'';
+      checki "no hit after the reset" hits' hits'')
+
+(* [U] angles of 0.0 and -0.0 are equal floats with different bits: two
+   cache entries *)
+let test_commute_signed_zero_keys () =
+  let col = Qobs.Collector.create () in
+  let u zero = (Gate.U (zero, 0.2, 0.3), [ 0 ]) in
+  Qobs.with_collector col (fun () ->
+      Commutation.reset_cache ();
+      List.iter
+        (fun zero -> ignore (Commutation.commute (u zero) (Gate.X, [ 0 ])))
+        [ 0.0; -0.0; 0.0; -0.0 ]);
+  let lookups, hits, misses, _ = commutation_counters col in
+  checki "lookups" 4 lookups;
+  checki "0.0 and -0.0 miss once each" 2 misses;
+  checki "then both hit" 2 hits
+
 (* ---------- Cancellation ---------- *)
 
 let test_cancel_adjacent_cx () =
@@ -311,6 +480,51 @@ let test_cancel_random_preserves () =
     check "cancellation preserves unitary" true
       (preserves_unitary (Cancellation.run_fixpoint ~max_rounds:4) c)
   done
+
+(* the group key fixes the gate, the wires and their order: a gate on
+   reversed wires is another group, even for the symmetric CZ and SWAP,
+   and so are two commuting self-inverse gates on the same wires *)
+let test_cancel_group_key () =
+  let kept what ops =
+    let c = Circuit.create 2 (List.map (fun (gate, qubits) -> { Circuit.gate; qubits }) ops) in
+    checki what (List.length ops) (Circuit.size (Cancellation.run_fixpoint c))
+  in
+  kept "cz on reversed wires kept" [ (Gate.CZ, [ 0; 1 ]); (Gate.CZ, [ 1; 0 ]) ];
+  kept "swap on reversed wires kept" [ (Gate.SWAP, [ 0; 1 ]); (Gate.SWAP, [ 1; 0 ]) ];
+  kept "cz and swap kept" [ (Gate.CZ, [ 0; 1 ]); (Gate.SWAP, [ 0; 1 ]) ];
+  kept "id and x kept" [ (Gate.Id, [ 0 ]); (Gate.X, [ 0 ]) ]
+
+let test_cancel_cx_across_rz_control () =
+  let c =
+    Circuit.create 2
+      [
+        { gate = Gate.CX; qubits = [ 0; 1 ] };
+        { gate = Gate.RZ 0.3; qubits = [ 0 ] };
+        { gate = Gate.CX; qubits = [ 0; 1 ] };
+      ]
+  in
+  let c' = Cancellation.run c in
+  check "cx pair cancelled, rz kept" true
+    (Circuit.equal c' (Circuit.create 2 [ { gate = Gate.RZ 0.3; qubits = [ 0 ] } ]))
+
+(* the merged angle is summed from 0.0 in circuit order:
+   (0.1 + 0.2) + 0.3 is not 0.1 + (0.2 + 0.3) in floats *)
+let test_cancel_z_merge_bits () =
+  let c =
+    Circuit.create 3
+      [
+        { gate = Gate.RZ 0.1; qubits = [ 0 ] };
+        { gate = Gate.CX; qubits = [ 0; 1 ] };
+        { gate = Gate.P 0.2; qubits = [ 0 ] };
+        { gate = Gate.CX; qubits = [ 0; 2 ] };
+        { gate = Gate.RZ 0.3; qubits = [ 0 ] };
+      ]
+  in
+  match Circuit.instrs (Cancellation.run c) with
+  | [ { gate = Gate.CX; _ }; { gate = Gate.CX; _ }; { gate = Gate.RZ a; qubits = [ 0 ] } ] ->
+      check "merged angle bits" true
+        (Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float (0.0 +. 0.1 +. 0.2 +. 0.3)))
+  | _ -> Alcotest.fail "expected cx cx rz"
 
 (* The whole-circuit cancellation that [Cancellation.run_fixpoint] used
    before its rounds revisited only re-formed commute sets, kept as the
@@ -688,6 +902,9 @@ let () =
           Alcotest.test_case "pairs" `Quick test_commute_pairs;
           Alcotest.test_case "sets" `Quick test_commutation_sets;
           QCheck_alcotest.to_alcotest qcheck_analyze_matches_reference;
+          QCheck_alcotest.to_alcotest qcheck_commute_matches_truth_and_old_key;
+          Alcotest.test_case "cache cap" `Quick test_commute_cache_cap;
+          Alcotest.test_case "signed zero keys" `Quick test_commute_signed_zero_keys;
         ] );
       ( "cancellation",
         [
@@ -699,6 +916,9 @@ let () =
           Alcotest.test_case "t merge" `Quick test_cancel_t_gates_merge;
           Alcotest.test_case "random preserves" `Quick test_cancel_random_preserves;
           Alcotest.test_case "cascade rounds" `Quick test_cancel_cascade_rounds;
+          Alcotest.test_case "group key" `Quick test_cancel_group_key;
+          Alcotest.test_case "cx across rz on control" `Quick test_cancel_cx_across_rz_control;
+          Alcotest.test_case "z merge bits" `Quick test_cancel_z_merge_bits;
           fixpoint_matches_reference;
         ] );
       ( "blocks",
