@@ -1,12 +1,10 @@
 type zyz = { theta : float; phi : float; lam : float; phase : float }
 
-let rz_mat a =
-  Mat.of_rows
-    [ [ Cx.exp_i (-.a /. 2.0); Cx.zero ]; [ Cx.zero; Cx.exp_i (a /. 2.0) ] ]
+let rz_mat a = Mat.diag_phases [| -.a /. 2.0; a /. 2.0 |]
 
 let ry_mat t =
   let c = cos (t /. 2.0) and s = sin (t /. 2.0) in
-  Mat.of_real_rows [ [ c; -.s ]; [ s; c ] ]
+  Mat.of_real [| [| c; -.s |]; [| s; c |] |]
 
 let rx_mat t =
   let c = Cx.re (cos (t /. 2.0)) and s = Cx.make 0.0 (-.sin (t /. 2.0)) in

@@ -3,21 +3,13 @@ let kron_factor m =
   else begin
     (* Locate the largest entry; it anchors a non-degenerate row/column of
        each factor (m[2a+i][2c+j] = A[a][c] * B[i][j]). *)
-    let best_r = ref 0 and best_c = ref 0 in
-    for i = 0 to 3 do
-      for j = 0 to 3 do
-        if Cx.abs (Mat.get m i j) > Cx.abs (Mat.get m !best_r !best_c) then begin
-          best_r := i;
-          best_c := j
-        end
-      done
-    done;
-    let r = !best_r and c = !best_c in
+    let best = Mat.argmax_abs m in
+    let r = best / 4 and c = best mod 4 in
     if Cx.abs (Mat.get m r c) < 1e-12 then None
     else begin
       let a1 = r / 2 and b1 = r mod 2 and a2 = c / 2 and b2 = c mod 2 in
-      let b_raw = Mat.init 2 2 (fun i j -> Mat.get m ((2 * a1) + i) ((2 * a2) + j)) in
-      let a_raw = Mat.init 2 2 (fun i j -> Mat.get m ((2 * i) + b1) ((2 * j) + b2)) in
+      let b_raw = Mat.gather 2 2 (fun i j -> (4 * ((2 * a1) + i)) + (2 * a2) + j) m in
+      let a_raw = Mat.gather 2 2 (fun i j -> (4 * ((2 * i) + b1)) + (2 * j) + b2) m in
       let normalize x =
         let d = Mat.det x in
         if Cx.abs d < 1e-12 then None else Some (Mat.scale Cx.(one / Cx.sqrt d) x)

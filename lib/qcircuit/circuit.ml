@@ -108,7 +108,9 @@ let embed ~n g qs =
   let qs = Array.of_list qs in
   (* bit of qubit q within a full index (qubit 0 = most significant) *)
   let bit x q = (x lsr (n - 1 - q)) land 1 in
-  let local x = Array.to_list qs |> List.fold_left (fun acc q -> (acc lsl 1) lor bit x q) 0 in
+  (* index into g of every full index: the bits of qs, first qubit most
+     significant *)
+  let local = Array.init dim (fun x -> Array.fold_left (fun acc q -> (acc lsl 1) lor bit x q) 0 qs) in
   let rest_mask =
     let m = ref 0 in
     for q = 0 to n - 1 do
@@ -116,9 +118,10 @@ let embed ~n g qs =
     done;
     !m
   in
-  Mat.init dim dim (fun i j ->
-      if i land rest_mask <> j land rest_mask then Cx.zero
-      else Mat.get g (local i) (local j))
+  let gc = Mat.cols g in
+  Mat.gather dim dim
+    (fun i j -> if i land rest_mask <> j land rest_mask then -1 else (local.(i) * gc) + local.(j))
+    g
 
 let unitary c =
   let open Mathkit in

@@ -54,6 +54,12 @@ let classify (x, y, z) =
 
 let c_kak = Qobs.counter "synth2q.kak_decompositions"
 
+(* The class-1 core is the constant CX(0,1), so its decomposition is
+   computed once, here.  Not a [Lazy]: forcing one from several domains at
+   once raises [Lazy.Undefined]. *)
+let cx_core = core_for_class (pi /. 4.0, 0.0, 0.0) 1
+let cx_core_kak = Weyl.decompose (ops_unitary 2 cx_core)
+
 let synthesize u =
   Qobs.incr c_kak;
   let r = Weyl.decompose u in
@@ -61,9 +67,12 @@ let synthesize u =
   if cls = 0 then
     one_qubit_ops (Mat.mul r.k1l r.k2l) 0 @ one_qubit_ops (Mat.mul r.k1r r.k2r) 1
   else begin
-    let core = core_for_class (r.x, r.y, r.z) cls in
-    let v = ops_unitary 2 core in
-    let rv = Weyl.decompose v in
+    let core, rv =
+      if cls = 1 then (cx_core, cx_core_kak)
+      else
+        let core = core_for_class (r.x, r.y, r.z) cls in
+        (core, Weyl.decompose (ops_unitary 2 core))
+    in
     let close a b = Float.abs (a -. b) < 1e-6 in
     if not (close r.x rv.x && close r.y rv.y && close r.z rv.z) then
       invalid_arg

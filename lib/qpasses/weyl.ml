@@ -35,9 +35,8 @@ let sig_zz = [| 1.0; -1.0; -1.0; 1.0 |]
 
 let canonical_gate x y z =
   let d =
-    Mat.init 4 4 (fun i j ->
-        if i <> j then Cx.zero
-        else Cx.exp_i ((x *. sig_xx.(i)) +. (y *. sig_yy.(i)) +. (z *. sig_zz.(i))))
+    Mat.diag_phases
+      (Array.init 4 (fun i -> (x *. sig_xx.(i)) +. (y *. sig_yy.(i)) +. (z *. sig_zz.(i))))
   in
   Mat.mul magic_basis (Mat.mul d magic_dag)
 
@@ -159,26 +158,22 @@ let decompose u =
   let su = Mat.scale (Cx.exp_i (-.phase0)) u in
   let m = Mat.mul magic_dag (Mat.mul su magic_basis) in
   let m2 = Mat.mul (Mat.transpose m) m in
-  let re = Array.init 4 (fun i -> Array.init 4 (fun j -> (Mat.get m2 i j).Complex.re)) in
-  let im = Array.init 4 (fun i -> Array.init 4 (fun j -> (Mat.get m2 i j).Complex.im)) in
+  let re, im = Mat.parts m2 in
   let p_real = Eig.simultaneous_diagonalize re im in
   (* determinant of the real orthogonal p: fix to +1 by flipping a column *)
-  let p_mat () = Mat.init 4 4 (fun i j -> Cx.re p_real.(i).(j)) in
-  let detp = (Mat.det (p_mat ())).Complex.re in
+  let detp = (Mat.det (Mat.of_real p_real)).Complex.re in
   if detp < 0.0 then
     for i = 0 to 3 do
       p_real.(i).(0) <- -.p_real.(i).(0)
     done;
-  let p = p_mat () in
+  let p = Mat.of_real p_real in
   let pt = Mat.transpose p in
   let d = Mat.mul pt (Mat.mul m2 p) in
   let theta = Array.init 4 (fun j -> Cx.arg (Mat.get d j j) /. 2.0) in
   (* branch fix: product of the d_j must be +1 so that k1 lands in SO(4) *)
   let total = theta.(0) +. theta.(1) +. theta.(2) +. theta.(3) in
   if Cx.abs Cx.(exp_i total - one) > 0.5 then theta.(0) <- theta.(0) +. pi;
-  let a_inv =
-    Mat.init 4 4 (fun i j -> if i = j then Cx.exp_i (-.theta.(i)) else Cx.zero)
-  in
+  let a_inv = Mat.diag_phases (Array.map (fun t -> -.t) theta) in
   let k1 = Mat.mul m (Mat.mul p a_inv) in
   let k2 = pt in
   let g = (theta.(0) +. theta.(1) +. theta.(2) +. theta.(3)) /. 4.0 in

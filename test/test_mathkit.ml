@@ -121,6 +121,19 @@ let test_mat_phase_to () =
   let v = Randmat.unitary rng 4 in
   check "different unitaries" false (Mat.equal_up_to_phase u v)
 
+let test_mat_phase_eps () =
+  let rng = rng0 () in
+  let u = Randmat.unitary rng 4 in
+  (* a 1e-5 perturbation away from the reference entry leaves the phase
+     exactly 1: within the default bound (1e-6 * 16), outside 1e-7 * 16 *)
+  let k = (Mat.argmax_abs u + 1) mod 16 in
+  let v = Mat.copy u in
+  Mat.set v (k / 4) (k mod 4) (Complex.add (Mat.get u (k / 4) (k mod 4)) (Cx.re 1e-5));
+  check "default eps accepts" true (Mat.equal_up_to_phase v u);
+  check "eps 1e-6 is the default" true (Mat.equal_up_to_phase ~eps:1e-6 v u);
+  check "eps 1e-7 rejects" false (Mat.equal_up_to_phase ~eps:1e-7 v u);
+  check "phase_to honours eps" true (Mat.phase_to ~eps:1e-7 v u = None)
+
 (* ---------- Eig ---------- *)
 
 let random_symmetric rng n =
@@ -262,6 +275,245 @@ let test_kron_factor_rejects () =
   (* generic su4 should essentially never factor *)
   check "random su4 does not factor" true (Kronfactor.kron_factor u = None)
 
+(* ---------- Bit identity against the boxed kernels ---------- *)
+
+(* The kernels [Mat] had when it stored a [Complex.t array], kept verbatim
+   as the reference: the flat kernels must reproduce every bit. *)
+module Ref = struct
+  type t = { r : int; c : int; m : Cx.t array }
+
+  let init r c f = { r; c; m = Array.init (r * c) (fun k -> f (k / c) (k mod c)) }
+  let of_mat a = init (Mat.rows a) (Mat.cols a) (Mat.get a)
+  let get a i j = a.m.((i * a.c) + j)
+  let set a i j v = a.m.((i * a.c) + j) <- v
+  let identity n = init n n (fun i j -> if i = j then Cx.one else Cx.zero)
+  let map f a = { a with m = Array.map f a.m }
+  let map2 f a b = { a with m = Array.mapi (fun k v -> f v b.m.(k)) a.m }
+  let scale z a = map (fun v -> Cx.(z * v)) a
+
+  let mul a b =
+    let out = init a.r b.c (fun _ _ -> Cx.zero) in
+    for i = 0 to a.r - 1 do
+      for k = 0 to a.c - 1 do
+        let aik = get a i k in
+        if not (Cx.is_zero ~eps:0.0 aik) then
+          for j = 0 to b.c - 1 do
+            let cur = get out i j and bkj = get b k j in
+            set out i j Cx.(cur + (aik * bkj))
+          done
+      done
+    done;
+    out
+
+  let kron a b =
+    init (a.r * b.r) (a.c * b.c) (fun i j ->
+        let x = get a (i / b.r) (j / b.c) and y = get b (i mod b.r) (j mod b.c) in
+        Cx.(x * y))
+
+  let transpose a = init a.c a.r (fun i j -> get a j i)
+  let adjoint a = init a.c a.r (fun i j -> Cx.conj (get a j i))
+
+  let trace a =
+    let acc = ref Cx.zero in
+    for i = 0 to min a.r a.c - 1 do
+      let d = get a i i in
+      acc := Cx.(!acc + d)
+    done;
+    !acc
+
+  let det a =
+    let n = a.r in
+    let w = { a with m = Array.copy a.m } in
+    let sign = ref 1.0 in
+    let result = ref Cx.one in
+    (try
+       for col = 0 to n - 1 do
+         let pivot = ref col in
+         for i = col + 1 to n - 1 do
+           if Cx.abs (get w i col) > Cx.abs (get w !pivot col) then pivot := i
+         done;
+         if Cx.abs (get w !pivot col) < 1e-300 then begin
+           result := Cx.zero;
+           raise Exit
+         end;
+         if !pivot <> col then begin
+           sign := -. !sign;
+           for j = 0 to n - 1 do
+             let tmp = get w col j in
+             set w col j (get w !pivot j);
+             set w !pivot j tmp
+           done
+         end;
+         let d = get w col col in
+         result := Cx.(!result * d);
+         for i = col + 1 to n - 1 do
+           let num = get w i col in
+           let factor = Cx.(num / d) in
+           for j = col to n - 1 do
+             let cur = get w i j and piv = get w col j in
+             set w i j Cx.(cur - (factor * piv))
+           done
+         done
+       done
+     with Exit -> ());
+    Cx.scale !sign !result
+
+  let apply_vec a v =
+    Array.init a.r (fun i ->
+        let acc = ref Cx.zero in
+        for j = 0 to a.c - 1 do
+          let x = get a i j and y = v.(j) in
+          acc := Cx.(!acc + (x * y))
+        done;
+        !acc)
+
+  let frobenius_distance a b =
+    let acc = ref 0.0 in
+    Array.iteri (fun k v -> acc := !acc +. Cx.abs2 Cx.(v - b.m.(k))) a.m;
+    sqrt !acc
+
+  let approx_equal ?(eps = 1e-9) a b =
+    a.r = b.r && a.c = b.c && frobenius_distance a b <= eps *. float_of_int (a.r * a.c)
+
+  let phase_to a b =
+    let best = ref 0 in
+    Array.iteri (fun k v -> if Cx.abs v > Cx.abs b.m.(!best) then best := k) b.m;
+    if Cx.abs b.m.(!best) < 1e-9 then if approx_equal a b then Some Cx.one else None
+    else
+      let z = Cx.(a.m.(!best) / b.m.(!best)) in
+      if Float.abs (Cx.abs z -. 1.0) > 1e-6 then None
+      else if frobenius_distance a (scale z b) <= 1e-6 *. float_of_int (a.r * a.c) then Some z
+      else None
+
+  let is_unitary ?(eps = 1e-9) a =
+    a.r = a.c && approx_equal ~eps (mul (adjoint a) a) (identity a.r)
+
+  (* [Circuit.embed] as it was: a closure per entry over an index fold *)
+  let embed ~n g qs =
+    let qs = Array.of_list qs in
+    let bit x q = (x lsr (n - 1 - q)) land 1 in
+    let local x = Array.to_list qs |> List.fold_left (fun acc q -> (acc lsl 1) lor bit x q) 0 in
+    let rest_mask = ref 0 in
+    for q = 0 to n - 1 do
+      if not (Array.exists (( = ) q) qs) then rest_mask := !rest_mask lor (1 lsl (n - 1 - q))
+    done;
+    init (1 lsl n) (1 lsl n) (fun i j ->
+        if i land !rest_mask <> j land !rest_mask then Cx.zero
+        else Mat.get g (local i) (local j))
+end
+
+let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+let cx_bits (x : Cx.t) (y : Cx.t) = same_bits x.re y.re && same_bits x.im y.im
+
+let mat_bits m (r : Ref.t) =
+  Mat.rows m = r.r && Mat.cols m = r.c && Array.for_all2 cx_bits (Ref.of_mat m).m r.m
+
+(* Entries that exercise the kernels' edge cases: exact zeros of every
+   sign combination, zero real or imaginary parts, and, with [~inf],
+   infinities (which turn a product with a zero into NaN, so they expose
+   whether [mul] skips a zero left entry). *)
+let edge_entry ?(inf = false) rng =
+  let signed_zero () = if Rng.bool rng then 0.0 else -0.0 in
+  match Rng.int rng 10 with
+  | 0 | 1 -> Cx.make (signed_zero ()) (signed_zero ())
+  | 2 -> Cx.make (Rng.gaussian rng) (signed_zero ())
+  | 3 -> Cx.make (signed_zero ()) (Rng.gaussian rng)
+  | 4 when inf -> Cx.make (if Rng.bool rng then infinity else neg_infinity) (Rng.gaussian rng)
+  | _ -> Cx.make (Rng.gaussian rng) (Rng.gaussian rng)
+
+let edge_mat ?inf rng r c = Mat.init r c (fun _ _ -> edge_entry ?inf rng)
+let pick_dim rng = Rng.pick rng [ 2; 4; 8 ]
+
+let prop_bits ~name ~count f =
+  QCheck.Test.make ~name ~count ~long_factor:20
+    (QCheck.make (QCheck.Gen.int_range 0 1_000_000))
+    (fun seed -> f (Rng.create seed))
+
+let bit_identity_props =
+  let mul_bits =
+    prop_bits ~name:"mul = boxed mul, bit for bit" ~count:300 (fun rng ->
+        let n = pick_dim rng and k = pick_dim rng and m = pick_dim rng in
+        let a = edge_mat rng n k and b = edge_mat ~inf:true rng k m in
+        mat_bits (Mat.mul a b) (Ref.mul (Ref.of_mat a) (Ref.of_mat b)))
+  in
+  let det_bits =
+    prop_bits ~name:"det = boxed det, bit for bit" ~count:300 (fun rng ->
+        let n = Rng.pick rng [ 2; 3; 4; 8 ] in
+        let a = edge_mat rng n n in
+        (* a tiny column keeps its pivot above 1e-300 only by its modulus
+           (its squared modulus is below); a zero column is singular, after
+           any number of pivot swaps *)
+        let col = Rng.int rng n in
+        (match Rng.int rng 3 with
+        | 0 -> for i = 0 to n - 1 do Mat.set a i col (Complex.mul (Cx.re 1e-200) (Mat.get a i col)) done
+        | 1 -> for i = 0 to n - 1 do Mat.set a i col Cx.zero done
+        | _ -> ());
+        cx_bits (Mat.det a) (Ref.det (Ref.of_mat a)))
+  in
+  let kernel_bits =
+    prop_bits ~name:"entrywise kernels = boxed kernels" ~count:300 (fun rng ->
+        let n = pick_dim rng in
+        let a = edge_mat rng n n and b = edge_mat rng n n in
+        let ra = Ref.of_mat a and rb = Ref.of_mat b in
+        let z = edge_entry rng and v = Array.init n (fun _ -> edge_entry rng) in
+        let p = Rng.pick rng [ 1; 2 ] and q = Rng.pick rng [ 2; 4 ] in
+        let x = edge_mat rng p p and y = edge_mat rng q q in
+        mat_bits (Mat.kron x y) (Ref.kron (Ref.of_mat x) (Ref.of_mat y))
+        && mat_bits (Mat.scale z a) (Ref.scale z ra)
+        && mat_bits (Mat.adjoint a) (Ref.adjoint ra)
+        && mat_bits (Mat.transpose a) (Ref.transpose ra)
+        && mat_bits (Mat.conj a) (Ref.map Cx.conj ra)
+        && mat_bits (Mat.add a b) (Ref.map2 Cx.( + ) ra rb)
+        && mat_bits (Mat.sub a b) (Ref.map2 Cx.( - ) ra rb)
+        && cx_bits (Mat.trace a) (Ref.trace ra)
+        && same_bits (Mat.frobenius_distance a b) (Ref.frobenius_distance ra rb)
+        && Array.for_all2 cx_bits (Mat.apply_vec a v) (Ref.apply_vec ra v))
+  in
+  let phase_bits =
+    prop_bits ~name:"phase_to, is_unitary = boxed kernels" ~count:300 (fun rng ->
+        let n = pick_dim rng in
+        let u = Randmat.unitary rng n in
+        let a = Mat.scale (Cx.exp_i (Rng.float rng 6.3)) u in
+        (* perturb one entry: not at all, below, near and above the bound *)
+        let i = Rng.int rng n and j = Rng.int rng n in
+        let d = Rng.pick rng [ 0.0; 1e-9; 1e-6; 1e-5; 1e-3 ] in
+        Mat.set a i j (Complex.add (Mat.get a i j) (Cx.re d));
+        let b = if Rng.int rng 4 = 0 then edge_mat rng n n else u in
+        let phase_ok =
+          match (Mat.phase_to a b, Ref.phase_to (Ref.of_mat a) (Ref.of_mat b)) with
+          | Some z, Some w -> cx_bits z w
+          | None, None -> true
+          | _ -> false
+        in
+        let eps = Rng.pick rng [ 1e-9; 1e-7; 1e-5 ] in
+        phase_ok
+        && Mat.is_unitary ~eps a = Ref.is_unitary ~eps (Ref.of_mat a)
+        && Mat.is_unitary u = Ref.is_unitary (Ref.of_mat u))
+  in
+  List.map QCheck_alcotest.to_alcotest [ mul_bits; det_bits; kernel_bits; phase_bits ]
+
+(* every ordered choice of distinct qubits out of [0, n) *)
+let rec qubit_orders n avail =
+  List.concat_map
+    (fun q ->
+      let rest = List.filter (( <> ) q) avail in
+      [ q ] :: List.map (fun o -> q :: o) (qubit_orders n rest))
+    avail
+
+let test_embed_bits () =
+  let rng = Rng.create 99 in
+  for n = 1 to 4 do
+    List.iter
+      (fun qs ->
+        let k = List.length qs in
+        let g = edge_mat rng (1 lsl k) (1 lsl k) in
+        check
+          (Printf.sprintf "embed n=%d [%s]" n (String.concat ";" (List.map string_of_int qs)))
+          true
+          (mat_bits (Qcircuit.Circuit.embed ~n g qs) (Ref.embed ~n g qs)))
+      (qubit_orders n (List.init n Fun.id))
+  done
+
 (* ---------- QCheck properties ---------- *)
 
 let qcheck_props =
@@ -318,6 +570,8 @@ let () =
           Alcotest.test_case "adjoint involution" `Quick test_mat_adjoint_involution;
           Alcotest.test_case "trace cyclic" `Quick test_mat_trace_cyclic;
           Alcotest.test_case "phase_to" `Quick test_mat_phase_to;
+          Alcotest.test_case "phase eps" `Quick test_mat_phase_eps;
+          Alcotest.test_case "embed = closure embed" `Quick test_embed_bits;
         ] );
       ( "eig",
         [
@@ -337,4 +591,5 @@ let () =
           Alcotest.test_case "rejects entangling" `Quick test_kron_factor_rejects;
         ] );
       ("properties", qcheck_props);
+      ("bit identity", bit_identity_props);
     ]

@@ -171,6 +171,85 @@ let roundtrip u =
   let v = Synth2q.ops_unitary 2 ops in
   (Mat.equal_up_to_phase u v, count_cx ops)
 
+(* [Synth2q.synthesize] as it was, decomposing the core circuit on every
+   call (class 1 included): the reference for the precomputed CX core *)
+let reference_synthesize u =
+  let pi = Float.pi in
+  let one_qubit_ops m q =
+    let theta, phi, lam, _ = Euler.u_params_of_unitary m in
+    if Euler.is_identity_angles ~eps:1e-10 (theta, phi, lam) then []
+    else [ (Gate.U (theta, phi, lam), [ q ]) ]
+  in
+  let r = Weyl.decompose u in
+  let near a b = Float.abs (a -. b) < 1e-8 in
+  let cls =
+    if near r.x 0.0 && near r.y 0.0 && near r.z 0.0 then 0
+    else if near r.x (pi /. 4.0) && near r.y 0.0 && near r.z 0.0 then 1
+    else if near r.z 0.0 then 2
+    else 3
+  in
+  if cls = 0 then
+    one_qubit_ops (Mat.mul r.k1l r.k2l) 0 @ one_qubit_ops (Mat.mul r.k1r r.k2r) 1
+  else begin
+    let core =
+      match cls with
+      | 1 -> [ (Gate.CX, [ 0; 1 ]) ]
+      | 2 ->
+          [
+            (Gate.CX, [ 0; 1 ]);
+            (Gate.RX (-2.0 *. r.x), [ 0 ]);
+            (Gate.RZ (-2.0 *. r.y), [ 1 ]);
+            (Gate.CX, [ 0; 1 ]);
+          ]
+      | _ ->
+          [
+            (Gate.CX, [ 1; 0 ]);
+            (Gate.RY ((pi /. 2.0) -. (2.0 *. r.y)), [ 1 ]);
+            (Gate.CX, [ 0; 1 ]);
+            (Gate.RZ ((pi /. 2.0) +. (2.0 *. r.z)), [ 0 ]);
+            (Gate.RY ((pi /. 2.0) -. (2.0 *. r.x)), [ 1 ]);
+            (Gate.CX, [ 1; 0 ]);
+          ]
+    in
+    let rv = Weyl.decompose (Synth2q.ops_unitary 2 core) in
+    let left_l = Mat.mul r.k1l (Mat.adjoint rv.k1l) in
+    let left_r = Mat.mul r.k1r (Mat.adjoint rv.k1r) in
+    let right_l = Mat.mul (Mat.adjoint rv.k2l) r.k2l in
+    let right_r = Mat.mul (Mat.adjoint rv.k2r) r.k2r in
+    one_qubit_ops right_l 0 @ one_qubit_ops right_r 1 @ core
+    @ one_qubit_ops left_l 0 @ one_qubit_ops left_r 1
+  end
+
+(* gates, angle bits and wires of an op list *)
+let ops_signature ops =
+  let buf = Buffer.create 64 in
+  List.iter (fun (g, qs) -> Blocks.add_op_signature buf ~zero:0 g qs) ops;
+  Buffer.contents buf
+
+let test_synth_constant_core () =
+  let rng = rng0 () in
+  let local () = Mat.kron (Randmat.unitary rng 2) (Randmat.unitary rng 2) in
+  let dressed g = Mat.mul (local ()) (Mat.mul g (local ())) in
+  let class1 =
+    List.init 30 (fun _ -> dressed (Unitary.of_gate (Rng.pick rng [ Gate.CX; Gate.CZ; Gate.CY ])))
+  in
+  let blocks =
+    [ (2, dressed (Weyl.canonical_gate 0.5 0.2 0.0)); (3, Randmat.unitary rng 4) ]
+    @ List.map (fun u -> (1, u)) class1
+  in
+  let col = Qobs.Collector.create () in
+  Qobs.with_collector col (fun () ->
+      List.iter
+        (fun (cls, u) ->
+          let ops = Synth2q.synthesize u in
+          checki "class" cls (count_cx ops);
+          check "ops and angle bits = per-call core" true
+            (ops_signature ops = ops_signature (reference_synthesize u)))
+        blocks);
+  checki "one kak_decompositions per call" (List.length blocks)
+    (Option.value ~default:0
+       (List.assoc_opt "synth2q.kak_decompositions" (Qobs.Collector.counters col)))
+
 let test_synth_random () =
   let rng = rng0 () in
   for _ = 1 to 40 do
@@ -317,6 +396,7 @@ let () =
           Alcotest.test_case "swap-like" `Quick test_synth_swap_like;
           Alcotest.test_case "parameter sweeps" `Quick test_synth_parameter_sweeps;
           Alcotest.test_case "compositions" `Quick test_synth_compositions;
+          Alcotest.test_case "constant cx core" `Quick test_synth_constant_core;
         ] );
       ("properties", qcheck_props);
     ]
