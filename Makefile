@@ -1,4 +1,4 @@
-.PHONY: all build test coverage fmt lint bench profile regress gap matrix scaling verify metrics trend e2e-trace e2e-compare ci clean
+.PHONY: all build test coverage fmt lint bench regress gap matrix scaling verify metrics e2e-trace e2e-compare ci clean
 
 all: build
 
@@ -34,10 +34,6 @@ lint:
 bench:
 	dune exec bench/main.exe -- --only trials
 
-# per-pass span/counter breakdown from the observability layer
-profile:
-	dune exec bench/main.exe -- --only profile
-
 # benchmark regression gate: runs the quick suite, writes BENCH_<sha>.json
 # and compares against bench/baselines/regress-quick.json (exit 1 on breach)
 regress:
@@ -61,12 +57,6 @@ matrix:
 metrics:
 	dune exec bench/main.exe -- --regress --quick --metrics metrics.txt \
 		--wide-events wide.jsonl
-
-# cross-run trend analysis: align every BENCH_*.json snapshot in the repo
-# root by (suite, circuit, topology, router), compare the newest against
-# the rolling median, write TREND_<sha>.md / TREND_<sha>.json
-trend:
-	dune exec bench/main.exe -- --only history --dir .
 
 # streaming scaling matrix: gates/sec and peak RSS for 10^4..10^5-gate
 # lazy streams over montreal/eagle/osprey through the O(window) engine;

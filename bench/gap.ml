@@ -8,6 +8,9 @@
    BENCH_<git-sha>-gap.json snapshot, the gap-side sibling of the
    regress snapshot. *)
 
+module J = Qbench.Jsonlite
+module S = Qbench.Snapshot
+
 let schema_version = 1
 let kind = "nassc-bench-gap"
 
@@ -95,34 +98,23 @@ let run ?(seed = 11) ~quick ~out () =
     Array.iter (fun s -> Printf.printf " %10d" s) sums;
     Printf.printf "   (over %d certified instances)\n" !counted
   end;
-  (* snapshot *)
-  let out_file =
-    match out with
-    | Some f -> f
-    | None -> Printf.sprintf "BENCH_%s-gap.json" (Regress.git_short_sha ())
+  let row_json r =
+    J.Obj
+      ([
+         ("circuit", J.Str r.circuit);
+         ("topology", J.Str r.topology);
+         ("n_qubits", J.int r.n_qubits);
+         ("two_q", J.int r.two_q);
+         ("optimal", Option.fold ~none:J.Null ~some:J.int r.optimal);
+       ]
+      @ List.map (fun (n, s) -> (n, J.int s)) r.swaps)
   in
-  let b = Buffer.create 4096 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\n  \"schema_version\": %d,\n  \"kind\": \"%s\",\n  \"git_sha\": \"%s\",\n\
-       \  \"suite\": \"%s\",\n  \"seed\": %d,\n  \"rows\": [\n"
-       schema_version kind (Regress.git_short_sha ())
-       (if quick then "quick" else "full")
-       seed);
-  List.iteri
-    (fun i r ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"circuit\": \"%s\", \"topology\": \"%s\", \"n_qubits\": %d, \
-            \"two_q\": %d, \"optimal\": %s, %s}%s\n"
-           r.circuit r.topology r.n_qubits r.two_q
-           (match r.optimal with Some o -> string_of_int o | None -> "null")
-           (String.concat ", "
-              (List.map (fun (n, s) -> Printf.sprintf "\"%s\": %d" n s) r.swaps))
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string b "  ]\n}\n";
-  let oc = open_out out_file in
-  Buffer.output_buffer oc b;
-  close_out oc;
-  Printf.printf "snapshot: %s\n" out_file
+  let doc =
+    S.document ~schema_version ~kind
+      [
+        ("suite", J.Str (if quick then "quick" else "full"));
+        ("seed", J.int seed);
+        ("rows", J.List (List.map row_json rows));
+      ]
+  in
+  Printf.printf "snapshot: %s\n" (S.write ?out ~suffix:"-gap" doc)

@@ -3,39 +3,35 @@
 
 let usage () =
   print_endline
-    "usage: bench/main.exe [--only EXP] [--seeds N] [--shots N] [--full] [--timing]\n\
+    "usage: bench/main.exe [--only EXP] [--seeds N] [--shots N] [--full]\n\
      \       bench/main.exe --regress [--quick] [--baseline FILE] [--out FILE]\n\
      \                      [--max-cx-regress PCT] [--max-depth-regress PCT]\n\
      \                      [--metrics FILE] [--wide-events FILE]\n\
-     \       bench/main.exe --only history [--dir DIR] [--out BASE] [--window N]\n\
      \       bench/main.exe --only scaling [--quick] [--out FILE]\n\
      EXP: table1 table2 table3 table4 fig9 fig11a fig11b routers trials\n\
-     \     gap matrix verify profile score timing history scaling ablate-decomp\n\
-     \     ablate-lookahead all  (gap/matrix/verify/scaling are opt-in only)\n\
+     \     gap matrix verify score scaling ablate-decomp\n\
+     \     ablate-lookahead all  (gap/matrix/verify/score/scaling are opt-in only)\n\
      --seeds N   routing seeds per benchmark (default 5; heavy circuits capped at 3)\n\
      --shots N   Monte-Carlo shots for fig11b (default 2048; paper used 8192)\n\
      --full      run heavy (RevLib-scale) benchmarks everywhere (default: tables only)\n\
-     --timing    run the transpilation-latency micro-benchmarks (= --only timing)\n\
      --regress   run the regression suite, write BENCH_<git-sha>.json, compare\n\
      \            against the checked-in baseline and exit non-zero on regression\n\
      --quick     with --regress (six-circuit CI subset) or --only scaling (<= 10^5 gates)\n\
      --baseline FILE        baseline snapshot (default bench/baselines/regress-<suite>.json)\n\
-     --out FILE             where to write the snapshot (default BENCH_<git-sha>.json)\n\
+     --out FILE             where to write the snapshot (default BENCH_<git-sha>.json,\n\
+     \            BENCH_<git-sha>-EXP.json with --only EXP)\n\
      --max-cx-regress PCT   allowed cx_total growth in percent (default 2.0)\n\
      --max-depth-regress PCT allowed depth growth in percent (default 5.0)\n\
      --metrics FILE         with --regress: export the whole suite's observability\n\
      \            registry as a Prometheus/OpenMetrics text page\n\
      --wide-events FILE     with --regress: append one wide event JSON line per\n\
-     \            (circuit, router) row\n\
-     --dir DIR   with --only history: where to look for BENCH_*.json (default .)\n\
-     --window N  with --only history: rolling-median window (default 5)"
+     \            (circuit, router) row"
 
 let () =
   let only = ref "all" in
   let seeds = ref 5 in
   let shots = ref 2048 in
   let full = ref false in
-  let timing = ref false in
   let regress = ref false in
   let quick = ref false in
   let baseline = ref None in
@@ -44,8 +40,6 @@ let () =
   let max_depth = ref 5.0 in
   let metrics = ref None in
   let wide_events = ref None in
-  let dir = ref "." in
-  let window = ref 5 in
   let rec parse = function
     | [] -> ()
     | "--only" :: v :: rest ->
@@ -59,9 +53,6 @@ let () =
         parse rest
     | "--full" :: rest ->
         full := true;
-        parse rest
-    | "--timing" :: rest ->
-        timing := true;
         parse rest
     | "--regress" :: rest ->
         regress := true;
@@ -87,12 +78,6 @@ let () =
     | "--wide-events" :: v :: rest ->
         wide_events := Some v;
         parse rest
-    | "--dir" :: v :: rest ->
-        dir := v;
-        parse rest
-    | "--window" :: v :: rest ->
-        window := int_of_string v;
-        parse rest
     | ("--help" | "-h") :: _ ->
         usage ();
         exit 0
@@ -107,8 +92,6 @@ let () =
       (Regress.run ?metrics:!metrics ?wide_events:!wide_events ~quick:!quick
          ~baseline:!baseline ~out:!out ~max_cx:!max_cx ~max_depth:!max_depth ~seed:11
          ~trials:1 ())
-  else if !only = "history" then exit (History.run ~dir:!dir ~out:!out ~window:!window ())
-  else if !timing || !only = "timing" then Timing.run ()
   else begin
     let seeds = !seeds in
     let quick_tables = false in
@@ -130,7 +113,6 @@ let () =
     if !only = "matrix" then Matrix.run ~quick:!quick ~out:!out ();
     (* symbolic-verification throughput up to device scale: opt-in only *)
     if !only = "verify" then Verify.run ~out:!out ();
-    if !only = "profile" then Profile.run ();
     if !only = "score" then Scorebench.run ?out:!out ();
     (* streaming throughput/RSS matrix up to 433q and 10^6 gates: opt-in
        only, and the RSS gate makes it exit non-zero on a memory blow-up *)

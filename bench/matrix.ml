@@ -31,15 +31,10 @@ let run ~quick ~out () =
     (List.length Qroute.Pipeline.routers)
     (Qobs.Trace.counter_total trace "matrix.esp_evals")
     (Qobs.Trace.counter_total trace "matrix.cells_skipped");
-  let sha = Regress.git_short_sha () in
   let out_file =
-    match out with Some f -> f | None -> Printf.sprintf "BENCH_%s-matrix.json" sha
+    Qbench.Snapshot.write ?out ~suffix:"-matrix"
+      (Qbench.Matrix.to_json ~suite ~seed ~trials cells)
   in
-  let json = Qbench.Matrix.to_json ~git_sha:sha ~suite ~seed ~trials cells in
-  let oc = open_out out_file in
-  output_string oc (Qbench.Jsonlite.serialize ~indent:2 json);
-  output_string oc "\n";
-  close_out oc;
   let md_file = Filename.remove_extension out_file ^ ".md" in
   let oc = open_out md_file in
   output_string oc (Qbench.Matrix.markdown cells);

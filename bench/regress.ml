@@ -5,21 +5,15 @@
    --regress` exits non-zero on any breach, which is what the CI
    bench-regress job keys off. *)
 
+module J = Qbench.Jsonlite
+module S = Qbench.Snapshot
+
 let schema_version = 2
 let kind = "nassc-bench-regress"
 
 (* the checked-in baseline has no hybrid rows; compare_baseline reports a
    row without a baseline entry as "new" instead of failing *)
 let routers = Qroute.Pipeline.select_routers [ "sabre"; "nassc"; "hybrid" ]
-
-let git_short_sha () =
-  try
-    let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
-    let line = try input_line ic with End_of_file -> "" in
-    match Unix.close_process_in ic with
-    | Unix.WEXITED 0 when line <> "" -> line
-    | _ -> "local"
-  with _ -> "local"
 
 type row = {
   name : string;
@@ -104,47 +98,47 @@ let run_suite ?session ?wide ~quick ~seed ~trials () =
         routers)
     entries
 
-(* ---- snapshot writer (hand-rolled; keys in fixed order) ---- *)
+(* ---- snapshot ---- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+let row_json r =
+  let t = r.rec_totals in
+  J.Obj
+    [
+      ("name", J.Str r.name);
+      ("router", J.Str r.router);
+      ("n_qubits", J.int r.n_qubits);
+      ("cx_total", J.int r.cx_total);
+      ("depth", J.int r.depth);
+      ("n_swaps", J.int r.n_swaps);
+      ("wall_s", J.Num r.wall_s);
+      ("cpu_s", J.Num r.cpu_s);
+      ("route_wall_s", J.Num r.route_wall_s);
+      ("score_cache_hits", J.int r.score_cache_hits);
+      ("weyl_cache_hits", J.int r.weyl_cache_hits);
+      ("weyl_cache_misses", J.int r.weyl_cache_misses);
+      ( "recorder",
+        J.Obj
+          [
+            ("steps", J.int t.Qobs.Recorder.steps);
+            ("candidates", J.int t.candidates);
+            ("forced", J.int t.forced);
+            ("predicted_savings", J.Num t.predicted);
+            ("realized_savings", J.int t.realized);
+            ("chosen_c2q", J.int t.chosen_c2q);
+            ("chosen_commute1", J.int t.chosen_commute1);
+            ("chosen_commute2", J.int t.chosen_commute2);
+          ] );
+    ]
 
 let snapshot ~suite ~seed ~trials rows =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\n  \"schema_version\": %d,\n  \"kind\": \"%s\",\n  \"git_sha\": \"%s\",\n\
-       \  \"suite\": \"%s\",\n  \"seed\": %d,\n  \"trials\": %d,\n\
-       \  \"topology\": \"montreal\",\n  \"circuits\": [\n"
-       schema_version kind (json_escape (git_short_sha ())) suite seed trials);
-  List.iteri
-    (fun i r ->
-      let t = r.rec_totals in
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"name\": \"%s\", \"router\": \"%s\", \"n_qubits\": %d, \"cx_total\": \
-            %d, \"depth\": %d, \"n_swaps\": %d, \"wall_s\": %.4f, \"cpu_s\": %.4f, \
-            \"route_wall_s\": %.4f, \"score_cache_hits\": %d, \"weyl_cache_hits\": %d, \
-            \"weyl_cache_misses\": %d, \
-            \"recorder\": {\"steps\": %d, \"candidates\": %d, \"forced\": %d, \
-            \"predicted_savings\": %.1f, \"realized_savings\": %d, \"chosen_c2q\": %d, \
-            \"chosen_commute1\": %d, \"chosen_commute2\": %d}}%s\n"
-           (json_escape r.name) r.router r.n_qubits r.cx_total r.depth r.n_swaps r.wall_s
-           r.cpu_s r.route_wall_s r.score_cache_hits r.weyl_cache_hits
-           r.weyl_cache_misses t.Qobs.Recorder.steps t.candidates t.forced t.predicted
-           t.realized t.chosen_c2q t.chosen_commute1 t.chosen_commute2
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string b "  ]\n}\n";
-  Buffer.contents b
+  S.document ~schema_version ~kind
+    [
+      ("suite", J.Str suite);
+      ("seed", J.int seed);
+      ("trials", J.int trials);
+      ("topology", J.Str "montreal");
+      ("circuits", J.List (List.map row_json rows));
+    ]
 
 (* ---- baseline comparison ---- *)
 
@@ -155,7 +149,7 @@ let pct_delta base cur =
   else 100.0 *. float_of_int (cur - base) /. float_of_int base
 
 let compare_baseline ~max_cx ~max_depth ~rows json =
-  let open Qbench.Jsonlite in
+  let open J in
   let fail m =
     Printf.eprintf "regress: bad baseline: %s\n" m;
     exit 2
@@ -248,13 +242,7 @@ let run ?metrics ?wide_events ~quick ~baseline ~out ~max_cx ~max_depth ~seed ~tr
       close_out oc;
       Printf.printf "wide events: %s\n" file
   | _ -> ());
-  let out_file =
-    match out with Some f -> f | None -> Printf.sprintf "BENCH_%s.json" (git_short_sha ())
-  in
-  let oc = open_out out_file in
-  output_string oc (snapshot ~suite ~seed ~trials rows);
-  close_out oc;
-  Printf.printf "snapshot: %s\n" out_file;
+  Printf.printf "snapshot: %s\n" (S.write ?out ~suffix:"" (snapshot ~suite ~seed ~trials rows));
   let baseline_file =
     match baseline with
     | Some f -> Some f
@@ -281,8 +269,8 @@ let run ?metrics ?wide_events ~quick ~baseline ~out ~max_cx ~max_depth ~seed ~tr
           let n = in_channel_length ic in
           let s = really_input_string ic n in
           close_in ic;
-          try Qbench.Jsonlite.of_string s
-          with Qbench.Jsonlite.Parse_error m ->
+          try J.of_string s
+          with J.Parse_error m ->
             Printf.eprintf "regress: cannot parse %s: %s\n" file m;
             exit 2
         in

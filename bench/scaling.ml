@@ -6,8 +6,10 @@
    within 5x the 10^4-gate run of the same (device, family, router) —
    is what makes the O(window) claim a CI invariant rather than a code
    comment.  Rows land in a schema-versioned BENCH_<sha>-scaling.json
-   snapshot (kind nassc-bench-scaling) that Qtel.Trend ingests alongside
-   the regress snapshots. *)
+   snapshot (kind nassc-bench-scaling). *)
+
+module J = Qbench.Jsonlite
+module S = Qbench.Snapshot
 
 let schema_version = 1
 let kind = "nassc-bench-scaling"
@@ -173,39 +175,34 @@ let check_rss_gate rows =
     rows;
   !violations
 
-(* ---- snapshot writer (same dialect as Regress; Trend reads both) ---- *)
+(* ---- snapshot ---- *)
 
-let git_short_sha () =
-  try
-    let ic = Unix.open_process_in "git rev-parse --short HEAD 2>/dev/null" in
-    let line = try input_line ic with End_of_file -> "" in
-    match Unix.close_process_in ic with
-    | Unix.WEXITED 0 when line <> "" -> line
-    | _ -> "local"
-  with _ -> "local"
+let row_json r =
+  J.Obj
+    [
+      ("name", J.Str (row_name r.spec));
+      ("topology", J.Str r.spec.device);
+      ("router", J.Str r.spec.router);
+      ("gates_requested", J.int r.spec.gates);
+      ("gates_in", J.int r.gates_in);
+      ("gates_out", J.int r.gates_out);
+      ("cx_total", J.int r.cx_total);
+      ("depth", J.int r.depth);
+      ("n_swaps", J.int r.n_swaps);
+      ("wall_s", J.Num r.wall_s);
+      ("gates_per_s", J.Num r.gates_per_s);
+      ("peak_rss_kb", J.int r.peak_rss_kb);
+      ("peak_resident", J.int r.peak_resident);
+    ]
 
 let snapshot ~suite ~seed rows =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\n  \"schema_version\": %d,\n  \"kind\": \"%s\",\n  \"git_sha\": \"%s\",\n\
-       \  \"suite\": \"%s\",\n  \"seed\": %d,\n  \"window\": %d,\n  \"circuits\": [\n"
-       schema_version kind (git_short_sha ()) suite seed window);
-  List.iteri
-    (fun i r ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"name\": \"%s\", \"topology\": \"%s\", \"router\": \"%s\", \
-            \"gates_requested\": %d, \"gates_in\": %d, \"gates_out\": %d, \"cx_total\": \
-            %d, \"depth\": %d, \"n_swaps\": %d, \"wall_s\": %.4f, \"gates_per_s\": %.1f, \
-            \"peak_rss_kb\": %d, \"peak_resident\": %d}%s\n"
-           (row_name r.spec) r.spec.device r.spec.router r.spec.gates r.gates_in
-           r.gates_out r.cx_total r.depth r.n_swaps r.wall_s r.gates_per_s r.peak_rss_kb
-           r.peak_resident
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string b "  ]\n}\n";
-  Buffer.contents b
+  S.document ~schema_version ~kind
+    [
+      ("suite", J.Str suite);
+      ("seed", J.int seed);
+      ("window", J.int window);
+      ("circuits", J.List (List.map row_json rows));
+    ]
 
 let run ?(quick = false) ?out ~seed () =
   let suite = if quick then "quick" else "full" in
@@ -219,15 +216,7 @@ let run ?(quick = false) ?out ~seed () =
   let rows = List.map (run_one ~seed) (specs ~quick) in
   Qtel.Sampler.set_enabled was_enabled;
   let violations = check_rss_gate rows in
-  let out_file =
-    match out with
-    | Some f -> f
-    | None -> Printf.sprintf "BENCH_%s-scaling.json" (git_short_sha ())
-  in
-  let oc = open_out out_file in
-  output_string oc (snapshot ~suite ~seed rows);
-  close_out oc;
-  Printf.printf "snapshot: %s\n" out_file;
+  Printf.printf "snapshot: %s\n" (S.write ?out ~suffix:"-scaling" (snapshot ~suite ~seed rows));
   if violations > 0 then begin
     Printf.printf "scaling: FAILED (%d peak-RSS ratio(s) over %.0fx)\n" violations
       rss_gate_factor;

@@ -1,9 +1,11 @@
 (* Candidate-scoring microbenchmark (`bench --only score`): throughput of
    the routing hot loop (steps/s, candidates/s), delta-scorer and Weyl-cache
    hit counts, and the per-step scoring-time percentiles (timing opt-in via
-   Qobs.set_timing).  Emits a schema-versioned BENCH_<git-sha>.json so the
-   scoring-loop perf trajectory is tracked per commit alongside the regress
-   snapshots. *)
+   Qobs.set_timing).  Emits a schema-versioned BENCH_<git-sha>-score.json
+   (its own file, never the regress snapshot's BENCH_<git-sha>.json). *)
+
+module J = Qbench.Jsonlite
+module S = Qbench.Snapshot
 
 let schema_version = 1
 let kind = "nassc-score-microbench"
@@ -99,33 +101,30 @@ let run ?(seed = 11) ?out () =
       benches
   in
   Qobs.set_timing false;
-  let out_file =
-    match out with
-    | Some f -> f
-    | None -> Printf.sprintf "BENCH_%s.json" (Regress.git_short_sha ())
+  let row_json r =
+    J.Obj
+      [
+        ("name", J.Str r.name);
+        ("router", J.Str r.router);
+        ("steps", J.int r.steps);
+        ("candidates", J.int r.candidates);
+        ("route_wall_s", J.Num r.route_wall_s);
+        ("steps_per_s", J.Num r.steps_per_s);
+        ("candidates_per_s", J.Num r.candidates_per_s);
+        ("score_cache_hits", J.int r.score_cache_hits);
+        ("weyl_cache_hits", J.int r.weyl_hits);
+        ("weyl_cache_misses", J.int r.weyl_misses);
+        ("score_ms_p50", J.Num r.score_ms_p50);
+        ("score_ms_p90", J.Num r.score_ms_p90);
+        ("score_ms_p99", J.Num r.score_ms_p99);
+      ]
   in
-  let b = Buffer.create 2048 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\n  \"schema_version\": %d,\n  \"kind\": \"%s\",\n  \"git_sha\": \"%s\",\n\
-       \  \"seed\": %d,\n  \"topology\": \"montreal\",\n  \"rows\": [\n"
-       schema_version kind (Regress.json_escape (Regress.git_short_sha ())) seed);
-  List.iteri
-    (fun i r ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"name\": \"%s\", \"router\": \"%s\", \"steps\": %d, \"candidates\": \
-            %d, \"route_wall_s\": %.4f, \"steps_per_s\": %.0f, \"candidates_per_s\": \
-            %.0f, \"score_cache_hits\": %d, \"weyl_cache_hits\": %d, \
-            \"weyl_cache_misses\": %d, \"score_ms_p50\": %.4f, \"score_ms_p90\": %.4f, \
-            \"score_ms_p99\": %.4f}%s\n"
-           (Regress.json_escape r.name) r.router r.steps r.candidates r.route_wall_s
-           r.steps_per_s r.candidates_per_s r.score_cache_hits r.weyl_hits r.weyl_misses
-           r.score_ms_p50 r.score_ms_p90 r.score_ms_p99
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string b "  ]\n}\n";
-  let oc = open_out out_file in
-  output_string oc (Buffer.contents b);
-  close_out oc;
-  Printf.printf "snapshot: %s\n%!" out_file
+  let doc =
+    S.document ~schema_version ~kind
+      [
+        ("seed", J.int seed);
+        ("topology", J.Str "montreal");
+        ("rows", J.List (List.map row_json rows));
+      ]
+  in
+  Printf.printf "snapshot: %s\n%!" (S.write ?out ~suffix:"-score" doc)

@@ -9,6 +9,9 @@
    schema-versioned BENCH_<git-sha>-verify.json snapshot, the
    verification sibling of the regress and gap snapshots. *)
 
+module J = Qbench.Jsonlite
+module S = Qbench.Snapshot
+
 let schema_version = 1
 let kind = "nassc-bench-verify"
 let repeats = 3
@@ -97,34 +100,24 @@ let run ?(seed = 11) ~out () =
         row)
       cells
   in
-  (* snapshot *)
-  let out_file =
-    match out with
-    | Some f -> f
-    | None -> Printf.sprintf "BENCH_%s-verify.json" (Regress.git_short_sha ())
+  let row_json r =
+    J.Obj
+      [
+        ("circuit", J.Str r.circuit);
+        ("topology", J.Str r.topology);
+        ("n_logical", J.int r.n_logical);
+        ("n_physical", J.int r.n_physical);
+        ("gates", J.int r.gates);
+        ("verdict", J.Str r.verdict);
+        ("wall_s", J.Num r.wall_s);
+        ("gates_per_sec", J.Num r.gates_per_sec);
+      ]
   in
-  let b = Buffer.create 2048 in
-  Buffer.add_string b
-    (Printf.sprintf
-       "{\n  \"schema_version\": %d,\n  \"kind\": \"%s\",\n  \"git_sha\": \"%s\",\n\
-       \  \"seed\": %d,\n  \"rows\": [\n"
-       schema_version kind (Regress.git_short_sha ()) seed);
-  List.iteri
-    (fun i r ->
-      Buffer.add_string b
-        (Printf.sprintf
-           "    {\"circuit\": \"%s\", \"topology\": \"%s\", \"n_logical\": %d, \
-            \"n_physical\": %d, \"gates\": %d, \"verdict\": \"%s\", \
-            \"wall_s\": %.6f, \"gates_per_sec\": %.1f}%s\n"
-           r.circuit r.topology r.n_logical r.n_physical r.gates r.verdict r.wall_s
-           r.gates_per_sec
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  Buffer.add_string b "  ]\n}\n";
-  let oc = open_out out_file in
-  Buffer.output_buffer oc b;
-  close_out oc;
-  Printf.printf "snapshot: %s\n" out_file;
+  let doc =
+    S.document ~schema_version ~kind
+      [ ("seed", J.int seed); ("rows", J.List (List.map row_json rows)) ]
+  in
+  Printf.printf "snapshot: %s\n" (S.write ?out ~suffix:"-verify" doc);
   (* the acceptance bar: device-scale circuits certify in under a second *)
   List.iter
     (fun r ->

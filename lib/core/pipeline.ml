@@ -30,8 +30,8 @@ let lower_to_2q c =
   in
   Qcircuit.Circuit.create (Qcircuit.Circuit.n_qubits c) lowered
 
-(* each optimization stage runs under a named span so `--trace` / `bench
-   --only profile` can attribute time per pass; a no-op without a collector *)
+(* each optimization stage runs under a named span so `--trace` can
+   attribute time per pass; a no-op without a collector *)
 let pass name f c = Qobs.span ("pass." ^ name) (fun () -> f c)
 
 type stage = string * (Qcircuit.Circuit.t -> Qcircuit.Circuit.t)

@@ -252,6 +252,8 @@ let serialize ?(indent = 0) v =
   go 0 v;
   Buffer.contents b
 
+let int n = Num (float_of_int n)
+
 (* ---- accessors ---- *)
 
 let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None

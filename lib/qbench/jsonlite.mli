@@ -27,6 +27,9 @@ val number_to_string : float -> string
 (** The shortest-round-trip float formatter used by {!serialize}:
     [float_of_string (number_to_string f) = f] for every finite [f]. *)
 
+val int : int -> t
+(** [Num] of an integer; {!serialize} prints it with no fraction. *)
+
 val member : string -> t -> t option
 (** Object field lookup; [None] on missing keys and non-objects. *)
 

@@ -174,27 +174,24 @@ let cell_json c =
       ("instance", Jsonlite.Str c.instance);
       ("topology", Jsonlite.Str c.topology);
       ("router", Jsonlite.Str c.router);
-      ("n_qubits", Jsonlite.Num (float_of_int c.n_qubits));
-      ("base_cx", Jsonlite.Num (float_of_int c.base_cx));
-      ("base_depth", Jsonlite.Num (float_of_int c.base_depth));
-      ("cx_total", Jsonlite.Num (float_of_int c.cx_total));
-      ("depth", Jsonlite.Num (float_of_int c.depth));
-      ("n_swaps", Jsonlite.Num (float_of_int c.n_swaps));
+      ("n_qubits", Jsonlite.int c.n_qubits);
+      ("base_cx", Jsonlite.int c.base_cx);
+      ("base_depth", Jsonlite.int c.base_depth);
+      ("cx_total", Jsonlite.int c.cx_total);
+      ("depth", Jsonlite.int c.depth);
+      ("n_swaps", Jsonlite.int c.n_swaps);
       ("depth_overhead", Jsonlite.Num c.depth_overhead);
       ("esp", Jsonlite.Num c.esp);
-      ("recorder_steps", Jsonlite.Num (float_of_int c.rec_steps));
-      ("recorder_candidates", Jsonlite.Num (float_of_int c.rec_candidates));
+      ("recorder_steps", Jsonlite.int c.rec_steps);
+      ("recorder_candidates", Jsonlite.int c.rec_candidates);
     ]
 
-let to_json ~git_sha ~suite ~seed ~trials cells =
-  Jsonlite.Obj
+let to_json ~suite ~seed ~trials cells =
+  Snapshot.document ~schema_version ~kind
     [
-      ("schema_version", Jsonlite.Num (float_of_int schema_version));
-      ("kind", Jsonlite.Str kind);
-      ("git_sha", Jsonlite.Str git_sha);
       ("suite", Jsonlite.Str suite);
-      ("seed", Jsonlite.Num (float_of_int seed));
-      ("trials", Jsonlite.Num (float_of_int trials));
+      ("seed", Jsonlite.int seed);
+      ("trials", Jsonlite.int trials);
       ("cells", Jsonlite.List (List.map cell_json cells));
     ]
 

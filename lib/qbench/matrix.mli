@@ -73,7 +73,7 @@ val schema_version : int
 val kind : string
 
 val to_json :
-  git_sha:string -> suite:string -> seed:int -> trials:int -> cell list -> Jsonlite.t
+  suite:string -> seed:int -> trials:int -> cell list -> Jsonlite.t
 (** The schema-versioned [BENCH_<sha>-matrix.json] document. *)
 
 val markdown : cell list -> string

@@ -86,7 +86,7 @@ let test_rows_agree_with_pipeline () =
 let test_json_roundtrip () =
   let cells = quick_cells ~workers:2 in
   let json =
-    Matrix.to_json ~git_sha:"test" ~suite:"quick" ~seed:Matrix.default_seed
+    Matrix.to_json ~suite:"quick" ~seed:Matrix.default_seed
       ~trials:Matrix.default_trials cells
   in
   let reparsed = Jsonlite.of_string (Jsonlite.serialize ~indent:2 json) in

@@ -262,6 +262,46 @@ let test_jsonlite_serialize_roundtrip () =
   check "compact round-trip" true (compact = v);
   check "pretty round-trip" true (pretty = v)
 
+(* ---- Snapshot: the one BENCH_*.json writer ---- *)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let test_snapshot_write_roundtrip () =
+  let row =
+    Jsonlite.Obj
+      [
+        ("name", Jsonlite.Str "q\"uote back\\slash\ttab\nnewline");
+        ("optimal", Jsonlite.Null);
+        ("cx_total", Jsonlite.int 42);
+        ("wall_s", Jsonlite.Num 0.012345678901234567);
+      ]
+  in
+  let doc =
+    Snapshot.document ~schema_version:3 ~kind:"nassc-test"
+      [ ("seed", Jsonlite.int 11); ("rows", Jsonlite.List [ row ]) ]
+  in
+  (match doc with
+  | Jsonlite.Obj kvs ->
+      Alcotest.(check (list string))
+        "header first, then the fields in order"
+        [ "schema_version"; "kind"; "git_sha"; "seed"; "rows" ]
+        (List.map fst kvs)
+  | _ -> Alcotest.fail "document is not an object");
+  let dir = Filename.temp_dir "qbench_snapshot" "" in
+  let cwd = Sys.getcwd () in
+  Sys.chdir dir;
+  Fun.protect ~finally:(fun () -> Sys.chdir cwd) @@ fun () ->
+  let path = Snapshot.write ~suffix:"-test" doc in
+  Alcotest.(check string)
+    "default name" (Printf.sprintf "BENCH_%s-test.json" (Snapshot.git_short_sha ())) path;
+  check "written file parses back to the same value" true
+    (Jsonlite.of_string (read_file path) = doc);
+  let custom = Snapshot.write ~out:"custom.json" ~suffix:"-test" doc in
+  Alcotest.(check string) "an explicit out path wins" "custom.json" custom;
+  check "same bytes at any path" true (read_file custom = read_file path);
+  List.iter Sys.remove [ path; custom ];
+  Sys.rmdir dir
+
 let test_multiplier_structure () =
   let c = Generators.multiplier 25 in
   checki "25 qubits" 25 (Circuit.n_qubits c);
@@ -311,4 +351,7 @@ let () =
           Alcotest.test_case "serialize/parse round-trip" `Quick
             test_jsonlite_serialize_roundtrip;
         ] );
+      ( "snapshot",
+        [ Alcotest.test_case "write/parse round-trip" `Quick test_snapshot_write_roundtrip ]
+      );
     ]

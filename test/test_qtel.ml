@@ -1,7 +1,7 @@
 (* The Qtel observability layer: exposition round-trips against the Qobs
    registry and survives its own linter, wide events are byte-identical
-   across worker counts, the resource sampler is silent when disabled, and
-   trend analysis flags injected regressions without false positives. *)
+   across worker counts, and the resource sampler is silent when
+   disabled. *)
 
 let check = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -236,120 +236,6 @@ let test_expose_does_not_perturb_trace () =
   checks "trace bytes unchanged by exposition" before after;
   checks "page bytes unchanged by trace export" page1 (Qtel.Expose.to_string trace)
 
-(* ---------- trend analysis ---------- *)
-
-let snapshot_json ?(wall_scale = 1.0) sha =
-  Printf.sprintf
-    {|{"schema_version": 2, "kind": "nassc-bench-regress", "git_sha": "%s",
-      "suite": "quick", "seed": 11, "trials": 1, "topology": "montreal",
-      "circuits": [
-        {"name": "ghz", "router": "nassc", "n_qubits": 12, "cx_total": 41,
-         "depth": 41, "n_swaps": 10, "wall_s": %s},
-        {"name": "ghz", "router": "sabre", "n_qubits": 12, "cx_total": 44,
-         "depth": 43, "n_swaps": 12, "wall_s": %s}
-      ]}|}
-    sha
-    (Qbench.Jsonlite.number_to_string (0.02 *. wall_scale))
-    (Qbench.Jsonlite.number_to_string (0.03 *. wall_scale))
-
-let with_snapshot_dir snapshots f =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "qtel_trend_%d_%d" (Unix.getpid ()) (Random.int 1_000_000))
-  in
-  Unix.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-      Unix.rmdir dir)
-    (fun () ->
-      List.iteri
-        (fun i (name, body) ->
-          let path = Filename.concat dir name in
-          let oc = open_out path in
-          output_string oc body;
-          close_out oc;
-          (* strictly increasing mtimes make the chronology unambiguous *)
-          let t = 1_000_000_000.0 +. (60.0 *. float_of_int i) in
-          Unix.utimes path t t)
-        snapshots;
-      f dir)
-
-let test_trend_clean_history_no_anomalies () =
-  with_snapshot_dir
-    (List.map
-       (fun i -> (Printf.sprintf "BENCH_s%d.json" i, snapshot_json (Printf.sprintf "s%d" i)))
-       [ 1; 2; 3; 4 ])
-    (fun dir ->
-      let snaps, skipped = Qtel.Trend.load_dir dir in
-      checki "no skipped files" 0 (List.length skipped);
-      checki "four snapshots" 4 (List.length snaps);
-      checks "chronological order" "s1"
-        (match snaps with s :: _ -> s.Qtel.Trend.sha | [] -> "none");
-      let report = Qtel.Trend.analyze snaps in
-      checki "two series" 2 (List.length report.Qtel.Trend.series);
-      checki "zero anomalies on flat history" 0
-        (List.length (Qtel.Trend.anomalies report)))
-
-let test_trend_flags_injected_regression () =
-  let clean i =
-    (Printf.sprintf "BENCH_s%d.json" i, snapshot_json (Printf.sprintf "s%d" i))
-  in
-  with_snapshot_dir
-    (List.map clean [ 1; 2; 3; 4 ] @ [ ("BENCH_bad.json", snapshot_json ~wall_scale:1.5 "bad") ])
-    (fun dir ->
-      let snaps, _ = Qtel.Trend.load_dir dir in
-      let report = Qtel.Trend.analyze snaps in
-      let an = Qtel.Trend.anomalies report in
-      checki "both series flag the +50% wall time" 2 (List.length an);
-      List.iter
-        (fun ((_ : Qtel.Trend.key), (d : Qtel.Trend.delta)) ->
-          checks "only wall_s flagged" "wall_s" d.metric;
-          check "delta is ~+50%" true (d.pct > 45.0 && d.pct < 55.0))
-        an)
-
-let test_trend_needs_history () =
-  (* one prior point is not enough evidence to call an anomaly *)
-  with_snapshot_dir
-    [ ("BENCH_a.json", snapshot_json "a"); ("BENCH_b.json", snapshot_json ~wall_scale:3.0 "b") ]
-    (fun dir ->
-      let snaps, _ = Qtel.Trend.load_dir dir in
-      let report = Qtel.Trend.analyze snaps in
-      checki "series still reported" 2 (List.length report.Qtel.Trend.series);
-      checki "no anomaly with a single prior run" 0
-        (List.length (Qtel.Trend.anomalies report)))
-
-let test_trend_skips_garbage () =
-  with_snapshot_dir
-    [
-      ("BENCH_ok.json", snapshot_json "ok");
-      ("BENCH_bad.json", "{ not json");
-      ("BENCH_wrongkind.json", {|{"kind": "other", "circuits": []}|});
-      ("unrelated.txt", "hello");
-    ]
-    (fun dir ->
-      let snaps, skipped = Qtel.Trend.load_dir dir in
-      checki "only the valid snapshot loads" 1 (List.length snaps);
-      checki "both bad files reported" 2 (List.length skipped))
-
-let test_trend_markdown_and_json () =
-  with_snapshot_dir
-    (List.map
-       (fun i -> (Printf.sprintf "BENCH_s%d.json" i, snapshot_json (Printf.sprintf "s%d" i)))
-       [ 1; 2; 3 ])
-    (fun dir ->
-      let snaps, _ = Qtel.Trend.load_dir dir in
-      let report = Qtel.Trend.analyze snaps in
-      let md = Qtel.Trend.to_markdown report in
-      check "markdown has header" true (contains md "# Bench trend report");
-      check "markdown lists snapshots" true (contains md "BENCH_s1.json");
-      let j = Qbench.Jsonlite.of_string (Qtel.Trend.to_json report) in
-      let open Qbench.Jsonlite in
-      check "json kind" true (Option.bind (member "kind" j) to_string = Some "nassc-trend");
-      checki "json snapshot count" 3
-        (List.length
-           (Option.value ~default:[] (Option.bind (member "snapshots" j) to_list))))
-
 let () =
   Alcotest.run "qtel"
     [
@@ -381,14 +267,5 @@ let () =
             test_trace_bytes_stable_across_runs;
           Alcotest.test_case "exposition does not perturb trace" `Quick
             test_expose_does_not_perturb_trace;
-        ] );
-      ( "trend",
-        [
-          Alcotest.test_case "clean history" `Quick test_trend_clean_history_no_anomalies;
-          Alcotest.test_case "flags injected regression" `Quick
-            test_trend_flags_injected_regression;
-          Alcotest.test_case "needs history" `Quick test_trend_needs_history;
-          Alcotest.test_case "skips garbage" `Quick test_trend_skips_garbage;
-          Alcotest.test_case "markdown and json" `Quick test_trend_markdown_and_json;
         ] );
     ]
