@@ -55,12 +55,10 @@ let run_suite ?session ?wide ~quick ~seed ~trials () =
       List.map
         (fun (rname, router) ->
           Printf.printf "  %-22s %-6s ...%!" e.name rname;
-          let rec_root = Qobs.Recorder.create ~label:"regress" () in
-          let obs_root = Qobs.Collector.create ~label:"regress" () in
+          let obs_root = Qobs.Collector.create ~label:"regress" ~record:true () in
           let r =
             Qobs.with_collector obs_root (fun () ->
-                Qobs.Recorder.with_recorder rec_root (fun () ->
-                    Qroute.Pipeline.transpile ~params ~trials ~router coupling circuit))
+                Qroute.Pipeline.transpile ~params ~trials ~router coupling circuit)
           in
           let route_wall_s = span_wall obs_root "trial.route" in
           let trace = Qobs.Trace.of_root obs_root in
@@ -73,7 +71,7 @@ let run_suite ?session ?wide ~quick ~seed ~trials () =
               let ev =
                 Qtel.Wideevent.build ~label:e.name ~router:rname ~topology:"montreal"
                   ~trials ~seed ~original:circuit ~trace
-                  ~recorder:(Qobs.Recorder.totals rec_root) ~result:r ()
+                  ~recorder:(Qobs.Recorder.totals obs_root) ~result:r ()
               in
               Buffer.add_string buf (Qtel.Wideevent.to_json ev);
               Buffer.add_char buf '\n');
@@ -93,7 +91,7 @@ let run_suite ?session ?wide ~quick ~seed ~trials () =
             score_cache_hits = counter_total trace "engine.score_cache_hits";
             weyl_cache_hits = counter_total trace "nassc.weyl_cache_hits";
             weyl_cache_misses = counter_total trace "nassc.weyl_cache_misses";
-            rec_totals = Qobs.Recorder.totals rec_root;
+            rec_totals = Qobs.Recorder.totals obs_root;
           })
         routers)
     entries

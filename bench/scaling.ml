@@ -121,13 +121,8 @@ let run_one ~seed spec =
   let t0 = Unix.gettimeofday () in
   let r = Qroute.Pipeline.transpile_stream ~params ~window ~router ~sink:ignore coupling source in
   let wall_s = Unix.gettimeofday () -. t0 in
-  let peak_rss_kb =
-    match sampler with
-    | None -> 0
-    | Some s ->
-        Qtel.Sampler.stop s;
-        peak_sampled_rss_kb (Qtel.Sampler.samples s)
-  in
+  Qtel.Sampler.stop sampler;
+  let peak_rss_kb = peak_sampled_rss_kb (Qtel.Sampler.samples sampler) in
   let open Qroute.Pipeline in
   let gates_per_s = float_of_int r.sr_gates_in /. Float.max wall_s 1e-9 in
   Printf.printf " %7d gates %8.0f g/s rss %6d kB resident<=%d (%.1fs)\n%!" r.sr_gates_in
@@ -161,17 +156,15 @@ let check_rss_gate rows =
       if r.spec.gates = 100_000 then
         match find r.spec.device r.spec.family r.spec.router 10_000 with
         | None -> ()
-        | Some small when small.peak_rss_kb > 0 && r.peak_rss_kb > 0 ->
+        | Some small ->
             let ratio = float_of_int r.peak_rss_kb /. float_of_int small.peak_rss_kb in
-            let ok = ratio <= rss_gate_factor in
+            (* a run that measured no memory fails the gate, never skips it *)
+            let ok = small.peak_rss_kb > 0 && r.peak_rss_kb > 0 && ratio <= rss_gate_factor in
             Printf.printf "  rss gate %-10s %-16s %-6s 10k=%d kB 100k=%d kB (%.2fx <= %.0fx) %s\n"
               r.spec.device r.spec.family r.spec.router small.peak_rss_kb r.peak_rss_kb
               ratio rss_gate_factor
               (if ok then "ok" else "VIOLATION");
-            if not ok then incr violations
-        | Some _ ->
-            Printf.printf "  rss gate %-10s %-16s %-6s skipped (no RSS samples)\n"
-              r.spec.device r.spec.family r.spec.router)
+            if not ok then incr violations)
     rows;
   !violations
 
@@ -211,10 +204,7 @@ let run ?(quick = false) ?out ~seed () =
      peak RSS ===\n\
      %!"
     suite window seed;
-  let was_enabled = Qtel.Sampler.enabled () in
-  Qtel.Sampler.set_enabled true;
   let rows = List.map (run_one ~seed) (specs ~quick) in
-  Qtel.Sampler.set_enabled was_enabled;
   let violations = check_rss_gate rows in
   Printf.printf "snapshot: %s\n" (S.write ?out ~suffix:"-scaling" (snapshot ~suite ~seed rows));
   if violations > 0 then begin

@@ -47,16 +47,13 @@ let run ?(seed = 11) ?out () =
         let circuit = entry.build () in
         List.map
           (fun (rname, router) ->
-            let rec_root = Qobs.Recorder.create ~label:"score" () in
-            let obs_root = Qobs.Collector.create ~label:"score" () in
+            let obs_root = Qobs.Collector.create ~label:"score" ~record:true () in
             ignore
               (Qobs.with_collector obs_root (fun () ->
-                   Qobs.Recorder.with_recorder rec_root (fun () ->
-                       Qroute.Pipeline.transpile ~params ~trials:1 ~router coupling
-                         circuit)));
+                   Qroute.Pipeline.transpile ~params ~trials:1 ~router coupling circuit));
             let route_wall_s = Regress.span_wall obs_root "trial.route" in
             let trace = Qobs.Trace.of_root obs_root in
-            let totals = Qobs.Recorder.totals rec_root in
+            let totals = Qobs.Recorder.totals obs_root in
             let steps = totals.Qobs.Recorder.steps in
             let candidates = counter_total trace "engine.swap_candidates_scored" in
             let per_s n =

@@ -141,11 +141,10 @@ let write_dest dest s =
       output_string oc s;
       close_out oc
 
-(* run [f] under a collector, flight recorder and/or resource sampler as
-   requested and export afterwards; `--trace FILE` with the default jsonl
-   format behaves exactly as it did before the recorder existed.  Returns
-   the trace and recorder totals alongside the result so callers can
-   assemble a wide event without re-running anything. *)
+(* run [f] under a collector (recording when --record or --wide-events
+   asked for the decision trail) and/or the resource sampler as requested,
+   and export afterwards.  Returns the collector alongside the result so
+   callers can assemble a wide event without re-running anything. *)
 let with_obs ~trace ~times ~record ~fmt ~metrics ~wide ~sample f =
   (* --trace-times also opts into the per-step scoring-time histogram
      (engine.step_score_ms); without it the engine never reads the clock on
@@ -154,32 +153,18 @@ let with_obs ~trace ~times ~record ~fmt ~metrics ~wide ~sample f =
   (* extended pipeline gauges (input sizes, trial settings) only exist for
      exposition: default traces keep their historical bytes *)
   if metrics <> None then Qobs.set_extended_metrics true;
+  (* wide events carry the recorder's savings buckets, so --wide-events
+     turns recording on even without --record *)
+  let recording = record <> None || wide <> None in
   let collector =
-    if trace <> None || metrics <> None || wide <> None then
-      Some (Qobs.Collector.create ~label:"main" ())
+    if recording || trace <> None || metrics <> None then
+      Some (Qobs.Collector.create ~label:"main" ~record:recording ())
     else None
   in
-  let recorder =
-    (* wide events carry the recorder's savings buckets, so --wide-events
-       turns the recorder on even without --record *)
-    if record <> None || wide <> None then Some (Qobs.Recorder.create ~label:"main" ())
-    else None
-  in
-  let sampler =
-    match sample with
-    | None -> None
-    | Some interval_ms ->
-        Qtel.Sampler.set_enabled true;
-        Qtel.Sampler.start ~interval_ms ()
-  in
-  let under_recorder g =
-    match recorder with None -> g () | Some r -> Qobs.Recorder.with_recorder r g
-  in
+  let sampler = Option.map (fun interval_ms -> Qtel.Sampler.start ~interval_ms ()) sample in
   let result =
     Fun.protect ~finally:(fun () -> Option.iter Qtel.Sampler.stop sampler) @@ fun () ->
-    match collector with
-    | None -> under_recorder f
-    | Some c -> Qobs.with_collector c (fun () -> under_recorder f)
+    match collector with None -> f () | Some c -> Qobs.with_collector c f
   in
   (* merge the resource story before the trace is frozen so --trace and
      --metrics both see the qtel.* gauges *)
@@ -204,14 +189,14 @@ let with_obs ~trace ~times ~record ~fmt ~metrics ~wide ~sample f =
         (Qtel.Promlint.lint page);
       write_dest dest page
   | _ -> ());
-  (match (record, recorder) with
-  | Some dest, Some r ->
+  (match (record, collector) with
+  | Some dest, Some c ->
       write_dest dest
         (match fmt with
-        | `Jsonl -> Qobs.Recorder.to_jsonl r
-        | `Chrome -> Qobs.Recorder.to_chrome r)
+        | `Jsonl -> Qobs.Recorder.to_jsonl c
+        | `Chrome -> Qobs.Recorder.to_chrome c)
   | _ -> ());
-  (result, trace_v, Option.map Qobs.Recorder.totals recorder)
+  (result, collector)
 
 let check_pool_args trials workers =
   if trials < 1 then Error "--trials must be >= 1"
@@ -230,14 +215,16 @@ let lint_result coupling (r : Qroute.Pipeline.result) =
 
 (* assemble and append the per-job wide event; [times] (--trace-times)
    gates the nondeterministic "rt" sub-object *)
-let emit_wide ~dest ~label ~router ~topology ~trials ~workers ~seed ~original ~trace
-    ~totals ~lint_diags ~times r =
+let emit_wide ~dest ~label ~router ~topology ~trials ~workers ~seed ~original ~collector
+    ~lint_diags ~times r =
   let lint_errors =
     Option.map (fun d -> List.length (Qlint.Diagnostic.errors d)) lint_diags
   in
   let ev =
     Qtel.Wideevent.build ~label ~router ~topology ~trials ?workers ~seed ~original
-      ?trace ?recorder:totals ?lint_errors ~result:r ()
+      ?trace:(Option.map Qobs.Trace.of_root collector)
+      ?recorder:(Option.map Qobs.Recorder.totals collector)
+      ?lint_errors ~result:r ()
   in
   Qtel.Wideevent.append ~dest (Qtel.Wideevent.to_json ~times ev)
 
@@ -308,17 +295,16 @@ let run_stream ~router_name ~router ~trials ~window ~seed ~cal coupling label ci
         0
   end
 
-let transpile_cmd benchmark topology size router seed trials workers qasm lint trace
-    trace_times record fmt metrics wide sample stream window =
-  match
-    Result.bind (check_pool_args trials workers) (fun () ->
-        try Ok (Qbench.Suite.find benchmark)
-        with Not_found -> Error ("unknown benchmark " ^ benchmark))
-  with
+(* `transpile` and `transpile-file` differ only in how the circuit is
+   loaded: [load] yields it with its label (the benchmark name or the file
+   path) and the report's first line *)
+let transpile_cmd load topology size router seed trials workers qasm lint trace trace_times
+    record fmt metrics wide sample stream window =
+  match Result.bind (check_pool_args trials workers) load with
   | Error e ->
       prerr_endline e;
       1
-  | Ok entry -> begin
+  | Ok (circuit, label, header) -> begin
       let coupling =
         try Topology.Devices.by_name topology size
         with Invalid_argument m ->
@@ -332,10 +318,8 @@ let transpile_cmd benchmark topology size router seed trials workers qasm lint t
           prerr_endline e;
           1
       | Ok router ->
-          let circuit = entry.build () in
           if stream then
-            run_stream ~router_name ~router ~trials ~window ~seed ~cal coupling entry.name
-              circuit
+            run_stream ~router_name ~router ~trials ~window ~seed ~cal coupling label circuit
           else begin
           let params = { Qroute.Engine.default_params with seed } in
           match
@@ -349,8 +333,8 @@ let transpile_cmd benchmark topology size router seed trials workers qasm lint t
                 (Qlint.Diagnostic.error ~loc:(Qlint.Diagnostic.Stage "route")
                    ~rule:"route.stuck" (Printexc.to_string e));
               1
-          | r, trace_v, totals ->
-          Printf.printf "benchmark:       %s (%d qubits)\n" entry.name entry.n_qubits;
+          | r, collector ->
+          Printf.printf "%s\n" header;
           Printf.printf "topology:        %s (%d qubits)\n" topology
             (Topology.Coupling.n_qubits coupling);
           Printf.printf "cx_total:        %d\n" r.cx_total;
@@ -368,8 +352,8 @@ let transpile_cmd benchmark topology size router seed trials workers qasm lint t
           let lint_diags = if lint then Some (lint_result coupling r) else None in
           Option.iter
             (fun dest ->
-              emit_wide ~dest ~label:entry.name ~router:router_name ~topology ~trials
-                ~workers ~seed ~original:circuit ~trace:trace_v ~totals ~lint_diags
+              emit_wide ~dest ~label:(Filename.basename label) ~router:router_name
+                ~topology ~trials ~workers ~seed ~original:circuit ~collector ~lint_diags
                 ~times:trace_times r)
             wide;
           (match lint_diags with
@@ -378,73 +362,25 @@ let transpile_cmd benchmark topology size router seed trials workers qasm lint t
         end
     end
 
+let load_benchmark name () =
+  match Qbench.Suite.find name with
+  | exception Not_found -> Error ("unknown benchmark " ^ name)
+  | e ->
+      Ok (e.build (), e.name, Printf.sprintf "benchmark:       %s (%d qubits)" e.name e.n_qubits)
+
+let load_file path () =
+  match Qcircuit.Qasm_parser.parse_file path with
+  | exception (Qcircuit.Qasm_parser.Parse_error m | Sys_error m) -> Error m
+  | c ->
+      Ok
+        ( c,
+          path,
+          Printf.sprintf "input:           %s (%d qubits, %d ops)" path
+            (Qcircuit.Circuit.n_qubits c) (Qcircuit.Circuit.size c) )
+
 let file_arg =
   let doc = "OpenQASM 2 file to transpile." in
   Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE" ~doc)
-
-let transpile_file_cmd path topology size router seed trials workers qasm lint trace
-    trace_times record fmt metrics wide sample stream window =
-  match
-    Result.bind (check_pool_args trials workers) (fun () ->
-        try Ok (Qcircuit.Qasm_parser.parse_file path) with
-        | Qcircuit.Qasm_parser.Parse_error m -> Error m
-        | Sys_error m -> Error m)
-  with
-  | Error e ->
-      prerr_endline e;
-      1
-  | Ok circuit -> begin
-      let coupling =
-        try Topology.Devices.by_name topology size
-        with Invalid_argument m ->
-          prerr_endline m;
-          exit 1
-      in
-      let cal = Topology.Calibration.generate coupling in
-      let router_name = router in
-      match Qroute.Pipeline.router_of_name router with
-      | Error e ->
-          prerr_endline e;
-          1
-      | Ok router ->
-          if stream then
-            run_stream ~router_name ~router ~trials ~window ~seed ~cal coupling path
-              circuit
-          else begin
-          let params = { Qroute.Engine.default_params with seed } in
-          match
-            with_obs ~trace ~times:trace_times ~record ~fmt ~metrics ~wide ~sample
-              (fun () ->
-                Qroute.Pipeline.transpile ~params ~calibration:cal ~trials ?workers ~router
-                  coupling circuit)
-          with
-          | exception (Qroute.Engine.Routing_stuck _ as e) ->
-              Format.eprintf "%a@." Qlint.Diagnostic.pp
-                (Qlint.Diagnostic.error ~loc:(Qlint.Diagnostic.Stage "route")
-                   ~rule:"route.stuck" (Printexc.to_string e));
-              1
-          | r, trace_v, totals ->
-          Printf.printf "input:           %s (%d qubits, %d ops)\n" path
-            (Qcircuit.Circuit.n_qubits circuit)
-            (Qcircuit.Circuit.size circuit);
-          Printf.printf "cx_total:        %d\n" r.cx_total;
-          Printf.printf "depth:           %d\n" r.depth;
-          Printf.printf "swaps inserted:  %d\n" r.n_swaps;
-          Printf.printf "wall time:       %.3f s\n" r.transpile_time;
-          print_trial_stats r;
-          if qasm then print_string (Qcircuit.Qasm.to_string r.circuit);
-          let lint_diags = if lint then Some (lint_result coupling r) else None in
-          Option.iter
-            (fun dest ->
-              emit_wide ~dest ~label:(Filename.basename path) ~router:router_name
-                ~topology ~trials ~workers ~seed ~original:circuit ~trace:trace_v ~totals
-                ~lint_diags ~times:trace_times r)
-            wide;
-          (match lint_diags with
-          | Some d when Qlint.Diagnostic.has_errors d -> 1
-          | _ -> 0)
-        end
-    end
 
 (* ---- verify: symbolic equivalence certification ---- *)
 
@@ -479,11 +415,12 @@ let verify_cmd files topology size router_name seed corpus jsonl =
     | Qverify.Equivalent _ -> ()
     | Qverify.Not_equivalent _ -> incr n_ne
     | Qverify.Unknown _ -> incr n_unknown);
+    let str x = Qbench.Jsonlite.(serialize (Str x)) in
     Buffer.add_string buf
       (Printf.sprintf
-         "{\"kind\":\"certificate\",\"circuit\":\"%s\",\"topology\":\"%s\",\
-          \"router\":\"%s\",\"trials\":%d,\"verdict\":%s}\n"
-         name tname rname trials (Qverify.to_json v));
+         "{\"kind\":\"certificate\",\"circuit\":%s,\"topology\":%s,\"router\":%s,\
+          \"trials\":%d,\"verdict\":%s}\n"
+         (str name) (str tname) (str rname) trials (Qverify.to_json v));
     Printf.printf "%-8s %-12s %-9s trials=%d  %s\n" name tname rname trials
       (Qverify.verdict_name v)
   in
@@ -681,29 +618,23 @@ let list_cmd () =
     Qbench.Suite.paper_suite;
   0
 
-let transpile_t =
+let transpile_t load =
   Term.(
-    const transpile_cmd $ benchmark_arg $ topology_arg $ size_arg $ router_arg $ seed_arg
-    $ trials_arg $ workers_arg $ qasm_arg $ lint_arg $ trace_arg $ trace_times_arg
-    $ record_arg $ trace_format_arg $ metrics_arg $ wide_arg $ sample_arg $ stream_arg
-    $ window_arg)
+    const transpile_cmd $ load $ topology_arg $ size_arg $ router_arg $ seed_arg $ trials_arg
+    $ workers_arg $ qasm_arg $ lint_arg $ trace_arg $ trace_times_arg $ record_arg
+    $ trace_format_arg $ metrics_arg $ wide_arg $ sample_arg $ stream_arg $ window_arg)
 
 let cmd_transpile =
-  Cmd.v (Cmd.info "transpile" ~doc:"Transpile a benchmark and report metrics") transpile_t
+  Cmd.v
+    (Cmd.info "transpile" ~doc:"Transpile a benchmark and report metrics")
+    (transpile_t Term.(const load_benchmark $ benchmark_arg))
 
 let cmd_list = Cmd.v (Cmd.info "list" ~doc:"List available benchmarks") Term.(const list_cmd $ const ())
-
-let transpile_file_t =
-  Term.(
-    const transpile_file_cmd $ file_arg $ topology_arg $ size_arg $ router_arg $ seed_arg
-    $ trials_arg $ workers_arg $ qasm_arg $ lint_arg $ trace_arg $ trace_times_arg
-    $ record_arg $ trace_format_arg $ metrics_arg $ wide_arg $ sample_arg $ stream_arg
-    $ window_arg)
 
 let cmd_transpile_file =
   Cmd.v
     (Cmd.info "transpile-file" ~doc:"Transpile an OpenQASM 2 file")
-    transpile_file_t
+    (transpile_t Term.(const load_file $ file_arg))
 
 let check_t =
   Term.(

@@ -325,21 +325,18 @@ let transpile ?(params = Engine.default_params) ?calibration ?(trials = 1) ?work
           Qobs.span "trial.route" (fun () -> route_with { params with Engine.seed })
         in
         let final = post_optimize routed in
-        if Qobs.active () || Qobs.Recorder.active () then begin
+        if Qobs.active () then begin
           let cx_routed = Qcircuit.Circuit.cx_count routed in
           let cx_final = Qcircuit.Circuit.cx_count final in
-          if Qobs.active () then begin
-            Qobs.gauge_set g_cx (float_of_int cx_final);
-            Qobs.gauge_set g_depth (float_of_int (Qcircuit.Circuit.depth final));
-            Qobs.gauge_set g_swaps (float_of_int n_swaps);
-            Qobs.gauge_set g_routed_cx (float_of_int cx_routed);
-            (* CNOTs the post-routing passes actually recovered, the realized
-               side of eq. 1's prediction (engine.predicted_cnot_savings) *)
-            Qobs.gauge_set g_realized (float_of_int (cx_routed - cx_final))
-          end;
-          (* the realized side of the recorder's per-step predictions *)
-          if Qobs.Recorder.active () then
-            Qobs.Recorder.record_result ~cx_routed ~cx_final
+          Qobs.gauge_set g_cx (float_of_int cx_final);
+          Qobs.gauge_set g_depth (float_of_int (Qcircuit.Circuit.depth final));
+          Qobs.gauge_set g_swaps (float_of_int n_swaps);
+          Qobs.gauge_set g_routed_cx (float_of_int cx_routed);
+          (* CNOTs the post-routing passes actually recovered, the realized
+             side of eq. 1's prediction (engine.predicted_cnot_savings) and
+             of the recorder's per-step predictions *)
+          Qobs.gauge_set g_realized (float_of_int (cx_routed - cx_final));
+          Qobs.Recorder.record_result ~cx_routed ~cx_final
         end;
         (final, n_swaps, layouts))
   in

@@ -94,50 +94,34 @@ let run ?workers ~n ~base_seed ~measure f =
   let wall0 = Unix.gettimeofday () in
   (* tracing: one collector per TRIAL (not per domain), created on whichever
      domain runs the trial and merged below on the joining domain in trial
-     order — so the trace is identical for any worker count *)
-  let parent_collector = Qobs.current () in
+     order — so the trace and the flight record are identical for any worker
+     count.  A trial's collector records iff the caller's does. *)
+  let parent = Qobs.current () in
+  let record = Qobs.Recorder.active () in
   let collectors = Array.make n None in
-  (* the flight recorder mirrors the collector discipline exactly: one
-     recorder per trial, merged in trial order on the joining domain *)
-  let parent_recorder = Qobs.Recorder.current () in
-  let recorders = Array.make n None in
   let outcomes =
     map ~workers ~n (fun k ->
         let seed = trial_seed ~base:base_seed k in
         let t0 = Unix.gettimeofday () in
         Atomic.incr inflight_counter;
         Fun.protect ~finally:(fun () -> Atomic.decr inflight_counter) @@ fun () ->
-        let body () =
-          match parent_collector with
+        let v =
+          match parent with
           | None -> f ~trial:k ~seed
           | Some _ ->
-              let c = Qobs.Collector.create ~trial:k ~label:"trial" () in
+              let c = Qobs.Collector.create ~trial:k ~label:"trial" ~record () in
               collectors.(k) <- Some c;
               Qobs.with_collector c (fun () -> f ~trial:k ~seed)
         in
-        let v =
-          match parent_recorder with
-          | None -> body ()
-          | Some _ ->
-              let r = Qobs.Recorder.create ~trial:k ~label:"trial" () in
-              recorders.(k) <- Some r;
-              Qobs.Recorder.with_recorder r body
-        in
         (v, Unix.gettimeofday () -. t0))
   in
-  (match parent_collector with
+  (match parent with
   | None -> ()
   | Some p ->
-      Array.iter (function Some c -> Qobs.Collector.add_child p c | None -> ()) collectors;
+      Array.iter (Option.iter (Qobs.Collector.add_child p)) collectors;
       Array.iter
         (function Ok _ -> Qobs.incr c_ok | Error _ -> Qobs.incr c_failed)
         outcomes);
-  (match parent_recorder with
-  | None -> ()
-  | Some p ->
-      Array.iter
-        (function Some r -> Qobs.Recorder.add_child p r | None -> ())
-        recorders);
   let stats =
     Array.to_list
       (Array.mapi

@@ -126,9 +126,9 @@ let run ?(seed = default_seed) ?(trials = default_trials) ?workers ~instances ~t
             List.map
               (fun (rname, router) ->
                 Qobs.incr c_cells;
-                let rec_root = Qobs.Recorder.create ~label:"matrix" () in
+                let cell = Qobs.Collector.create ~label:"matrix" ~record:true () in
                 let r =
-                  Qobs.Recorder.with_recorder rec_root (fun () ->
+                  Qobs.with_collector cell (fun () ->
                       Qroute.Pipeline.transpile ~params ~trials ?workers ~router coupling
                         circuit)
                 in
@@ -139,7 +139,7 @@ let run ?(seed = default_seed) ?(trials = default_trials) ?workers ~instances ~t
                       Qsim.Success.routed_esp ~cal ~routed:r.circuit ~final_layout:fl
                   | None -> 1.0
                 in
-                let t = Qobs.Recorder.totals rec_root in
+                let t = Qobs.Recorder.totals cell in
                 {
                   family = i.family;
                   instance = i.instance;

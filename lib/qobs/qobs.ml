@@ -1,14 +1,15 @@
-(* Spans + counters + gauges with a disabled fast path.
+(* Spans + counters + gauges with a disabled fast path, and the routing
+   flight recorder that rides on the same collectors.
 
    Counter/gauge identities are process-global interned ids; values live in
    per-collector arrays indexed by id.  The only cross-domain state is the
    registry (touched at module init, mutex-protected) and one atomic count
-   of installed collectors, read on every probe as the fast-path gate. *)
+   of installed collectors, read on every probe (recorder hooks included)
+   as the fast-path gate. *)
 
 (* ---- submodules re-exported as part of the public interface ---- *)
 
 module Hist = Hist
-module Recorder = Recorder
 
 (* ---- registries ---- *)
 
@@ -74,6 +75,56 @@ let extended_metrics_enabled () = Atomic.get extended_flag
 let registered reg =
   Mutex.protect registry_lock (fun () -> Array.sub reg.names 0 reg.count)
 
+(* ---- flight-recorder state ----
+
+   What a recording collector keeps of the router's decision trail: per
+   routing step the two-qubit front-layer size, every candidate SWAP with
+   its H_basic / H_lookahead components and the savings bucket its bonus
+   drew from (C_2q / C_commute1 / C_commute2, eq. 1 of the paper), and the
+   chosen SWAP; per trial the routed-vs-final CNOT counts.  The hooks and
+   exports are [Recorder] below. *)
+
+module Flight = struct
+  type bucket = No_bucket | C2q | Commute1 | Commute2
+
+  type cand = {
+    p1 : int;
+    p2 : int;
+    h_basic : float;
+    h_lookahead : float;
+    h : float;
+    bonus : float;
+  }
+
+  type candidate = { cd : cand; cd_bucket : bucket }
+
+  type step = {
+    st_seq : int;
+    st_router : string;
+    st_front : int;
+    st_forced : bool;
+    st_candidates : candidate list;  (* sorted by (p1, p2) *)
+    st_chosen : int * int;
+    st_chosen_bonus : float;
+    st_chosen_bucket : bucket;
+    st_time : float;  (* wall clock at record time; Chrome export only *)
+  }
+
+  type summary = { sm_cx_routed : int; sm_cx_final : int }
+
+  type t = {
+    mutable router : string;
+    mutable steps_rev : step list;
+    mutable next_seq : int;
+    (* buckets noted by the cost model during the current scoring round,
+       consumed by the next [record_step] *)
+    mutable scratch : ((int * int) * bucket) list;
+    mutable summary : summary option;
+  }
+
+  let create () = { router = ""; steps_rev = []; next_seq = 0; scratch = []; summary = None }
+end
+
 (* ---- collectors ---- *)
 
 module Collector = struct
@@ -98,9 +149,12 @@ module Collector = struct
     mutable stack : span_rec list;
     mutable next_seq : int;
     mutable children_rev : t list;
+    (* [Some] on a recording collector; [Recorder.without] clears it for
+       the duration of a call *)
+    mutable flight : Flight.t option;
   }
 
-  let create ?trial ?(label = "") () =
+  let create ?trial ?(label = "") ?(record = false) () =
     {
       label;
       trial;
@@ -112,6 +166,7 @@ module Collector = struct
       stack = [];
       next_seq = 0;
       children_rev = [];
+      flight = (if record then Some (Flight.create ()) else None);
     }
 
   let trial t = t.trial
@@ -377,6 +432,12 @@ module Trace = struct
       (histograms_total t);
     Buffer.contents buf
 
+  (* a collector's Chrome track: its trial, else its label *)
+  let track_name c =
+    match Collector.trial c with
+    | Some k -> Printf.sprintf "trial %d" k
+    | None -> (match Collector.label c with "" -> "main" | l -> l)
+
   (* Chrome trace_event JSON (load in Perfetto or about://tracing): one
      complete ("X") event per span, one track per collector.  Uses the
      spans' wall-clock start stamps, so unlike [to_jsonl] the output is
@@ -404,13 +465,8 @@ module Trace = struct
     let t0 = if t0 = infinity then 0.0 else t0 in
     List.iteri
       (fun tid c ->
-        let tname =
-          match Collector.trial c with
-          | Some k -> Printf.sprintf "trial %d" k
-          | None -> (match Collector.label c with "" -> "main" | l -> l)
-        in
         event {|{"name":"thread_name","ph":"M","pid":1,"tid":%d,"args":{"name":"%s"}}|} tid
-          (json_escape tname);
+          (json_escape (track_name c));
         List.iter
           (fun (s : Collector.span_rec) ->
             event
@@ -515,4 +571,265 @@ module Trace = struct
             (Hist.percentile h 99.0) (Hist.max_value h))
         hist_rows
     end
+end
+
+(* ---- the flight recorder ----
+
+   Recording is a property of the collector, so the recorder has no install
+   point of its own: every hook reads the calling domain's collector (one
+   atomic load when none is installed anywhere) and writes to its [flight]
+   state.  The trial engine gives each per-trial child collector a flight
+   state iff its parent has one, and the exports walk [Trace.collectors] in
+   preorder — root first, then each trial in trial order — so the JSONL is
+   byte-identical for any worker count.  Steps carry a wall-clock stamp
+   used only by the Chrome export. *)
+
+module Recorder = struct
+  include Flight
+
+  let bucket_name = function
+    | No_bucket -> "none"
+    | C2q -> "c2q"
+    | Commute1 -> "commute1"
+    | Commute2 -> "commute2"
+
+  let recording () = match current () with None -> None | Some c -> c.Collector.flight
+  let active () = recording () <> None
+
+  let without f =
+    match current () with
+    | Some ({ Collector.flight = Some _ as fl; _ } as c) ->
+        c.flight <- None;
+        Fun.protect ~finally:(fun () -> c.flight <- fl) f
+    | _ -> f ()
+
+  let in_router name f =
+    match recording () with
+    | None -> f ()
+    | Some r ->
+        let prev = r.router in
+        r.router <- name;
+        Fun.protect ~finally:(fun () -> r.router <- prev) f
+
+  (* ---- hooks ---- *)
+
+  let note_bucket ~p1 ~p2 b =
+    match recording () with
+    | None -> ()
+    | Some r -> r.scratch <- ((min p1 p2, max p1 p2), b) :: r.scratch
+
+  let record_step ~front ?(forced = false) ~candidates ~chosen ~chosen_bonus () =
+    match recording () with
+    | None -> ()
+    | Some r ->
+        let bucket_for p1 p2 =
+          match List.assoc_opt (min p1 p2, max p1 p2) r.scratch with
+          | Some b -> b
+          | None -> No_bucket
+        in
+        let cands =
+          List.map (fun (c : cand) -> { cd = c; cd_bucket = bucket_for c.p1 c.p2 }) candidates
+          |> List.sort (fun a b -> compare (a.cd.p1, a.cd.p2) (b.cd.p1, b.cd.p2))
+        in
+        let c1, c2 = chosen in
+        let step =
+          {
+            st_seq = r.next_seq;
+            st_router = r.router;
+            st_front = front;
+            st_forced = forced;
+            st_candidates = cands;
+            st_chosen = chosen;
+            st_chosen_bonus = chosen_bonus;
+            st_chosen_bucket = (if forced then No_bucket else bucket_for c1 c2);
+            st_time = Unix.gettimeofday ();
+          }
+        in
+        r.next_seq <- r.next_seq + 1;
+        r.steps_rev <- step :: r.steps_rev;
+        r.scratch <- []
+
+  let record_result ~cx_routed ~cx_final =
+    match recording () with
+    | None -> ()
+    | Some r -> r.summary <- Some { sm_cx_routed = cx_routed; sm_cx_final = cx_final }
+
+  (* ---- aggregation ---- *)
+
+  (* the recording collectors of [c]'s tree, in preorder *)
+  let recorders c =
+    List.filter_map
+      (fun c -> Option.map (fun r -> (c, r)) c.Collector.flight)
+      (Trace.collectors (Trace.of_root c))
+
+  let steps_of r = List.rev r.steps_rev
+  let steps c = List.concat_map (fun (_, r) -> steps_of r) (recorders c)
+
+  type totals = {
+    steps : int;
+    candidates : int;
+    forced : int;
+    cand_c2q : int;
+    cand_commute1 : int;
+    cand_commute2 : int;
+    chosen_c2q : int;
+    chosen_commute1 : int;
+    chosen_commute2 : int;
+    predicted : float;
+    cx_routed : int;
+    cx_final : int;
+    realized : int;
+    trials_summarized : int;
+  }
+
+  let sum_totals rs =
+    let z =
+      {
+        steps = 0;
+        candidates = 0;
+        forced = 0;
+        cand_c2q = 0;
+        cand_commute1 = 0;
+        cand_commute2 = 0;
+        chosen_c2q = 0;
+        chosen_commute1 = 0;
+        chosen_commute2 = 0;
+        predicted = 0.0;
+        cx_routed = 0;
+        cx_final = 0;
+        realized = 0;
+        trials_summarized = 0;
+      }
+    in
+    List.fold_left
+      (fun acc r ->
+        let acc =
+          List.fold_left
+            (fun acc s ->
+              let cand_bucket acc c =
+                match c.cd_bucket with
+                | No_bucket -> acc
+                | C2q -> { acc with cand_c2q = acc.cand_c2q + 1 }
+                | Commute1 -> { acc with cand_commute1 = acc.cand_commute1 + 1 }
+                | Commute2 -> { acc with cand_commute2 = acc.cand_commute2 + 1 }
+              in
+              let acc = List.fold_left cand_bucket acc s.st_candidates in
+              let acc =
+                match s.st_chosen_bucket with
+                | No_bucket -> acc
+                | C2q -> { acc with chosen_c2q = acc.chosen_c2q + 1 }
+                | Commute1 -> { acc with chosen_commute1 = acc.chosen_commute1 + 1 }
+                | Commute2 -> { acc with chosen_commute2 = acc.chosen_commute2 + 1 }
+              in
+              {
+                acc with
+                steps = acc.steps + 1;
+                candidates = acc.candidates + List.length s.st_candidates;
+                forced = (acc.forced + if s.st_forced then 1 else 0);
+                predicted = acc.predicted +. s.st_chosen_bonus;
+              })
+            acc (steps_of r)
+        in
+        match r.summary with
+        | None -> acc
+        | Some sm ->
+            {
+              acc with
+              cx_routed = acc.cx_routed + sm.sm_cx_routed;
+              cx_final = acc.cx_final + sm.sm_cx_final;
+              realized = acc.realized + (sm.sm_cx_routed - sm.sm_cx_final);
+              trials_summarized = acc.trials_summarized + 1;
+            })
+      z rs
+
+  let totals c = sum_totals (List.map snd (recorders c))
+
+  (* ---- export ---- *)
+
+  let schema_version = 1
+
+  let to_jsonl c =
+    let rs = recorders c in
+    let buf = Buffer.create 4096 in
+    let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf s; Buffer.add_char buf '\n') fmt in
+    line {|{"type":"recorder_meta","version":%d}|} schema_version;
+    List.iter
+      (fun (col, r) ->
+        List.iter
+          (fun s ->
+            let cands =
+              String.concat ","
+                (List.map
+                   (fun c ->
+                     Printf.sprintf
+                       {|{"swap":[%d,%d],"h_basic":%.9g,"h_lookahead":%.9g,"h":%.9g,"bonus":%.9g,"bucket":"%s"}|}
+                       c.cd.p1 c.cd.p2 c.cd.h_basic c.cd.h_lookahead c.cd.h c.cd.bonus
+                       (bucket_name c.cd_bucket))
+                   s.st_candidates)
+            in
+            let c1, c2 = s.st_chosen in
+            line
+              {|{"type":"step","trial":%s,"seq":%d,"router":"%s","front":%d,"forced":%b,"chosen":[%d,%d],"chosen_bonus":%.9g,"chosen_bucket":"%s","candidates":[%s]}|}
+              (Trace.trial_field col) s.st_seq (Trace.json_escape s.st_router) s.st_front
+              s.st_forced c1 c2 s.st_chosen_bonus (bucket_name s.st_chosen_bucket) cands)
+          (steps_of r))
+      rs;
+    List.iter
+      (fun (c, r) ->
+        match r.summary with
+        | None -> ()
+        | Some sm ->
+            let tt = sum_totals [ r ] in
+            line
+              {|{"type":"trial_summary","trial":%s,"steps":%d,"predicted":%.9g,"cx_routed":%d,"cx_final":%d,"realized":%d}|}
+              (Trace.trial_field c) tt.steps tt.predicted sm.sm_cx_routed sm.sm_cx_final
+              (sm.sm_cx_routed - sm.sm_cx_final))
+      rs;
+    Buffer.contents buf
+
+  (* Chrome trace_event JSON (load in Perfetto or about://tracing): each
+     routing step is an instant event on its collector's track, with a
+     "front" counter track showing front-layer size over time.  Timestamps
+     are the recording wall clock, so unlike the JSONL this is
+     nondeterministic. *)
+  let to_chrome c =
+    let rs = recorders c in
+    let buf = Buffer.create 4096 in
+    Buffer.add_string buf {|{"traceEvents":[|};
+    let first = ref true in
+    let event fmt =
+      Printf.ksprintf
+        (fun s ->
+          if not !first then Buffer.add_char buf ',';
+          first := false;
+          Buffer.add_string buf s)
+        fmt
+    in
+    let t0 =
+      List.fold_left
+        (fun acc (_, r) -> List.fold_left (fun acc s -> Float.min acc s.st_time) acc (steps_of r))
+        infinity rs
+    in
+    let t0 = if t0 = infinity then 0.0 else t0 in
+    List.iteri
+      (fun tid (c, r) ->
+        event {|{"name":"thread_name","ph":"M","pid":1,"tid":%d,"args":{"name":"%s"}}|} tid
+          (Trace.json_escape (Trace.track_name c));
+        List.iter
+          (fun s ->
+            let ts = 1e6 *. (s.st_time -. t0) in
+            let c1, c2 = s.st_chosen in
+            event
+              {|{"name":"%s","cat":"routing","ph":"i","s":"t","ts":%.3f,"pid":1,"tid":%d,"args":{"router":"%s","front":%d,"forced":%b,"chosen":"(%d,%d)","chosen_bonus":%.9g,"chosen_bucket":"%s","candidates":%d}}|}
+              (if s.st_forced then "forced-swap" else "swap")
+              ts tid (Trace.json_escape s.st_router) s.st_front s.st_forced c1 c2
+              s.st_chosen_bonus (bucket_name s.st_chosen_bucket)
+              (List.length s.st_candidates);
+            event
+              {|{"name":"front","cat":"routing","ph":"C","ts":%.3f,"pid":1,"tid":%d,"args":{"gates":%d}}|}
+              ts tid s.st_front)
+          (steps_of r))
+      rs;
+    Buffer.add_string buf "]}";
+    Buffer.contents buf
 end

@@ -15,15 +15,12 @@
     pipeline, or one routing trial), installed domain-locally.  The trial
     engine creates a fresh collector per {e trial} — not per domain — and
     merges them into the parent in trial order at join, which is what keeps
-    traces deterministic across worker counts. *)
+    traces deterministic across worker counts.  A collector created with
+    [~record:true] also keeps the routing flight recorder's decision trail
+    (see {!Recorder}). *)
 
 module Hist = Hist
 (** The bounded log-bucketed histogram value type (see {!Hist}). *)
-
-module Recorder = Recorder
-(** The routing flight recorder (see {!Recorder}): decision-trail events,
-    installed per unit of work like collectors, gated by its own single
-    atomic load. *)
 
 type counter
 type gauge
@@ -96,9 +93,11 @@ module Collector : sig
     mutable sp_cpu : float;  (** seconds of process CPU time *)
   }
 
-  val create : ?trial:int -> ?label:string -> unit -> t
+  val create : ?trial:int -> ?label:string -> ?record:bool -> unit -> t
   (** Fresh empty collector.  [trial] tags every exported record (the trial
-      engine sets it); [label] is a human-readable name ("main"). *)
+      engine sets it); [label] is a human-readable name ("main").  With
+      [record] (default [false]) it also records the routing decision trail
+      that {!Recorder} exports. *)
 
   val trial : t -> int option
   val label : t -> string
@@ -180,4 +179,124 @@ module Trace : sig
       and CPU milliseconds, plus p50/p90/p99 per-call wall latency through
       the shared {!Hist} percentile path), then counters, gauges and
       histograms. *)
+end
+
+(** The routing flight recorder: the router's decision trail as data.
+
+    Under a recording collector (see {!Collector.create}) every routing
+    step records the two-qubit front-layer size, each candidate SWAP with
+    its [H_basic] / [H_lookahead] components and the savings bucket its
+    bonus drew from ([C_2q] / [C_commute1] / [C_commute2], eq. 1 of the
+    paper), and the chosen SWAP; after the downstream passes run, the
+    per-trial routed-vs-final CNOT counts (the {e realized} savings).  The
+    hooks read the calling domain's collector: with none installed
+    anywhere in the process each is a single atomic-load-and-branch, and
+    the routers behave byte-identically to an unrecorded run.
+
+    The trial engine gives each per-trial child collector the recording
+    state of its parent, and the exports walk {!Trace.collectors} in
+    preorder, so {!to_jsonl} is byte-identical for any worker count.
+    {!to_chrome} emits the same steps as a Chrome [trace_event] file
+    (loadable in Perfetto / [about://tracing]); it uses wall-clock stamps
+    and is therefore nondeterministic. *)
+module Recorder : sig
+  type bucket = No_bucket | C2q | Commute1 | Commute2
+
+  val bucket_name : bucket -> string
+  (** ["none"], ["c2q"], ["commute1"], ["commute2"]. *)
+
+  type cand = {
+    p1 : int;
+    p2 : int;
+    h_basic : float;  (** front-layer term of eq. 1, bonus already applied *)
+    h_lookahead : float;  (** extended-layer term of eq. 2 *)
+    h : float;  (** decayed total the router compared *)
+    bonus : float;  (** estimated CNOT savings of this SWAP *)
+  }
+
+  type candidate = { cd : cand; cd_bucket : bucket }
+
+  type step = {
+    st_seq : int;
+    st_router : string;  (** innermost {!in_router} label ("" if none) *)
+    st_front : int;  (** two-qubit front-layer size *)
+    st_forced : bool;  (** emitted by the stall-escape valve, not scored *)
+    st_candidates : candidate list;  (** sorted by [(p1, p2)] *)
+    st_chosen : int * int;
+    st_chosen_bonus : float;
+    st_chosen_bucket : bucket;
+    st_time : float;  (** wall clock at record time; Chrome export only *)
+  }
+
+  val active : unit -> bool
+  (** True iff the calling domain's collector records; one atomic load when
+      no collector is installed process-wide. *)
+
+  val without : (unit -> 'a) -> 'a
+  (** Suspend recording for the duration of [f]; spans, counters and gauges
+      keep collecting (the layout search uses this so only the final
+      routing pass lands in the flight record). *)
+
+  val in_router : string -> (unit -> 'a) -> 'a
+  (** Label steps recorded during [f] with the given router name. *)
+
+  (** {2 Hooks (no-ops unless the current collector records)} *)
+
+  val note_bucket : p1:int -> p2:int -> bucket -> unit
+  (** Called by the cost model while scoring the candidate [(p1, p2)]:
+      remembers which savings bucket its bonus drew from until the next
+      {!record_step} consumes it. *)
+
+  val record_step :
+    front:int ->
+    ?forced:bool ->
+    candidates:cand list ->
+    chosen:int * int ->
+    chosen_bonus:float ->
+    unit ->
+    unit
+
+  val record_result : cx_routed:int -> cx_final:int -> unit
+  (** Called once per trial after the downstream passes run. *)
+
+  (** {2 Aggregation and export}
+
+      Each walks the recording collectors of the given collector's tree in
+      {!Trace.collectors} preorder; non-recording collectors contribute
+      nothing. *)
+
+  val steps : Collector.t -> step list
+  (** Recorded steps, each collector's in order. *)
+
+  type totals = {
+    steps : int;
+    candidates : int;
+    forced : int;
+    cand_c2q : int;  (** candidates whose bonus drew from [C_2q]... *)
+    cand_commute1 : int;
+    cand_commute2 : int;
+    chosen_c2q : int;  (** ...and chosen SWAPs that did *)
+    chosen_commute1 : int;
+    chosen_commute2 : int;
+    predicted : float;  (** sum of chosen bonuses (eq. 1's prediction) *)
+    cx_routed : int;
+    cx_final : int;
+    realized : int;  (** [cx_routed - cx_final], summed over summaries *)
+    trials_summarized : int;
+  }
+
+  val totals : Collector.t -> totals
+
+  val schema_version : int
+
+  val to_jsonl : Collector.t -> string
+  (** One [recorder_meta] line, then one [step] line per step, then one
+      [trial_summary] line per summarized trial.  A pure function of the
+      routing computation: byte-identical across runs and worker counts for
+      a fixed seed. *)
+
+  val to_chrome : Collector.t -> string
+  (** Chrome [trace_event] JSON (one instant event per step plus a
+      front-layer-size counter track, one track per recording collector);
+      nondeterministic timestamps. *)
 end

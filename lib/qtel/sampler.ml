@@ -27,10 +27,6 @@ type t = {
   baseline : sample;  (** the process state at start, for delta reporting *)
 }
 
-let enabled_flag = Atomic.make false
-let set_enabled b = Atomic.set enabled_flag b
-let enabled () = Atomic.get enabled_flag
-
 (* /proc/self/status is tiny and seq-read; parsing two lines per sample at
    10 ms cadence is noise.  Returns (rss_kb, hwm_kb), zeros without procfs. *)
 let read_proc_status () =
@@ -80,33 +76,30 @@ let push t s =
       t.next <- t.next + 1)
 
 let start ?(interval_ms = 10.0) ?(capacity = 4096) () =
-  if not (Atomic.get enabled_flag) then None
-  else begin
-    let t0 = Unix.gettimeofday () in
-    let baseline = take t0 in
-    let t =
-      {
-        ring = Array.make (max 1 capacity) None;
-        next = 0;
-        lock = Mutex.create ();
-        stop_flag = Atomic.make false;
-        domain = None;
-        t0;
-        baseline;
-      }
-    in
-    push t baseline;
-    let interval_s = Float.max 0.0005 (interval_ms /. 1000.0) in
-    let d =
-      Domain.spawn (fun () ->
-          while not (Atomic.get t.stop_flag) do
-            Unix.sleepf interval_s;
-            if not (Atomic.get t.stop_flag) then push t (take t.t0)
-          done)
-    in
-    t.domain <- Some d;
-    Some t
-  end
+  let t0 = Unix.gettimeofday () in
+  let baseline = take t0 in
+  let t =
+    {
+      ring = Array.make (max 1 capacity) None;
+      next = 0;
+      lock = Mutex.create ();
+      stop_flag = Atomic.make false;
+      domain = None;
+      t0;
+      baseline;
+    }
+  in
+  push t baseline;
+  let interval_s = Float.max 0.0005 (interval_ms /. 1000.0) in
+  let d =
+    Domain.spawn (fun () ->
+        while not (Atomic.get t.stop_flag) do
+          Unix.sleepf interval_s;
+          if not (Atomic.get t.stop_flag) then push t (take t.t0)
+        done)
+  in
+  t.domain <- Some d;
+  t
 
 let stop t =
   match t.domain with

@@ -10,12 +10,11 @@
     routing pool, which is the utilization signal the future serve daemon
     needs.
 
-    Discipline mirrors {!Qobs.set_timing}: disabled by default, and when
-    disabled {!start} is a single atomic load returning [None] — no domain
-    is spawned, nothing allocates, traces stay byte-identical.  Values are
-    wall-clock-driven and therefore nondeterministic; they only ever reach
-    a trace through {!attach}, which the caller invokes explicitly
-    ([--sample]). *)
+    Nothing runs until a caller that opted in ([--sample], the scaling
+    bench) calls {!start}; without it no domain is spawned and traces stay
+    byte-identical.  Values are wall-clock-driven and therefore
+    nondeterministic; they only ever reach a trace through {!attach}, which
+    the caller invokes explicitly. *)
 
 type sample = {
   t_s : float;  (** seconds since {!start} *)
@@ -31,16 +30,10 @@ type sample = {
 
 type t
 
-val set_enabled : bool -> unit
-(** Process-wide master switch (default off). *)
-
-val enabled : unit -> bool
-
-val start : ?interval_ms:float -> ?capacity:int -> unit -> t option
-(** Spawn the sampler domain and take a first sample immediately.  [None]
-    without {!set_enabled} — the disabled path touches one atomic and
-    allocates nothing.  [interval_ms] defaults to 10 ms, [capacity] (ring
-    size) to 4096 samples. *)
+val start : ?interval_ms:float -> ?capacity:int -> unit -> t
+(** Spawn the sampler domain and take a first sample immediately.
+    [interval_ms] defaults to 10 ms, [capacity] (ring size) to 4096
+    samples. *)
 
 val stop : t -> unit
 (** Take a final sample, stop the domain and join it.  Idempotent. *)

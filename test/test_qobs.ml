@@ -234,27 +234,25 @@ let test_pp_summary_deterministic_order () =
     (pos "test.pp.alpha" < pos "test.pp.middle" && pos "test.pp.middle" < pos "test.pp.zeta");
   check "summary stable across renders" true (String.equal out (render ()))
 
-(* the engine histograms only fire under a flight recorder; with one
-   installed, the exported trace (spans + counters + hist lines) must stay
-   byte-identical whatever the worker count *)
+(* the engine histograms only fire under a recording collector; there, the
+   exported trace (spans + counters + hist lines) must stay byte-identical
+   whatever the worker count *)
 let transpile_recorded ?(workers = 1) () =
   let c = Qbench.Generators.qft 6 in
   let coupling = Topology.Devices.linear 8 in
   let params = { Qroute.Engine.default_params with seed = 11 } in
-  let root = Qobs.Collector.create ~label:"main" () in
-  let rec_root = Qobs.Recorder.create ~label:"main" () in
+  let root = Qobs.Collector.create ~label:"main" ~record:true () in
   let r =
     Qobs.with_collector root (fun () ->
-        Qobs.Recorder.with_recorder rec_root (fun () ->
-            Qroute.Pipeline.transpile ~params ~trials:4 ~workers
-              ~router:(Qroute.Pipeline.Nassc_router Qroute.Nassc.default_config)
-              coupling c))
+        Qroute.Pipeline.transpile ~params ~trials:4 ~workers
+          ~router:(Qroute.Pipeline.Nassc_router Qroute.Nassc.default_config)
+          coupling c)
   in
-  (root, rec_root, r)
+  (root, r)
 
 let test_hists_identical_across_workers () =
   let jsonl workers =
-    let root, _, _ = transpile_recorded ~workers () in
+    let root, _ = transpile_recorded ~workers () in
     Qobs.Trace.to_jsonl (Qobs.Trace.of_root root)
   in
   let a = jsonl 1 and b = jsonl 4 in

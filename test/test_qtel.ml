@@ -1,7 +1,7 @@
 (* The Qtel observability layer: exposition round-trips against the Qobs
    registry and survives its own linter, wide events are byte-identical
-   across worker counts, and the resource sampler is silent when
-   disabled. *)
+   across worker counts, and the resource sampler samples and attaches its
+   gauges. *)
 
 let check = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -10,20 +10,18 @@ let checks = Alcotest.(check string)
 let coupling = Topology.Devices.montreal
 let circuit () = (Qbench.Suite.find "Grover 4-qubits").build ()
 
-(* one traced + recorded transpile; the recorder turns on the engine's
+(* one traced + recorded transpile; recording turns on the engine's
    deterministic histograms, so the trace exercises every metric kind *)
 let traced_transpile ?(trials = 2) ?(workers = 1) () =
-  let root = Qobs.Collector.create ~label:"test" () in
-  let rec_root = Qobs.Recorder.create ~label:"test" () in
+  let root = Qobs.Collector.create ~label:"test" ~record:true () in
   let params = { Qroute.Engine.default_params with seed = 7 } in
   let r =
     Qobs.with_collector root (fun () ->
-        Qobs.Recorder.with_recorder rec_root (fun () ->
-            Qroute.Pipeline.transpile ~params ~trials ~workers
-              ~router:(Qroute.Pipeline.Nassc_router Qroute.Nassc.default_config) coupling
-              (circuit ())))
+        Qroute.Pipeline.transpile ~params ~trials ~workers
+          ~router:(Qroute.Pipeline.Nassc_router Qroute.Nassc.default_config) coupling
+          (circuit ()))
   in
-  (r, Qobs.Trace.of_root root, rec_root)
+  (r, Qobs.Trace.of_root root, root)
 
 (* ---------- metric names ---------- *)
 
@@ -116,11 +114,11 @@ let test_promlint_catches () =
 (* ---------- wide events ---------- *)
 
 let wide_event ~workers () =
-  let r, trace, rec_root = traced_transpile ~trials:4 ~workers () in
+  let r, trace, root = traced_transpile ~trials:4 ~workers () in
   let ev =
     Qtel.Wideevent.build ~label:"ghz" ~router:"nassc" ~topology:"montreal" ~trials:4
       ~workers ~seed:7 ~original:(circuit ()) ~trace
-      ~recorder:(Qobs.Recorder.totals rec_root) ~result:r ()
+      ~recorder:(Qobs.Recorder.totals root) ~result:r ()
   in
   ev
 
@@ -162,33 +160,25 @@ let test_wide_event_parses_and_counts () =
 
 (* ---------- sampler ---------- *)
 
-let test_sampler_disabled_is_silent () =
-  Qtel.Sampler.set_enabled false;
-  check "start yields None when disabled" true (Qtel.Sampler.start () = None)
-
 let test_sampler_runs_and_attaches () =
-  Qtel.Sampler.set_enabled true;
-  Fun.protect ~finally:(fun () -> Qtel.Sampler.set_enabled false) @@ fun () ->
-  match Qtel.Sampler.start ~interval_ms:2.0 () with
-  | None -> Alcotest.fail "sampler did not start"
-  | Some s ->
-      (* do a little real work so GC counters move *)
-      let _, _, _ = traced_transpile ~trials:1 () in
-      Qtel.Sampler.stop s;
-      let samples = Qtel.Sampler.samples s in
-      check "baseline + final samples retained" true (List.length samples >= 2);
-      List.iter
-        (fun (x : Qtel.Sampler.sample) -> check "time monotone-ish" true (x.t_s >= 0.0))
-        samples;
-      let c = Qobs.Collector.create ~label:"sampler" () in
-      Qtel.Sampler.attach s c;
-      let gauges = Qobs.Collector.gauges c in
-      check "qtel.samples gauge" true (List.mem_assoc "qtel.samples" gauges);
-      check "qtel.peak_rss_kb gauge" true (List.mem_assoc "qtel.peak_rss_kb" gauges);
-      check "sample count matches gauge" true
-        (List.assoc "qtel.samples" gauges = float_of_int (List.length samples));
-      (* stop is idempotent *)
-      Qtel.Sampler.stop s
+  let s = Qtel.Sampler.start ~interval_ms:2.0 () in
+  (* do a little real work so GC counters move *)
+  let _, _, _ = traced_transpile ~trials:1 () in
+  Qtel.Sampler.stop s;
+  let samples = Qtel.Sampler.samples s in
+  check "baseline + final samples retained" true (List.length samples >= 2);
+  List.iter
+    (fun (x : Qtel.Sampler.sample) -> check "time monotone-ish" true (x.t_s >= 0.0))
+    samples;
+  let c = Qobs.Collector.create ~label:"sampler" () in
+  Qtel.Sampler.attach s c;
+  let gauges = Qobs.Collector.gauges c in
+  check "qtel.samples gauge" true (List.mem_assoc "qtel.samples" gauges);
+  check "qtel.peak_rss_kb gauge" true (List.mem_assoc "qtel.peak_rss_kb" gauges);
+  check "sample count matches gauge" true
+    (List.assoc "qtel.samples" gauges = float_of_int (List.length samples));
+  (* stop is idempotent *)
+  Qtel.Sampler.stop s
 
 (* ---------- trace stability: qtel features off => historical bytes ---------- *)
 
@@ -257,7 +247,6 @@ let () =
         ] );
       ( "sampler",
         [
-          Alcotest.test_case "disabled is silent" `Quick test_sampler_disabled_is_silent;
           Alcotest.test_case "runs and attaches" `Quick test_sampler_runs_and_attaches;
         ] );
       ( "trace-stability",
