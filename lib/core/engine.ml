@@ -211,138 +211,167 @@ let h_score_time = Qobs.histogram "engine.step_score_ms"
    (disconnected pairs) delta arithmetic would produce NaN, so scoring
    falls back to the full rescan for that step.
 
+   The pairs and the index are flat int arrays reused by every step.  The
+   index of a qubit is a linked list threaded through [next], newest pair
+   first.  That fixes the order in which each delta adds its floats, and
+   the routing goldens were recorded with it: under a non-integral metric
+   another order can round differently (DESIGN.md §23).
+
    Dense matrices keep the historical single-offset flat read; on-demand
    matrices ([Distmat.hops_lazy], used by the streaming engine on
    mega-scale devices) go through the row cache — same values, so scores
    and outputs are unchanged either way. *)
 
 module Scoring = struct
-  type scratch = {
-    touch_f : (int * int) list array;
-    touch_e : (int * int) list array;
-    mutable dirty : int list;
-    acc : float array;  (* [delta]'s one-slot accumulator *)
+  (* Pair [i] is [(a.(i), b.(i))]; index entries [2i] and [2i + 1] stand
+     for its endpoints [a.(i)] and [b.(i)] (the second only when
+     [b.(i) <> a.(i)]).  [head.(q)] is the newest entry of a pair touching
+     [q], or -1, and [next] links each entry to the next older one. *)
+  type set = {
+    mutable a : int array;
+    mutable b : int array;
+    mutable n : int;
+    mutable next : int array;
+    head : int array;
+    mutable base : float;
   }
 
   type t = {
-    d : float array;  (* dense flat backing, [||] for on-demand matrices *)
-    dn : int;
-    dm : Distmat.t;
-    dense : bool;
-    front : (int * int) list;
-    ext : (int * int) list;
-    base_front : float;
-    base_ext : float;
-    finite : bool;  (** both bases finite: delta scoring is valid *)
-    sc : scratch;
+    front : set;
+    ext : set;
+    mutable d : float array;  (* dense flat backing, [||] for on-demand matrices *)
+    mutable dn : int;
+    mutable dm : Distmat.t;
+    mutable dense : bool;
+    mutable finite : bool;  (** both bases finite: delta scoring is valid *)
     mutable evals : int;  (** pair distance evaluations since [prepare] *)
   }
 
-  let make_scratch ~n_phys =
+  let make_set ~n_phys ~capacity =
+    let capacity = max 1 capacity in
     {
-      touch_f = Array.make n_phys [];
-      touch_e = Array.make n_phys [];
-      dirty = [];
-      acc = [| 0.0 |];
+      a = Array.make capacity 0;
+      b = Array.make capacity 0;
+      n = 0;
+      next = Array.make (2 * capacity) (-1);
+      head = Array.make n_phys (-1);
+      base = 0.0;
     }
 
-  (* adds the distances of [pairs] into [acc.(0)] in list order *)
-  let rec sum_dist acc d dn dist dense = function
-    | [] -> acc.(0)
-    | (a, b) :: tl ->
-        acc.(0) <- (acc.(0) +. if dense then d.((a * dn) + b) else Distmat.get dist a b);
-        sum_dist acc d dn dist dense tl
-
-  let prepare sc ~dist ~front ~ext =
-    List.iter
-      (fun q ->
-        sc.touch_f.(q) <- [];
-        sc.touch_e.(q) <- [])
-      sc.dirty;
-    sc.dirty <- [];
-    let dn = Distmat.n dist in
-    let d, dense =
-      match Distmat.raw_opt dist with Some d -> (d, true) | None -> ([||], false)
-    in
-    let mark touch (a, b) =
-      if touch.(a) = [] && sc.touch_f.(a) = [] && sc.touch_e.(a) = [] then
-        sc.dirty <- a :: sc.dirty;
-      touch.(a) <- (a, b) :: touch.(a);
-      if b <> a then begin
-        if touch.(b) = [] && sc.touch_f.(b) = [] && sc.touch_e.(b) = [] then
-          sc.dirty <- b :: sc.dirty;
-        touch.(b) <- (a, b) :: touch.(b)
-      end
-    in
-    (* base sums fold the pair lists in order, exactly as the full rescan
-       did, so the unexchanged sums are bit-identical to the old code's *)
-    let base pairs =
-      sc.acc.(0) <- 0.0;
-      sum_dist sc.acc d dn dist dense pairs
-    in
-    let base_front = base front and base_ext = base ext in
-    List.iter (mark sc.touch_f) front;
-    List.iter (mark sc.touch_e) ext;
+  let create ~n_phys ~capacity =
     {
-      d;
-      dn;
-      dm = dist;
-      dense;
-      front;
-      ext;
-      base_front;
-      base_ext;
-      finite = Float.is_finite base_front && Float.is_finite base_ext;
-      sc;
+      front = make_set ~n_phys ~capacity;
+      ext = make_set ~n_phys ~capacity;
+      d = [||];
+      dn = 0;
+      dm = Distmat.of_flat ~n:0 [||];
+      dense = true;
+      finite = true;
       evals = 0;
     }
 
-  let base_front t = t.base_front
-  let base_ext t = t.base_ext
-  let pair_evals t = t.evals
+  let unindex s =
+    for i = 0 to s.n - 1 do
+      s.head.(s.a.(i)) <- -1;
+      s.head.(s.b.(i)) <- -1
+    done
+
+  let clear t =
+    unindex t.front;
+    unindex t.ext;
+    t.front.n <- 0;
+    t.ext.n <- 0
+
+  let add s p q =
+    if s.n = Array.length s.a then begin
+      let grow arr len = Array.append arr (Array.make len 0) in
+      s.a <- grow s.a s.n;
+      s.b <- grow s.b s.n;
+      s.next <- grow s.next (2 * s.n)
+    end;
+    s.a.(s.n) <- p;
+    s.b.(s.n) <- q;
+    s.n <- s.n + 1
+
+  let add_front t p q = add t.front p q
+  let add_ext t p q = add t.ext p q
 
   let[@inline] dget t a b =
     if t.dense then t.d.((a * t.dn) + b) else Distmat.get t.dm a b
+
+  (* the base sum adds the pairs in order, as a full rescan does, so the
+     unexchanged sums equal the rescan's bit for bit *)
+  let index t s =
+    unindex s;
+    let sum = ref 0.0 in
+    for i = 0 to s.n - 1 do
+      let a = s.a.(i) and b = s.b.(i) in
+      sum := !sum +. dget t a b;
+      s.next.(2 * i) <- s.head.(a);
+      s.head.(a) <- 2 * i;
+      if b <> a then begin
+        s.next.((2 * i) + 1) <- s.head.(b);
+        s.head.(b) <- (2 * i) + 1
+      end
+    done;
+    s.base <- !sum
+
+  let prepare t ~dist =
+    t.dense <- Distmat.is_dense dist;
+    t.d <- (if t.dense then Distmat.raw dist else [||]);
+    t.dn <- Distmat.n dist;
+    t.dm <- dist;
+    index t t.front;
+    index t t.ext;
+    t.finite <- Float.is_finite t.front.base && Float.is_finite t.ext.base;
+    t.evals <- 0
+
+  let base_front t = t.front.base
+  let base_ext t = t.ext.base
+  let pair_evals t = t.evals
 
   let[@inline] mapped t p1 p2 a b =
     let a' = if a = p1 then p2 else if a = p2 then p1 else a in
     let b' = if b = p1 then p2 else if b = p2 then p1 else b in
     dget t a' b'
 
-  let full_after t p1 p2 pairs =
-    List.fold_left
-      (fun acc (a, b) ->
+  let full_after t p1 p2 s =
+    let sum = ref 0.0 in
+    for i = 0 to s.n - 1 do
+      sum := !sum +. mapped t p1 p2 s.a.(i) s.b.(i)
+    done;
+    t.evals <- t.evals + s.n;
+    !sum
+
+  (* the change over the pairs touching p1, then over those touching p2
+     but not p1 (the others were counted already), each newest first *)
+  let[@inline] delta t s p1 p2 =
+    let sum = ref 0.0 in
+    let e = ref s.head.(p1) in
+    while !e >= 0 do
+      let i = !e lsr 1 in
+      let a = s.a.(i) and b = s.b.(i) in
+      t.evals <- t.evals + 1;
+      sum := !sum +. (mapped t p1 p2 a b -. dget t a b);
+      e := s.next.(!e)
+    done;
+    e := s.head.(p2);
+    while !e >= 0 do
+      let i = !e lsr 1 in
+      let a = s.a.(i) and b = s.b.(i) in
+      if a <> p1 && b <> p1 then begin
         t.evals <- t.evals + 1;
-        acc +. mapped t p1 p2 a b)
-      0.0 pairs
+        sum := !sum +. (mapped t p1 p2 a b -. dget t a b)
+      end;
+      e := s.next.(!e)
+    done;
+    !sum
 
-  (* adds each pair's change into [acc.(0)], skipping pairs that touch
-     [skip]; a float array slot, unlike a [ref], takes the sum unboxed *)
-  let rec add_deltas t acc p1 p2 skip = function
-    | [] -> ()
-    | (a, b) :: tl ->
-        if a <> skip && b <> skip then begin
-          t.evals <- t.evals + 1;
-          acc.(0) <- acc.(0) +. (mapped t p1 p2 a b -. dget t a b)
-        end;
-        add_deltas t acc p1 p2 skip tl
+  let[@inline] after t s p1 p2 =
+    if t.finite then s.base +. delta t s p1 p2 else full_after t p1 p2 s
 
-  (* delta over [touch.(p1)] then the pairs of [touch.(p2)] not already
-     counted (those touching p1 too) *)
-  let[@inline] delta t touch p1 p2 =
-    let acc = t.sc.acc in
-    acc.(0) <- 0.0;
-    add_deltas t acc p1 p2 (-1) touch.(p1);
-    add_deltas t acc p1 p2 p1 touch.(p2);
-    acc.(0)
-
-  let[@inline] front_after t p1 p2 =
-    if t.finite then t.base_front +. delta t t.sc.touch_f p1 p2
-    else full_after t p1 p2 t.front
-
-  let[@inline] ext_after t p1 p2 =
-    if t.finite then t.base_ext +. delta t t.sc.touch_e p1 p2
-    else full_after t p1 p2 t.ext
+  let[@inline] front_after t p1 p2 = after t t.front p1 p2
+  let[@inline] ext_after t p1 p2 = after t t.ext p1 p2
 end
 
 (* ---- candidate SWAP enumeration ----
@@ -472,23 +501,12 @@ type walker = {
   wk_lookahead : int -> int list;
 }
 
-let two_qubit_front_of wk front_ids mapping =
-  List.filter_map
-    (fun id ->
-      if Gate.is_two_qubit (wk.wk_gate id) then
-        match wk.wk_qubits id with
-        | [ a; b ] -> Some (mapping.l2p.(a), mapping.l2p.(b))
-        | _ -> None
-      else None)
-    front_ids
-
 (* the main routing loop, generic over the walker; returns the SWAP count.
    [oracle] is the exact-window hook ([?window] of [route_once]).  With
    [stream = None] (a layout-search pass) nothing is emitted and [bonus] is
    never called: the pass only moves [mapping]. *)
 let route_core params coupling ~rng ~dist ~bonus ~oracle ~stream ~mapping wk =
   let n_phys = Coupling.n_qubits coupling in
-  let scratch = Scoring.make_scratch ~n_phys in
   let cands = Candidates.create ~initial_buckets:32 coupling in
   (* per-candidate scores, reused by every step *)
   let cap = Candidates.capacity cands in
@@ -500,6 +518,64 @@ let route_core params coupling ~rng ~dist ~bonus ~oracle ~stream ~mapping wk =
   let n_swaps = ref 0 in
   let decay = Array.make n_phys 1.0 in
   let stall = ref 0 in
+  (* The per-front cache (DESIGN.md §23): the two-qubit gates of the front
+     and of the lookahead window as logical pairs.  A walker's front and
+     lookahead change only when a gate executes ([Streamdag] admits gates
+     only on [create] and [execute]), so the cache is rebuilt only once
+     [executed] has moved past [cached_at], and the SWAPs of a stuck front
+     read nothing from the walker.  It is built on stuck fronts only, which
+     hold no one-qubit gate, so while it is fresh the front is exactly
+     these pairs.  Front gates share no wire: at most [n_phys] of them. *)
+  let executed = ref 0 and cached_at = ref (-1) in
+  let fa = Array.make n_phys 0 and fb = Array.make n_phys 0 and nf = ref 0 in
+  let ext_cap = max 0 params.ext_size in
+  let ea = Array.make ext_cap 0 and eb = Array.make ext_cap 0 and ne = ref 0 in
+  let scoring = Scoring.create ~n_phys ~capacity:(max ext_cap (n_phys / 2)) in
+  let refresh front_ids =
+    if !cached_at <> !executed then begin
+      cached_at := !executed;
+      nf := 0;
+      List.iter
+        (fun id ->
+          if Gate.is_two_qubit (wk.wk_gate id) then
+            match wk.wk_qubits id with
+            | [ a; b ] ->
+                fa.(!nf) <- a;
+                fb.(!nf) <- b;
+                incr nf
+            | _ -> ())
+        front_ids;
+      ne := 0;
+      List.iter
+        (fun id ->
+          match wk.wk_qubits id with
+          | [ a; b ] ->
+              ea.(!ne) <- a;
+              eb.(!ne) <- b;
+              incr ne
+          | _ -> ())
+        (wk.wk_lookahead params.ext_size)
+    end
+  in
+  (* the cached front as physical pairs, for the oracle, [Routing_stuck]
+     and the recorder *)
+  let front_pairs () =
+    List.init !nf (fun i -> (mapping.l2p.(fa.(i)), mapping.l2p.(fb.(i))))
+  in
+  (* after a SWAP that retired nothing the front is the cached pairs, so
+     it can drain only if one of them is now coupled *)
+  let stuck () =
+    !cached_at = !executed
+    &&
+    let i = ref 0 in
+    while
+      !i < !nf
+      && not (Coupling.connected coupling mapping.l2p.(fa.(!i)) mapping.l2p.(fb.(!i)))
+    do
+      incr i
+    done;
+    !i = !nf
+  in
   (* [action] is the winning candidate's bonus callback, run on its op *)
   let emit_swap p1 p2 action =
     match stream with
@@ -520,57 +596,58 @@ let route_core params coupling ~rng ~dist ~bonus ~oracle ~stream ~mapping wk =
             tag = Not_swap;
           }
   in
-  (* execute every currently executable front gate; returns true if any.
-     The first round reuses the caller's front snapshot (the single front
-     computation of this main-loop iteration); recursion re-reads the
-     front only after gates actually retired. *)
-  let rec drain_from front_ids =
-    let executable id =
-      match wk.wk_qubits id with
-      | [ a; b ] when Gate.is_two_qubit (wk.wk_gate id) ->
-          Coupling.connected coupling mapping.l2p.(a) mapping.l2p.(b)
-      | _ -> true
-    in
-    match List.filter executable front_ids with
-    | [] -> false
-    | ready ->
-        List.iter
-          (fun id ->
-            emit_mapped id;
-            wk.wk_execute id)
-          ready;
-        ignore (drain_from (wk.wk_front ()));
-        true
+  let executable id =
+    match wk.wk_qubits id with
+    | [ a; b ] when Gate.is_two_qubit (wk.wk_gate id) ->
+        Coupling.connected coupling mapping.l2p.(a) mapping.l2p.(b)
+    | _ -> true
+  in
+  (* execute every currently executable front gate, round after round
+     until none is; returns true if any.  The first round reuses the
+     caller's front snapshot (the single front computation of this
+     main-loop iteration); later rounds re-read the front only after gates
+     actually retired. *)
+  let drain front_ids =
+    let ready = ref (List.filter executable front_ids) in
+    let any = !ready <> [] in
+    while !ready <> [] do
+      List.iter
+        (fun id ->
+          emit_mapped id;
+          wk.wk_execute id;
+          incr executed)
+        !ready;
+      ready := List.filter executable (wk.wk_front ())
+    done;
+    any
   in
   let apply_best_swap front_ids =
-    let front_pairs = two_qubit_front_of wk front_ids mapping in
-    let ext_pairs =
-      List.filter_map
-        (fun id ->
-          match wk.wk_qubits id with
-          | [ a; b ] -> Some (mapping.l2p.(a), mapping.l2p.(b))
-          | _ -> None)
-        (wk.wk_lookahead params.ext_size)
-    in
+    refresh front_ids;
+    let nf = !nf and ne = !ne in
     (* candidate swaps: all couplings touching a physical qubit of a front
        gate, in the order a [Hashtbl.create 32] would fold them *)
     Candidates.clear cands;
-    List.iter
-      (fun (pa, pb) ->
-        Candidates.add cands pa;
-        Candidates.add cands pb)
-      front_pairs;
+    Scoring.clear scoring;
+    for i = 0 to nf - 1 do
+      let pa = mapping.l2p.(fa.(i)) and pb = mapping.l2p.(fb.(i)) in
+      Candidates.add cands pa;
+      Candidates.add cands pb;
+      Scoring.add_front scoring pa pb
+    done;
+    for i = 0 to ne - 1 do
+      Scoring.add_ext scoring mapping.l2p.(ea.(i)) mapping.l2p.(eb.(i))
+    done;
     let n_cand = Candidates.order cands in
     let timing = Qobs.timing_enabled () && Qobs.active () in
     let t0 = if timing then Unix.gettimeofday () else 0.0 in
-    let sc = Scoring.prepare scratch ~dist ~front:front_pairs ~ext:ext_pairs in
-    let base_front = Scoring.base_front sc in
-    let nf = float_of_int (max 1 (List.length front_pairs)) in
-    let ne = float_of_int (max 1 (List.length ext_pairs)) in
+    Scoring.prepare scoring ~dist;
+    let base_front = Scoring.base_front scoring in
+    let nf_f = float_of_int (max 1 nf) in
+    let ne_f = float_of_int (max 1 ne) in
     let best_h = ref infinity in
     for i = 0 to n_cand - 1 do
       let p1 = Candidates.p1 cands i and p2 = Candidates.p2 cands i in
-      let front_after = Scoring.front_after sc p1 p2 in
+      let front_after = Scoring.front_after scoring p1 p2 in
       (* Optimization bonuses only discriminate between candidates that
          actually advance the front layer; a SWAP that cancels CNOTs but
          moves no qubit closer is still wasted work. *)
@@ -579,9 +656,9 @@ let route_core params coupling ~rng ~dist ~bonus ~oracle ~stream ~mapping wk =
         | Some stream when front_after < base_front -. 1e-9 -> bonus ~stream ~mapping p1 p2
         | _ -> no_bonus
       in
-      let h_basic = ((3.0 *. front_after) -. (params.bonus_weight *. bonus_v)) /. nf in
+      let h_basic = ((3.0 *. front_after) -. (params.bonus_weight *. bonus_v)) /. nf_f in
       let h_ext =
-        if ext_pairs = [] then 0.0 else params.ext_weight /. ne *. Scoring.ext_after sc p1 p2
+        if ne = 0 then 0.0 else params.ext_weight /. ne_f *. Scoring.ext_after scoring p1 p2
       in
       let h = (h_basic +. h_ext) *. Float.max decay.(p1) decay.(p2) in
       c_h.(i) <- h;
@@ -594,14 +671,14 @@ let route_core params coupling ~rng ~dist ~bonus ~oracle ~stream ~mapping wk =
     if Qobs.active () then begin
       Qobs.add c_candidates n_cand;
       Qobs.add c_h_basic n_cand;
-      if ext_pairs <> [] then Qobs.add c_h_lookahead n_cand;
+      if ne > 0 then Qobs.add c_h_lookahead n_cand;
       (* pair evaluations the delta scorer skipped relative to the full
          rescan of every front/extended pair per candidate *)
-      let full = n_cand * (List.length front_pairs + List.length ext_pairs) in
-      Qobs.add c_score_cache (max 0 (full - Scoring.pair_evals sc))
+      let full = n_cand * (nf + ne) in
+      Qobs.add c_score_cache (max 0 (full - Scoring.pair_evals scoring))
     end;
     if n_cand = 0 then
-      raise (Routing_stuck { front = front_pairs; l2p = Array.copy mapping.l2p });
+      raise (Routing_stuck { front = front_pairs (); l2p = Array.copy mapping.l2p });
     let best_h = !best_h in
     (* the ties in candidate order: [Rng.pick]'s choice depends on it *)
     let ties = ref [] in
@@ -613,8 +690,7 @@ let route_core params coupling ~rng ~dist ~bonus ~oracle ~stream ~mapping wk =
     let bonus_v = c_bonus.(chosen) in
     if timing then Qobs.observe h_score_time ((Unix.gettimeofday () -. t0) *. 1000.0);
     if Qobs.Recorder.active () then begin
-      Qobs.Recorder.record_step
-        ~front:(List.length front_pairs)
+      Qobs.Recorder.record_step ~front:nf
         ~candidates:
           (List.init n_cand (fun i ->
                {
@@ -630,7 +706,7 @@ let route_core params coupling ~rng ~dist ~bonus ~oracle ~stream ~mapping wk =
         Qobs.observe h_candidate c_h.(i)
       done;
       Qobs.observe h_chosen best_h;
-      Qobs.observe h_front (float_of_int (List.length front_pairs))
+      Qobs.observe h_front (float_of_int nf)
     end;
     emit_swap p1 p2 c_action.(chosen);
     apply_swap mapping p1 p2;
@@ -676,12 +752,11 @@ let route_core params coupling ~rng ~dist ~bonus ~oracle ~stream ~mapping wk =
     match oracle with
     | None -> false
     | Some solve -> (
-        let front_pairs = two_qubit_front_of wk front_ids mapping in
-        match solve ~front:front_pairs with
+        refresh front_ids;
+        match solve ~front:(front_pairs ()) with
         | None | Some [] -> false
         | Some swaps ->
-            let front_n = List.length front_pairs in
-            List.iter (apply_fixed_swap ~forced:false ~front_n) swaps;
+            List.iter (apply_fixed_swap ~forced:false ~front_n:!nf) swaps;
             true)
   in
   let force_progress front_ids =
@@ -695,8 +770,10 @@ let route_core params coupling ~rng ~dist ~bonus ~oracle ~stream ~mapping wk =
             let pa = mapping.l2p.(a) and pb = mapping.l2p.(b) in
             let path = Coupling.shortest_path coupling pa pb in
             let front_n =
-              if Qobs.Recorder.active () then
-                List.length (two_qubit_front_of wk front_ids mapping)
+              if Qobs.Recorder.active () then begin
+                refresh front_ids;
+                !nf
+              end
               else 0
             in
             let rec walk = function
@@ -714,7 +791,7 @@ let route_core params coupling ~rng ~dist ~bonus ~oracle ~stream ~mapping wk =
        and on a stuck front the very same ids feed candidate generation or
        the escape valve (they cannot have changed: nothing retired) *)
     let front_ids = wk.wk_front () in
-    if drain_from front_ids then begin
+    if (not (stuck ())) && drain front_ids then begin
       stall := 0;
       Array.fill decay 0 n_phys 1.0
     end

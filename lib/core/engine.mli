@@ -128,28 +128,42 @@ val layout_rng : params -> Mathkit.Rng.t
 module Scoring : sig
   (** The incremental candidate scorer (exposed for equivalence tests).
 
-      Per routing step, {!prepare} computes the front/extended distance
-      sums once plus a per-physical-qubit -> pairs index; {!front_after} /
-      {!ext_after} then score a candidate SWAP [(p1, p2)] by adjusting only
-      the pairs touching [p1] or [p2] — O(deg) instead of O(|F| + |E|).
-      For integral (hop) metrics the result is bit-identical to a full
-      rescan; for non-integral metrics it agrees within accumulated ulps
-      (the engine's 1e-12 tie tolerance absorbs this).  Infinite base sums
-      (disconnected pairs) fall back to the full rescan internally. *)
+      One [t] serves every step of a route.  Per step, the front and
+      lookahead-window pairs (physical qubits) are loaded with {!clear},
+      {!add_front} and {!add_ext}; {!prepare} then computes the two
+      distance sums once plus a per-physical-qubit -> pairs index, and
+      {!front_after} / {!ext_after} score a candidate SWAP [(p1, p2)] by
+      adjusting only the pairs touching [p1] or [p2] — O(deg) instead of
+      O(|F| + |E|).  Pairs and index live in flat int arrays that grow on
+      demand and are reused, so a step allocates nothing here.
 
-  type scratch
-  (** Reusable per-[route_once] workspace (the qubit -> pairs index). *)
+      Each sum adds its floats in a fixed order: the base sums in pair
+      order, the deltas over the pairs touching [p1] and then those
+      touching [p2] but not [p1], newest pair first.  For integral (hop)
+      metrics the result is bit-identical to a full rescan; for
+      non-integral metrics it agrees within accumulated ulps (the engine's
+      1e-12 tie tolerance absorbs this).  Infinite base sums (disconnected
+      pairs) fall back to the full rescan internally. *)
 
   type t
-  (** One prepared step: base sums + index over a fixed front/ext set. *)
+  (** Reusable per-route workspace: the step's pairs, their index and the
+      prepared sums.  Not safe to share between concurrent routes. *)
 
-  val make_scratch : n_phys:int -> scratch
-  val prepare :
-    scratch ->
-    dist:Topology.Distmat.t ->
-    front:(int * int) list ->
-    ext:(int * int) list ->
-    t
+  val create : n_phys:int -> capacity:int -> t
+  (** Room for [capacity] pairs in each of the two sets before the first
+      growth. *)
+
+  val clear : t -> unit
+  (** Empty both pair sets. *)
+
+  val add_front : t -> int -> int -> unit
+  (** [add_front t a b] appends the physical pair [(a, b)] to the front. *)
+
+  val add_ext : t -> int -> int -> unit
+  (** Appends a pair to the extended (lookahead) set. *)
+
+  val prepare : t -> dist:Topology.Distmat.t -> unit
+  (** Sums and indexes the pairs added since {!clear} under [dist]. *)
 
   val base_front : t -> float
   (** Sum of [D.(a).(b)] over the front pairs under the current mapping. *)

@@ -245,8 +245,10 @@ module Streaming = struct
 
   let push t (op : Engine.out_op) =
     let emit i = t.pend <- i :: t.pend in
-    (match (op.gate, op.op_qubits, op.tag) with
-    | Gate.SWAP, [ a; b ], Engine.Swap_plain -> List.iter emit [ cx a b; cx b a; cx a b ]
+    match (op.gate, op.op_qubits, op.tag) with
+    | Gate.SWAP, [ a; b ], Engine.Swap_plain ->
+        List.iter emit [ cx a b; cx b a; cx a b ];
+        settle t
     | Gate.SWAP, [ a; b ], Engine.Swap_orient (c, tg) ->
         Qobs.incr c_oriented;
         let moved = ref [] in
@@ -269,9 +271,15 @@ module Streaming = struct
             let q = List.hd i.qubits in
             let q' = if q = a then b else a in
             emit { i with qubits = [ q' ] })
-          !moved
-    | _, qs, _ -> emit { Qcircuit.Circuit.gate = op.gate; qubits = qs });
-    settle t
+          !moved;
+        settle t
+    | _, qs, _ ->
+        emit { Qcircuit.Circuit.gate = op.gate; qubits = qs };
+        (* between pushes [pend] is settled, so it holds one-qubit gates
+           only; a one-qubit op keeps it so and leaves nothing to flush.
+           Skipping [settle] keeps the push O(1) on a stream of one-qubit
+           gates, whose pending run is unbounded. *)
+        if not (Gate.is_one_qubit op.gate) then settle t
 
   let flush t =
     List.iter t.emit (List.rev t.pend);

@@ -69,6 +69,14 @@ let first_on_wire d q =
 let pred_ids d id = d.pred_cache.(id)
 let succ_ids d id = d.succ_cache.(id)
 
+let retire front id promoted =
+  let rec go = function
+    | [] -> promoted
+    | x :: tl when x = id -> if promoted = [] then tl else tl @ promoted
+    | x :: tl -> x :: go tl
+  in
+  go front
+
 module Traversal = struct
   type dag = t
 
@@ -108,9 +116,11 @@ module Traversal = struct
 
   let front t = t.front_
 
+  (* a node is on the front iff it is unexecuted with indegree 0, so
+     readiness is two array reads, not a walk of the front *)
   let execute t id =
-    if not (List.mem id t.front_) then invalid_arg "Dag.Traversal.execute: node not ready";
-    t.front_ <- List.filter (fun x -> x <> id) t.front_;
+    if id < 0 || id >= Array.length t.done_ || t.done_.(id) || t.indeg.(id) <> 0 then
+      invalid_arg "Dag.Traversal.execute: node not ready";
     t.done_.(id) <- true;
     t.n_done <- t.n_done + 1;
     let promoted = ref [] in
@@ -119,7 +129,7 @@ module Traversal = struct
         t.indeg.(s) <- t.indeg.(s) - 1;
         if t.indeg.(s) = 0 then promoted := s :: !promoted)
       (succ_ids t.dag id);
-    t.front_ <- t.front_ @ List.rev !promoted
+    t.front_ <- retire t.front_ id (List.rev !promoted)
 
   let finished t = t.n_done = Array.length t.dag.arr
   let executed_count t = t.n_done

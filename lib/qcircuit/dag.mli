@@ -32,6 +32,12 @@ val pred_ids : t -> int -> int list
 
 val succ_ids : t -> int -> int list
 
+val retire : int list -> int -> int list -> int list
+(** [retire front id promoted] is [front] without [id], followed by
+    [promoted]: the front after [id] executes, in the order both walkers
+    keep (removal in place, promotions appended).  One walk of [front]; the
+    suffix after [id] is shared when [promoted] is empty. *)
+
 module Traversal : sig
   (** Mutable front-layer traversal used by the routers. *)
 
@@ -44,8 +50,12 @@ module Traversal : sig
       executed. *)
 
   val execute : t -> int -> unit
-  (** Mark a front-layer node executed, promoting newly-ready successors.
-      @raise Invalid_argument if the node is not ready. *)
+  (** Mark a front-layer node executed, promoting newly-ready successors:
+      the node leaves the front in place and the promoted ones are appended
+      in successor-id order ({!retire}).
+      @raise Invalid_argument if the node is not on the front (not yet
+      ready, already executed, or out of range); the front is then
+      unchanged. *)
 
   val finished : t -> bool
   val executed_count : t -> int

@@ -109,8 +109,8 @@ let execute t id =
     | Some nd -> nd
     | None -> invalid_arg "Streamdag.execute: node not resident"
   in
-  if not (List.mem id t.front_) then invalid_arg "Streamdag.execute: node not ready";
-  t.front_ <- List.filter (fun x -> x <> id) t.front_;
+  (* a resident node is on the front iff its indegree is 0 *)
+  if nd.indeg <> 0 then invalid_arg "Streamdag.execute: node not ready";
   nd.executed <- true;
   Hashtbl.remove t.tbl id;
   t.n_exec <- t.n_exec + 1;
@@ -120,7 +120,7 @@ let execute t id =
       s.indeg <- s.indeg - 1;
       if s.indeg = 0 then promoted := s.id :: !promoted)
     nd.succs;
-  t.front_ <- t.front_ @ List.rev !promoted;
+  t.front_ <- Dag.retire t.front_ id (List.rev !promoted);
   nd.succs <- [];
   refill t
 

@@ -40,8 +40,11 @@ val qubits : t -> int -> int list
 val execute : t -> int -> unit
 (** Retire a front node: emit its successors' indegree decrements, append
     newly-ready nodes to the front, drop the node's storage, and admit
-    replacement gates from the source until the window is full again.
-    @raise Invalid_argument if the node is not on the front. *)
+    replacement gates from the source until the window is full again.  The
+    node leaves the front in place and promotions are appended, as
+    {!Dag.retire} does.
+    @raise Invalid_argument if the node is not on the front (not resident,
+    or still waiting on a predecessor); the front is then unchanged. *)
 
 val finished : t -> bool
 (** True when the source is exhausted and every admitted gate executed. *)

@@ -182,6 +182,135 @@ let test_lookahead () =
   check "lookahead are 2q" true
     (List.for_all (fun id -> Gate.is_two_qubit (Dag.node d id).gate) ahead)
 
+(* ---------- the two walkers' execute contract ----------
+
+   [Dag.Traversal] and [Streamdag] share one contract: executing a front
+   node removes it in place and appends the newly ready nodes in
+   ascending id order (promotions, then for [Streamdag] the gates its
+   refill admits ready); executing anything else raises
+   [Invalid_argument] and leaves the front unchanged.  Both are checked
+   against a list model of the filter-then-append rule, with readiness
+   computed from the instruction list alone. *)
+
+type walker = { front : unit -> int list; execute : int -> unit; admitted : unit -> int }
+
+let dag_walker c =
+  let tr = Dag.Traversal.create (Dag.of_circuit c) in
+  {
+    front = (fun () -> Dag.Traversal.front tr);
+    execute = Dag.Traversal.execute tr;
+    admitted = (fun () -> Circuit.size c);
+  }
+
+let stream_walker ~window c =
+  let sd = Streamdag.create ~window (Source.of_circuit c) in
+  {
+    front = (fun () -> Streamdag.front sd);
+    execute = Streamdag.execute sd;
+    admitted = (fun () -> Streamdag.admitted_count sd);
+  }
+
+let walkers =
+  [
+    ("Dag.Traversal", dag_walker);
+    ("Streamdag w=2", stream_walker ~window:2);
+    ("Streamdag w=5", stream_walker ~window:5);
+  ]
+
+(* raises Invalid_argument and leaves the front as it was *)
+let rejects w id =
+  let before = w.front () in
+  (match w.execute id with
+  | () -> false
+  | exception Invalid_argument _ -> true)
+  && w.front () = before
+
+let test_execute_contract () =
+  let c = ghz 4 in
+  List.iter
+    (fun (name, make) ->
+      let w = make c in
+      check (name ^ ": front is the H") true (w.front () = [ 0 ]);
+      check (name ^ ": non-front node rejected") true (rejects w 2);
+      w.execute 0;
+      check (name ^ ": executed node rejected") true (rejects w 0);
+      check (name ^ ": unknown node rejected") true (rejects w 99);
+      check (name ^ ": promotion appended") true (w.front () = [ 1 ]))
+    walkers
+
+(* instruction [j] is ready once every earlier instruction sharing a
+   wire with it has executed *)
+let ready instrs executed j =
+  (not executed.(j))
+  && List.for_all
+       (fun i ->
+         i >= j
+         || executed.(i)
+         || not
+              (List.exists
+                 (fun q -> List.mem q (instrs.(i) : Circuit.instr).qubits)
+                 instrs.(j).Circuit.qubits))
+       (List.init (Array.length instrs) Fun.id)
+
+let gen_walk =
+  QCheck.Gen.(
+    let gate =
+      oneof
+        [
+          map (fun q -> (Gate.H, [ q ])) (int_range 0 3);
+          map2
+            (fun a d -> (Gate.CX, [ a; (a + 1 + d) mod 4 ]))
+            (int_range 0 3) (int_range 0 2);
+        ]
+    in
+    triple (list_size (int_range 1 30) gate) (int_range 0 (List.length walkers - 1))
+      (list_size (return 64) nat))
+
+let prop_front_order (gates, wi, picks) =
+  let c =
+    Circuit.create 4 (List.map (fun (gate, qubits) -> { Circuit.gate; qubits }) gates)
+  in
+  let instrs = Array.of_list (Circuit.instrs c) in
+  let executed = Array.make (Array.length instrs) false in
+  let name, make = List.nth walkers wi in
+  let w = make c in
+  let picks = ref picks in
+  let next () =
+    match !picks with
+    | p :: rest ->
+        picks := rest;
+        p
+    | [] -> 0
+  in
+  let ok = ref true in
+  while !ok && w.front () <> [] do
+    let front = w.front () in
+    let id = List.nth front (next () mod List.length front) in
+    (* a node that is not on the front: executed, waiting, or unknown *)
+    let outside = next () mod (Array.length instrs + 1) in
+    if not (List.mem outside front) then ok := rejects w outside;
+    let was_ready j = List.mem j front in
+    w.execute id;
+    executed.(id) <- true;
+    let appended =
+      List.filter
+        (fun j -> j < w.admitted () && (not (was_ready j)) && ready instrs executed j)
+        (List.init (Array.length instrs) Fun.id)
+    in
+    let model = List.filter (fun x -> x <> id) front @ appended in
+    if w.front () <> model then
+      QCheck.Test.fail_reportf "%s: executing %d gave front [%s], model [%s]" name id
+        (String.concat ";" (List.map string_of_int (w.front ())))
+        (String.concat ";" (List.map string_of_int model))
+  done;
+  !ok && Array.for_all Fun.id executed
+
+let walker_props =
+  [
+    QCheck.Test.make ~name:"front order = filter-then-append model" ~count:300
+      (QCheck.make gen_walk) prop_front_order;
+  ]
+
 (* ---------- QASM ---------- *)
 
 let test_qasm_contains () =
@@ -217,5 +346,8 @@ let () =
           Alcotest.test_case "traversal respects deps" `Quick test_traversal_order_respects_deps;
           Alcotest.test_case "lookahead" `Quick test_lookahead;
         ] );
+      ( "walker",
+        Alcotest.test_case "execute contract" `Quick test_execute_contract
+        :: List.map QCheck_alcotest.to_alcotest walker_props );
       ("qasm", [ Alcotest.test_case "emission" `Quick test_qasm_contains ]);
     ]

@@ -27,13 +27,14 @@ let topologies =
     ("heavyhex2x2", Topology.Devices.heavy_hex 2 2);
   ]
 
-(* hop and noise-aware metrics per topology, plus a reusable scratch so the
-   property also exercises the scratch's dirty-reset path across samples *)
+(* hop and noise-aware metrics per topology, sharing one scorer whose
+   initial capacity (4 pairs) is below the generated pair counts, so the
+   properties also run its growth path and its reset between samples *)
 let instances =
   List.concat_map
     (fun (tname, coupling) ->
       let n_phys = Topology.Coupling.n_qubits coupling in
-      let scratch = Engine.Scoring.make_scratch ~n_phys in
+      let scratch = Engine.Scoring.create ~n_phys ~capacity:4 in
       [
         (tname ^ "/hop", n_phys, Qroute.Sabre.hop_distance coupling, true, scratch);
         ( tname ^ "/noise",
@@ -49,15 +50,22 @@ let gen_case =
     let* inst = int_range 0 (List.length instances - 1) in
     let _, n_phys, _, _, _ = List.nth instances inst in
     let pair = map2 (fun a b -> (a, b)) (int_range 0 (n_phys - 1)) (int_range 0 (n_phys - 1)) in
-    let* front = list_size (int_range 0 5) pair in
-    let* ext = list_size (int_range 0 20) pair in
+    let* front = list_size (int_range 0 10) pair in
+    let* ext = list_size (int_range 0 40) pair in
     let* p1 = int_range 0 (n_phys - 1) in
     let* p2 = int_range 0 (n_phys - 1) in
     return (inst, front, ext, p1, if p2 = p1 then (p1 + 1) mod n_phys else p2))
 
+let prepare scratch ~dist ~front ~ext =
+  Engine.Scoring.clear scratch;
+  List.iter (fun (a, b) -> Engine.Scoring.add_front scratch a b) front;
+  List.iter (fun (a, b) -> Engine.Scoring.add_ext scratch a b) ext;
+  Engine.Scoring.prepare scratch ~dist;
+  scratch
+
 let prop_delta_equals_full (inst, front, ext, p1, p2) =
   let name, _, dist, integral, scratch = List.nth instances inst in
-  let sc = Engine.Scoring.prepare scratch ~dist ~front ~ext in
+  let sc = prepare scratch ~dist ~front ~ext in
   let fa = Engine.Scoring.front_after sc p1 p2 in
   let ea = Engine.Scoring.ext_after sc p1 p2 in
   let fa_ref = ref_sum dist p1 p2 front in
@@ -76,7 +84,7 @@ let prop_delta_equals_full (inst, front, ext, p1, p2) =
 let prop_h_equals_reference (inst, front, ext, p1, p2) =
   let _, _, dist, integral, scratch = List.nth instances inst in
   let params = Engine.default_params in
-  let sc = Engine.Scoring.prepare scratch ~dist ~front ~ext in
+  let sc = prepare scratch ~dist ~front ~ext in
   let h_of fa ea =
     let nf = float_of_int (max 1 (List.length front)) in
     let ne = float_of_int (max 1 (List.length ext)) in
@@ -88,12 +96,50 @@ let prop_h_equals_reference (inst, front, ext, p1, p2) =
   let h_ref = h_of (ref_sum dist p1 p2 front) (ref_sum dist p1 p2 ext) in
   if integral then h = h_ref else Float.abs (h -. h_ref) <= 1e-12
 
+(* the scorer before its pairs moved into flat arrays: per-qubit cons
+   lists, newest pair first.  The flat scorer must reproduce it bit for
+   bit under both metrics, since the non-integral one rounds differently
+   in any other summation order *)
+let cons_list_after dist ~front ~ext which p1 p2 =
+  let pairs = match which with `Front -> front | `Ext -> ext in
+  let d a b = Topology.Distmat.get dist a b in
+  let sum = List.fold_left (fun acc (a, b) -> acc +. d a b) 0.0 in
+  let base_f = sum front and base_e = sum ext in
+  if Float.is_finite base_f && Float.is_finite base_e then begin
+    let touching q = List.rev (List.filter (fun (a, b) -> a = q || b = q) pairs) in
+    let m q = if q = p1 then p2 else if q = p2 then p1 else q in
+    let add skip acc (a, b) =
+      if a <> skip && b <> skip then acc +. (d (m a) (m b) -. d a b) else acc
+    in
+    let delta =
+      List.fold_left (add p1) (List.fold_left (add (-1)) 0.0 (touching p1)) (touching p2)
+    in
+    (match which with `Front -> base_f | `Ext -> base_e) +. delta
+  end
+  else ref_sum dist p1 p2 pairs
+
+let bits = Int64.bits_of_float
+
+let prop_flat_equals_cons_lists (inst, front, ext, p1, p2) =
+  let name, _, dist, _, scratch = List.nth instances inst in
+  let sc = prepare scratch ~dist ~front ~ext in
+  let fa = Engine.Scoring.front_after sc p1 p2 in
+  let ea = Engine.Scoring.ext_after sc p1 p2 in
+  let fa_ref = cons_list_after dist ~front ~ext `Front p1 p2 in
+  let ea_ref = cons_list_after dist ~front ~ext `Ext p1 p2 in
+  if bits fa = bits fa_ref && bits ea = bits ea_ref then true
+  else
+    QCheck.Test.fail_reportf "%s: front %h vs %h, ext %h vs %h" name fa fa_ref ea ea_ref
+
+(* QCHECK_LONG=1 multiplies each count by its long_factor *)
 let qcheck_props =
   [
     QCheck.Test.make ~name:"delta scorer = full rescan (4 topologies x 2 metrics)"
-      ~count:500 (QCheck.make gen_case) prop_delta_equals_full;
-    QCheck.Test.make ~name:"assembled H = reference H" ~count:500 (QCheck.make gen_case)
-      prop_h_equals_reference;
+      ~count:500 ~long_factor:20 (QCheck.make gen_case) prop_delta_equals_full;
+    QCheck.Test.make ~name:"assembled H = reference H" ~count:500 ~long_factor:20
+      (QCheck.make gen_case) prop_h_equals_reference;
+    QCheck.Test.make ~name:"flat scorer = cons-list scorer, bit for bit" ~count:500
+      ~long_factor:20 (QCheck.make gen_case) prop_flat_equals_cons_lists;
   ]
 
 (* ---- NASSC bonus window semantics over the op stream ---- *)

@@ -276,10 +276,129 @@ let test_streaming_finalize () =
   checki "nothing left pending" 0 (Qroute.Nassc.Streaming.pending t);
   check "incremental = batch finalize" true (List.rev !out = batch)
 
+(* ---- Nassc.Streaming against an independent reference ----
+
+   [test_streaming_finalize] compares the incremental finalizer with
+   [Nassc.finalize], which is the same code draining into a list.  This
+   reference is the finalizer as first written, kept here: it settles
+   after every push, walking the whole pending one-qubit run each time. *)
+
+module Ref_finalizer = struct
+  type t = { emit : Circuit.instr -> unit; mutable pend : Circuit.instr list }
+
+  let cx a b = { Circuit.gate = Gate.CX; qubits = [ a; b ] }
+
+  let settle t =
+    let rec split kept = function
+      | (i : Circuit.instr) :: rest when Gate.is_one_qubit i.gate -> split (i :: kept) rest
+      | below -> (kept, below)
+    in
+    match split [] t.pend with
+    | _, [] -> ()
+    | kept_oldest_first, below ->
+        List.iter t.emit (List.rev below);
+        t.pend <- List.rev kept_oldest_first
+
+  let push t (op : Qroute.Engine.out_op) =
+    let emit i = t.pend <- i :: t.pend in
+    (match (op.gate, op.op_qubits, op.tag) with
+    | Gate.SWAP, [ a; b ], Qroute.Engine.Swap_plain ->
+        List.iter emit [ cx a b; cx b a; cx a b ]
+    | Gate.SWAP, [ a; b ], Qroute.Engine.Swap_orient (c, tg) ->
+        let moved = ref [] in
+        let rec pull () =
+          match t.pend with
+          | (i : Circuit.instr) :: rest
+            when Gate.is_one_qubit i.gate && (i.qubits = [ a ] || i.qubits = [ b ]) ->
+              t.pend <- rest;
+              moved := i :: !moved;
+              pull ()
+          | _ -> ()
+        in
+        pull ();
+        List.iter emit [ cx c tg; cx tg c; cx c tg ];
+        List.iter
+          (fun (i : Circuit.instr) ->
+            let q = List.hd i.qubits in
+            emit { i with qubits = [ (if q = a then b else a) ] })
+          !moved
+    | _, qs, _ -> emit { Circuit.gate = op.gate; qubits = qs });
+    settle t
+
+  let flush t =
+    List.iter t.emit (List.rev t.pend);
+    t.pend <- []
+end
+
+(* long one-qubit runs between CXs, plain swaps and oriented swaps of
+   either orientation, on four wires *)
+let gen_ops =
+  QCheck.Gen.(
+    let mk gate qs tag = { Qroute.Engine.gate; op_qubits = qs; tag } in
+    let qubit = int_range 0 3 in
+    let pair = map2 (fun a d -> (a, (a + 1 + d) mod 4)) qubit (int_range 0 2) in
+    let one =
+      map2
+        (fun g q -> mk g [ q ] Qroute.Engine.Not_swap)
+        (oneofl [ Gate.H; Gate.SX; Gate.T; Gate.RZ 0.5 ])
+        qubit
+    in
+    let segment =
+      frequency
+        [
+          (4, list_size (int_range 0 40) one);
+          (1, map (fun (a, b) -> [ mk Gate.CX [ a; b ] Qroute.Engine.Not_swap ]) pair);
+          (2, map (fun (a, b) -> [ mk Gate.SWAP [ a; b ] Qroute.Engine.Swap_plain ]) pair);
+          ( 3,
+            map2
+              (fun (a, b) flip ->
+                let c, t = if flip then (b, a) else (a, b) in
+                [ mk Gate.SWAP [ a; b ] (Qroute.Engine.Swap_orient (c, t)) ])
+              pair bool );
+        ]
+    in
+    map List.concat (list_size (int_range 0 12) segment))
+
+let show_ops ops =
+  String.concat "; "
+    (List.map
+       (fun (o : Qroute.Engine.out_op) ->
+         Printf.sprintf "%s%s[%s]" (Gate.name o.gate)
+           (match o.tag with
+           | Qroute.Engine.Not_swap -> ""
+           | Swap_plain -> "/plain"
+           | Swap_orient (c, t) -> Printf.sprintf "/orient(%d,%d)" c t)
+           (String.concat "," (List.map string_of_int o.op_qubits)))
+       ops)
+
+(* same instructions, and each push releases as many of them as the
+   reference's does *)
+let prop_finalizer_matches_reference ops =
+  let out = ref [] and ref_out = ref [] in
+  let t = Qroute.Nassc.Streaming.create ~emit:(fun i -> out := i :: !out) in
+  let r = { Ref_finalizer.emit = (fun i -> ref_out := i :: !ref_out); pend = [] } in
+  List.iter
+    (fun op ->
+      Qroute.Nassc.Streaming.push t op;
+      Ref_finalizer.push r op;
+      if List.length !out <> List.length !ref_out then
+        QCheck.Test.fail_reportf "after %s: %d emitted, reference %d" (show_ops [ op ])
+          (List.length !out) (List.length !ref_out))
+    ops;
+  Qroute.Nassc.Streaming.flush t;
+  Ref_finalizer.flush r;
+  !out = !ref_out
+
+let finalizer_prop =
+  QCheck.Test.make ~name:"incremental finalize = settle-every-push reference" ~count:300
+    (QCheck.make ~print:show_ops gen_ops)
+    prop_finalizer_matches_reference
+
 let () =
   Alcotest.run "stream"
     [
-      ("equivalence", List.map QCheck_alcotest.to_alcotest qcheck_props);
+      ( "equivalence",
+        List.map QCheck_alcotest.to_alcotest (qcheck_props @ [ finalizer_prop ]) );
       ( "streaming",
         [
           Alcotest.test_case "noise-aware variants" `Quick test_ha_variants;
