@@ -19,7 +19,8 @@ let usage () =
      --quick     with --regress (six-circuit CI subset) or --only scaling (<= 10^5 gates)\n\
      --baseline FILE        baseline snapshot (default bench/baselines/regress-<suite>.json)\n\
      --out FILE             where to write the snapshot (default BENCH_<git-sha>.json,\n\
-     \            BENCH_<git-sha>-EXP.json with --only EXP)\n\
+     \            BENCH_<git-sha>-EXP.json with --only EXP, BENCH_<git-sha>-paper.json\n\
+     \            for the paper's experiments: table1 ... ablate-lookahead, all)\n\
      --max-cx-regress PCT   allowed cx_total growth in percent (default 2.0)\n\
      --max-depth-regress PCT allowed depth growth in percent (default 5.0)\n\
      --metrics FILE         with --regress: export the whole suite's observability\n\
@@ -93,20 +94,7 @@ let () =
          ~baseline:!baseline ~out:!out ~max_cx:!max_cx ~max_depth:!max_depth ~seed:11
          ~trials:1 ())
   else begin
-    let seeds = !seeds in
-    let quick_tables = false in
-    let want x = !only = "all" || !only = x in
-    if want "table1" then Tables.table1 ~seeds ~quick:quick_tables ();
-    if want "table2" then Tables.table2 ~seeds ~quick:quick_tables ();
-    if want "table3" then Tables.table3 ~seeds ~quick:quick_tables ();
-    if want "table4" then Tables.table4 ~seeds ~quick:quick_tables ();
-    (* figure 9 runs 8 router configurations per benchmark: restrict to the
-       non-heavy suite unless --full *)
-    if want "fig9" then Fig9.run ~seeds ~quick:(not !full) ();
-    if want "fig11a" then Fig11.cnot_counts ~seeds ();
-    if want "fig11b" then Fig11.success_rates ~shots:!shots ();
-    if want "routers" then Routers.run ~seeds ();
-    if want "trials" then Trials_sweep.run ~seed:11 ();
+    Paper.run ~only:!only ~seeds:!seeds ~shots:!shots ~full:!full ?out:!out ();
     (* the gap harness certifies optima with an exact solver: opt-in only *)
     if !only = "gap" then Gap.run ~quick:!quick ~out:!out ();
     (* routers x topologies x families comparison matrix: opt-in only *)
@@ -116,7 +104,5 @@ let () =
     if !only = "score" then Scorebench.run ?out:!out ();
     (* streaming throughput/RSS matrix up to 433q and 10^6 gates: opt-in
        only, and the RSS gate makes it exit non-zero on a memory blow-up *)
-    if !only = "scaling" then exit (Scaling.run ~quick:!quick ?out:!out ~seed:11 ());
-    if want "ablate-decomp" then Ablations.ablate_decomposition ~seeds ();
-    if want "ablate-lookahead" then Ablations.ablate_lookahead ~seeds ()
+    if !only = "scaling" then exit (Scaling.run ~quick:!quick ?out:!out ~seed:11 ())
   end

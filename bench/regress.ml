@@ -31,19 +31,16 @@ type row = {
   rec_totals : Qobs.Recorder.totals;
 }
 
-(* total wall time spent under spans named [name], across the root
-   collector and every merged per-trial child *)
-let span_wall root name =
-  let rec sum c =
-    List.fold_left
-      (fun acc (s : Qobs.Collector.span_rec) ->
-        if s.sp_name = name then acc +. s.sp_wall else acc)
-      (List.fold_left (fun acc ch -> acc +. sum ch) 0.0 (Qobs.Collector.children c))
-      (Qobs.Collector.spans c)
-  in
-  sum root
-
-let counter_total = Qobs.Trace.counter_total
+(* total wall time spent under spans named [name], across every collector
+   of the trace: the root and each merged per-trial child *)
+let span_wall trace name =
+  List.fold_left
+    (fun acc c ->
+      List.fold_left
+        (fun acc (s : Qobs.Collector.span_rec) ->
+          if s.sp_name = name then acc +. s.sp_wall else acc)
+        acc (Qobs.Collector.spans c))
+    0.0 (Qobs.Trace.collectors trace)
 
 let run_suite ?session ?wide ~quick ~seed ~trials () =
   let coupling = Topology.Devices.montreal in
@@ -60,8 +57,8 @@ let run_suite ?session ?wide ~quick ~seed ~trials () =
             Qobs.with_collector obs_root (fun () ->
                 Qroute.Pipeline.transpile ~params ~trials ~router coupling circuit)
           in
-          let route_wall_s = span_wall obs_root "trial.route" in
           let trace = Qobs.Trace.of_root obs_root in
+          let route_wall_s = span_wall trace "trial.route" in
           (* per-job telemetry: one wide event per (circuit, router) row,
              and the row's collector merged under the session root so
              --metrics exposes the whole suite as one registry *)
@@ -88,9 +85,9 @@ let run_suite ?session ?wide ~quick ~seed ~trials () =
             wall_s = r.transpile_time;
             cpu_s = r.cpu_time;
             route_wall_s;
-            score_cache_hits = counter_total trace "engine.score_cache_hits";
-            weyl_cache_hits = counter_total trace "nassc.weyl_cache_hits";
-            weyl_cache_misses = counter_total trace "nassc.weyl_cache_misses";
+            score_cache_hits = Qobs.Trace.counter_total trace "engine.score_cache_hits";
+            weyl_cache_hits = Qobs.Trace.counter_total trace "nassc.weyl_cache_hits";
+            weyl_cache_misses = Qobs.Trace.counter_total trace "nassc.weyl_cache_misses";
             rec_totals = Qobs.Recorder.totals obs_root;
           })
         routers)

@@ -30,9 +30,6 @@ type row = {
   score_ms_p99 : float;
 }
 
-let counter_total trace n =
-  match List.assoc_opt n (Qobs.Trace.counters_total trace) with Some v -> v | None -> 0
-
 let run ?(seed = 11) ?out () =
   (* per-step scoring timestamps are off by default to keep traces
      deterministic; this harness is exactly the opt-in consumer *)
@@ -51,11 +48,11 @@ let run ?(seed = 11) ?out () =
             ignore
               (Qobs.with_collector obs_root (fun () ->
                    Qroute.Pipeline.transpile ~params ~trials:1 ~router coupling circuit));
-            let route_wall_s = Regress.span_wall obs_root "trial.route" in
             let trace = Qobs.Trace.of_root obs_root in
+            let route_wall_s = Regress.span_wall trace "trial.route" in
             let totals = Qobs.Recorder.totals obs_root in
             let steps = totals.Qobs.Recorder.steps in
-            let candidates = counter_total trace "engine.swap_candidates_scored" in
+            let candidates = Qobs.Trace.counter_total trace "engine.swap_candidates_scored" in
             let per_s n =
               if route_wall_s > 0.0 then float_of_int n /. route_wall_s else 0.0
             in
@@ -79,9 +76,9 @@ let run ?(seed = 11) ?out () =
                 route_wall_s;
                 steps_per_s = per_s steps;
                 candidates_per_s = per_s candidates;
-                score_cache_hits = counter_total trace "engine.score_cache_hits";
-                weyl_hits = counter_total trace "nassc.weyl_cache_hits";
-                weyl_misses = counter_total trace "nassc.weyl_cache_misses";
+                score_cache_hits = Qobs.Trace.counter_total trace "engine.score_cache_hits";
+                weyl_hits = Qobs.Trace.counter_total trace "nassc.weyl_cache_hits";
+                weyl_misses = Qobs.Trace.counter_total trace "nassc.weyl_cache_misses";
                 score_ms_p50 = p50;
                 score_ms_p90 = p90;
                 score_ms_p99 = p99;

@@ -1,30 +1,4 @@
-type row = {
-  name : string;
-  n_qubits : int;
-  cx_original : int;
-  cx_sabre : int;
-  cx_nassc : int;
-  depth_original : int;
-  depth_sabre : int;
-  depth_nassc : int;
-  time_sabre : float;
-  time_nassc : float;
-}
-
-let cx_add_sabre r = r.cx_sabre - r.cx_original
-let cx_add_nassc r = r.cx_nassc - r.cx_original
-
-let ratio_delta a b = if b = 0 then 0.0 else 1.0 -. (float_of_int a /. float_of_int b)
-
-let delta_cx_total r = ratio_delta r.cx_nassc r.cx_sabre
-let delta_cx_add r = ratio_delta (cx_add_nassc r) (cx_add_sabre r)
-
-let delta_depth_total r = ratio_delta r.depth_nassc r.depth_sabre
-
-let delta_depth_add r =
-  ratio_delta (r.depth_nassc - r.depth_original) (r.depth_sabre - r.depth_original)
-
-let time_ratio r = if r.time_sabre = 0.0 then 1.0 else r.time_nassc /. r.time_sabre
+let delta nassc sabre = if sabre = 0.0 then 0.0 else 1.0 -. (nassc /. sabre)
 
 (* Deltas are 1 - ratio; the paper's geometric mean averages the ratios,
    so the aggregate delta is 1 - geomean(1 - x). *)
@@ -37,5 +11,3 @@ let geometric_mean xs =
         List.fold_left (fun acc x -> acc +. log (Float.max 1e-9 (1.0 -. x))) 0.0 xs
       in
       1.0 -. exp (log_sum /. n)
-
-let average_rows f rows = geometric_mean (List.map f rows)

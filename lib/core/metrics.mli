@@ -3,33 +3,11 @@
     [CNOT_add = CNOT_total(routed) - CNOT_total(original)], and the Delta
     columns are [1 - value(NASSC)/value(SABRE)] (footnotes of Table I). *)
 
-type row = {
-  name : string;
-  n_qubits : int;
-  cx_original : int;
-  cx_sabre : int;
-  cx_nassc : int;
-  depth_original : int;
-  depth_sabre : int;
-  depth_nassc : int;
-  time_sabre : float;
-  time_nassc : float;
-}
-
-val cx_add_sabre : row -> int
-val cx_add_nassc : row -> int
-val delta_cx_total : row -> float
-(** [1 - total(NASSC)/total(SABRE)], as a fraction. *)
-
-val delta_cx_add : row -> float
-val delta_depth_total : row -> float
-val delta_depth_add : row -> float
-val time_ratio : row -> float
+val delta : float -> float -> float
+(** [delta nassc sabre] is [1 - nassc/sabre], as a fraction; 0 when
+    [sabre = 0]. *)
 
 val geometric_mean : float list -> float
 (** Aggregate of delta values following the paper's convention: deltas are
     [1 - ratio], so the aggregate is [1 - geomean(1 - x)].  Empty list
     yields 0. *)
-
-val average_rows : (row -> float) -> row list -> float
-(** Geometric-mean aggregate of a delta column over rows. *)

@@ -186,19 +186,6 @@ let number_to_string f =
       let s16 = Printf.sprintf "%.16g" f in
       if float_of_string s16 = f then s16 else Printf.sprintf "%.17g" f
 
-let escape_to_buffer b s =
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
 let serialize ?(indent = 0) v =
   let b = Buffer.create 256 in
   let pad depth = if indent > 0 then Buffer.add_string b (String.make (depth * indent) ' ') in
@@ -211,7 +198,7 @@ let serialize ?(indent = 0) v =
         else Buffer.add_string b "null" (* JSON has no NaN/inf *)
     | Str s ->
         Buffer.add_char b '"';
-        escape_to_buffer b s;
+        Buffer.add_string b (Qobs.json_escape s);
         Buffer.add_char b '"'
     | List [] -> Buffer.add_string b "[]"
     | List items ->
@@ -241,7 +228,7 @@ let serialize ?(indent = 0) v =
             end;
             pad (depth + 1);
             Buffer.add_char b '"';
-            escape_to_buffer b k;
+            Buffer.add_string b (Qobs.json_escape k);
             Buffer.add_string b "\": ";
             go (depth + 1) item)
           kvs;

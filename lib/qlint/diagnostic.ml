@@ -47,28 +47,14 @@ let pp ppf d =
   | None -> ()
   | Some loc -> Format.fprintf ppf " (%a)" pp_location loc
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json d =
   let b = Buffer.create 96 in
   Buffer.add_string b "{\"kind\":\"diagnostic\",\"severity\":\"";
   Buffer.add_string b (severity_name d.severity);
   Buffer.add_string b "\",\"rule\":\"";
-  Buffer.add_string b (json_escape d.rule);
+  Buffer.add_string b (Qobs.json_escape d.rule);
   Buffer.add_string b "\",\"message\":\"";
-  Buffer.add_string b (json_escape d.message);
+  Buffer.add_string b (Qobs.json_escape d.message);
   Buffer.add_string b "\"";
   (match d.loc with
   | None -> ()
@@ -77,7 +63,7 @@ let to_json d =
   | Some (Source { line; col }) ->
       Buffer.add_string b (Printf.sprintf ",\"line\":%d,\"col\":%d" line col)
   | Some (Stage s) ->
-      Buffer.add_string b (Printf.sprintf ",\"stage\":\"%s\"" (json_escape s)));
+      Buffer.add_string b (Printf.sprintf ",\"stage\":\"%s\"" (Qobs.json_escape s)));
   Buffer.add_string b "}";
   Buffer.contents b
 

@@ -11,6 +11,23 @@
 
 module Hist = Hist
 
+(* ---- JSON string escaping, shared by every JSON writer ---- *)
+
+let json_escape s =
+  let b = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun ch ->
+      match ch with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\r' -> Buffer.add_string b "\\r"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b
+
 (* ---- registries ---- *)
 
 type counter = int
@@ -348,20 +365,6 @@ module Trace = struct
 
   let counter_total t name =
     match List.assoc_opt name (counters_total t) with Some v -> v | None -> 0
-
-  let json_escape s =
-    let buf = Buffer.create (String.length s + 8) in
-    String.iter
-      (fun ch ->
-        match ch with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
 
   let trial_field c =
     match Collector.trial c with None -> "null" | Some k -> string_of_int k
@@ -770,7 +773,7 @@ module Recorder = struct
             let c1, c2 = s.st_chosen in
             line
               {|{"type":"step","trial":%s,"seq":%d,"router":"%s","front":%d,"forced":%b,"chosen":[%d,%d],"chosen_bonus":%.9g,"chosen_bucket":"%s","candidates":[%s]}|}
-              (Trace.trial_field col) s.st_seq (Trace.json_escape s.st_router) s.st_front
+              (Trace.trial_field col) s.st_seq (json_escape s.st_router) s.st_front
               s.st_forced c1 c2 s.st_chosen_bonus (bucket_name s.st_chosen_bucket) cands)
           (steps_of r))
       rs;
@@ -814,7 +817,7 @@ module Recorder = struct
     List.iteri
       (fun tid (c, r) ->
         event {|{"name":"thread_name","ph":"M","pid":1,"tid":%d,"args":{"name":"%s"}}|} tid
-          (Trace.json_escape (Trace.track_name c));
+          (json_escape (Trace.track_name c));
         List.iter
           (fun s ->
             let ts = 1e6 *. (s.st_time -. t0) in
@@ -822,7 +825,7 @@ module Recorder = struct
             event
               {|{"name":"%s","cat":"routing","ph":"i","s":"t","ts":%.3f,"pid":1,"tid":%d,"args":{"router":"%s","front":%d,"forced":%b,"chosen":"(%d,%d)","chosen_bonus":%.9g,"chosen_bucket":"%s","candidates":%d}}|}
               (if s.st_forced then "forced-swap" else "swap")
-              ts tid (Trace.json_escape s.st_router) s.st_front s.st_forced c1 c2
+              ts tid (json_escape s.st_router) s.st_front s.st_forced c1 c2
               s.st_chosen_bonus (bucket_name s.st_chosen_bucket)
               (List.length s.st_candidates);
             event

@@ -22,6 +22,13 @@
 module Hist = Hist
 (** The bounded log-bucketed histogram value type (see {!Hist}). *)
 
+val json_escape : string -> string
+(** The body of a JSON string literal holding [s]: quote and backslash
+    escaped, [\n], [\r] and [\t] by name, every other control character
+    as [\u00XX].  The one escaper behind every JSON the project writes:
+    traces, recorder trails, [Qverify] certificates, [Qlint] diagnostics
+    and [Qbench.Jsonlite] documents. *)
+
 type counter
 type gauge
 

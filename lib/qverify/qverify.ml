@@ -39,19 +39,6 @@ let verdict_name = function
   | Not_equivalent _ -> "not_equivalent"
   | Unknown _ -> "unknown"
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json v =
   match v with
   | Equivalent c ->
@@ -67,13 +54,13 @@ let to_json v =
         | None -> ""
         | Some l ->
             Printf.sprintf ",\"segment\":\"%s\",\"index\":%d,\"gate\":\"%s\""
-              (json_escape l.segment) l.index (json_escape l.gate)
+              (Qobs.json_escape l.segment) l.index (Qobs.json_escape l.gate)
       in
       Printf.sprintf "{\"kind\":\"verdict\",\"verdict\":\"not_equivalent\",\"reason\":\"%s\"%s}"
-        (json_escape reason) loc
+        (Qobs.json_escape reason) loc
   | Unknown { reason } ->
       Printf.sprintf "{\"kind\":\"verdict\",\"verdict\":\"unknown\",\"reason\":\"%s\"}"
-        (json_escape reason)
+        (Qobs.json_escape reason)
 
 (* ---- the sweep state ---- *)
 

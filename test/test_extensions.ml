@@ -91,41 +91,6 @@ let test_astar_in_pipeline () =
   let s = Qroute.Pipeline.transpile ~router:Qroute.Pipeline.Sabre_router coupling c in
   check "sabre beats astar on vqe8" true (s.cx_total <= r.cx_total)
 
-(* ---------- layouts ---------- *)
-
-let test_layout_trivial () =
-  let l = Qroute.Layout.trivial ~n_log:5 Topology.Devices.montreal in
-  check "identity" true (l = [| 0; 1; 2; 3; 4 |])
-
-let test_layout_random_injective () =
-  let l = Qroute.Layout.random ~seed:3 ~n_log:10 Topology.Devices.montreal in
-  checki "distinct placements" 10 (List.length (List.sort_uniq compare (Array.to_list l)))
-
-let test_layout_dense_beats_random () =
-  let coupling = Topology.Devices.montreal in
-  let dense = Qroute.Layout.dense ~n_log:8 coupling in
-  checki "dense distinct" 8 (List.length (List.sort_uniq compare (Array.to_list dense)));
-  let dense_score = Qroute.Layout.average_pairwise_distance coupling dense in
-  (* dense placement must beat the average random placement *)
-  let rand_score =
-    let acc = ref 0.0 in
-    for seed = 1 to 10 do
-      acc :=
-        !acc
-        +. Qroute.Layout.average_pairwise_distance coupling
-             (Qroute.Layout.random ~seed ~n_log:8 coupling)
-    done;
-    !acc /. 10.0
-  in
-  check "dense tighter than random" true (dense_score < rand_score)
-
-let test_layout_too_big_rejected () =
-  check "raises" true
-    (try
-       ignore (Qroute.Layout.trivial ~n_log:30 Topology.Devices.montreal);
-       false
-     with Invalid_argument _ -> true)
-
 (* ---------- peephole ---------- *)
 
 let test_peephole_cancels_inverse_pairs () =
@@ -375,13 +340,6 @@ let () =
           Alcotest.test_case "validity + semantics" `Quick test_astar_validity_and_semantics;
           Alcotest.test_case "trivially routable" `Quick test_astar_no_swaps_when_trivially_routable;
           Alcotest.test_case "pipeline integration" `Quick test_astar_in_pipeline;
-        ] );
-      ( "layout",
-        [
-          Alcotest.test_case "trivial" `Quick test_layout_trivial;
-          Alcotest.test_case "random injective" `Quick test_layout_random_injective;
-          Alcotest.test_case "dense beats random" `Quick test_layout_dense_beats_random;
-          Alcotest.test_case "too big rejected" `Quick test_layout_too_big_rejected;
         ] );
       ( "peephole",
         [

@@ -262,6 +262,31 @@ let test_jsonlite_serialize_roundtrip () =
   check "compact round-trip" true (compact = v);
   check "pretty round-trip" true (pretty = v)
 
+(* ---- Qobs.json_escape: the one escaper behind every JSON writer ---- *)
+
+let parses_back s = Jsonlite.of_string ("\"" ^ Qobs.json_escape s ^ "\"") = Jsonlite.Str s
+
+let prop_json_escape_roundtrip =
+  let byte =
+    QCheck.Gen.(
+      frequency
+        [ (1, oneofl [ '"'; '\\'; '/' ]); (2, map Char.chr (int_range 0 0x1f)); (3, char) ])
+  in
+  QCheck.Test.make ~name:"json_escape: any byte string survives escape then parse" ~count:500
+    (QCheck.make ~print:String.escaped QCheck.Gen.(string_size ~gen:byte (int_range 0 40)))
+    parses_back
+
+let test_json_lines_with_tabs () =
+  check "quotes, backslashes and every control character" true
+    (parses_back (String.init 32 Char.chr ^ "\"\\"));
+  let reason = "residual\texpansion\r\nexceeded \"4096\" terms" in
+  let field k line = Jsonlite.member k (Jsonlite.of_string line) in
+  check "certificate line parses, reason intact" true
+    (field "reason" (Qverify.to_json (Qverify.Unknown { reason })) = Some (Jsonlite.Str reason));
+  check "diagnostic line parses, message intact" true
+    (field "message" (Qlint.Diagnostic.to_json (Qlint.Diagnostic.warning ~rule:"t\tab" reason))
+    = Some (Jsonlite.Str reason))
+
 (* ---- Snapshot: the one BENCH_*.json writer ---- *)
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
@@ -350,6 +375,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_jsonlite_float_roundtrip;
           Alcotest.test_case "serialize/parse round-trip" `Quick
             test_jsonlite_serialize_roundtrip;
+          QCheck_alcotest.to_alcotest prop_json_escape_roundtrip;
+          Alcotest.test_case "certificate and diagnostic lines with tabs" `Quick
+            test_json_lines_with_tabs;
         ] );
       ( "snapshot",
         [ Alcotest.test_case "write/parse round-trip" `Quick test_snapshot_write_roundtrip ]

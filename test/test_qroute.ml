@@ -431,18 +431,12 @@ let test_ha_routing_valid () =
 (* ---------- metrics ---------- *)
 
 let test_metrics_deltas () =
-  let row =
-    {
-      Metrics.name = "x"; n_qubits = 4; cx_original = 100; cx_sabre = 200; cx_nassc = 150;
-      depth_original = 50; depth_sabre = 100; depth_nassc = 80; time_sabre = 1.0;
-      time_nassc = 1.3;
-    }
-  in
-  checki "cx add sabre" 100 (Metrics.cx_add_sabre row);
-  checki "cx add nassc" 50 (Metrics.cx_add_nassc row);
-  Alcotest.(check (float 1e-9)) "delta total" 0.25 (Metrics.delta_cx_total row);
-  Alcotest.(check (float 1e-9)) "delta add" 0.5 (Metrics.delta_cx_add row);
-  Alcotest.(check (float 1e-9)) "time ratio" 1.3 (Metrics.time_ratio row)
+  (* Table I's footnote: the Delta columns are 1 - NASSC/SABRE, of totals
+     (150 against 200) and of CNOTs added to a 100-CNOT original *)
+  Alcotest.(check (float 1e-9)) "delta total" 0.25 (Metrics.delta 150.0 200.0);
+  Alcotest.(check (float 1e-9)) "delta add" 0.5 (Metrics.delta (150.0 -. 100.0) (200.0 -. 100.0));
+  Alcotest.(check (float 1e-9)) "nassc worse" (-0.5) (Metrics.delta 3.0 2.0);
+  Alcotest.(check (float 1e-9)) "zero sabre" 0.0 (Metrics.delta 5.0 0.0)
 
 let test_metrics_geomean () =
   Alcotest.(check (float 1e-9)) "geomean of zeros" 0.0 (Metrics.geometric_mean [ 0.0; 0.0 ]);
