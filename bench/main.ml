@@ -88,6 +88,28 @@ let () =
         exit 1
   in
   parse (List.tl (Array.to_list Sys.argv));
+  (* the opt-in harnesses, which [all] does not run; each returns the
+     exit code *)
+  let opt_in =
+    [
+      (* certifies optima with an exact solver *)
+      ("gap", fun () -> Gap.run ~quick:!quick ~out:!out (); 0);
+      (* routers x topologies x families comparison matrix *)
+      ("matrix", fun () -> Matrix.run ~quick:!quick ~out:!out (); 0);
+      (* symbolic-verification throughput up to device scale *)
+      ("verify", fun () -> Verify.run ~out:!out (); 0);
+      ("score", fun () -> Scorebench.run ?out:!out (); 0);
+      (* streaming throughput/RSS matrix up to 433q and 10^6 gates; the RSS
+         gate makes it exit non-zero on a memory blow-up *)
+      ("scaling", fun () -> Scaling.run ~quick:!quick ?out:!out ~seed:11 ());
+    ]
+  in
+  let known = !only = "all" || List.mem !only Paper.keys || List.mem_assoc !only opt_in in
+  if not known then begin
+    Printf.eprintf "unknown experiment %s\n" !only;
+    usage ();
+    exit 1
+  end;
   if !regress then
     exit
       (Regress.run ?metrics:!metrics ?wide_events:!wide_events ~quick:!quick
@@ -95,14 +117,5 @@ let () =
          ~trials:1 ())
   else begin
     Paper.run ~only:!only ~seeds:!seeds ~shots:!shots ~full:!full ?out:!out ();
-    (* the gap harness certifies optima with an exact solver: opt-in only *)
-    if !only = "gap" then Gap.run ~quick:!quick ~out:!out ();
-    (* routers x topologies x families comparison matrix: opt-in only *)
-    if !only = "matrix" then Matrix.run ~quick:!quick ~out:!out ();
-    (* symbolic-verification throughput up to device scale: opt-in only *)
-    if !only = "verify" then Verify.run ~out:!out ();
-    if !only = "score" then Scorebench.run ?out:!out ();
-    (* streaming throughput/RSS matrix up to 433q and 10^6 gates: opt-in
-       only, and the RSS gate makes it exit non-zero on a memory blow-up *)
-    if !only = "scaling" then exit (Scaling.run ~quick:!quick ?out:!out ~seed:11 ())
+    Option.iter (fun run -> exit (run ())) (List.assoc_opt !only opt_in)
   end

@@ -1,6 +1,7 @@
 open Mathkit
 open Qgate
 open Topology
+module Streamdag = Qcircuit.Streamdag
 
 type params = {
   ext_size : int;
@@ -481,31 +482,11 @@ module Candidates = struct
   let p2 t i = t.hi.(t.ord.(i))
 end
 
-(* ---- the traversal walker ----
-
-   The routing loop only ever asks six questions of the circuit: the ready
-   front, a node's gate and qubits, "execute this node", "are we done",
-   and the lookahead window.  Abstracting those as closures lets the same
-   loop drive both the materialized [Dag.Traversal] (classic whole-circuit
-   routing) and the bounded [Streamdag] window (O(window)-memory streaming)
-   without duplicating the scoring/stall/decay machinery.  Both walkers
-   answer every question in the exact same order for the same circuit, so
-   routed outputs are byte-identical across the two drivers. *)
-
-type walker = {
-  wk_front : unit -> int list;
-  wk_gate : int -> Gate.t;
-  wk_qubits : int -> int list;
-  wk_execute : int -> unit;
-  wk_finished : unit -> bool;
-  wk_lookahead : int -> int list;
-}
-
-(* the main routing loop, generic over the walker; returns the SWAP count.
-   [oracle] is the exact-window hook ([?window] of [route_once]).  With
-   [stream = None] (a layout-search pass) nothing is emitted and [bonus] is
-   never called: the pass only moves [mapping]. *)
-let route_core params coupling ~rng ~dist ~bonus ~oracle ~stream ~mapping wk =
+(* The main routing loop over the circuit's DAG [sd]; returns the SWAP
+   count.  [oracle] is the exact-window hook ([?window] of [route_once]).
+   With [stream = None] (a layout-search pass) nothing is emitted and
+   [bonus] is never called: the pass only moves [mapping]. *)
+let route_core params coupling ~rng ~dist ~bonus ~oracle ~stream ~mapping sd =
   let n_phys = Coupling.n_qubits coupling in
   let cands = Candidates.create ~initial_buckets:32 coupling in
   (* per-candidate scores, reused by every step *)
@@ -519,42 +500,42 @@ let route_core params coupling ~rng ~dist ~bonus ~oracle ~stream ~mapping wk =
   let decay = Array.make n_phys 1.0 in
   let stall = ref 0 in
   (* The per-front cache (DESIGN.md §23): the two-qubit gates of the front
-     and of the lookahead window as logical pairs.  A walker's front and
+     and of the lookahead window as logical pairs.  The front and the
      lookahead change only when a gate executes ([Streamdag] admits gates
-     only on [create] and [execute]), so the cache is rebuilt only once
-     [executed] has moved past [cached_at], and the SWAPs of a stuck front
-     read nothing from the walker.  It is built on stuck fronts only, which
-     hold no one-qubit gate, so while it is fresh the front is exactly
-     these pairs.  Front gates share no wire: at most [n_phys] of them. *)
-  let executed = ref 0 and cached_at = ref (-1) in
+     only on [create] and [execute]), so the cache is rebuilt only once the
+     executed count has moved past [cached_at], and the SWAPs of a stuck
+     front read nothing from the DAG.  It is built on stuck fronts only,
+     which hold no one-qubit gate, so while it is fresh the front is
+     exactly these pairs.  Front gates share no wire: at most [n_phys] of them. *)
+  let cached_at = ref (-1) in
   let fa = Array.make n_phys 0 and fb = Array.make n_phys 0 and nf = ref 0 in
   let ext_cap = max 0 params.ext_size in
   let ea = Array.make ext_cap 0 and eb = Array.make ext_cap 0 and ne = ref 0 in
   let scoring = Scoring.create ~n_phys ~capacity:(max ext_cap (n_phys / 2)) in
-  let refresh front_ids =
-    if !cached_at <> !executed then begin
-      cached_at := !executed;
+  let refresh front =
+    if !cached_at <> Streamdag.executed_count sd then begin
+      cached_at := Streamdag.executed_count sd;
       nf := 0;
       List.iter
-        (fun id ->
-          if Gate.is_two_qubit (wk.wk_gate id) then
-            match wk.wk_qubits id with
+        (fun nd ->
+          if Gate.is_two_qubit (Streamdag.gate nd) then
+            match Streamdag.qubits nd with
             | [ a; b ] ->
                 fa.(!nf) <- a;
                 fb.(!nf) <- b;
                 incr nf
             | _ -> ())
-        front_ids;
+        front;
       ne := 0;
       List.iter
-        (fun id ->
-          match wk.wk_qubits id with
+        (fun nd ->
+          match Streamdag.qubits nd with
           | [ a; b ] ->
               ea.(!ne) <- a;
               eb.(!ne) <- b;
               incr ne
           | _ -> ())
-        (wk.wk_lookahead params.ext_size)
+        (Streamdag.lookahead sd params.ext_size)
     end
   in
   (* the cached front as physical pairs, for the oracle, [Routing_stuck]
@@ -565,7 +546,7 @@ let route_core params coupling ~rng ~dist ~bonus ~oracle ~stream ~mapping wk =
   (* after a SWAP that retired nothing the front is the cached pairs, so
      it can drain only if one of them is now coupled *)
   let stuck () =
-    !cached_at = !executed
+    !cached_at = Streamdag.executed_count sd
     &&
     let i = ref 0 in
     while
@@ -585,20 +566,20 @@ let route_core params coupling ~rng ~dist ~bonus ~oracle ~stream ~mapping wk =
         stream_push s op;
         action op
   in
-  let emit_mapped id =
+  let emit_mapped nd =
     match stream with
     | None -> ()
     | Some s ->
         stream_push s
           {
-            gate = wk.wk_gate id;
-            op_qubits = List.map (fun q -> mapping.l2p.(q)) (wk.wk_qubits id);
+            gate = Streamdag.gate nd;
+            op_qubits = List.map (fun q -> mapping.l2p.(q)) (Streamdag.qubits nd);
             tag = Not_swap;
           }
   in
-  let executable id =
-    match wk.wk_qubits id with
-    | [ a; b ] when Gate.is_two_qubit (wk.wk_gate id) ->
+  let executable nd =
+    match Streamdag.qubits nd with
+    | [ a; b ] when Gate.is_two_qubit (Streamdag.gate nd) ->
         Coupling.connected coupling mapping.l2p.(a) mapping.l2p.(b)
     | _ -> true
   in
@@ -607,22 +588,21 @@ let route_core params coupling ~rng ~dist ~bonus ~oracle ~stream ~mapping wk =
      caller's front snapshot (the single front computation of this
      main-loop iteration); later rounds re-read the front only after gates
      actually retired. *)
-  let drain front_ids =
-    let ready = ref (List.filter executable front_ids) in
+  let drain front =
+    let ready = ref (List.filter executable front) in
     let any = !ready <> [] in
     while !ready <> [] do
       List.iter
-        (fun id ->
-          emit_mapped id;
-          wk.wk_execute id;
-          incr executed)
+        (fun nd ->
+          emit_mapped nd;
+          Streamdag.execute sd nd)
         !ready;
-      ready := List.filter executable (wk.wk_front ())
+      ready := List.filter executable (Streamdag.front sd)
     done;
     any
   in
-  let apply_best_swap front_ids =
-    refresh front_ids;
+  let apply_best_swap front =
+    refresh front;
     let nf = !nf and ne = !ne in
     (* candidate swaps: all couplings touching a physical qubit of a front
        gate, in the order a [Hashtbl.create 32] would fold them *)
@@ -748,30 +728,30 @@ let route_core params coupling ~rng ~dist ~bonus ~oracle ~stream ~mapping wk =
      SWAP sequence (the hybrid router's oracle).  Declining (None / empty)
      falls through to the heuristic path untouched; with no hook installed
      this is free and the engine's behavior is byte-identical to before. *)
-  let try_window front_ids =
+  let try_window front =
     match oracle with
     | None -> false
     | Some solve -> (
-        refresh front_ids;
+        refresh front;
         match solve ~front:(front_pairs ()) with
         | None | Some [] -> false
         | Some swaps ->
             List.iter (apply_fixed_swap ~forced:false ~front_n:!nf) swaps;
             true)
   in
-  let force_progress front_ids =
+  let force_progress front =
     (* escape valve: route the first front 2q gate along a shortest path *)
     Qobs.incr c_force;
-    match front_ids with
+    match front with
     | [] -> ()
-    | id :: _ -> begin
-        match wk.wk_qubits id with
+    | nd :: _ -> begin
+        match Streamdag.qubits nd with
         | [ a; b ] ->
             let pa = mapping.l2p.(a) and pb = mapping.l2p.(b) in
             let path = Coupling.shortest_path coupling pa pb in
             let front_n =
               if Qobs.Recorder.active () then begin
-                refresh front_ids;
+                refresh front;
                 !nf
               end
               else 0
@@ -786,68 +766,54 @@ let route_core params coupling ~rng ~dist ~bonus ~oracle ~stream ~mapping wk =
         | _ -> ()
       end
   in
-  while not (wk.wk_finished ()) do
+  while not (Streamdag.finished sd) do
     (* the single front snapshot of this iteration: drain tries it first,
-       and on a stuck front the very same ids feed candidate generation or
-       the escape valve (they cannot have changed: nothing retired) *)
-    let front_ids = wk.wk_front () in
-    if (not (stuck ())) && drain front_ids then begin
+       and on a stuck front the very same nodes feed candidate generation
+       or the escape valve (they cannot have changed: nothing retired) *)
+    let front = Streamdag.front sd in
+    if (not (stuck ())) && drain front then begin
       stall := 0;
       Array.fill decay 0 n_phys 1.0
     end
-    else if try_window front_ids then stall := 0
+    else if try_window front then stall := 0
     else begin
       if !stall >= params.stall_limit then begin
-        force_progress front_ids;
+        force_progress front;
         stall := 0
       end
       else begin
-        apply_best_swap front_ids;
+        apply_best_swap front;
         incr stall
       end
     end
   done;
   !n_swaps
 
-(* The checks and the DAG walker shared by every pass over a materialized
-   circuit: [route_once] and the layout search's passes. *)
-let start_pass coupling ~dist ?dag circuit init_layout =
+let check_sizes name coupling ~dist n_log =
   let n_phys = Coupling.n_qubits coupling in
-  let n_log = Qcircuit.Circuit.n_qubits circuit in
-  if n_log > n_phys then invalid_arg "Engine.route_once: circuit larger than device";
+  if n_log > n_phys then invalid_arg (name ^ ": circuit larger than device");
   if Distmat.n dist <> n_phys then
-    invalid_arg "Engine.route_once: distance matrix size does not match device";
-  List.iter
-    (fun (i : Qcircuit.Circuit.instr) ->
-      if Gate.arity i.gate > 2 && not (Gate.is_directive i.gate) then
-        invalid_arg "Engine.route_once: lower gates to <=2 qubits before routing")
-    (Qcircuit.Circuit.instrs circuit);
-  let mapping = mapping_of_layout ~n_phys init_layout in
-  (* the DAG is a pure function of the circuit, so callers that route the
-     same circuit repeatedly (the layout search) build it once and pass it
-     in; per-pass mutable state lives in the traversal, created below *)
-  let dag = match dag with Some d -> d | None -> Qcircuit.Dag.of_circuit circuit in
-  let tr = Qcircuit.Dag.Traversal.create dag in
-  let wk =
-    {
-      wk_front = (fun () -> Qcircuit.Dag.Traversal.front tr);
-      wk_gate = (fun id -> (Qcircuit.Dag.node dag id).gate);
-      wk_qubits = (fun id -> (Qcircuit.Dag.node dag id).qubits);
-      wk_execute = (fun id -> Qcircuit.Dag.Traversal.execute tr id);
-      wk_finished = (fun () -> Qcircuit.Dag.Traversal.finished tr);
-      wk_lookahead = (fun k -> Qcircuit.Dag.Traversal.lookahead tr k);
-    }
-  in
-  (mapping, wk)
+    invalid_arg (name ^ ": distance matrix size does not match device")
 
-let route_once params coupling ~rng ~dist ~bonus ?window ?dag circuit init_layout =
+(* The DAG of a pass over a materialized circuit.  An unbounded window
+   admits, and so checks, every gate in [create].  A source needs a wire;
+   a circuit without one has no gates, so a spare wire changes nothing. *)
+let circuit_dag c =
+  let open Qcircuit in
+  Streamdag.create ~window:max_int
+    (Source.of_list ~n_qubits:(max 1 (Circuit.n_qubits c)) (Circuit.instrs c))
+
+let route_once params coupling ~rng ~dist ~bonus ?window ?dag:_ circuit init_layout =
   Qobs.span "engine.route_once" @@ fun () ->
-  let mapping, wk = start_pass coupling ~dist ?dag circuit init_layout in
+  check_sizes "Engine.route_once" coupling ~dist (Qcircuit.Circuit.n_qubits circuit);
+  let n_phys = Coupling.n_qubits coupling in
+  let mapping = mapping_of_layout ~n_phys init_layout in
   let initial_layout = Array.copy mapping.l2p in
-  let stream = stream_create ~n_phys:(Coupling.n_qubits coupling) () in
+  let sd = circuit_dag circuit in
+  let stream = stream_create ~n_phys () in
   let n_swaps =
     route_core params coupling ~rng ~dist ~bonus ~oracle:window ~stream:(Some stream)
-      ~mapping wk
+      ~mapping sd
   in
   {
     routed = List.rev stream.s_rev;
@@ -859,39 +825,24 @@ let route_once params coupling ~rng ~dist ~bonus ?window ?dag circuit init_layou
 let route_stream params coupling ~rng ~dist ~bonus ~window ?(keep = 64) ~sink source
     init_layout =
   Qobs.span "engine.route_stream" @@ fun () ->
+  check_sizes "Engine.route_stream" coupling ~dist (Qcircuit.Source.n_qubits source);
   let n_phys = Coupling.n_qubits coupling in
-  let n_log = Qcircuit.Source.n_qubits source in
-  if n_log > n_phys then invalid_arg "Engine.route_stream: circuit larger than device";
-  if Distmat.n dist <> n_phys then
-    invalid_arg "Engine.route_stream: distance matrix size does not match device";
   let mapping = mapping_of_layout ~n_phys init_layout in
   let initial_layout = Array.copy mapping.l2p in
-  (* gate arity and qubit-range validation happens per admission inside
-     [Streamdag]; [create] already admits the first window *)
-  let sd = Qcircuit.Streamdag.create ~window source in
-  let wk =
-    {
-      wk_front = (fun () -> Qcircuit.Streamdag.front sd);
-      wk_gate = (fun id -> Qcircuit.Streamdag.gate sd id);
-      wk_qubits = (fun id -> Qcircuit.Streamdag.qubits sd id);
-      wk_execute = (fun id -> Qcircuit.Streamdag.execute sd id);
-      wk_finished = (fun () -> Qcircuit.Streamdag.finished sd);
-      wk_lookahead = (fun k -> Qcircuit.Streamdag.lookahead sd k);
-    }
-  in
+  let sd = Streamdag.create ~window source in
   let stream = stream_create ~sink ~keep ~n_phys () in
   let n_swaps =
     route_core params coupling ~rng ~dist ~bonus ~oracle:None ~stream:(Some stream)
-      ~mapping wk
+      ~mapping sd
   in
   stream_drain stream;
-  Qobs.gauge_set g_window_peak (float_of_int (Qcircuit.Streamdag.peak_resident sd));
+  Qobs.gauge_set g_window_peak (float_of_int (Streamdag.peak_resident sd));
   {
     st_initial_layout = initial_layout;
     st_final_layout = Array.copy mapping.l2p;
     st_n_swaps = n_swaps;
-    st_gates_in = Qcircuit.Streamdag.executed_count sd;
-    st_peak_resident = Qcircuit.Streamdag.peak_resident sd;
+    st_gates_in = Streamdag.executed_count sd;
+    st_peak_resident = Streamdag.peak_resident sd;
   }
 
 let reverse_circuit c =
@@ -901,7 +852,7 @@ let reverse_circuit c =
           (fun (i : Qcircuit.Circuit.instr) -> i.gate <> Gate.Measure)
           (Qcircuit.Circuit.instrs c)))
 
-let find_layout params coupling ~rng ~dist ~bonus ?dag circuit =
+let find_layout params coupling ~rng ~dist ~bonus ?dag:_ circuit =
   (* a layout pass has no output stream for a bonus to read *)
   if bonus != zero_bonus then invalid_arg "Engine.find_layout: bonus must be zero_bonus";
   Qobs.span "engine.find_layout" @@ fun () ->
@@ -910,26 +861,24 @@ let find_layout params coupling ~rng ~dist ~bonus ?dag circuit =
   Qobs.Recorder.without @@ fun () ->
   let n_phys = Coupling.n_qubits coupling in
   let n_log = Qcircuit.Circuit.n_qubits circuit in
-  if n_log > n_phys then invalid_arg "Engine.find_layout: circuit larger than device";
+  check_sizes "Engine.find_layout" coupling ~dist n_log;
   let perm = Rng.permutation rng n_phys in
   let layout = ref (Array.init n_log (fun l -> perm.(l))) in
   let fwd = circuit and bwd = reverse_circuit circuit in
-  let fwd_dag = match dag with Some d -> d | None -> Qcircuit.Dag.of_circuit fwd in
-  let bwd_dag = Qcircuit.Dag.of_circuit bwd in
   (* a layout-only pass: [route_once]'s walk without an output stream,
      keeping only where the qubits end up.  Each pass replays a fresh
      route stream, matching the historical behavior (and SABRE's, where
      every pass is seeded alike). *)
-  let pass dag c layout =
+  let pass c layout =
     Qobs.span "engine.route_once" @@ fun () ->
-    let mapping, wk = start_pass coupling ~dist ~dag c layout in
+    let mapping = mapping_of_layout ~n_phys layout in
     ignore
       (route_core params coupling ~rng:(route_rng params) ~dist ~bonus ~oracle:None
-         ~stream:None ~mapping wk);
+         ~stream:None ~mapping (circuit_dag c));
     mapping.l2p
   in
   for _ = 1 to params.iterations do
-    layout := pass bwd_dag bwd (pass fwd_dag fwd !layout)
+    layout := pass bwd (pass fwd !layout)
   done;
   !layout
 

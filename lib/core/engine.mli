@@ -236,9 +236,9 @@ val route_once :
     All tie-breaking randomness is drawn from [rng], which the caller owns;
     pass {!route_rng} for the canonical seeded stream, or an independent
     per-trial stream for multi-trial search.  The input circuit must contain
-    only <=2-qubit gates and directives.  [dag] must be the DAG of
-    [circuit] when given (the DAG is a pure function of the circuit, so
-    callers routing the same circuit repeatedly build it once).
+    only <=2-qubit gates and directives.  The pass walks a
+    {!Qcircuit.Streamdag} over the whole circuit (an unbounded window).
+    [dag] is accepted and ignored.
 
     [window], when given, is consulted on every stuck front layer with the
     front's two-qubit gates as physical pairs under the current mapping
@@ -297,7 +297,8 @@ val find_layout :
     {!route_once} with [zero_bonus] (and opens the same
     [engine.route_once] span), but emits no ops and builds no {!result},
     keeping only the final layout.  A layout pass has no output stream for
-    a bonus to read, so [bonus] must be {!zero_bonus}.
+    a bonus to read, so [bonus] must be {!zero_bonus}.  [dag] is accepted
+    and ignored, as in {!route_once}.
     @raise Invalid_argument if [bonus] is not physically {!zero_bonus}, or
     as {!route_once}. *)
 

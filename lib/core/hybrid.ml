@@ -67,16 +67,15 @@ let route ?(params = Engine.default_params) ?(config = default_config) coupling
   Qobs.Recorder.in_router "hybrid" @@ fun () ->
   let dist = Sabre.hop_distance coupling in
   let b = Nassc.bonus config.nassc in
-  let dag = Qcircuit.Dag.of_circuit circuit in
   (* layout search stays heuristic (same mapping algorithm as SABRE/NASSC):
      the oracle only steers the routing passes *)
   let layout =
     Engine.find_layout params coupling ~rng:(Engine.layout_rng params) ~dist
-      ~bonus:Engine.zero_bonus ~dag circuit
+      ~bonus:Engine.zero_bonus circuit
   in
   let pass ?window () =
     Engine.route_once params coupling ~rng:(Engine.route_rng params) ~dist ~bonus:b
-      ?window ~dag circuit layout
+      ?window circuit layout
   in
   let w = oracle_window config coupling ~dist in
   (* portfolio probes stay out of the flight record; only the winning pass

@@ -302,15 +302,14 @@ let route ?(params = Engine.default_params) ?(config = default_config) ?dist cou
   Qobs.Recorder.in_router "nassc" @@ fun () ->
   let dist = match dist with Some d -> d | None -> Sabre.hop_distance coupling in
   let b = bonus config in
-  let dag = Qcircuit.Dag.of_circuit circuit in
   (* layout search uses the plain heuristic (same mapping algorithm as
      SABRE, Section IV-A) *)
   let layout =
     Engine.find_layout params coupling ~rng:(Engine.layout_rng params) ~dist
-      ~bonus:Engine.zero_bonus ~dag circuit
+      ~bonus:Engine.zero_bonus circuit
   in
   let r =
-    Engine.route_once params coupling ~rng:(Engine.route_rng params) ~dist ~bonus:b ~dag
+    Engine.route_once params coupling ~rng:(Engine.route_rng params) ~dist ~bonus:b
       circuit layout
   in
   let instrs = finalize r.routed in

@@ -17,13 +17,12 @@ let route ?(params = Engine.default_params) ?dist coupling circuit =
   Qobs.Recorder.in_router "sabre" @@ fun () ->
   let dist = match dist with Some d -> d | None -> hop_distance coupling in
   let bonus = Engine.zero_bonus in
-  let dag = Qcircuit.Dag.of_circuit circuit in
   let layout =
-    Engine.find_layout params coupling ~rng:(Engine.layout_rng params) ~dist ~bonus ~dag
+    Engine.find_layout params coupling ~rng:(Engine.layout_rng params) ~dist ~bonus
       circuit
   in
   let r =
-    Engine.route_once params coupling ~rng:(Engine.route_rng params) ~dist ~bonus ~dag
+    Engine.route_once params coupling ~rng:(Engine.route_rng params) ~dist ~bonus
       circuit layout
   in
   {

@@ -13,30 +13,28 @@ type t = {
   n : int;
   window : int;
   wire : node option array;  (* latest admitted node per wire *)
-  tbl : (int, node) Hashtbl.t;  (* admitted, unexecuted *)
+  mutable resident : int;  (* admitted, unexecuted *)
   mutable next_id : int;
   mutable exhausted : bool;
-  mutable front_ : int list;
+  mutable front_ : node list;
   mutable n_exec : int;
   mutable peak : int;
   mutable epoch : int;
-  mutable la_cache : (int * int * int * int list) option;
+  mutable queue : node array;  (* lookahead BFS scratch, grown on demand *)
+  mutable la_cache : (int * int * int * node list) option;
       (** (n_exec, next_id, k, result): admission extends succ lists, so
           the cache keys on the admission horizon as well as the executed
-          count (unlike [Dag.Traversal], whose graph is static). *)
+          count. *)
 }
 
-let n_qubits t = t.n
 let front t = t.front_
-let finished t = t.exhausted && Hashtbl.length t.tbl = 0
+let finished t = t.exhausted && t.resident = 0
 let executed_count t = t.n_exec
 let admitted_count t = t.next_id
-let resident t = Hashtbl.length t.tbl
 let peak_resident t = t.peak
-
-let node t id = Hashtbl.find t.tbl id
-let gate t id = (node t id).gate
-let qubits t id = (node t id).qubits
+let id nd = nd.id
+let gate nd = nd.gate
+let qubits nd = nd.qubits
 
 let admit_one t =
   match Source.pull t.source with
@@ -46,7 +44,7 @@ let admit_one t =
   | Some (i : Circuit.instr) ->
       let g = i.gate in
       if Qgate.Gate.arity g > 2 && not (Qgate.Gate.is_directive g) then
-        invalid_arg "Streamdag: lower gates to <=2 qubits before streaming";
+        invalid_arg "Streamdag: lower gates to <=2 qubits before routing";
       List.iter
         (fun q ->
           if q < 0 || q >= t.n then invalid_arg "Streamdag: qubit out of range")
@@ -57,8 +55,7 @@ let admit_one t =
       in
       t.next_id <- t.next_id + 1;
       (* predecessors: the latest admitted gate on each wire; a gate
-         sharing both wires with the same predecessor counts once, exactly
-         like the distinct-id pred cache of the materialized DAG *)
+         sharing both wires with the same predecessor counts once *)
       let linked = ref [] in
       List.iter
         (fun q ->
@@ -70,14 +67,13 @@ let admit_one t =
           | _ -> ())
         i.qubits;
       List.iter (fun q -> t.wire.(q) <- Some nd) i.qubits;
-      Hashtbl.add t.tbl nd.id nd;
-      let r = Hashtbl.length t.tbl in
-      if r > t.peak then t.peak <- r;
-      if nd.indeg = 0 then t.front_ <- t.front_ @ [ nd.id ];
+      t.resident <- t.resident + 1;
+      if t.resident > t.peak then t.peak <- t.resident;
+      if nd.indeg = 0 then t.front_ <- t.front_ @ [ nd ];
       true
 
 let refill t =
-  while (not t.exhausted) && Hashtbl.length t.tbl < t.window do
+  while (not t.exhausted) && t.resident < t.window do
     ignore (admit_one t)
   done
 
@@ -90,67 +86,82 @@ let create ~window source =
       n;
       window;
       wire = Array.make n None;
-      tbl = Hashtbl.create 256;
+      resident = 0;
       next_id = 0;
       exhausted = false;
       front_ = [];
       n_exec = 0;
       peak = 0;
       epoch = 0;
+      queue = [||];
       la_cache = None;
     }
   in
   refill t;
   t
 
-let execute t id =
-  let nd =
-    match Hashtbl.find_opt t.tbl id with
-    | Some nd -> nd
-    | None -> invalid_arg "Streamdag.execute: node not resident"
+(* [front] without [nd], followed by [promoted]: one walk of the front,
+   sharing the suffix after [nd] when nothing was promoted *)
+let retire front nd promoted =
+  let rec go = function
+    | [] -> promoted
+    | x :: tl when x == nd -> if promoted = [] then tl else tl @ promoted
+    | x :: tl -> x :: go tl
   in
-  (* a resident node is on the front iff its indegree is 0 *)
-  if nd.indeg <> 0 then invalid_arg "Streamdag.execute: node not ready";
+  go front
+
+(* an admitted node is on the front iff it is unexecuted with indegree 0,
+   so readiness is two field reads, not a walk of the front *)
+let execute t nd =
+  if nd.executed || nd.indeg <> 0 then invalid_arg "Streamdag.execute: node not ready";
   nd.executed <- true;
-  Hashtbl.remove t.tbl id;
+  t.resident <- t.resident - 1;
   t.n_exec <- t.n_exec + 1;
   let promoted = ref [] in
   List.iter
     (fun s ->
       s.indeg <- s.indeg - 1;
-      if s.indeg = 0 then promoted := s.id :: !promoted)
+      if s.indeg = 0 then promoted := s :: !promoted)
     nd.succs;
-  t.front_ <- Dag.retire t.front_ id (List.rev !promoted);
+  t.front_ <- retire t.front_ nd (List.rev !promoted);
   nd.succs <- [];
   refill t
 
 let lookahead t k =
   match t.la_cache with
-  | Some (d, a, k', ids) when d = t.n_exec && a = t.next_id && k' = k -> ids
+  | Some (d, a, k', nds) when d = t.n_exec && a = t.next_id && k' = k -> nds
   | _ ->
-      (* same BFS as [Dag.Traversal.lookahead]: seed with the successors of
-         every front node in front order, pop-head / append, collect up to
-         [k] unexecuted two-qubit gates.  Epoch stamps live on the resident
-         nodes themselves, so the sweep allocates only the queue. *)
+      (* BFS forward from the front: seed with the successors of every
+         front node in front order, pop-head / append, collect up to [k]
+         unexecuted two-qubit gates.  Epoch stamps live on the nodes and
+         the queue is reused, so the sweep allocates only its result. *)
       t.epoch <- t.epoch + 1;
       let ep = t.epoch in
-      let q : node Queue.t = Queue.create () in
-      List.iter
-        (fun id -> List.iter (fun s -> Queue.add s q) (node t id).succs)
-        t.front_;
+      let head = ref 0 and tail = ref 0 in
+      let push nd =
+        if !tail = Array.length t.queue then begin
+          let q' = Array.make ((2 * !tail) + 16) nd in
+          Array.blit t.queue 0 q' 0 !tail;
+          t.queue <- q'
+        end;
+        t.queue.(!tail) <- nd;
+        incr tail
+      in
+      List.iter (fun nd -> List.iter push nd.succs) t.front_;
       let out = ref [] in
       let count = ref 0 in
-      while !count < k && not (Queue.is_empty q) do
-        let nd = Queue.pop q in
+      while !count < k && !head < !tail do
+        let nd = t.queue.(!head) in
+        incr head;
         if nd.seen <> ep then begin
           nd.seen <- ep;
           if (not nd.executed) && Qgate.Gate.is_two_qubit nd.gate then begin
-            out := nd.id :: !out;
+            out := nd :: !out;
             incr count
           end;
-          List.iter (fun s -> Queue.add s q) nd.succs
+          List.iter push nd.succs
         end
       done;
-      let ids = List.rev !out in
-      t.la_cache <- Some (t.n_exec, t.next_id, k, ids);
-      ids
+      let nds = List.rev !out in
+      t.la_cache <- Some (t.n_exec, t.next_id, k, nds);
+      nds

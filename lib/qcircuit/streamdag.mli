@@ -1,50 +1,50 @@
-(** Bounded sliding-window dependency DAG over an instruction {!Source}.
+(** The dependency DAG the routers walk, over an instruction {!Source}.
 
-    [Dag.Traversal] materializes the whole circuit graph before routing.
-    This module admits gates lazily from a pull source, building pred/succ
-    links from per-wire tails as gates enter the window, and retires a
-    node's storage as soon as it executes — resident memory is
-    O(window + n_qubits) however long the stream is.
+    Node [i] depends on node [j] when they share a qubit and [j] comes
+    earlier on that wire (Section IV-B of the paper).  Gates are admitted
+    lazily from a pull source, pred/succ links are built from per-wire
+    tails as gates enter the window, and a node's storage is dropped as
+    soon as it executes, so resident memory is O(window + n_qubits) however
+    long the stream is.  Batch routing and the layout search use
+    [window = max_int], which admits, and so checks, the whole circuit in
+    {!create}; streaming uses a bounded window.
 
     Window invariant (DESIGN.md §16): a node stays resident from admission
     until execution; per-wire tails keep at most one already-executed node
     per wire (the latest admitted gate on that wire, needed to link the
     next admission).  Everything older is unreachable and collected.
 
-    With [window >= total gates] the admission order, front order,
-    promotion order and lookahead BFS order are identical to
-    [Dag.Traversal] on the materialized circuit, which is what keeps
-    windowed routing byte-compatible with the classic engine (the golden
-    corpus pins this). *)
+    Nodes are handed out as abstract handles: {!front} and {!lookahead}
+    return them, and {!gate}, {!qubits} and {!id} read them without a
+    lookup.  A handle belongs to the [t] that produced it. *)
 
 type t
+
+type node
 
 val create : window:int -> Source.t -> t
 (** Admit up to [window] gates immediately.  Gates must act on at most two
     qubits (directives excepted) and on wires within the source's qubit
     count. @raise Invalid_argument otherwise (checked per admission). *)
 
-val n_qubits : t -> int
+val front : t -> node list
+(** Ready (indegree-0, unexecuted) nodes: admission order seeds it, and
+    each {!execute} removes its node in place and appends the nodes it made
+    ready in ascending id order, then the ready gates its refill admitted. *)
 
-val front : t -> int list
-(** Ready (indegree-0, unexecuted) node ids in the same order
-    [Dag.Traversal.front] maintains: admission order seeds, promotions
-    append in ascending id order. *)
+val id : node -> int
+(** Admission index: the gate's position in the source. *)
 
-val gate : t -> int -> Qgate.Gate.t
-(** Gate of a resident (admitted, unexecuted) node.
-    @raise Not_found once the node executed or before admission. *)
+val gate : node -> Qgate.Gate.t
+val qubits : node -> int list
 
-val qubits : t -> int -> int list
-
-val execute : t -> int -> unit
-(** Retire a front node: emit its successors' indegree decrements, append
-    newly-ready nodes to the front, drop the node's storage, and admit
-    replacement gates from the source until the window is full again.  The
-    node leaves the front in place and promotions are appended, as
-    {!Dag.retire} does.
-    @raise Invalid_argument if the node is not on the front (not resident,
-    or still waiting on a predecessor); the front is then unchanged. *)
+val execute : t -> node -> unit
+(** Retire a front node: decrement its successors' indegrees, append the
+    newly ready ones to the front, drop the node's storage, and admit
+    replacement gates from the source until the window is full again.
+    @raise Invalid_argument if the node is not on the front (already
+    executed, or still waiting on a predecessor); the front is then
+    unchanged. *)
 
 val finished : t -> bool
 (** True when the source is exhausted and every admitted gate executed. *)
@@ -53,14 +53,12 @@ val executed_count : t -> int
 
 val admitted_count : t -> int
 
-val resident : t -> int
-(** Unexecuted admitted nodes — the live window occupancy. *)
-
 val peak_resident : t -> int
-(** High-water mark of {!resident} since creation (the O(window) claim,
-    measured). *)
+(** High-water mark of the unexecuted admitted nodes since creation (the
+    O(window) claim, measured). *)
 
-val lookahead : t -> int -> int list
-(** [lookahead t k]: up to [k] two-qubit gate ids reachable from the front
-    by the same BFS [Dag.Traversal.lookahead] runs, restricted to admitted
-    gates.  Cached until the front or the admission horizon changes. *)
+val lookahead : t -> int -> node list
+(** [lookahead t k]: up to [k] two-qubit gates reachable from the front
+    by breadth-first search in dependency order (the paper's extended
+    layer E), restricted to admitted gates.  Cached until the front or the
+    admission horizon changes. *)

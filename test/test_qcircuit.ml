@@ -135,108 +135,36 @@ let test_dag_structure () =
   in
   let d = Dag.of_circuit c in
   checki "n nodes" 4 (Dag.n_nodes d);
-  check "h has no preds" true (Dag.pred_ids d 0 = []);
-  check "cx01 preds" true (Dag.pred_ids d 1 = [ 0 ]);
-  check "cx12 pred is cx01" true (Dag.pred_ids d 2 = [ 1 ]);
-  check "x pred is cx01" true (Dag.pred_ids d 3 = [ 1 ]);
-  check "succ on wire" true (Dag.succ_on d 1 0 = Some 3);
-  check "pred on wire" true (Dag.pred_on d 2 1 = Some 1)
+  let preds i = List.map snd (Dag.node d i).preds in
+  check "h has no preds" true (preds 0 = []);
+  check "cx01 preds" true (preds 1 = [ 0 ]);
+  check "cx12 pred is cx01" true (preds 2 = [ 1 ]);
+  check "x pred is cx01" true (preds 3 = [ 1 ]);
+  check "succ on wire" true (List.assoc_opt 0 (Dag.node d 1).succs = Some 3);
+  check "pred on wire" true (List.assoc_opt 1 (Dag.node d 2).preds = Some 1)
 
-let test_traversal_executes_all () =
-  let c = ghz 6 in
-  let d = Dag.of_circuit c in
-  let tr = Dag.Traversal.create d in
-  let steps = ref 0 in
-  while not (Dag.Traversal.finished tr) do
-    match Dag.Traversal.front tr with
-    | [] -> Alcotest.fail "empty front before finish"
-    | id :: _ ->
-        Dag.Traversal.execute tr id;
-        incr steps
-  done;
-  checki "executed all" (Dag.n_nodes d) !steps
+(* ---------- the walker's execute contract ----------
 
-let test_traversal_order_respects_deps () =
-  let c = ghz 6 in
-  let d = Dag.of_circuit c in
-  let tr = Dag.Traversal.create d in
-  let seen = Hashtbl.create 16 in
-  while not (Dag.Traversal.finished tr) do
-    match Dag.Traversal.front tr with
-    | [] -> Alcotest.fail "stuck"
-    | id :: _ ->
-        List.iter
-          (fun p -> check "pred executed first" true (Hashtbl.mem seen p))
-          (Dag.pred_ids d id);
-        Hashtbl.add seen id ();
-        Dag.Traversal.execute tr id
-  done
+   [Streamdag] is the one DAG walker.  Executing a front node removes it
+   in place and appends the newly ready nodes in ascending id order
+   (promotions, then the gates its refill admits ready); executing
+   anything else raises [Invalid_argument] and leaves the front
+   unchanged.  Both tests check this against a list model of the
+   filter-then-append rule, with readiness computed from the instruction
+   list alone, at two bounded windows and at the unbounded one that batch
+   routing and the layout search use. *)
 
-let test_lookahead () =
-  let c = ghz 6 in
-  let d = Dag.of_circuit c in
-  let tr = Dag.Traversal.create d in
-  (* front is [h]; lookahead should surface the upcoming cx gates in order *)
-  let ahead = Dag.Traversal.lookahead tr 3 in
-  checki "lookahead count" 3 (List.length ahead);
-  check "lookahead are 2q" true
-    (List.for_all (fun id -> Gate.is_two_qubit (Dag.node d id).gate) ahead)
-
-(* ---------- the two walkers' execute contract ----------
-
-   [Dag.Traversal] and [Streamdag] share one contract: executing a front
-   node removes it in place and appends the newly ready nodes in
-   ascending id order (promotions, then for [Streamdag] the gates its
-   refill admits ready); executing anything else raises
-   [Invalid_argument] and leaves the front unchanged.  Both are checked
-   against a list model of the filter-then-append rule, with readiness
-   computed from the instruction list alone. *)
-
-type walker = { front : unit -> int list; execute : int -> unit; admitted : unit -> int }
-
-let dag_walker c =
-  let tr = Dag.Traversal.create (Dag.of_circuit c) in
-  {
-    front = (fun () -> Dag.Traversal.front tr);
-    execute = Dag.Traversal.execute tr;
-    admitted = (fun () -> Circuit.size c);
-  }
-
-let stream_walker ~window c =
-  let sd = Streamdag.create ~window (Source.of_circuit c) in
-  {
-    front = (fun () -> Streamdag.front sd);
-    execute = Streamdag.execute sd;
-    admitted = (fun () -> Streamdag.admitted_count sd);
-  }
-
-let walkers =
-  [
-    ("Dag.Traversal", dag_walker);
-    ("Streamdag w=2", stream_walker ~window:2);
-    ("Streamdag w=5", stream_walker ~window:5);
-  ]
+let windows = [ 2; 5; max_int ]
+let walk ~window c = Streamdag.create ~window (Source.of_circuit c)
+let ids = List.map Streamdag.id
 
 (* raises Invalid_argument and leaves the front as it was *)
-let rejects w id =
-  let before = w.front () in
-  (match w.execute id with
+let rejects sd nd =
+  let before = ids (Streamdag.front sd) in
+  (match Streamdag.execute sd nd with
   | () -> false
   | exception Invalid_argument _ -> true)
-  && w.front () = before
-
-let test_execute_contract () =
-  let c = ghz 4 in
-  List.iter
-    (fun (name, make) ->
-      let w = make c in
-      check (name ^ ": front is the H") true (w.front () = [ 0 ]);
-      check (name ^ ": non-front node rejected") true (rejects w 2);
-      w.execute 0;
-      check (name ^ ": executed node rejected") true (rejects w 0);
-      check (name ^ ": unknown node rejected") true (rejects w 99);
-      check (name ^ ": promotion appended") true (w.front () = [ 1 ]))
-    walkers
+  && ids (Streamdag.front sd) = before
 
 (* instruction [j] is ready once every earlier instruction sharing a
    wire with it has executed *)
@@ -252,6 +180,81 @@ let ready instrs executed j =
                  instrs.(j).Circuit.qubits))
        (List.init (Array.length instrs) Fun.id)
 
+(* Walk [c] to the end, executing the front node [picks] selects and
+   trying to execute a known node off the front, and compare every front
+   with the model.  Handles come from the front and the lookahead, so the
+   off-front nodes tried are executed ones and waiting two-qubit gates.
+   True when every rejection held and every gate executed. *)
+let model_walk ~window c picks =
+  let instrs = Array.of_list (Circuit.instrs c) in
+  let n = Array.length instrs in
+  let executed = Array.make n false in
+  let sd = walk ~window c in
+  let handles = Array.make n None in
+  let note = List.iter (fun nd -> handles.(Streamdag.id nd) <- Some nd) in
+  let picks = ref picks in
+  let next () =
+    match !picks with
+    | p :: rest ->
+        picks := rest;
+        p
+    | [] -> 0
+  in
+  let ok = ref true in
+  while !ok && Streamdag.front sd <> [] do
+    let front = Streamdag.front sd in
+    note front;
+    note (Streamdag.lookahead sd n);
+    let nd = List.nth front (next () mod List.length front) in
+    let id = Streamdag.id nd in
+    let was_ready j = List.mem j (ids front) in
+    (match handles.(next () mod n) with
+    | Some off when not (was_ready (Streamdag.id off)) -> ok := rejects sd off
+    | _ -> ());
+    Streamdag.execute sd nd;
+    executed.(id) <- true;
+    let appended =
+      List.filter
+        (fun j ->
+          j < Streamdag.admitted_count sd && (not (was_ready j)) && ready instrs executed j)
+        (List.init n Fun.id)
+    in
+    let model = List.filter (fun x -> x <> id) (ids front) @ appended in
+    if ids (Streamdag.front sd) <> model then
+      QCheck.Test.fail_reportf "window %d: executing %d gave front [%s], model [%s]"
+        window id
+        (String.concat ";" (List.map string_of_int (ids (Streamdag.front sd))))
+        (String.concat ";" (List.map string_of_int model))
+  done;
+  !ok && Streamdag.finished sd && Array.for_all Fun.id executed
+
+let test_execute_contract () =
+  List.iter
+    (fun window ->
+      let name = Printf.sprintf "window %d: " window in
+      let sd = walk ~window (ghz 4) in
+      check (name ^ "front is the H") true (ids (Streamdag.front sd) = [ 0 ]);
+      let h = List.hd (Streamdag.front sd) in
+      let cx01 = List.hd (Streamdag.lookahead sd 1) in
+      check (name ^ "waiting node rejected") true (rejects sd cx01);
+      Streamdag.execute sd h;
+      check (name ^ "executed node rejected") true (rejects sd h);
+      check (name ^ "promotion appended") true (ids (Streamdag.front sd) = [ 1 ]);
+      (* the lookahead surfaces the upcoming CXs in order, clipped to the
+         admitted gates *)
+      let sd = walk ~window (ghz 6) in
+      let ahead = Streamdag.lookahead sd 3 in
+      check (name ^ "lookahead") true
+        (ids ahead = List.filter (fun i -> i < Streamdag.admitted_count sd) [ 1; 2; 3 ]);
+      check (name ^ "lookahead are 2q") true
+        (List.for_all (fun nd -> Gate.is_two_qubit (Streamdag.gate nd)) ahead);
+      check (name ^ "executes all, in dependency order") true
+        (model_walk ~window (ghz 6) [ 0; 3; 0; 1; 0; 4 ]);
+      let empty = walk ~window (Circuit.empty 2) in
+      check (name ^ "empty DAG finished") true
+        (Streamdag.finished empty && Streamdag.front empty = []))
+    windows
+
 let gen_walk =
   QCheck.Gen.(
     let gate =
@@ -263,47 +266,12 @@ let gen_walk =
             (int_range 0 3) (int_range 0 2);
         ]
     in
-    triple (list_size (int_range 1 30) gate) (int_range 0 (List.length walkers - 1))
-      (list_size (return 64) nat))
+    triple (list_size (int_range 1 30) gate) (oneofl windows) (list_size (return 64) nat))
 
-let prop_front_order (gates, wi, picks) =
-  let c =
-    Circuit.create 4 (List.map (fun (gate, qubits) -> { Circuit.gate; qubits }) gates)
-  in
-  let instrs = Array.of_list (Circuit.instrs c) in
-  let executed = Array.make (Array.length instrs) false in
-  let name, make = List.nth walkers wi in
-  let w = make c in
-  let picks = ref picks in
-  let next () =
-    match !picks with
-    | p :: rest ->
-        picks := rest;
-        p
-    | [] -> 0
-  in
-  let ok = ref true in
-  while !ok && w.front () <> [] do
-    let front = w.front () in
-    let id = List.nth front (next () mod List.length front) in
-    (* a node that is not on the front: executed, waiting, or unknown *)
-    let outside = next () mod (Array.length instrs + 1) in
-    if not (List.mem outside front) then ok := rejects w outside;
-    let was_ready j = List.mem j front in
-    w.execute id;
-    executed.(id) <- true;
-    let appended =
-      List.filter
-        (fun j -> j < w.admitted () && (not (was_ready j)) && ready instrs executed j)
-        (List.init (Array.length instrs) Fun.id)
-    in
-    let model = List.filter (fun x -> x <> id) front @ appended in
-    if w.front () <> model then
-      QCheck.Test.fail_reportf "%s: executing %d gave front [%s], model [%s]" name id
-        (String.concat ";" (List.map string_of_int (w.front ())))
-        (String.concat ";" (List.map string_of_int model))
-  done;
-  !ok && Array.for_all Fun.id executed
+let prop_front_order (gates, window, picks) =
+  model_walk ~window
+    (Circuit.create 4 (List.map (fun (gate, qubits) -> { Circuit.gate; qubits }) gates))
+    picks
 
 let walker_props =
   [
@@ -342,9 +310,6 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_dag_roundtrip;
           Alcotest.test_case "structure" `Quick test_dag_structure;
-          Alcotest.test_case "traversal completes" `Quick test_traversal_executes_all;
-          Alcotest.test_case "traversal respects deps" `Quick test_traversal_order_respects_deps;
-          Alcotest.test_case "lookahead" `Quick test_lookahead;
         ] );
       ( "walker",
         Alcotest.test_case "execute contract" `Quick test_execute_contract

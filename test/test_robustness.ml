@@ -10,15 +10,22 @@ let checki = Alcotest.(check int)
 
 (* ---------- degenerate circuits through the full pipeline ---------- *)
 
+(* every router routes an idle register, and a circuit without wires
+   (which a [Source] cannot carry), to nothing *)
 let test_empty_circuit () =
-  let c = Circuit.empty 3 in
-  let r =
-    Qroute.Pipeline.transpile
-      ~router:(Qroute.Pipeline.Nassc_router Qroute.Nassc.default_config)
-      Topology.Devices.montreal c
-  in
-  checki "no gates" 0 r.cx_total;
-  checki "no swaps" 0 r.n_swaps
+  List.iter
+    (fun (name, router) ->
+      List.iter
+        (fun n ->
+          let r =
+            Qroute.Pipeline.transpile ~router Topology.Devices.montreal (Circuit.empty n)
+          in
+          let label = Printf.sprintf "%s on %d qubits" name n in
+          check (label ^ ": no gates") true (Circuit.instrs r.circuit = []);
+          checki (label ^ ": no cx") 0 r.cx_total;
+          checki (label ^ ": no swaps") 0 r.n_swaps)
+        [ 0; 3 ])
+    Qroute.Pipeline.routers
 
 let test_single_qubit_only_circuit () =
   let c =
@@ -214,30 +221,20 @@ let test_noise_remap () =
 (* ---------- DAG edge cases ---------- *)
 
 let test_dag_empty () =
-  let d = Dag.of_circuit (Circuit.empty 2) in
-  checki "no nodes" 0 (Dag.n_nodes d);
-  let tr = Dag.Traversal.create d in
-  check "immediately finished" true (Dag.Traversal.finished tr)
+  let c = Circuit.empty 2 in
+  checki "no nodes" 0 (Dag.n_nodes (Dag.of_circuit c));
+  let sd = Streamdag.create ~window:max_int (Source.of_circuit c) in
+  check "immediately finished" true (Streamdag.finished sd)
 
-let test_dag_first_on_wire () =
-  let c =
-    Circuit.create 3
-      [ { gate = Gate.H; qubits = [ 1 ] }; { gate = Gate.CX; qubits = [ 1; 2 ] } ]
-  in
-  let d = Dag.of_circuit c in
-  check "wire 0 unused" true (Dag.first_on_wire d 0 = None);
-  check "wire 1 starts at h" true (Dag.first_on_wire d 1 = Some 0);
-  check "wire 2 starts at cx" true (Dag.first_on_wire d 2 = Some 1)
-
-let test_traversal_rejects_non_ready () =
+let test_walker_rejects_non_ready () =
   let c =
     Circuit.create 2
       [ { gate = Gate.H; qubits = [ 0 ] }; { gate = Gate.CX; qubits = [ 0; 1 ] } ]
   in
-  let tr = Dag.Traversal.create (Dag.of_circuit c) in
+  let sd = Streamdag.create ~window:max_int (Source.of_circuit c) in
   check "cx not ready" true
     (try
-       Dag.Traversal.execute tr 1;
+       Streamdag.execute sd (List.hd (Streamdag.lookahead sd 1));
        false
      with Invalid_argument _ -> true)
 
@@ -338,8 +335,7 @@ let () =
       ( "dag corners",
         [
           Alcotest.test_case "empty" `Quick test_dag_empty;
-          Alcotest.test_case "first on wire" `Quick test_dag_first_on_wire;
-          Alcotest.test_case "non-ready rejected" `Quick test_traversal_rejects_non_ready;
+          Alcotest.test_case "non-ready rejected" `Quick test_walker_rejects_non_ready;
         ] );
       ("properties", qcheck_props);
     ]
