@@ -1,4 +1,4 @@
-.PHONY: all build test coverage fmt lint bench regress gap matrix scaling verify metrics e2e-trace e2e-compare ci clean
+.PHONY: all build test coverage fmt lint bench gap matrix scaling verify metrics e2e-trace e2e-compare ci clean
 
 all: build
 
@@ -34,11 +34,6 @@ lint:
 bench:
 	dune exec bench/main.exe -- --only trials
 
-# benchmark regression gate: runs the quick suite, writes BENCH_<sha>.json
-# and compares against bench/baselines/regress-quick.json (exit 1 on breach)
-regress:
-	dune exec bench/main.exe -- --regress --quick
-
 # optimality-gap harness: certifies small corpus circuits with the exact
 # oracle and tables the gap per router (sabre/nassc/astar/hybrid); writes
 # a BENCH_<sha>-gap.json snapshot
@@ -51,12 +46,12 @@ gap:
 matrix:
 	dune exec bench/main.exe -- --only matrix --quick
 
-# telemetry pass: the quick regression suite with the whole registry
-# exported as an OpenMetrics page (metrics.txt, linted before writing) and
-# one wide event JSON line per (circuit, router) row (wide.jsonl)
+# per-job telemetry: one CLI transpile exporting the whole registry as an
+# OpenMetrics page (metrics.txt, linted before writing; violations go to
+# stderr) and one wide event JSON line (wide.jsonl)
 metrics:
-	dune exec bench/main.exe -- --regress --quick --metrics metrics.txt \
-		--wide-events wide.jsonl
+	dune exec bin/nassc_cli.exe -- transpile -b "QFT 15-qubits" -t montreal --trials 4 \
+		--metrics=metrics.txt --wide-events=wide.jsonl
 
 # streaming scaling matrix: gates/sec and peak RSS for 10^4..10^5-gate
 # lazy streams over montreal/eagle/osprey through the O(window) engine;

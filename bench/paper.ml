@@ -138,6 +138,7 @@ let experiments ~full ~shots =
       (Printf.sprintf "Figure 11b: success rate (ESP) under the noise model, %d shots" shots)
       ~entries:noise noise_columns Success_rates;
     x "routers" "Router comparison (added CNOTs)"
+      ~entries:(Suite.small_suite @ Suite.matrix_regress_entries)
       [
         col "A*-layers" P.Astar_router;
         sabre;

@@ -3,9 +3,9 @@
    routers can be scored by absolute gap instead of against each other.
    Everything here is deliberately tiny — 3..5 logical qubits, bounded
    depth — because the oracle minimizes over every injective initial
-   layout.  The corpus is shared by `bench --only gap`, the gap golden
-   test, and the golden generator; keep it append-only so recorded
-   optima stay valid. *)
+   layout.  The corpus and its one row computation are shared by
+   `bench --only gap`, the gap golden test, and the golden generator;
+   keep it append-only so recorded optima stay valid. *)
 
 type entry = { name : string; n_qubits : int; build : unit -> Qcircuit.Circuit.t }
 
@@ -51,3 +51,36 @@ let quick_names =
 let suite ~quick =
   if quick then List.filter (fun e -> List.mem e.name quick_names) circuits
   else circuits
+
+(* generous: the oracle is only consulted offline, and corpus instances
+   are small enough that certified optima matter more than latency *)
+let oracle_budget = { Qroute.Exact.max_nodes = 5_000_000; max_seconds = infinity }
+
+let routers = Qroute.Pipeline.select_routers [ "sabre"; "nassc"; "astar"; "hybrid" ]
+let seed = 11
+
+type row = { two_q : int; optimal : int option; swaps : (string * int) list }
+
+let row e coupling =
+  (* the exact circuit the routers route: lowered then pre-optimized *)
+  let logical = Qroute.Pipeline.pre_optimize (Qroute.Pipeline.lower_to_2q (e.build ())) in
+  let optimal =
+    match Qroute.Exact.min_swaps ~budget:oracle_budget coupling logical with
+    | Qroute.Exact.Routed { n_swaps; _ } -> Some n_swaps
+    | Qroute.Exact.Route_budget_exceeded -> None
+  in
+  let params = { Qroute.Engine.default_params with seed } in
+  let swaps =
+    List.map
+      (fun (rname, router) ->
+        let r = Qroute.Pipeline.transpile ~params ~trials:1 ~router coupling (e.build ()) in
+        (rname, r.n_swaps))
+      routers
+  in
+  { two_q = Qcircuit.Circuit.two_qubit_count logical; optimal; swaps }
+
+let optimal_string r = match r.optimal with Some o -> string_of_int o | None -> "?"
+
+let fields r =
+  Printf.sprintf "2q=%d opt=%s %s" r.two_q (optimal_string r)
+    (String.concat " " (List.map (fun (n, s) -> Printf.sprintf "%s=%d" n s) r.swaps))

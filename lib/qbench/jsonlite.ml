@@ -1,6 +1,6 @@
-(* A minimal JSON reader, just enough for the regression harness to load its
-   checked-in BENCH_*.json baselines (and for tests to poke at exported
-   traces) without adding a dependency.  Recursive descent over a string;
+(* A minimal JSON reader, just enough for bench/e2e to compare its run
+   sets (and for tests to poke at exported traces) without adding a
+   dependency.  Recursive descent over a string;
    numbers are OCaml floats; strings support the standard single-character
    escapes plus \uXXXX (non-ASCII code points decode to UTF-8). *)
 

@@ -1,5 +1,7 @@
-(** A minimal JSON reader: enough for [bench --regress] to load checked-in
-    [BENCH_*.json] baselines without a dependency.  Numbers are floats. *)
+(** A minimal JSON reader and writer without a dependency: the writer
+    behind every [BENCH_*.json] snapshot and wide event, the reader behind
+    [bench/e2e]'s run-set comparison and the tests' round trips.  Numbers
+    are floats. *)
 
 type t =
   | Null

@@ -31,8 +31,8 @@ let paper_suite =
 let find name = List.find (fun e -> e.name = name) paper_suite
 let small_suite = List.filter (fun e -> not e.heavy) paper_suite
 
-(* matrix-family workloads appended to the regression gate so every PR
-   regresses against the broader scenario surface (random-density, QAOA on
+(* matrix-family workloads appended to the router comparison so the paper
+   snapshot pins the broader scenario surface (random-density, QAOA on
    Erdős–Rényi graphs, brickwork, ladder/GHZ chains), not just the paper's
    circuits *)
 let matrix_regress_entries =
@@ -46,17 +46,3 @@ let matrix_regress_entries =
     entry "Ladder 8-qubits" 8 (fun () -> Generators.cx_ladder ~rounds:3 8);
     entry "GHZ-chain 12-qubits" 12 (fun () -> Generators.ghz_chain 12);
   ]
-
-let regress_suite ~quick =
-  (if quick then
-     List.map find
-       [
-         "Grover 4-qubits";
-         "Grover 6-qubits";
-         "VQE 8-qubits";
-         "QPE 9-qubits";
-         "Adder 10-qubits";
-         "QFT 15-qubits";
-       ]
-   else small_suite)
-  @ matrix_regress_entries

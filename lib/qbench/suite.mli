@@ -1,4 +1,5 @@
-(** The benchmark registry used by the experiment harness. *)
+(** The benchmark registry: the paper harness's entries, which the CLI,
+    the examples, the tests and [bench/e2e]'s workloads also read. *)
 
 type entry = {
   name : string;  (** paper row name *)
@@ -19,11 +20,6 @@ val small_suite : entry list
 
 val matrix_regress_entries : entry list
 (** Benchmark-matrix family instances (random-density, QAOA-ER, brickwork,
-    ladder, GHZ chain) appended to {!regress_suite} so the regression gate
-    covers the broader workload surface of [bench --only matrix]. *)
-
-val regress_suite : quick:bool -> entry list
-(** The circuits [bench --regress] runs: with [quick:true] a six-circuit
-    spread over sizes 4..15 (what CI compares against the checked-in
-    baseline), otherwise {!small_suite} — in both cases followed by
-    {!matrix_regress_entries}. *)
+    ladder, GHZ chain) that the paper harness's [routers] experiment runs
+    after {!small_suite}, so [bench/baselines/paper.json] pins the broader
+    workload surface of [bench --only matrix] too. *)

@@ -343,11 +343,9 @@ module Trace = struct
   let of_root root = { root }
 
   (* preorder over the whole collector tree: the root, then each child's
-     subtree in merge order.  Depth used to be at most 1 (a pipeline root
-     plus its per-trial children), for which this reduces to the old
-     root-then-children list byte for byte; the bench harnesses now also
-     build session-level collectors whose children are themselves roots of
-     per-run trees, and those grandchildren must not be dropped from
+     subtree in merge order.  For a pipeline root plus its per-trial
+     children this is the root-then-children list; a deeper tree (a
+     collector that adopts other runs' roots) loses no grandchild from
      counter totals or exports. *)
   let collectors t =
     let rec walk acc c = List.fold_left walk (c :: acc) (Collector.children c) in
@@ -484,8 +482,8 @@ module Trace = struct
 
   (* spans aggregated by slash-joined ancestor path, across collectors; the
      per-call wall times additionally feed a histogram per path so the
-     summary can report latency percentiles through the same Hist path the
-     regression harness uses *)
+     summary can report latency percentiles through the same Hist path as
+     every other histogram *)
   let aggregate t =
     let rows : (string, int * float * float) Hashtbl.t = Hashtbl.create 64 in
     let hists : (string, Hist.t) Hashtbl.t = Hashtbl.create 64 in

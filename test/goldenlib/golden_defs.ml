@@ -91,37 +91,6 @@ let lines () =
 
 let generate () = String.concat "\n" (lines ()) ^ "\n"
 
-(* ---- the optimality-gap golden corpus (test/goldens/gap.golden) ----
-
-   One line per (corpus circuit, small topology): the certified optimal
-   SWAP count from the exact oracle plus each router's inserted-swap
-   count at the canonical seed.  The gap test re-runs the routers (cheap)
-   against the recorded optima (expensive to certify), asserting gaps
-   never grow and the oracle invariant router >= optimal holds. *)
-
-let gap_oracle_budget = { Qroute.Exact.max_nodes = 5_000_000; max_seconds = infinity }
-
-let gap_routers = Qroute.Pipeline.select_routers [ "sabre"; "nassc"; "astar"; "hybrid" ]
-
-let gap_line (e : Qbench.Gapcorpus.entry) tname coupling =
-  let logical = Qroute.Pipeline.pre_optimize (Qroute.Pipeline.lower_to_2q (e.build ())) in
-  let two_q = Qcircuit.Circuit.two_qubit_count logical in
-  let opt =
-    match Qroute.Exact.min_swaps ~budget:gap_oracle_budget coupling logical with
-    | Qroute.Exact.Routed { n_swaps; _ } -> string_of_int n_swaps
-    | Qroute.Exact.Route_budget_exceeded -> "?"
-  in
-  let params = { Qroute.Engine.default_params with seed } in
-  let swaps =
-    List.map
-      (fun (rname, router) ->
-        let r = Qroute.Pipeline.transpile ~params ~trials:1 ~router coupling (e.build ()) in
-        Printf.sprintf "%s=%d" rname r.Qroute.Pipeline.n_swaps)
-      gap_routers
-  in
-  Printf.sprintf "%s %s 2q=%d opt=%s %s" e.name tname two_q opt
-    (String.concat " " swaps)
-
 (* ---- the benchmark-matrix golden corpus (test/goldens/matrix.golden) ----
 
    The quick subset of `bench --only matrix`: one small instance per
@@ -138,12 +107,22 @@ let generate_matrix ?(workers = 2) () =
        ~topologies:(Qbench.Matrix.golden_topologies ())
        ())
 
+(* ---- the optimality-gap golden corpus (test/goldens/gap.golden) ----
+
+   One line per (corpus circuit, small topology): the certified optimal
+   SWAP count from the exact oracle plus each router's inserted-swap
+   count at the canonical seed.  The gap test re-runs the routers (cheap)
+   against the recorded optima (expensive to certify), asserting gaps
+   never grow and the oracle invariant router >= optimal holds. *)
+
 let generate_gap () =
   String.concat "\n"
     (List.concat_map
        (fun (e : Qbench.Gapcorpus.entry) ->
          List.map
-           (fun (tname, coupling) -> gap_line e tname coupling)
+           (fun (tname, coupling) ->
+             Printf.sprintf "%s %s %s" e.name tname
+               (Qbench.Gapcorpus.fields (Qbench.Gapcorpus.row e coupling)))
            Qbench.Gapcorpus.topologies)
        Qbench.Gapcorpus.circuits)
   ^ "\n"
