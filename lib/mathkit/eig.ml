@@ -1,20 +1,35 @@
-let mat_copy a = Array.map Array.copy a
+(* A real n x n matrix is a row-major [Float.Array.t] of n*n entries:
+   entry (i, j) is at index i*n + j.  Every loop performs the float
+   operations of the [float array array] code it replaced, in the same
+   order, so results are bit-identical to it. *)
+
+let get = Float.Array.get
+let set = Float.Array.set
+
+let dim a =
+  let len = Float.Array.length a in
+  let n = Float.to_int (Float.round (sqrt (float_of_int len))) in
+  if n * n <> len then invalid_arg "Eig: not a square matrix";
+  n
 
 let off_diagonal_norm a =
-  let n = Array.length a in
+  let n = dim a in
   let acc = ref 0.0 in
   for i = 0 to n - 1 do
     for j = 0 to n - 1 do
-      if i <> j then acc := !acc +. (a.(i).(j) *. a.(i).(j))
+      if i <> j then begin
+        let x = get a ((i * n) + j) in
+        acc := !acc +. (x *. x)
+      end
     done
   done;
   sqrt !acc
 
-(* One Jacobi rotation zeroing a.(p).(q), accumulating into v. *)
-let rotate a v p q =
-  let apq = a.(p).(q) in
+(* One Jacobi rotation zeroing a(p,q), accumulating into v. *)
+let rotate n a v p q =
+  let apq = get a ((p * n) + q) in
   if Float.abs apq > 1e-300 then begin
-    let app = a.(p).(p) and aqq = a.(q).(q) in
+    let app = get a ((p * n) + p) and aqq = get a ((q * n) + q) in
     let theta = (aqq -. app) /. (2.0 *. apq) in
     let t =
       let s = if theta >= 0.0 then 1.0 else -1.0 in
@@ -22,99 +37,120 @@ let rotate a v p q =
     in
     let c = 1.0 /. sqrt ((t *. t) +. 1.0) in
     let s = t *. c in
-    let n = Array.length a in
     for k = 0 to n - 1 do
-      let akp = a.(k).(p) and akq = a.(k).(q) in
-      a.(k).(p) <- (c *. akp) -. (s *. akq);
-      a.(k).(q) <- (s *. akp) +. (c *. akq)
+      let kp = (k * n) + p and kq = (k * n) + q in
+      let akp = get a kp and akq = get a kq in
+      set a kp ((c *. akp) -. (s *. akq));
+      set a kq ((s *. akp) +. (c *. akq))
     done;
     for k = 0 to n - 1 do
-      let apk = a.(p).(k) and aqk = a.(q).(k) in
-      a.(p).(k) <- (c *. apk) -. (s *. aqk);
-      a.(q).(k) <- (s *. apk) +. (c *. aqk)
+      let pk = (p * n) + k and qk = (q * n) + k in
+      let apk = get a pk and aqk = get a qk in
+      set a pk ((c *. apk) -. (s *. aqk));
+      set a qk ((s *. apk) +. (c *. aqk))
     done;
     for k = 0 to n - 1 do
-      let vkp = v.(k).(p) and vkq = v.(k).(q) in
-      v.(k).(p) <- (c *. vkp) -. (s *. vkq);
-      v.(k).(q) <- (s *. vkp) +. (c *. vkq)
+      let kp = (k * n) + p and kq = (k * n) + q in
+      let vkp = get v kp and vkq = get v kq in
+      set v kp ((c *. vkp) -. (s *. vkq));
+      set v kq ((s *. vkp) +. (c *. vkq))
     done
   end
 
 let jacobi a0 =
-  let n = Array.length a0 in
-  let a = mat_copy a0 in
-  let v = Array.init n (fun i -> Array.init n (fun j -> if i = j then 1.0 else 0.0)) in
+  let n = dim a0 in
+  let a = Float.Array.copy a0 in
+  let v = Float.Array.make (n * n) 0.0 in
+  for i = 0 to n - 1 do
+    set v ((i * n) + i) 1.0
+  done;
   let max_sweeps = 100 in
   let rec sweep k =
     if k < max_sweeps && off_diagonal_norm a > 1e-13 then begin
       for p = 0 to n - 2 do
         for q = p + 1 to n - 1 do
-          rotate a v p q
+          rotate n a v p q
         done
       done;
       sweep (k + 1)
     end
   in
   sweep 0;
-  (Array.init n (fun i -> a.(i).(i)), v)
+  let vals = Float.Array.create n in
+  for i = 0 to n - 1 do
+    set vals i (get a ((i * n) + i))
+  done;
+  (vals, v)
 
 (* p^T m p for orthogonal p. *)
-let conjugate_by m p =
-  let n = Array.length m in
-  let tmp = Array.make_matrix n n 0.0 in
+let conjugate_by n m p =
+  let tmp = Float.Array.make (n * n) 0.0 in
   for i = 0 to n - 1 do
     for j = 0 to n - 1 do
       let acc = ref 0.0 in
       for k = 0 to n - 1 do
-        acc := !acc +. (m.(i).(k) *. p.(k).(j))
+        acc := !acc +. (get m ((i * n) + k) *. get p ((k * n) + j))
       done;
-      tmp.(i).(j) <- !acc
+      set tmp ((i * n) + j) !acc
     done
   done;
-  let out = Array.make_matrix n n 0.0 in
+  let out = Float.Array.make (n * n) 0.0 in
   for i = 0 to n - 1 do
     for j = 0 to n - 1 do
       let acc = ref 0.0 in
       for k = 0 to n - 1 do
-        acc := !acc +. (p.(k).(i) *. tmp.(k).(j))
+        acc := !acc +. (get p ((k * n) + i) *. get tmp ((k * n) + j))
       done;
-      out.(i).(j) <- !acc
+      set out ((i * n) + j) !acc
     done
   done;
   out
 
 let simultaneous_diagonalize a b =
-  let n = Array.length a in
+  let n = dim a in
   let vals, p = jacobi a in
   (* Group indices whose a-eigenvalues coincide; within each degenerate
      group, b (conjugated) is still symmetric and must be diagonalized. *)
   let order = Array.init n (fun i -> i) in
-  Array.sort (fun i j -> compare vals.(i) vals.(j)) order;
-  let p_sorted = Array.init n (fun i -> Array.init n (fun j -> p.(i).(order.(j)))) in
-  let vals_sorted = Array.map (fun i -> vals.(i)) order in
-  let b' = conjugate_by b p_sorted in
-  let result = mat_copy p_sorted in
+  Array.sort (fun i j -> Float.compare (get vals i) (get vals j)) order;
+  let result = Float.Array.create (n * n) in
+  for i = 0 to n - 1 do
+    for j = 0 to n - 1 do
+      set result ((i * n) + j) (get p ((i * n) + order.(j)))
+    done
+  done;
+  let b' = conjugate_by n b result in
   let tol = 1e-7 in
   let i = ref 0 in
   while !i < n do
     let j = ref (!i + 1) in
-    while !j < n && Float.abs (vals_sorted.(!j) -. vals_sorted.(!i)) < tol do
+    while !j < n && Float.abs (get vals order.(!j) -. get vals order.(!i)) < tol do
       incr j
     done;
     let size = !j - !i in
     if size > 1 then begin
       (* diagonalize the (size x size) block of b' at offset !i *)
-      let block = Array.init size (fun r -> Array.init size (fun c -> b'.(!i + r).(!i + c))) in
+      let block = Float.Array.create (size * size) in
+      for r = 0 to size - 1 do
+        for c = 0 to size - 1 do
+          set block ((r * size) + c) (get b' (((!i + r) * n) + !i + c))
+        done
+      done;
       let _, q = jacobi block in
       (* result columns [!i .. !j-1] <- result_cols * q *)
-      let cols = Array.init n (fun r -> Array.init size (fun c -> result.(r).(!i + c))) in
+      let cols = Float.Array.create (n * size) in
+      for r = 0 to n - 1 do
+        for c = 0 to size - 1 do
+          set cols ((r * size) + c) (get result ((r * n) + !i + c))
+        done
+      done;
       for r = 0 to n - 1 do
         for c = 0 to size - 1 do
           let acc = ref 0.0 in
           for k = 0 to size - 1 do
-            acc := !acc +. (cols.(r).(k) *. q.(k).(c))
+            acc := !acc +. (get cols ((r * size) + k) *. get q ((k * size) + c))
           done;
-          result.(r).(!i + c) <- !acc
+          set result ((r * n) + !i + c) !acc
         done
       done
     end;

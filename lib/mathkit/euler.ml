@@ -4,7 +4,7 @@ let rz_mat a = Mat.diag_phases [| -.a /. 2.0; a /. 2.0 |]
 
 let ry_mat t =
   let c = cos (t /. 2.0) and s = sin (t /. 2.0) in
-  Mat.of_real [| [| c; -.s |]; [| s; c |] |]
+  Mat.of_real 2 2 (Float.Array.of_list [ c; -.s; s; c ])
 
 let rx_mat t =
   let c = Cx.re (cos (t /. 2.0)) and s = Cx.make 0.0 (-.sin (t /. 2.0)) in

@@ -36,14 +36,10 @@ let of_rows rows_ =
 
 let of_real_rows rows_ = of_rows (List.map (List.map Cx.re) rows_)
 
-let of_real p =
-  let r = Array.length p in
-  let c = if r = 0 then 0 else Array.length p.(0) in
+let of_real r c p =
   let a = zeros r c in
-  for i = 0 to r - 1 do
-    for j = 0 to c - 1 do
-      Float.Array.set a.m (2 * ((i * c) + j)) p.(i).(j)
-    done
+  for k = 0 to (r * c) - 1 do
+    Float.Array.set a.m (2 * k) (Float.Array.get p k)
   done;
   a
 
@@ -72,13 +68,11 @@ let gather r c f src =
   a
 
 let parts a =
-  let re = Array.make_matrix a.r a.c 0.0 and im = Array.make_matrix a.r a.c 0.0 in
-  for i = 0 to a.r - 1 do
-    for j = 0 to a.c - 1 do
-      let k = 2 * ((i * a.c) + j) in
-      re.(i).(j) <- Float.Array.get a.m k;
-      im.(i).(j) <- Float.Array.get a.m (k + 1)
-    done
+  let n = a.r * a.c in
+  let re = Float.Array.create n and im = Float.Array.create n in
+  for k = 0 to n - 1 do
+    Float.Array.set re k (Float.Array.get a.m (2 * k));
+    Float.Array.set im k (Float.Array.get a.m ((2 * k) + 1))
   done;
   (re, im)
 

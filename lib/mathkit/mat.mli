@@ -36,8 +36,10 @@ val of_rows : Cx.t list list -> t
 
 val of_real_rows : float list list -> t
 
-val of_real : float array array -> t
-(** Real matrix given as rows; every imaginary part is [+0]. *)
+val of_real : int -> int -> Float.Array.t -> t
+(** [of_real r c p] is the real [r x c] matrix whose entry [(i, j)] is
+    [p.(i * c + j)] (row-major, the storage of {!Eig}); every imaginary
+    part is [+0]. *)
 
 val diag_phases : float array -> t
 (** [diag_phases t] is the diagonal matrix with entries [e^{i t_k}]
@@ -48,8 +50,8 @@ val gather : int -> int -> (int -> int -> int) -> t -> t
     entry of [src] at row-major position [f i j] (row [f i j / cols src],
     column [f i j mod cols src]), or [0] when [f i j < 0]. *)
 
-val parts : t -> float array array * float array array
-(** Real and imaginary parts as row arrays. *)
+val parts : t -> Float.Array.t * Float.Array.t
+(** Real and imaginary parts, each row-major as {!of_real} reads them. *)
 
 val argmax_abs : t -> int
 (** Row-major position of the first entry of largest modulus. *)

@@ -61,7 +61,7 @@ let seed = 11
 
 type row = { two_q : int; optimal : int option; swaps : (string * int) list }
 
-let row e coupling =
+let row ?(seed = seed) e coupling =
   (* the exact circuit the routers route: lowered then pre-optimized *)
   let logical = Qroute.Pipeline.pre_optimize (Qroute.Pipeline.lower_to_2q (e.build ())) in
   let optimal =

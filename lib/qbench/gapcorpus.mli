@@ -33,10 +33,11 @@ type row = {
   swaps : (string * int) list;  (** inserted SWAPs per router, in {!routers} order *)
 }
 
-val row : entry -> Topology.Coupling.t -> row
+val row : ?seed:int -> entry -> Topology.Coupling.t -> row
 (** Certify the entry's optimum on the device with the exact oracle
     (5,000,000-node budget, on the lowered then pre-optimized circuit the
-    routers see) and route it once with each of {!routers} at {!seed}. *)
+    routers see) and route it once with each of {!routers} at [seed]
+    (default {!seed}). *)
 
 val optimal_string : row -> string
 (** The optimum, or ["?"] when the oracle's budget tripped. *)

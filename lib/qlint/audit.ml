@@ -261,15 +261,9 @@ let savings ?(seed = 2022) ?(samples = 12) () =
    milliseconds, so this runs in the same CI lint job as the other
    audits. *)
 
-let optimality ?(seed = 11) () =
+let optimality ?(seed = Qbench.Gapcorpus.seed) () =
   let scenarios = ref 0 in
   let diags = ref [] in
-  let params = { Qroute.Engine.default_params with seed } in
-  (* the hop-metric routers; the -ha variants differ from sabre/nassc only
-     in the distance matrix they route on *)
-  let routers =
-    List.filter (fun (_, r) -> not (Qroute.Pipeline.noise_aware r)) Qroute.Pipeline.routers
-  in
   let entry name =
     List.find (fun (e : Qbench.Gapcorpus.entry) -> e.name = name)
       Qbench.Gapcorpus.circuits
@@ -282,35 +276,28 @@ let optimality ?(seed = 11) () =
   in
   List.iter
     (fun cname ->
-      let e = entry cname in
-      let logical =
-        Qroute.Pipeline.pre_optimize (Qroute.Pipeline.lower_to_2q (e.build ()))
-      in
       List.iter
         (fun (tname, coupling) ->
           incr scenarios;
           Qobs.incr c_scenarios;
-          match Qroute.Exact.min_swaps coupling logical with
-          | Qroute.Exact.Route_budget_exceeded ->
+          let row = Qbench.Gapcorpus.row ~seed (entry cname) coupling in
+          match row.optimal with
+          | None ->
               diags :=
                 Diagnostic.errorf ~rule:"audit.optimality"
                   "%s/%s: oracle budget exceeded on an audit-sized instance" cname
                   tname
                 :: !diags
-          | Qroute.Exact.Routed { n_swaps = optimal; _ } ->
+          | Some optimal ->
               List.iter
-                (fun (rname, router) ->
-                  let r =
-                    Qroute.Pipeline.transpile ~params ~trials:1 ~router coupling
-                      (e.build ())
-                  in
-                  if r.Qroute.Pipeline.n_swaps < optimal then
+                (fun (rname, n_swaps) ->
+                  if n_swaps < optimal then
                     diags :=
                       Diagnostic.errorf ~rule:"audit.optimality"
                         "%s/%s: %s inserted %d swaps, below the certified optimum %d"
-                        cname tname rname r.Qroute.Pipeline.n_swaps optimal
+                        cname tname rname n_swaps optimal
                       :: !diags)
-                routers)
+                row.swaps)
         topologies)
     instances;
   { pairs_checked = 0; scenarios_checked = !scenarios; diags = List.rev !diags }

@@ -28,8 +28,10 @@ val commutation_tables : unit -> report
 val savings : ?seed:int -> ?samples:int -> unit -> report
 
 val optimality : ?seed:int -> unit -> report
-(** Routes a few gap-corpus instances with every router and certifies the
-    optimum with {!Qroute.Exact.min_swaps}: any router inserting fewer
+(** Computes the gap row ({!Qbench.Gapcorpus.row}, routing at [seed],
+    default {!Qbench.Gapcorpus.seed}) of a few gap-corpus instances, so
+    the optimum is certified with the gap table's oracle budget and the
+    hop-metric routers are those it scores: any router inserting fewer
     SWAPs than the oracle's free-layout minimum is a soundness violation
     (of the oracle or of the router's swap accounting) and is reported as
     an [audit.optimality] error. *)

@@ -52,38 +52,56 @@ let classify (x, y, z) =
   else if near z 0.0 then 2
   else 3
 
+let core_length = function
+  | 0 -> 0
+  | 1 -> 1
+  | 2 -> 4
+  | 3 -> 6
+  | k -> invalid_arg (Printf.sprintf "Synth2q.core_length: %d" k)
+
 let c_kak = Qobs.counter "synth2q.kak_decompositions"
 
-(* The class-1 core is the constant CX(0,1), so its decomposition is
-   computed once, here.  Not a [Lazy]: forcing one from several domains at
-   once raises [Lazy.Undefined]. *)
+let kak u =
+  Qobs.incr c_kak;
+  let r = Weyl.decompose u in
+  (r, classify (r.x, r.y, r.z))
+
+(* The class-1 core is the constant CX(0,1), so its decomposition and the
+   adjoints of its local factors are computed once, here.  Not a [Lazy]:
+   forcing one from several domains at once raises [Lazy.Undefined]. *)
 let cx_core = core_for_class (pi /. 4.0, 0.0, 0.0) 1
 let cx_core_kak = Weyl.decompose (ops_unitary 2 cx_core)
 
-let synthesize u =
-  Qobs.incr c_kak;
-  let r = Weyl.decompose u in
-  let cls = classify (r.x, r.y, r.z) in
+(* the adjoints of a core's local factors, as the dressing uses them *)
+let adjoints (rv : Weyl.t) =
+  (Mat.adjoint rv.k1l, Mat.adjoint rv.k1r, Mat.adjoint rv.k2l, Mat.adjoint rv.k2r)
+
+let cx_core_adjoints = adjoints cx_core_kak
+
+let of_kak ((r : Weyl.t), cls) =
   if cls = 0 then
     one_qubit_ops (Mat.mul r.k1l r.k2l) 0 @ one_qubit_ops (Mat.mul r.k1r r.k2r) 1
   else begin
-    let core, rv =
-      if cls = 1 then (cx_core, cx_core_kak)
+    let core, (rv : Weyl.t), (k1l_dag, k1r_dag, k2l_dag, k2r_dag) =
+      if cls = 1 then (cx_core, cx_core_kak, cx_core_adjoints)
       else
         let core = core_for_class (r.x, r.y, r.z) cls in
-        (core, Weyl.decompose (ops_unitary 2 core))
+        let rv = Weyl.decompose (ops_unitary 2 core) in
+        (core, rv, adjoints rv)
     in
     let close a b = Float.abs (a -. b) < 1e-6 in
     if not (close r.x rv.x && close r.y rv.y && close r.z rv.z) then
       invalid_arg
         (Printf.sprintf
-           "Synth2q.synthesize: core mismatch (%.9f %.9f %.9f) vs (%.9f %.9f %.9f)"
+           "Synth2q.of_kak: core mismatch (%.9f %.9f %.9f) vs (%.9f %.9f %.9f)"
            r.x r.y r.z rv.x rv.y rv.z);
     (* u = e^{i(phase_u - phase_v)} (k1 . c1^dag) v (c2^dag . k2) *)
-    let left_l = Mat.mul r.k1l (Mat.adjoint rv.k1l) in
-    let left_r = Mat.mul r.k1r (Mat.adjoint rv.k1r) in
-    let right_l = Mat.mul (Mat.adjoint rv.k2l) r.k2l in
-    let right_r = Mat.mul (Mat.adjoint rv.k2r) r.k2r in
+    let left_l = Mat.mul r.k1l k1l_dag in
+    let left_r = Mat.mul r.k1r k1r_dag in
+    let right_l = Mat.mul k2l_dag r.k2l in
+    let right_r = Mat.mul k2r_dag r.k2r in
     one_qubit_ops right_l 0 @ one_qubit_ops right_r 1 @ core
     @ one_qubit_ops left_l 0 @ one_qubit_ops left_r 1
   end
+
+let synthesize u = of_kak (kak u)

@@ -9,19 +9,23 @@ let resynth_gain b =
   max 0 (current - optimal)
 
 (* What the pass does with one block: keep its ops, or replace them by the
-   synthesized body, held on local qubits (0 = low wire, 1 = high wire). *)
+   synthesized body, held on local qubits (0 = low wire, 1 = high wire).
+   A replacement spends exactly [cls] CNOTs in at least [core_length cls]
+   ops, so when the class alone shows it cannot win, it is not built. *)
 type decision = Keep | Replace of Circuit.instr list
 
+let keep_by_class ~cls ~cx ~ops = cls > cx || (cls = cx && ops <= Synth2q.core_length cls)
+
 let decide (b : Blocks.block) =
-  let replacement =
-    List.map
-      (fun (g, qs) -> { Circuit.gate = g; qubits = qs })
-      (Synth2q.synthesize (Blocks.block_unitary b))
-  in
-  let old_cx = Blocks.block_cx_cost b and new_cx = Blocks.ops_cx_cost replacement in
-  if new_cx < old_cx || (new_cx = old_cx && List.length replacement < List.length b.ops)
-  then Replace replacement
-  else Keep
+  let ((_, cls) as k) = Synth2q.kak (Blocks.block_unitary b) in
+  let cx = Blocks.block_cx_cost b and ops = List.length b.ops in
+  if keep_by_class ~cls ~cx ~ops then Keep
+  else
+    (* here cls <= cx: the replacement wins on CNOTs, or else on op count *)
+    let replacement =
+      List.map (fun (g, qs) -> { Circuit.gate = g; qubits = qs }) (Synth2q.of_kak k)
+    in
+    if cls < cx || List.length replacement < ops then Replace replacement else Keep
 
 (* the decision reads only the block's local unitary, CX cost and op
    count, so blocks with equal signatures get equal decisions *)

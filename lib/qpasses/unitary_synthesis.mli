@@ -6,6 +6,15 @@
     (or the same CNOTs with fewer total gates).  This is the optimization
     that can make an inserted SWAP cost 2, 1 or even 0 extra CNOTs.
 
+    The decision is made before the body is built.  {!Synth2q.kak} gives
+    the block's class [cls], the exact CNOT count of any replacement, and
+    a replacement has at least {!Synth2q.core_length}[ cls] ops.  So the
+    block is kept, with nothing more built, when [cls] exceeds the CNOTs it
+    spends now, or equals them and the block has no more ops than the
+    core.  Only otherwise does {!Synth2q.of_kak} build the replacement,
+    which then replaces the block under the rule above.  Both orders make
+    the same decision on every block.
+
     Within one [run] call, each block's decision (keep, or the replacement
     body on the block's two local qubits) is memoized by the block's exact
     signature ({!Blocks.add_op_signature} over its ops, with the low wire
@@ -19,6 +28,12 @@
     [synth2q.kak_decompositions] on misses only. *)
 
 val run : Qcircuit.Circuit.t -> Qcircuit.Circuit.t
+
+val keep_by_class : cls:int -> cx:int -> ops:int -> bool
+(** The class-first keep: a block of [ops] ops spending [cx] CNOTs, whose
+    unitary is of class [cls], is kept without building a replacement.
+    True exactly when even a replacement of {!Synth2q.core_length}[ cls]
+    ops, the fewest any replacement has, would not replace the block. *)
 
 val resynth_gain : Blocks.block -> int
 (** CNOTs saved by re-synthesizing the block ([current - optimal], >= 0). *)

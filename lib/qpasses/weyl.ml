@@ -161,12 +161,12 @@ let decompose u =
   let re, im = Mat.parts m2 in
   let p_real = Eig.simultaneous_diagonalize re im in
   (* determinant of the real orthogonal p: fix to +1 by flipping a column *)
-  let detp = (Mat.det (Mat.of_real p_real)).Complex.re in
+  let detp = (Mat.det (Mat.of_real 4 4 p_real)).Complex.re in
   if detp < 0.0 then
     for i = 0 to 3 do
-      p_real.(i).(0) <- -.p_real.(i).(0)
+      Float.Array.set p_real (4 * i) (-.Float.Array.get p_real (4 * i))
     done;
-  let p = Mat.of_real p_real in
+  let p = Mat.of_real 4 4 p_real in
   let pt = Mat.transpose p in
   let d = Mat.mul pt (Mat.mul m2 p) in
   let theta = Array.init 4 (fun j -> Cx.arg (Mat.get d j j) /. 2.0) in

@@ -136,6 +136,12 @@ let test_mat_phase_eps () =
 
 (* ---------- Eig ---------- *)
 
+(* row arrays <-> Eig's row-major flat storage *)
+let flat rows =
+  let n = Array.length rows in
+  Float.Array.init (n * n) (fun k -> rows.(k / n).(k mod n))
+let unflat n a = Array.init n (fun i -> Array.init n (fun j -> Float.Array.get a ((i * n) + j)))
+
 let random_symmetric rng n =
   let a = Array.init n (fun _ -> Array.init n (fun _ -> Rng.gaussian rng)) in
   Array.init n (fun i -> Array.init n (fun j -> (a.(i).(j) +. a.(j).(i)) /. 2.0))
@@ -144,7 +150,8 @@ let test_jacobi_diagonalizes () =
   let rng = rng0 () in
   for n = 2 to 6 do
     let a = random_symmetric rng n in
-    let vals, v = Eig.jacobi a in
+    let vals, v = Eig.jacobi (flat a) in
+    let vals = Float.Array.map_to_array Fun.id vals and v = unflat n v in
     (* check A v_k = lambda_k v_k *)
     for k = 0 to n - 1 do
       for i = 0 to n - 1 do
@@ -160,7 +167,7 @@ let test_jacobi_diagonalizes () =
 let test_jacobi_orthogonal () =
   let rng = rng0 () in
   let a = random_symmetric rng 5 in
-  let _, v = Eig.jacobi a in
+  let v = unflat 5 (snd (Eig.jacobi (flat a))) in
   for i = 0 to 4 do
     for j = 0 to 4 do
       let dot = ref 0.0 in
@@ -172,27 +179,28 @@ let test_jacobi_orthogonal () =
     done
   done
 
+(* p . diag(vals) . p^T: symmetric, with p's columns as eigenvectors *)
+let with_spectrum p vals =
+  let n = Array.length vals in
+  Array.init n (fun i ->
+      Array.init n (fun j ->
+          let acc = ref 0.0 in
+          for k = 0 to n - 1 do
+            acc := !acc +. (p.(i).(k) *. vals.(k) *. p.(j).(k))
+          done;
+          !acc))
+
 let test_simultaneous_diag () =
   let rng = rng0 () in
   (* Build two commuting symmetric matrices: same eigenbasis, different
      (degenerate) spectra. *)
   for _ = 1 to 10 do
     let n = 4 in
-    let s = random_symmetric rng n in
-    let _, p = Eig.jacobi s in
-    let diag vals =
-      Array.init n (fun i ->
-          Array.init n (fun j ->
-              let acc = ref 0.0 in
-              for k = 0 to n - 1 do
-                acc := !acc +. (p.(i).(k) *. vals.(k) *. p.(j).(k))
-              done;
-              !acc))
-    in
+    let p = unflat n (snd (Eig.jacobi (flat (random_symmetric rng n)))) in
     (* a has a degenerate pair so b is needed to split it *)
-    let a = diag [| 1.0; 1.0; 2.0; 3.0 |] in
-    let b = diag [| 5.0; -1.0; 0.5; 0.5 |] in
-    let q = Eig.simultaneous_diagonalize a b in
+    let a = with_spectrum p [| 1.0; 1.0; 2.0; 3.0 |] in
+    let b = with_spectrum p [| 5.0; -1.0; 0.5; 0.5 |] in
+    let q = unflat n (Eig.simultaneous_diagonalize (flat a) (flat b)) in
     let conj m =
       Array.init n (fun i ->
           Array.init n (fun j ->
@@ -204,8 +212,8 @@ let test_simultaneous_diag () =
               done;
               !acc))
     in
-    check "a diagonalized" true (Eig.off_diagonal_norm (conj a) < 1e-7);
-    check "b diagonalized" true (Eig.off_diagonal_norm (conj b) < 1e-7)
+    check "a diagonalized" true (Eig.off_diagonal_norm (flat (conj a)) < 1e-7);
+    check "b diagonalized" true (Eig.off_diagonal_norm (flat (conj b)) < 1e-7)
   done
 
 (* ---------- Euler ---------- *)
@@ -492,6 +500,213 @@ let bit_identity_props =
   in
   List.map QCheck_alcotest.to_alcotest [ mul_bits; det_bits; kernel_bits; phase_bits ]
 
+(* The row-array solver that [Eig]'s flat one replaced, kept verbatim as
+   the reference; [degenerate_blocks] counts the degenerate eigenspaces
+   [simultaneous_diagonalize] re-diagonalized against [b]. *)
+module Ref_eig = struct
+  let degenerate_blocks = ref 0
+  let mat_copy a = Array.map Array.copy a
+
+  let off_diagonal_norm a =
+    let n = Array.length a in
+    let acc = ref 0.0 in
+    for i = 0 to n - 1 do
+      for j = 0 to n - 1 do
+        if i <> j then acc := !acc +. (a.(i).(j) *. a.(i).(j))
+      done
+    done;
+    sqrt !acc
+
+  let rotate a v p q =
+    let apq = a.(p).(q) in
+    if Float.abs apq > 1e-300 then begin
+      let app = a.(p).(p) and aqq = a.(q).(q) in
+      let theta = (aqq -. app) /. (2.0 *. apq) in
+      let t =
+        let s = if theta >= 0.0 then 1.0 else -1.0 in
+        s /. (Float.abs theta +. sqrt ((theta *. theta) +. 1.0))
+      in
+      let c = 1.0 /. sqrt ((t *. t) +. 1.0) in
+      let s = t *. c in
+      let n = Array.length a in
+      for k = 0 to n - 1 do
+        let akp = a.(k).(p) and akq = a.(k).(q) in
+        a.(k).(p) <- (c *. akp) -. (s *. akq);
+        a.(k).(q) <- (s *. akp) +. (c *. akq)
+      done;
+      for k = 0 to n - 1 do
+        let apk = a.(p).(k) and aqk = a.(q).(k) in
+        a.(p).(k) <- (c *. apk) -. (s *. aqk);
+        a.(q).(k) <- (s *. apk) +. (c *. aqk)
+      done;
+      for k = 0 to n - 1 do
+        let vkp = v.(k).(p) and vkq = v.(k).(q) in
+        v.(k).(p) <- (c *. vkp) -. (s *. vkq);
+        v.(k).(q) <- (s *. vkp) +. (c *. vkq)
+      done
+    end
+
+  let jacobi a0 =
+    let n = Array.length a0 in
+    let a = mat_copy a0 in
+    let v = Array.init n (fun i -> Array.init n (fun j -> if i = j then 1.0 else 0.0)) in
+    let rec sweep k =
+      if k < 100 && off_diagonal_norm a > 1e-13 then begin
+        for p = 0 to n - 2 do
+          for q = p + 1 to n - 1 do
+            rotate a v p q
+          done
+        done;
+        sweep (k + 1)
+      end
+    in
+    sweep 0;
+    (Array.init n (fun i -> a.(i).(i)), v)
+
+  let conjugate_by m p =
+    let n = Array.length m in
+    let tmp = Array.make_matrix n n 0.0 in
+    for i = 0 to n - 1 do
+      for j = 0 to n - 1 do
+        let acc = ref 0.0 in
+        for k = 0 to n - 1 do
+          acc := !acc +. (m.(i).(k) *. p.(k).(j))
+        done;
+        tmp.(i).(j) <- !acc
+      done
+    done;
+    let out = Array.make_matrix n n 0.0 in
+    for i = 0 to n - 1 do
+      for j = 0 to n - 1 do
+        let acc = ref 0.0 in
+        for k = 0 to n - 1 do
+          acc := !acc +. (p.(k).(i) *. tmp.(k).(j))
+        done;
+        out.(i).(j) <- !acc
+      done
+    done;
+    out
+
+  let simultaneous_diagonalize a b =
+    let n = Array.length a in
+    let vals, p = jacobi a in
+    let order = Array.init n (fun i -> i) in
+    Array.sort (fun i j -> compare vals.(i) vals.(j)) order;
+    let p_sorted = Array.init n (fun i -> Array.init n (fun j -> p.(i).(order.(j)))) in
+    let vals_sorted = Array.map (fun i -> vals.(i)) order in
+    let b' = conjugate_by b p_sorted in
+    let result = mat_copy p_sorted in
+    let i = ref 0 in
+    while !i < n do
+      let j = ref (!i + 1) in
+      while !j < n && Float.abs (vals_sorted.(!j) -. vals_sorted.(!i)) < 1e-7 do
+        incr j
+      done;
+      let size = !j - !i in
+      if size > 1 then begin
+        incr degenerate_blocks;
+        let block = Array.init size (fun r -> Array.init size (fun c -> b'.(!i + r).(!i + c))) in
+        let _, q = jacobi block in
+        let cols = Array.init n (fun r -> Array.init size (fun c -> result.(r).(!i + c))) in
+        for r = 0 to n - 1 do
+          for c = 0 to size - 1 do
+            let acc = ref 0.0 in
+            for k = 0 to size - 1 do
+              acc := !acc +. (cols.(r).(k) *. q.(k).(c))
+            done;
+            result.(r).(!i + c) <- !acc
+          done
+        done
+      end;
+      i := !j
+    done;
+    result
+end
+
+let vec_bits a r =
+  Float.Array.length a = Array.length r
+  && Array.for_all2 same_bits (Float.Array.map_to_array Fun.id a) r
+
+let sq_bits a r = vec_bits a (Array.concat (Array.to_list r))
+
+(* eigenvalues drawn from three values half the time, so repeated ones
+   (degenerate eigenspaces) are common; some are nudged by 3e-8 or 3e-7,
+   just inside and just outside the 1e-7 tolerance that groups them *)
+let spectrum rng n =
+  if Rng.bool rng then Array.init n (fun _ -> Rng.gaussian rng)
+  else
+    Array.init n (fun _ ->
+        Rng.pick rng [ -1.0; 0.5; 2.0 ] +. Rng.pick rng [ 0.0; 0.0; 3e-8; 3e-7 ])
+
+(* a commuting symmetric pair of size n: a shared random eigenbasis, or
+   exactly diagonal matrices *)
+let commuting_pair rng n =
+  if Rng.int rng 4 = 0 then
+    let diag s = Array.init n (fun i -> Array.init n (fun j -> if i = j then s.(i) else 0.0)) in
+    (diag (spectrum rng n), diag (spectrum rng n))
+  else
+    let p = snd (Ref_eig.jacobi (random_symmetric rng n)) in
+    (with_spectrum p (spectrum rng n), with_spectrum p (spectrum rng n))
+
+(* the pair Weyl.decompose hands over: the real and imaginary parts of
+   m^T m, m the input in the magic basis; locally equivalent to CX, CZ or
+   SWAP, or a product of 1q gates, its spectrum is degenerate *)
+let kak_pair rng =
+  let local () = Mat.kron (Randmat.su2 rng) (Randmat.su2 rng) in
+  let u =
+    match Rng.int rng 3 with
+    | 0 -> Randmat.su4 rng
+    | 1 ->
+        let g = Rng.pick rng Qgate.Gate.[ CX; CZ; SWAP ] in
+        Mat.mul (local ()) (Mat.mul (Qgate.Unitary.of_gate g) (local ()))
+    | _ -> local ()
+  in
+  let e = Qpasses.Weyl.magic_basis in
+  let m = Mat.mul (Mat.adjoint e) (Mat.mul u e) in
+  let re, im = Mat.parts (Mat.mul (Mat.transpose m) m) in
+  (unflat 4 re, unflat 4 im)
+
+(* cases seen and cases whose reference split a degenerate eigenspace *)
+let eig_cases = ref 0
+let eig_degenerate_cases = ref 0
+
+let eig_bits_props =
+  let jacobi_bits =
+    prop_bits ~name:"flat jacobi = row-array jacobi, bit for bit" ~count:300 (fun rng ->
+        let n = 2 + Rng.int rng 5 in
+        let a = if Rng.bool rng then random_symmetric rng n else fst (commuting_pair rng n) in
+        let vals, v = Eig.jacobi (flat a) and vals', v' = Ref_eig.jacobi a in
+        vec_bits vals vals' && sq_bits v v')
+  in
+  let simultaneous_bits =
+    prop_bits ~name:"flat simultaneous_diagonalize = row-array, bit for bit" ~count:300
+      (fun rng ->
+        let a, b = if Rng.bool rng then kak_pair rng else commuting_pair rng (2 + Rng.int rng 5) in
+        let before = !Ref_eig.degenerate_blocks in
+        let p' = Ref_eig.simultaneous_diagonalize a b in
+        incr eig_cases;
+        if !Ref_eig.degenerate_blocks > before then incr eig_degenerate_cases;
+        sq_bits (Eig.simultaneous_diagonalize (flat a) (flat b)) p')
+  in
+  (* the second property fails too when fewer than 1 case in 4 had a
+     degenerate eigenspace: a generator that lost them would pass without
+     exercising the block re-diagonalization *)
+  let name, speed, run = QCheck_alcotest.to_alcotest simultaneous_bits in
+  [
+    QCheck_alcotest.to_alcotest jacobi_bits;
+    ( name,
+      speed,
+      fun () ->
+        eig_cases := 0;
+        eig_degenerate_cases := 0;
+        run ();
+        check
+          (Printf.sprintf "degenerate eigenspaces in %d of %d cases" !eig_degenerate_cases
+             !eig_cases)
+          true
+          (!eig_degenerate_cases * 4 >= !eig_cases) );
+  ]
+
 (* every ordered choice of distinct qubits out of [0, n) *)
 let rec qubit_orders n avail =
   List.concat_map
@@ -591,5 +806,5 @@ let () =
           Alcotest.test_case "rejects entangling" `Quick test_kron_factor_rejects;
         ] );
       ("properties", qcheck_props);
-      ("bit identity", bit_identity_props);
+      ("bit identity", bit_identity_props @ eig_bits_props);
     ]

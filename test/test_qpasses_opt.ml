@@ -852,12 +852,146 @@ let random_repeating_circuit rng n len =
 
 let qcheck_resynth_memo_matches_reference =
   QCheck.Test.make ~name:"memoized run = independent per-block decisions" ~count:200
+    ~long_factor:20
     (QCheck.make (QCheck.Gen.int_range 0 1_000_000))
     (fun seed ->
       let rng = Rng.create seed in
       let n = 3 + Rng.int rng 3 in
       let c = random_repeating_circuit rng n (10 + Rng.int rng 50) in
       Circuit.equal (Unitary_synthesis.run c) (reference_resynthesis c))
+
+(* Single two-wire blocks at, and one op past, the core length of their
+   class, where the class-first keep and the build-then-compare rule of
+   [reference_resynthesis] meet. *)
+
+let angle rng = Rng.float rng (2.0 *. Float.pi) -. Float.pi
+
+(* identities up to global phase: the dressing they leave vanishes, so the
+   replacement of a block that is a core plus one of them is the bare core
+   and wins on op count *)
+let phase_only rng =
+  Rng.pick rng
+    [ Gate.RZ 0.0; Gate.RZ (2.0 *. Float.pi); Gate.RX (2.0 *. Float.pi); Gate.U (0.0, 0.0, 0.0) ]
+
+let random_1q rng =
+  match Rng.int rng 4 with
+  | 0 -> phase_only rng
+  | 1 -> Gate.RX (angle rng)
+  | 2 -> Gate.RZ (angle rng)
+  | _ -> Gate.U (angle rng, angle rng, angle rng)
+
+(* canonical coordinates pi/4 > x > y > z > 0 *)
+let chamber rng =
+  let s = List.sort (fun a b -> compare b a) (List.init 3 (fun _ -> 0.01 +. Rng.float rng 0.76)) in
+  match s with [ x; y; z ] -> (x, y, z) | _ -> assert false
+
+(* the skeleton of one class, on wires [a] and [b] = 1 - a *)
+let skeleton rng =
+  let a = Rng.int rng 2 in
+  let b = 1 - a in
+  let cx c t = (Gate.CX, [ c; t ]) in
+  match Rng.int rng 6 with
+  | 0 -> [ cx a b ]
+  | 1 ->
+      (* the class-2 core itself, or the same skeleton with random angles *)
+      let x, y, _ = chamber rng in
+      let g0, g1 =
+        if Rng.bool rng then (Gate.RX (-2.0 *. x), Gate.RZ (-2.0 *. y))
+        else (random_1q rng, random_1q rng)
+      in
+      [ cx 0 1; (g0, [ 0 ]); (g1, [ 1 ]); cx 0 1 ]
+  | 2 -> [ cx a b; (random_1q rng, [ a ]); (random_1q rng, [ b ]); cx a b ]
+  | 3 | 4 ->
+      (* the class-3 core in either CX orientation, its angles canonical
+         or random *)
+      let x, y, z = chamber rng in
+      let h = Float.pi /. 2.0 in
+      let t1, t2, t3 =
+        if Rng.bool rng then (h +. (2.0 *. z), h -. (2.0 *. x), h -. (2.0 *. y))
+        else (angle rng, angle rng, angle rng)
+      in
+      [ cx b a; (Gate.RY t3, [ b ]); cx a b; (Gate.RZ t1, [ a ]); (Gate.RY t2, [ b ]); cx b a ]
+  | _ -> [ (Gate.SWAP, [ a; b ]) ]
+
+(* the skeleton as is, or with one 1q gate inserted anywhere *)
+let boundary_block rng =
+  let ops = skeleton rng in
+  let ops =
+    if Rng.bool rng then ops
+    else
+      let at = Rng.int rng (List.length ops + 1) in
+      let extra = ((if Rng.bool rng then phase_only rng else random_1q rng), [ Rng.int rng 2 ]) in
+      List.filteri (fun i _ -> i < at) ops @ (extra :: List.filteri (fun i _ -> i >= at) ops)
+  in
+  Circuit.create 2 (List.map (fun (g, qs) -> { Circuit.gate = g; qubits = qs }) ops)
+
+(* cases at the core length, one op past it, and past it with a
+   core-length replacement that wins *)
+let boundary_cases = ref 0
+let boundary_at = ref 0
+let boundary_past = ref 0
+let boundary_past_replaced = ref 0
+
+let qcheck_resynth_boundary_matches_reference =
+  QCheck.Test.make ~name:"class-first keep = reference at the core length" ~count:300
+    ~long_factor:20
+    (QCheck.make (QCheck.Gen.int_range 0 1_000_000))
+    (fun seed ->
+      let c = boundary_block (Rng.create seed) in
+      let b = { Blocks.pair = (0, 1); ops = Circuit.instrs c } in
+      let ((_, cls) as k) = Synth2q.kak (Blocks.block_unitary b) in
+      let core = Synth2q.core_length cls and built = Synth2q.of_kak k in
+      let cx = Blocks.block_cx_cost b and ops = List.length b.ops in
+      let reference = reference_resynthesis c in
+      incr boundary_cases;
+      if ops = core then incr boundary_at;
+      if ops = core + 1 then incr boundary_past;
+      if ops = core + 1 && not (Circuit.equal reference c) then incr boundary_past_replaced;
+      Circuit.equal (Unitary_synthesis.run c) reference
+      (* the replacement is the core, [cls] CX among its [core] ops, dressed
+         with U gates *)
+      && List.length (List.filter (function Gate.U _, _ -> false | _ -> true) built) = core
+      && List.length (List.filter (fun (g, _) -> g = Gate.CX) built) = cls
+      (* the class-first keep holds exactly when a core-length replacement,
+         the best the class allows, would be kept by the reference rule *)
+      && Unitary_synthesis.keep_by_class ~cls ~cx ~ops
+         = not (cls < cx || (cls = cx && core < ops)))
+
+(* the property above, failing too when its generator stops reaching the
+   boundary: at least 1 case in 5 at the core length, 1 in 5 one op past
+   it, and 1 in 50 past it with a winning core-length replacement *)
+let resynth_boundary_matches_reference =
+  let name, speed, run = QCheck_alcotest.to_alcotest qcheck_resynth_boundary_matches_reference in
+  ( name,
+    speed,
+    fun () ->
+      List.iter (fun r -> r := 0)
+        [ boundary_cases; boundary_at; boundary_past; boundary_past_replaced ];
+      run ();
+      check
+        (Printf.sprintf "%d at, %d past, %d past and replaced, of %d cases" !boundary_at
+           !boundary_past !boundary_past_replaced !boundary_cases)
+        true
+        (!boundary_at * 5 >= !boundary_cases
+        && !boundary_past * 5 >= !boundary_cases
+        && !boundary_past_replaced * 50 >= !boundary_cases) )
+
+(* every class, CX count and op count a block can have: the class-first
+   keep holds exactly when no replacement of the class, at any op count it
+   can have, is taken by the reference rule *)
+let test_keep_by_class_exhaustive () =
+  for cls = 0 to 3 do
+    for cx = 0 to 8 do
+      for ops = 1 to 12 do
+        let core = Synth2q.core_length cls in
+        let taken len = cls < cx || (cls = cx && len < ops) in
+        check
+          (Printf.sprintf "cls=%d cx=%d ops=%d" cls cx ops)
+          (not (List.exists taken (List.init 16 (fun i -> core + i))))
+          (Unitary_synthesis.keep_by_class ~cls ~cx ~ops)
+      done
+    done
+  done
 
 (* ---------- Basis ---------- *)
 
@@ -934,6 +1068,8 @@ let () =
           Alcotest.test_case "gain" `Quick test_resynth_gain;
           Alcotest.test_case "random preserves" `Quick test_resynth_random_preserves;
           QCheck_alcotest.to_alcotest qcheck_resynth_memo_matches_reference;
+          resynth_boundary_matches_reference;
+          Alcotest.test_case "class-first keep, every case" `Quick test_keep_by_class_exhaustive;
         ] );
       ( "basis",
         [
