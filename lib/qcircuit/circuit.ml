@@ -3,20 +3,27 @@ open Qgate
 type instr = { gate : Gate.t; qubits : int list }
 type t = { n : int; instrs : instr list }
 
+let rec mem_qubit (q : int) = function [] -> false | x :: rest -> x = q || mem_qubit q rest
+let rec has_repeat = function [] -> false | q :: rest -> mem_qubit q rest || has_repeat rest
+
+let rec check_range n = function
+  | [] -> ()
+  | q :: rest ->
+      if q < 0 || q >= n then
+        invalid_arg
+          (Printf.sprintf "Circuit: qubit index %d out of range for %d-qubit circuit" q n);
+      check_range n rest
+
+(* allocates nothing unless it raises: operand lists are short, so the
+   repeated-qubit test compares pairs instead of sorting *)
 let check_instr n { gate; qubits } =
   let k = List.length qubits in
   if k <> Gate.arity gate then
     invalid_arg
       (Printf.sprintf "Circuit: gate %s expects %d qubits, got %d" (Gate.name gate)
          (Gate.arity gate) k);
-  List.iter
-    (fun q ->
-      if q < 0 || q >= n then
-        invalid_arg
-          (Printf.sprintf "Circuit: qubit index %d out of range for %d-qubit circuit" q n))
-    qubits;
-  let sorted = List.sort_uniq compare qubits in
-  if List.length sorted <> k then
+  check_range n qubits;
+  if has_repeat qubits then
     invalid_arg
       (Printf.sprintf "Circuit: repeated qubit in %s %s" (Gate.name gate)
          (String.concat "," (List.map string_of_int qubits)))

@@ -22,74 +22,111 @@ let norm a =
   let a = Float.rem a two_pi in
   if a > Float.pi then a -. two_pi else if a <= -.Float.pi then a +. two_pi else a
 
-(* Groups keyed by int lists: a set id per operand, after the gate's tag
-   for self-inverse gates.  Set ids are unique within the analysis and a
-   set lies on one wire, so the ids also fix the wires and their order. *)
-module Group = Hashtbl.Make (struct
-  type t = int list
+(* A group's kind: the gate's tag for a self-inverse gate, [z_kind] for a
+   z rotation, and [no_kind] for an op that joins no group.  Tags are
+   non-negative. *)
+let z_kind = -1
+let no_kind = -2
 
-  let equal = List.equal Int.equal
-  let hash = List.fold_left (fun h x -> (h * 65599) + x) 0
-end)
+let kind (g : Gate.t) =
+  if Gate.is_self_inverse g && not (Gate.is_directive g) then Gate.tag g
+  else if is_z_rotation g then z_kind
+  else no_kind
 
-let rec set_ids an op operand = function
-  | [] -> []
-  | _ :: rest -> Commutation.set_id an ~op ~operand :: set_ids an op (operand + 1) rest
-
-(* One round over the candidate ops [cands]: ops are interchangeable
-   (cancellable in pairs / angle mergeable) when they are the same gate on
-   the same qubits and share a commute set on EVERY wire they touch.
-   Removals and merges go through [an]; returns the number of ops removed.
-   Groups are independent of one another, so the output does not depend on
-   the order they are visited in. *)
+(* One round over the candidate ops [cands], in ascending op id: ops are
+   interchangeable (cancellable in pairs / angle mergeable) when they are
+   the same gate on the same qubits and share a commute set on EVERY wire
+   they touch.  A group's key is its kind and the set id on each operand;
+   set ids are unique within the analysis and a set lies on one wire, so
+   the ids also fix the wires and their order.  The table is open
+   addressing over candidate indices: a slot holds its group's latest
+   member, which is also the representative for the exact key comparison,
+   and [link] chains every member to the one before it, so a chain runs in
+   descending op id.  Removals and merges go through [an]; returns the
+   number of ops removed.  Groups are independent of one another, so the
+   output does not depend on the order they are visited in. *)
 let round an cands =
-  let groups = Group.create 64 and zgroups = Group.create 64 in
-  let add tbl k id =
-    Group.replace tbl k (id :: Option.value ~default:[] (Group.find_opt tbl k))
-  in
-  List.iter
-    (fun id ->
-      let i = Commutation.instr an id in
-      if Gate.is_self_inverse i.gate && not (Gate.is_directive i.gate) then
-        add groups (Gate.tag i.gate :: set_ids an id 0 i.qubits) id
-      else if is_z_rotation i.gate then add zgroups (set_ids an id 0 i.qubits) id)
-    cands;
+  let n = Array.length cands in
+  let kind_of ci = kind (Commutation.instr an cands.(ci)).gate in
+  let m = ref 0 in
+  for ci = 0 to n - 1 do
+    if kind_of ci <> no_kind then incr m
+  done;
+  let cap = ref 16 in
+  while !cap < 2 * !m do
+    cap := 2 * !cap
+  done;
+  let mask = !cap - 1 in
+  let slots = Array.make !cap (-1) and link = Array.make n (-1) in
+  for ci = 0 to n - 1 do
+    let k = kind_of ci in
+    if k <> no_kind then begin
+      let id = cands.(ci) in
+      let h = (Commutation.sets_hash an id lxor k) * 0x27d4eb2f165667c5 in
+      let s = ref ((h lxor (h lsr 31)) land mask) in
+      while
+        let g = slots.(!s) in
+        g >= 0 && not (kind_of g = k && Commutation.same_sets an cands.(g) id)
+      do
+        s := (!s + 1) land mask
+      done;
+      link.(ci) <- slots.(!s);
+      slots.(!s) <- ci
+    end
+  done;
   let removed = ref 0 in
   let remove id =
     incr removed;
     Commutation.remove an id
   in
-  (* self-inverse gates: cancel in pairs in circuit order, keeping the last
-     one when the count is odd *)
-  Group.iter
-    (fun _ ids ->
-      let ids = List.sort Int.compare ids in
-      let k = List.length ids in
-      List.iteri (fun pos id -> if pos < k - (k mod 2) then remove id) ids)
-    groups;
-  (* z rotations: merge angles into the last op of the group, summed in
-     circuit order *)
-  Group.iter
-    (fun _ ids ->
-      let ids = List.sort Int.compare ids in
-      match List.rev ids with
-      | last :: (_ :: _ as earlier_rev) ->
+  (* a z group's members in descending op id *)
+  let members = ref (Array.make 16 0) in
+  Array.iter
+    (fun latest ->
+      if latest >= 0 && link.(latest) >= 0 then
+        if kind_of latest <> z_kind then begin
+          (* self-inverse gates: cancel in pairs in circuit order, keeping
+             the last one when the count is odd *)
+          let size = ref 0 and ci = ref latest in
+          while !ci >= 0 do
+            incr size;
+            ci := link.(!ci)
+          done;
+          let ci = ref (if !size mod 2 = 1 then link.(latest) else latest) in
+          while !ci >= 0 do
+            remove cands.(!ci);
+            ci := link.(!ci)
+          done
+        end
+        else begin
+          (* z rotations: merge angles into the last op of the group, summed
+             from 0.0 in circuit order *)
           Qobs.incr c_merged;
-          let total =
-            List.fold_left
-              (fun acc id -> acc +. z_angle (Commutation.instr an id).Qcircuit.Circuit.gate)
-              0.0 ids
-          in
-          List.iter remove earlier_rev;
-          let total = norm total in
+          let size = ref 0 and ci = ref latest in
+          while !ci >= 0 do
+            if !size = Array.length !members then begin
+              let grown = Array.make (2 * !size) 0 in
+              Array.blit !members 0 grown 0 !size;
+              members := grown
+            end;
+            !members.(!size) <- cands.(!ci);
+            incr size;
+            ci := link.(!ci)
+          done;
+          let total = ref 0.0 in
+          for j = !size - 1 downto 0 do
+            total := !total +. z_angle (Commutation.instr an !members.(j)).gate;
+            if j > 0 then remove !members.(j)
+          done;
+          let total = norm !total and last = cands.(latest) in
           if Float.abs total < 1e-10 then remove last
           else Commutation.rewrite an last (Gate.RZ total)
-      | _ -> ())
-    zgroups;
+        end)
+    slots;
   Qobs.add c_cancelled !removed;
   !removed
 
-let all_ops an = List.init (Commutation.n_ops an) Fun.id
+let all_ops an = Array.init (Commutation.n_ops an) Fun.id
 
 let run c =
   let an = Commutation.analyze c in
@@ -102,12 +139,12 @@ let run c =
 let run_fixpoint ?(max_rounds = 5) c =
   if max_rounds = 0 then c
   else begin
-    let an = Commutation.analyze c in
+    let an = Qobs.span "cancellation.analyze" (fun () -> Commutation.analyze c) in
     let rec go rounds_left cands =
       Qobs.incr c_rounds;
-      if round an cands > 0 && rounds_left <> 1 then
-        go (rounds_left - 1) (Commutation.rescan an)
+      if Qobs.span "cancellation.round" (fun () -> round an cands) > 0 && rounds_left <> 1 then
+        go (rounds_left - 1) (Qobs.span "cancellation.rescan" (fun () -> Commutation.rescan an))
     in
     go max_rounds (all_ops an);
-    Commutation.circuit an
+    Qobs.span "cancellation.emit" (fun () -> Commutation.circuit an)
   end

@@ -6,9 +6,23 @@
     cancels a neighbouring CNOT through commutation" insight into actual
     gate-count reductions after routing.
 
+    A round finds its groups in one open-addressing table keyed by an int
+    hash of the group's kind (the gate's tag, or "z rotation") and the
+    ops' commute-set ids ({!Commutation.sets_hash}); a hit is confirmed by
+    comparing every operand's set id ({!Commutation.same_sets}), so gates
+    of any width take the same path.  The candidates arrive in ascending
+    op id and each group chains its members from the latest back, so no
+    group is sorted: a self-inverse group removes all its members but the
+    latest when their count is odd, and all of them otherwise, and a z
+    group's angles are summed from [0.0] in ascending op id into its
+    latest member.  Groups are disjoint, so the order in which they are
+    visited cannot change the output.
+
     Observability: [cancellation.gates_cancelled] counts removed ops and
     [cancellation.z_rotations_merged] the merged z-rotation groups, on the
-    current {!Qobs} collector. *)
+    current {!Qobs} collector.  {!run_fixpoint} splits its time into the
+    spans [cancellation.analyze], [cancellation.round],
+    [cancellation.rescan] and [cancellation.emit]. *)
 
 val run : Qcircuit.Circuit.t -> Qcircuit.Circuit.t
 (** One round over the whole circuit.  Does not count

@@ -180,6 +180,38 @@ let rank (x : int) a b c d =
     + (if c <> a && c <> b && c < x then 1 else 0)
     + if d <> a && d <> b && d <> c && d < x then 1 else 0
 
+(* the cached answer for two overlapping ops whose gates and operand lists
+   are [cacheable], given by their first and second qubits; inlined, since a
+   call here cost [commute] on a parameterized gate about a tenth of its
+   time *)
+let[@inline] cached g1 a b g2 cq d =
+  let c = Domain.DLS.get cache_key in
+  let n1 = put_params c.params 0 g1 in
+  let n = n1 + put_params c.params n1 g2 in
+  let code =
+    Gate.tag g1
+    lor (Gate.tag g2 lsl 6)
+    lor (rank a a b cq d lsl 12)
+    lor (rank b a b cq d lsl 15)
+    lor (rank cq a b cq d lsl 18)
+    lor (rank d a b cq d lsl 21)
+    lor (n lsl 24)
+  in
+  let h = hash code c.params 0 n in
+  Qobs.incr c_lookups;
+  let e = c.slots.(probe c code n h) in
+  if e <> empty then begin
+    Qobs.incr c_hits;
+    e land answer_bit <> 0
+  end
+  else begin
+    Qobs.incr c_misses;
+    let qs x y = if y = absent then [ x ] else [ x; y ] in
+    let v = compute_commute (g1, qs a b) (g2, qs cq d) in
+    insert c code n h v;
+    v
+  end
+
 let commute_q g1 qs1 g2 qs2 =
   if Gate.is_directive g1 || Gate.is_directive g2 then false
   else if not (overlaps qs1 qs2) then true
@@ -187,60 +219,43 @@ let commute_q g1 qs1 g2 qs2 =
     Qobs.incr c_uncached;
     compute_commute (g1, qs1) (g2, qs2)
   end
-  else begin
-    let c = Domain.DLS.get cache_key in
-    let n1 = put_params c.params 0 g1 in
-    let n = n1 + put_params c.params n1 g2 in
-    let a = first qs1 and b = second qs1 and cq = first qs2 and d = second qs2 in
-    let code =
-      Gate.tag g1
-      lor (Gate.tag g2 lsl 6)
-      lor (rank a a b cq d lsl 12)
-      lor (rank b a b cq d lsl 15)
-      lor (rank cq a b cq d lsl 18)
-      lor (rank d a b cq d lsl 21)
-      lor (n lsl 24)
-    in
-    let h = hash code c.params 0 n in
-    Qobs.incr c_lookups;
-    let e = c.slots.(probe c code n h) in
-    if e <> empty then begin
-      Qobs.incr c_hits;
-      e land answer_bit <> 0
-    end
-    else begin
-      Qobs.incr c_misses;
-      let v = compute_commute (g1, qs1) (g2, qs2) in
-      insert c code n h v;
-      v
-    end
-  end
+  else cached g1 (first qs1) (second qs1) g2 (first qs2) (second qs2)
 
 let commute (g1, qs1) (g2, qs2) = commute_q g1 qs1 g2 qs2
 
 (* The analysis lives over a fixed instruction array with stable op ids, so
    a caller that removes ops or rewrites gates re-forms only the commute sets
-   its edits touched ([rescan]).  Per wire: the op ids in circuit order and,
-   per position, whether that op starts a commute set.  Per op and operand:
-   the id of its set on that wire.  Set ids are never reused, so a set that
-   a rescan leaves alone keeps its id. *)
-type wire = { mutable ops : int array; mutable starts : bool array }
+   its edits touched ([rescan]).  All of it is flat int storage:
+   - per wire, the op ids in circuit order ([ops]) and the ascending
+     positions where a commute set starts ([starts]), so set [k] of a wire
+     is the position range from [starts.(k)] up to the next start or the
+     wire's end;
+   - per op and operand, the id of its set on that wire, in one array:
+     operand [k] of op [id] sits at [base.(id) + k];
+   - per op, its first and second qubit packed in one int ([pair]) when
+     its gate and operand list are [cacheable] and it is not a directive,
+     or -1 otherwise: the scan asks the cache about two such ops without
+     walking their operand lists;
+   - the removed ops as a byte mask, and the ops edited since the last scan
+     in a growable array.
+   Set ids are never reused, so a set that a rescan leaves alone keeps its
+   id. *)
+type wire = { mutable ops : int array; mutable starts : int array }
 
 type t = {
   instrs : Qcircuit.Circuit.instr array;
-  alive : bool array;
+  removed : Bytes.t;
   wires : wire array;
-  set_of : int array array;  (* op -> operand -> set id *)
+  pair : int array;
+  base : int array;  (* op -> its operand 0's slot in [set_ids]; one past the end last *)
+  set_ids : int array;
   mutable next_set : int;
-  mutable edited : int list;  (* ops removed or rewritten since the last scan *)
+  mutable edits : int array;  (* ops removed or rewritten since the last scan *)
+  mutable n_edits : int;
+  new_starts : int array;  (* a scan's set starts, as long as the longest wire *)
 }
 
-(* whether [g] on [qs] commutes with every op in [members] *)
-let rec commutes_with_all instrs g qs = function
-  | [] -> true
-  | m :: rest ->
-      let (x : Qcircuit.Circuit.instr) = instrs.(m) in
-      commute_q x.gate x.qubits g qs && commutes_with_all instrs g qs rest
+let is_removed t op = Bytes.unsafe_get t.removed op <> '\000'
 
 let rec index_of (q : int) k = function
   | [] -> raise Not_found
@@ -256,167 +271,293 @@ let position ops op =
   in
   go 0 (Array.length ops - 1)
 
+(* index of the last element at most [x] in the ascending [a], whose first
+   element is at most [x] *)
+let last_at_most a x =
+  let lo = ref 0 and hi = ref (Array.length a - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi + 1) / 2 in
+    if a.(mid) <= x then lo := mid else hi := mid - 1
+  done;
+  !lo
+
+(* [pair]'s packing: the first qubit in the low 31 bits, and above them
+   the second plus one, or 0 for a 1-qubit op.  Qubits index the wire
+   array, so they fit. *)
+let qubit_bits = 31
+let q0 v = v land ((1 lsl qubit_bits) - 1)
+let q1 v = match v lsr qubit_bits with 0 -> absent | x -> x - 1
+
+(* op [id]'s [pair] entry for its current gate *)
+let set_pair t id =
+  let (i : Qcircuit.Circuit.instr) = t.instrs.(id) in
+  t.pair.(id) <-
+    (match i.qubits with
+    | _ when Gate.is_directive i.gate || not (cacheable i.gate i.qubits) -> -1
+    | [ a ] -> a
+    | [ a; b ] -> a lor ((b + 1) lsl qubit_bits)
+    | _ -> -1)
+
+(* whether op [id] commutes with the ops at positions [lo] to [hi - 1] of
+   [ops], asked latest first; they all share a wire with it *)
+let commutes_with_range t ops lo hi id =
+  let i = t.instrs.(id) and v = t.pair.(id) in
+  let p = ref (hi - 1) in
+  while
+    !p >= lo
+    &&
+    let m = ops.(!p) in
+    let vm = t.pair.(m) and x = t.instrs.(m) in
+    if vm >= 0 && v >= 0 then cached x.gate (q0 vm) (q1 vm) i.gate (q0 v) (q1 v)
+    else commute_q x.gate x.qubits i.gate i.qubits
+  do
+    decr p
+  done;
+  !p < lo
+
+(* operand index of wire [q] in op [id] *)
+let operand t id q =
+  let v = t.pair.(id) in
+  if v < 0 then index_of q 0 t.instrs.(id).qubits else if q0 v = q then 0 else 1
+
 (* The one greedy set-forming scan, on wire [q]: an op joins the open set iff
-   it commutes with every member, and a directive sits alone.  Greedy
-   grouping from a set start depends only on the ops after it.  [changes]
-   holds the ascending positions of the ops removed ([n_removed] of them) or
-   rewritten since the wire's last scan.  Whenever a set would open at an
-   old set start with every change at or before it passed, the scan stops if
-   no change is left, and otherwise skips ahead to the old set before the
-   one holding the next change, when that lies ahead: removing or rewriting
-   the first op of a set can let the next op join the set before it.  The
-   first such skip happens at position 0.  Skipped sets keep their ids;
-   every scanned op gets a fresh set and is passed to [visit].  A wire with
-   no old set starts is scanned in full. *)
+   it commutes with every member, and a directive sits alone.  The open
+   set's members are the positions from [open_lo] to the scan's end of the
+   new op array.  Greedy grouping from a set start depends only on the ops
+   after it.  [changes] holds the ascending positions of the ops removed
+   ([n_removed] of them) or rewritten since the wire's last scan.  Whenever
+   a set would open at an old set start with every change at or before it
+   passed, the scan stops if no change is left, and otherwise skips ahead
+   to the old set before the one holding the next change, when that lies
+   ahead: removing or rewriting the first op of a set can let the next op
+   join the set before it.  The first such skip happens at position 0.
+   Skipped sets keep their ids; every scanned op gets a fresh set and is
+   passed to [visit].  A wire with no old set starts is scanned in full. *)
 let scan t q changes n_removed visit =
   let w = t.wires.(q) in
   let old_ops = w.ops and old_starts = w.starts in
-  let len = Array.length old_ops in
-  let ops = Array.make (len - n_removed) 0 and starts = Array.make (len - n_removed) false in
-  let n = ref 0 in
+  let len = Array.length old_ops and n_old = Array.length old_starts in
+  let ops = Array.make (len - n_removed) 0 and starts = t.new_starts in
+  let n = ref 0 and n_sets = ref 0 in
+  (* [k] is the first old set start at or after the scan position *)
+  let k = ref 0 in
   let keep lo hi =
     Array.blit old_ops lo ops !n (hi - lo);
-    Array.blit old_starts lo starts !n (hi - lo);
+    while !k < n_old && old_starts.(!k) < hi do
+      starts.(!n_sets) <- old_starts.(!k) - lo + !n;
+      incr n_sets;
+      incr k
+    done;
     n := !n + hi - lo
   in
-  let rec set_start p = if old_starts.(p) then p else set_start (p - 1) in
   let resync_point p =
-    let s = set_start p in
-    if s = 0 then 0 else set_start (s - 1)
+    let i = last_at_most old_starts p in
+    old_starts.(if i = 0 then 0 else i - 1)
   in
   let n_changes = Array.length changes in
   let next = ref 0 and pos = ref 0 in
-  let members = ref [] and set = ref (-1) in
+  let open_lo = ref (-1) and set = ref (-1) in
   while !pos < len do
     let p = !pos and id = old_ops.(!pos) in
     while !next < n_changes && changes.(!next) < p do
       incr next
     done;
-    if not t.alive.(id) then incr pos
+    while !k < n_old && old_starts.(!k) < p do
+      incr k
+    done;
+    if is_removed t id then incr pos
     else begin
-      let i = t.instrs.(id) in
-      let directive = Gate.is_directive i.gate in
-      let opens =
-        directive || !members = []
-        || not (commutes_with_all t.instrs i.gate i.qubits !members)
+      let directive = Gate.is_directive t.instrs.(id).gate in
+      let opens = directive || !open_lo < 0 || not (commutes_with_range t ops !open_lo !n id) in
+      let settled =
+        opens && !k < n_old && old_starts.(!k) = p && (!next = n_changes || changes.(!next) > p)
       in
-      let settled = opens && old_starts.(p) && (!next = n_changes || changes.(!next) > p) in
+      let resync = if settled && !next < n_changes then resync_point changes.(!next) else -1 in
       if settled && !next = n_changes then begin
         keep p len;
         pos := len
       end
-      else if settled && resync_point changes.(!next) > p then begin
-        let r = resync_point changes.(!next) in
-        keep p r;
-        pos := r;
-        members := []
+      else if resync > p then begin
+        keep p resync;
+        pos := resync;
+        open_lo := -1
       end
       else begin
         if opens then begin
           set := t.next_set;
           t.next_set <- t.next_set + 1;
-          starts.(!n) <- true
+          starts.(!n_sets) <- !n;
+          incr n_sets
         end;
         ops.(!n) <- id;
-        t.set_of.(id).(index_of q 0 i.qubits) <- !set;
+        t.set_ids.(t.base.(id) + operand t id q) <- !set;
         visit id;
-        members := (if directive then [] else if opens then [ id ] else id :: !members);
+        if directive then open_lo := -1 else if opens then open_lo := !n;
         incr n;
         incr pos
       end
     end
   done;
   w.ops <- ops;
-  w.starts <- starts
+  w.starts <- Array.sub starts 0 !n_sets
 
 let analyze c =
   let instrs = Array.of_list (Qcircuit.Circuit.instrs c) in
-  (* per-wire op ids in circuit order, bucketed in one reverse pass *)
-  let ops_on = Array.make (Qcircuit.Circuit.n_qubits c) [] in
-  for id = Array.length instrs - 1 downto 0 do
-    List.iter (fun q -> ops_on.(q) <- id :: ops_on.(q)) instrs.(id).Qcircuit.Circuit.qubits
-  done;
+  let n_ops = Array.length instrs in
+  (* per-wire op counts, then the op ids bucketed in ascending order *)
+  let count = Array.make (Qcircuit.Circuit.n_qubits c) 0 and base = Array.make (n_ops + 1) 0 in
+  Array.iteri
+    (fun id (i : Qcircuit.Circuit.instr) ->
+      let rec go k = function
+        | [] -> base.(id + 1) <- base.(id) + k
+        | q :: rest ->
+            count.(q) <- count.(q) + 1;
+            go (k + 1) rest
+      in
+      go 0 i.qubits)
+    instrs;
+  let wires = Array.map (fun k -> { ops = Array.make k 0; starts = [||] }) count in
+  let longest = Array.fold_left max 0 count in
+  Array.fill count 0 (Array.length count) 0;
+  Array.iteri
+    (fun id (i : Qcircuit.Circuit.instr) ->
+      List.iter
+        (fun q ->
+          wires.(q).ops.(count.(q)) <- id;
+          count.(q) <- count.(q) + 1)
+        i.qubits)
+    instrs;
   let t =
     {
       instrs;
-      alive = Array.make (Array.length instrs) true;
-      wires =
-        Array.map
-          (fun l ->
-            let ops = Array.of_list l in
-            { ops; starts = Array.make (Array.length ops) false })
-          ops_on;
-      set_of =
-        Array.map
-          (fun (i : Qcircuit.Circuit.instr) -> Array.make (List.length i.qubits) (-1))
-          instrs;
+      removed = Bytes.make n_ops '\000';
+      wires;
+      pair = Array.make n_ops (-1);
+      base;
+      set_ids = Array.make base.(n_ops) (-1);
       next_set = 0;
-      edited = [];
+      edits = Array.make 16 0;
+      n_edits = 0;
+      new_starts = Array.make longest 0;
     }
   in
-  Array.iteri (fun q _ -> scan t q [||] 0 ignore) t.wires;
+  for id = 0 to n_ops - 1 do
+    set_pair t id
+  done;
+  Array.iteri (fun q _ -> scan t q [||] 0 ignore) wires;
   t
 
 let n_ops t = Array.length t.instrs
 let instr t op = t.instrs.(op)
-let set_id t ~op ~operand = t.set_of.(op).(operand)
+
+let same_sets t a b =
+  let fa = t.base.(a) and fb = t.base.(b) in
+  let k = t.base.(a + 1) - fa in
+  k = t.base.(b + 1) - fb
+  &&
+  let j = ref 0 in
+  while !j < k && t.set_ids.(fa + !j) = t.set_ids.(fb + !j) do
+    incr j
+  done;
+  !j = k
+
+let sets_hash t op =
+  let h = ref 0 in
+  for slot = t.base.(op) to t.base.(op + 1) - 1 do
+    h := (!h lxor t.set_ids.(slot)) * 0x165667b19e3779f9
+  done;
+  !h lxor (!h lsr 29)
+
+let edited t op =
+  if t.n_edits = Array.length t.edits then begin
+    let edits = Array.make (2 * t.n_edits) 0 in
+    Array.blit t.edits 0 edits 0 t.n_edits;
+    t.edits <- edits
+  end;
+  t.edits.(t.n_edits) <- op;
+  t.n_edits <- t.n_edits + 1
 
 let remove t op =
-  t.alive.(op) <- false;
-  t.edited <- op :: t.edited
+  Bytes.set t.removed op '\001';
+  edited t op
 
 let rewrite t op gate =
   t.instrs.(op) <- { (t.instrs.(op)) with gate };
-  t.edited <- op :: t.edited
+  set_pair t op;
+  edited t op
 
 let rescan t =
-  let changes = Array.make (Array.length t.wires) [] in
-  List.iter
-    (fun op ->
-      List.iter
-        (fun q -> changes.(q) <- position t.wires.(q).ops op :: changes.(q))
-        t.instrs.(op).Qcircuit.Circuit.qubits)
-    t.edited;
-  t.edited <- [];
-  let seen = Bytes.make (Array.length t.instrs) '\000' and visited = ref [] in
+  let n_wires = Array.length t.wires in
+  (* the edited ops' positions, bucketed by wire: wire [q]'s are
+     [positions.(lo.(q))] up to [positions.(lo.(q + 1))] *)
+  let lo = Array.make (n_wires + 1) 0 in
+  for e = 0 to t.n_edits - 1 do
+    List.iter (fun q -> lo.(q + 1) <- lo.(q + 1) + 1) t.instrs.(t.edits.(e)).qubits
+  done;
+  for q = 1 to n_wires do
+    lo.(q) <- lo.(q) + lo.(q - 1)
+  done;
+  let fill = Array.sub lo 0 n_wires and positions = Array.make lo.(n_wires) 0 in
+  for e = 0 to t.n_edits - 1 do
+    let op = t.edits.(e) in
+    List.iter
+      (fun q ->
+        positions.(fill.(q)) <- position t.wires.(q).ops op;
+        fill.(q) <- fill.(q) + 1)
+      t.instrs.(op).qubits
+  done;
+  t.n_edits <- 0;
+  let seen = Bytes.make (Array.length t.instrs) '\000' and n_seen = ref 0 in
   let visit op =
-    if Bytes.get seen op = '\000' then begin
-      Bytes.set seen op '\001';
-      visited := op :: !visited
+    if Bytes.unsafe_get seen op = '\000' then begin
+      Bytes.unsafe_set seen op '\001';
+      incr n_seen
     end
   in
-  Array.iteri
-    (fun q ps ->
-      if ps <> [] then begin
-        let ps = Array.of_list (List.sort_uniq compare ps) in
-        let ops = t.wires.(q).ops in
-        let n_removed = Array.fold_left (fun k p -> if t.alive.(ops.(p)) then k else k + 1) 0 ps in
-        scan t q ps n_removed visit
+  for q = 0 to n_wires - 1 do
+    if lo.(q + 1) > lo.(q) then begin
+      let ps = Array.sub positions lo.(q) (lo.(q + 1) - lo.(q)) in
+      Array.sort Int.compare ps;
+      (* an op edited twice is one change *)
+      let m = ref 0 in
+      Array.iteri
+        (fun j p ->
+          if j = 0 || p <> ps.(!m - 1) then begin
+            ps.(!m) <- p;
+            incr m
+          end)
+        ps;
+      let ps = if !m = Array.length ps then ps else Array.sub ps 0 !m in
+      let ops = t.wires.(q).ops in
+      let n_removed = Array.fold_left (fun k p -> if is_removed t ops.(p) then k + 1 else k) 0 ps in
+      scan t q ps n_removed visit
+    end
+  done;
+  let cands = Array.make !n_seen 0 and k = ref 0 in
+  Bytes.iteri
+    (fun op b ->
+      if b <> '\000' then begin
+        cands.(!k) <- op;
+        incr k
       end)
-    changes;
-  !visited
+    seen;
+  cands
 
 let circuit t =
   let out = ref [] in
   for op = Array.length t.instrs - 1 downto 0 do
-    if t.alive.(op) then out := t.instrs.(op) :: !out
+    if not (is_removed t op) then out := t.instrs.(op) :: !out
   done;
   Qcircuit.Circuit.create (Array.length t.wires) !out
 
 let sets_on_wire t q =
   let w = t.wires.(q) in
-  let sets = ref [] and set = ref [] in
-  for p = Array.length w.ops - 1 downto 0 do
-    set := w.ops.(p) :: !set;
-    if w.starts.(p) then begin
-      sets := !set :: !sets;
-      set := []
-    end
-  done;
-  !sets
+  let n_sets = Array.length w.starts in
+  List.init n_sets (fun k ->
+      let hi = if k + 1 < n_sets then w.starts.(k + 1) else Array.length w.ops in
+      Array.to_list (Array.sub w.ops w.starts.(k) (hi - w.starts.(k))))
 
 let set_index t ~wire ~op =
   if wire < 0 || wire >= Array.length t.wires then raise Not_found;
-  match List.find_index (List.mem op) (sets_on_wire t wire) with
-  | Some k -> k
-  | None -> raise Not_found
+  let w = t.wires.(wire) in
+  match position w.ops op with -1 -> raise Not_found | p -> last_at_most w.starts p

@@ -29,7 +29,17 @@ type t
     gates.  Every set is formed by one greedy scan per wire: an op joins the
     open set iff it commutes with every member, and a directive sits alone.
     {!analyze} runs that scan over every wire; {!rescan} runs the same scan
-    over only the sets that the edits since the last scan can change. *)
+    over only the sets that the edits since the last scan can change.
+
+    The storage is flat: per wire, the op ids in circuit order and the
+    positions where sets start, in two int arrays, so a set is a position
+    range on its wire; per op, the set id on each operand in one shared int
+    array, and the first two qubits of every cacheable op in another;
+    removed ops in a byte mask.  The scan's open set is the position range
+    it has filled since the set opened, so forming sets builds no list, and
+    two cacheable ops go to the cache without walking their operand lists.
+    The scan asks the same pairs in the same order as {!commute} would, so
+    the cache counters do not depend on the storage. *)
 
 val analyze : Qcircuit.Circuit.t -> t
 
@@ -50,11 +60,16 @@ val n_ops : t -> int
 val instr : t -> int -> Qcircuit.Circuit.instr
 (** The op's instruction, with its gate as last rewritten. *)
 
-val set_id : t -> op:int -> operand:int -> int
-(** Id of the commute set that holds [op] on its [operand]-th qubit.  Ids
-    are unique within [t] and never reused, so two ops share a set on a
-    wire iff they have the same id there, and a set that {!rescan} leaves
-    alone keeps its id. *)
+val same_sets : t -> int -> int -> bool
+(** [same_sets t a b]: ops [a] and [b] have as many operands and share a
+    commute set on each operand, in order.  Set ids are unique within [t]
+    and never reused, and a set lies on one wire, so this also means the
+    two ops act on the same qubits in the same order.  A set that {!rescan}
+    leaves alone keeps its id. *)
+
+val sets_hash : t -> int -> int
+(** A hash of the op's set ids, operand by operand: equal for two ops that
+    {!same_sets} relates. *)
 
 val remove : t -> int -> unit
 (** Remove an op that is present at the last scan. *)
@@ -63,10 +78,10 @@ val rewrite : t -> int -> Qgate.Gate.t -> unit
 (** Replace the gate of an op that is present at the last scan by a gate
     of the same arity. *)
 
-val rescan : t -> int list
+val rescan : t -> int array
 (** Re-form the commute sets that the edits since the last scan can
     change, and return the ops that the scan placed in fresh sets, each
-    once.  Greedy grouping from a set start depends only on the ops after
+    once, in ascending op id.  Greedy grouping from a set start depends only on the ops after
     it, so on each wire with an edit the scan starts at the set before the
     one holding the first edit.  It stops at the first old set start where
     a set opens once every edit on the wire lies behind it, and it jumps

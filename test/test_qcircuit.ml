@@ -33,6 +33,59 @@ let test_create_validates () =
     (Invalid_argument "Circuit.remap: permutation size 3 does not match 2 qubits")
     (fun () -> ignore (Circuit.remap (bell ()) [| 0; 1; 2 |]))
 
+(* [Circuit.create]'s instruction check before it stopped sorting, kept as
+   the reference: the same three checks in the same order, the repeated
+   qubit found by [List.sort_uniq] *)
+let reference_check n (i : Circuit.instr) =
+  let k = List.length i.qubits in
+  if k <> Gate.arity i.gate then
+    Error
+      (Printf.sprintf "Circuit: gate %s expects %d qubits, got %d" (Gate.name i.gate)
+         (Gate.arity i.gate) k)
+  else
+    match List.find_opt (fun q -> q < 0 || q >= n) i.qubits with
+    | Some q ->
+        Error (Printf.sprintf "Circuit: qubit index %d out of range for %d-qubit circuit" q n)
+    | None ->
+        if List.length (List.sort_uniq compare i.qubits) <> k then
+          Error
+            (Printf.sprintf "Circuit: repeated qubit in %s %s" (Gate.name i.gate)
+               (String.concat "," (List.map string_of_int i.qubits)))
+        else Ok ()
+
+(* a gate of arity 1-3 or an MCX of width 2-8, on an operand list that is
+   mostly of the right length, over qubits drawn from just past both ends
+   of a small range so that repeats and out-of-range indices are common *)
+let gen_instr =
+  QCheck.Gen.(
+    let* gate =
+      oneof
+        [
+          oneofl [ Gate.H; Gate.RZ 0.5; Gate.Measure; Gate.CX; Gate.SWAP; Gate.CP 0.1 ];
+          oneofl [ Gate.CCX; Gate.CCZ; Gate.CSWAP ];
+          map (fun k -> Gate.MCX k) (int_range 1 7);
+        ]
+    in
+    let* n = int_range 1 10 in
+    let* d = frequency [ (8, return 0); (1, return (-1)); (1, return 1) ] in
+    let len = max 0 (Gate.arity gate + d) in
+    let+ qubits = list_size (return len) (int_range (-1) n) in
+    (n, { Circuit.gate; qubits }))
+
+let prop_check_matches_reference (n, instr) =
+  let got =
+    match Circuit.create n [ instr ] with
+    | _ -> Ok ()
+    | exception Invalid_argument msg -> Error msg
+  in
+  got = reference_check n instr
+
+let check_props =
+  [
+    QCheck.Test.make ~name:"instruction check = sort_uniq reference" ~count:500 ~long_factor:20
+      (QCheck.make gen_instr) prop_check_matches_reference;
+  ]
+
 let test_metrics () =
   let c = ghz 4 in
   checki "size" 4 (Circuit.size c);
@@ -305,7 +358,8 @@ let () =
           Alcotest.test_case "inverse property" `Quick test_inverse_property;
           Alcotest.test_case "remap" `Quick test_remap;
           Alcotest.test_case "embed positions" `Quick test_embed_positions;
-        ] );
+        ]
+        @ List.map QCheck_alcotest.to_alcotest check_props );
       ( "dag",
         [
           Alcotest.test_case "roundtrip" `Quick test_dag_roundtrip;

@@ -268,6 +268,27 @@ let test_savings_gauges_exported () =
   check "realized savings exported" true
     (contains ~affix:"trial.realized_cnot_savings" jsonl);
   check "per-pass spans exported" true (contains ~affix:"\"pass.cancellation\"" jsonl);
+  (* each exported span line's collector, preorder index, parent index and
+     name, for the cancellation spans and the passes they nest under *)
+  let spans =
+    List.filter_map
+      (fun line ->
+        try
+          Scanf.sscanf line
+            ("{\"type\":\"span\",\"trial\":%[^,],\"seq\":%d,\"parent\":%d,"
+           ^^ "\"depth\":%d,\"name\":\"%[^\"]\"")
+            (fun trial seq parent _ name -> Some ((trial, seq), (trial, parent), name))
+        with Scanf.Scan_failure _ | End_of_file -> None)
+      (String.split_on_char '\n' jsonl)
+  in
+  let name_of key = List.find_map (fun (k, _, name) -> if k = key then Some name else None) spans in
+  List.iter
+    (fun inner ->
+      let nested = List.filter (fun (_, _, name) -> name = inner) spans in
+      check (inner ^ " exported") true (nested <> []);
+      check (inner ^ " nests under pass.cancellation") true
+        (List.for_all (fun (_, parent, _) -> name_of parent = Some "pass.cancellation") nested))
+    [ "cancellation.analyze"; "cancellation.round"; "cancellation.rescan"; "cancellation.emit" ];
   check "no timing fields by default" false (contains ~affix:"wall_ms" jsonl)
 
 let () =

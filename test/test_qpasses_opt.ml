@@ -532,7 +532,7 @@ let test_cancel_z_merge_bits () =
    with set indices from [reference_sets_on_wire], and the loop stops at the
    first round that leaves the size unchanged.  Returns the circuit and the
    rounds, gates cancelled and z-rotation merges it counts. *)
-let reference_fixpoint ~max_rounds c =
+let reference_fixpoint ?(on_merge = ignore) ~max_rounds c =
   let rounds = ref 0 and cancelled = ref 0 and merged = ref 0 in
   let is_z = function
     | Gate.RZ _ | Gate.P _ | Gate.Z | Gate.S | Gate.Sdg | Gate.T | Gate.Tdg -> true
@@ -585,6 +585,7 @@ let reference_fixpoint ~max_rounds c =
         match List.rev ids with
         | last :: (_ :: _ as earlier_rev) ->
             incr merged;
+            on_merge (List.length ids);
             let total = List.fold_left (fun acc id -> acc +. z_angle instrs.(id).gate) 0.0 ids in
             List.iter (fun id -> drop.(id) <- true) earlier_rev;
             let total = norm total in
@@ -622,20 +623,25 @@ let counted_fixpoint ~max_rounds c =
   in
   (out, count "rounds", count "gates_cancelled", count "z_rotations_merged")
 
-(* random circuits over Clifford+T, z rotations at multiples of pi/2 and
-   full-width barriers: gates that cancel or merge often enough that a
-   removal in one round opens another in the next *)
+(* random circuits over Clifford+T, SWAP, the 3-qubit CCX, CCZ and CSWAP,
+   z rotations at multiples of pi/2 and both signed zeros, RX and Measure
+   as blockers, and full-width barriers: gates that cancel or merge often
+   enough that a removal in one round opens another in the next.  A 3-qubit
+   gate repeats the last one half the time, so that wide pairs meet. *)
 let random_cancellable_circuit rng n len =
   let b = Circuit.Builder.create n in
   let angles = [| Float.pi; Float.pi /. 2.0; -.Float.pi /. 2.0; 0.25; 1.5 |] in
+  let last_wide = ref None in
   for _ = 1 to len do
-    let a = Rng.int rng n in
+    (* half the ops start on the first three wires, so that wide circuits
+       still stack gates on one another *)
+    let a = Rng.int rng (if Rng.int rng 2 = 0 then min n 3 else n) in
     let c = (a + 1 + Rng.int rng (n - 1)) mod n in
     let angle () = angles.(Rng.int rng (Array.length angles)) in
-    match Rng.int rng 15 with
+    match Rng.int rng 22 with
     | 0 | 1 -> Circuit.Builder.add b Gate.CX [ a; c ]
     | 2 -> Circuit.Builder.add b Gate.CZ [ a; c ]
-    | 3 -> Circuit.Builder.add b Gate.H [ a ]
+    | 3 -> Circuit.Builder.add b Gate.SWAP [ a; c ]
     | 4 -> Circuit.Builder.add b Gate.X [ a ]
     | 5 -> Circuit.Builder.add b Gate.Y [ a ]
     | 6 -> Circuit.Builder.add b Gate.Z [ a ]
@@ -645,26 +651,50 @@ let random_cancellable_circuit rng n len =
     | 10 -> Circuit.Builder.add b Gate.SX [ a ]
     | 11 -> Circuit.Builder.add b (Gate.RZ (angle ())) [ a ]
     | 12 -> Circuit.Builder.add b (Gate.P (angle ())) [ a ]
-    | 13 when Rng.int rng 4 = 0 -> Circuit.Builder.add b (Gate.Barrier n) (List.init n Fun.id)
+    | 13 -> Circuit.Builder.add b (Gate.RZ (if Rng.int rng 2 = 0 then 0.0 else -0.0)) [ a ]
+    | 14 -> Circuit.Builder.add b (Gate.RX 0.7) [ a ]
+    | 15 when Rng.int rng 3 = 0 -> Circuit.Builder.add b Gate.Measure [ a ]
+    | 16 when Rng.int rng 4 = 0 -> Circuit.Builder.add b (Gate.Barrier n) (List.init n Fun.id)
+    | (17 | 18) when n >= 3 -> (
+        match !last_wide with
+        | Some (gate, qubits) when Rng.int rng 2 = 0 -> Circuit.Builder.add b gate qubits
+        | _ ->
+            let others = List.filter (fun q -> q <> a && q <> c) (List.init n Fun.id) in
+            let d = List.nth others (Rng.int rng (n - 2)) in
+            let gate = [| Gate.CCX; Gate.CCZ; Gate.CSWAP |].(Rng.int rng 3) in
+            last_wide := Some (gate, [ a; c; d ]);
+            Circuit.Builder.add b gate [ a; c; d ])
     | _ -> Circuit.Builder.add b Gate.H [ a ]
   done;
   Circuit.Builder.circuit b
 
-(* cases seen and cases whose second round removed gates *)
+(* cases seen, cases whose second round removed gates, cases that cancel a
+   3-qubit gate, and cases that merge a z-rotation group of 3 or more *)
 let fixpoint_cases = ref 0
 let fixpoint_cascades = ref 0
+let fixpoint_wide_cancels = ref 0
+let fixpoint_long_merges = ref 0
 
 let qcheck_fixpoint_matches_reference =
   QCheck.Test.make ~name:"run_fixpoint = whole-circuit reference" ~count:400 ~long_factor:20
     (QCheck.make (QCheck.Gen.int_range 0 1_000_000))
     (fun seed ->
       let rng = Rng.create seed in
-      let n = 2 + Rng.int rng 4 in
-      let c = random_cancellable_circuit rng n (4 + Rng.int rng 40) in
+      let n = 2 + Rng.int rng 11 in
+      let c = random_cancellable_circuit rng n (4 + Rng.int rng (20 + (8 * n))) in
       incr fixpoint_cases;
       let _, _, cancelled1, _ = reference_fixpoint ~max_rounds:1 c in
-      let _, _, cancelled2, _ = reference_fixpoint ~max_rounds:2 c in
+      let long_merge = ref false in
+      let out2, _, cancelled2, _ =
+        reference_fixpoint ~on_merge:(fun k -> if k >= 3 then long_merge := true) ~max_rounds:2 c
+      in
+      let wide c =
+        List.length
+          (List.filter (fun (i : Circuit.instr) -> List.length i.qubits = 3) (Circuit.instrs c))
+      in
       if cancelled2 > cancelled1 then incr fixpoint_cascades;
+      if wide out2 < wide c then incr fixpoint_wide_cancels;
+      if !long_merge then incr fixpoint_long_merges;
       List.for_all
         (fun max_rounds ->
           let out, rounds, cancelled, merged = counted_fixpoint ~max_rounds c in
@@ -673,8 +703,10 @@ let qcheck_fixpoint_matches_reference =
         [ 1; 2; 3; 4; 5 ])
 
 (* the property above, failing too when fewer than 1 case in 25 had a
-   second round that removed gates: a generator that lost that power would
-   pass the equality without ever exercising a re-formed set *)
+   second round that removed gates, cancelled a 3-qubit gate, or merged a
+   z-rotation group of 3 or more: a generator that lost one of those powers
+   would pass the equality without ever exercising re-formed sets, wide
+   keys or long merge chains *)
 let fixpoint_matches_reference =
   let name, speed, run = QCheck_alcotest.to_alcotest qcheck_fixpoint_matches_reference in
   ( name,
@@ -682,12 +714,20 @@ let fixpoint_matches_reference =
     fun () ->
       fixpoint_cases := 0;
       fixpoint_cascades := 0;
+      fixpoint_wide_cancels := 0;
+      fixpoint_long_merges := 0;
       run ();
-      check
-        (Printf.sprintf "second round removes gates in %d of %d cases" !fixpoint_cascades
-           !fixpoint_cases)
-        true
-        (!fixpoint_cascades * 25 >= !fixpoint_cases) )
+      List.iter
+        (fun (what, k) ->
+          check
+            (Printf.sprintf "%s in %d of %d cases" what k !fixpoint_cases)
+            true
+            (k * 25 >= !fixpoint_cases))
+        [
+          ("second round removes gates", !fixpoint_cascades);
+          ("a 3-qubit gate cancels", !fixpoint_wide_cancels);
+          ("a z group of 3 or more merges", !fixpoint_long_merges);
+        ] )
 
 (* S H X X H Sdg on one wire: each round exposes the next pair, and the
    round that removes nothing still counts *)
