@@ -34,17 +34,18 @@ lint:
 bench:
 	dune exec bench/main.exe -- --only trials
 
-# optimality-gap harness: certifies small corpus circuits with the exact
-# oracle and tables the gap per router (sabre/nassc/astar/hybrid); writes
-# a BENCH_<sha>-gap.json snapshot
+# optimality-gap experiment: certifies the CI subset of the corpus with
+# the exact oracle and tables each router's swaps (sabre/nassc/astar/
+# hybrid) next to the optimum; writes a BENCH_<sha>-gap.json snapshot
+# (add --full for the whole corpus)
 gap:
-	dune exec bench/main.exe -- --only gap --quick
+	dune exec bench/main.exe -- --only gap
 
-# benchmark matrix: routers x topologies x circuit families with
-# cx/swaps/depth-overhead/ESP columns; writes BENCH_<sha>-matrix.json and
-# a rendered markdown table next to it (drop --quick for the full sweep)
+# benchmark matrix experiment: routers x topologies x circuit families with
+# cx/swaps/depth/depth-overhead/ESP/recorder columns; writes
+# BENCH_<sha>-matrix.json (add --full for the full sweep)
 matrix:
-	dune exec bench/main.exe -- --only matrix --quick
+	dune exec bench/main.exe -- --only matrix
 
 # per-job telemetry: one CLI transpile exporting the whole registry as an
 # OpenMetrics page (metrics.txt, linted before writing; violations go to
@@ -56,10 +57,10 @@ metrics:
 # streaming scaling matrix: gates/sec and peak RSS for 10^4..10^5-gate
 # lazy streams over montreal/eagle/osprey through the O(window) engine;
 # writes BENCH_<sha>-scaling.json and exits non-zero if any 100k-gate
-# run's peak RSS exceeds 5x its 10k-gate counterpart (drop --quick for
+# run's peak RSS exceeds 5x its 10k-gate counterpart (add --full for
 # the full matrix with the million-gate rows)
 scaling:
-	dune exec bench/main.exe -- --only scaling --quick
+	dune exec bench/main.exe -- --only scaling
 
 # semantic verification: certify the whole routing-golden corpus with the
 # symbolic equivalence checker (certificates land in certs.jsonl), then

@@ -3,13 +3,11 @@
    routers can be scored by absolute gap instead of against each other.
    Everything here is deliberately tiny — 3..5 logical qubits, bounded
    depth — because the oracle minimizes over every injective initial
-   layout.  The corpus and its one row computation are shared by
-   `bench --only gap`, the gap golden test, and the golden generator;
+   layout.  The corpus and its one row computation are shared by the gap
+   experiment (Experiment.gap), the gap test and Qlint's optimality audit;
    keep it append-only so recorded optima stay valid. *)
 
-type entry = { name : string; n_qubits : int; build : unit -> Qcircuit.Circuit.t }
-
-let entry name n build = { name; n_qubits = n; build }
+let entry = Suite.entry
 
 let circuits =
   [
@@ -49,7 +47,7 @@ let quick_names =
   [ "ghz4"; "wstate4"; "qft4"; "bv4"; "qaoa4"; "vqe4"; "qpe4"; "grover3" ]
 
 let suite ~quick =
-  if quick then List.filter (fun e -> List.mem e.name quick_names) circuits
+  if quick then List.filter (fun (e : Suite.entry) -> List.mem e.name quick_names) circuits
   else circuits
 
 (* generous: the oracle is only consulted offline, and corpus instances
@@ -61,7 +59,7 @@ let seed = 11
 
 type row = { two_q : int; optimal : int option; swaps : (string * int) list }
 
-let row ?(seed = seed) e coupling =
+let row ?(seed = seed) (e : Suite.entry) coupling =
   (* the exact circuit the routers route: lowered then pre-optimized *)
   let logical = Qroute.Pipeline.pre_optimize (Qroute.Pipeline.lower_to_2q (e.build ())) in
   let optimal =
@@ -78,9 +76,3 @@ let row ?(seed = seed) e coupling =
       routers
   in
   { two_q = Qcircuit.Circuit.two_qubit_count logical; optimal; swaps }
-
-let optimal_string r = match r.optimal with Some o -> string_of_int o | None -> "?"
-
-let fields r =
-  Printf.sprintf "2q=%d opt=%s %s" r.two_q (optimal_string r)
-    (String.concat " " (List.map (fun (n, s) -> Printf.sprintf "%s=%d" n s) r.swaps))

@@ -17,5 +17,5 @@ val document :
 
 val write : ?out:string -> suffix:string -> Jsonlite.t -> string
 (** Write the document to [out], by default [BENCH_<sha><suffix>.json] in
-    the current directory (so each harness, suffix ["-gap"], ["-score"],
+    the current directory (so each harness, suffix ["-paper"], ["-gap"],
     ..., keeps its own file), and return the path written. *)

@@ -9,6 +9,11 @@ type entry = {
   noise_subset : bool;  (** included in the Figure 11 noise experiments *)
 }
 
+val entry :
+  ?heavy:bool -> ?noise:bool -> string -> int -> (unit -> Qcircuit.Circuit.t) -> entry
+(** [entry name n_qubits build]; [heavy] and [noise] (the noise subset)
+    default to [false]. *)
+
 val paper_suite : entry list
 (** The fifteen benchmarks of Tables I-IV, in paper order. *)
 

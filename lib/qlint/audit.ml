@@ -265,7 +265,7 @@ let optimality ?(seed = Qbench.Gapcorpus.seed) () =
   let scenarios = ref 0 in
   let diags = ref [] in
   let entry name =
-    List.find (fun (e : Qbench.Gapcorpus.entry) -> e.name = name)
+    List.find (fun (e : Qbench.Suite.entry) -> e.name = name)
       Qbench.Gapcorpus.circuits
   in
   let instances = [ "ghz4"; "qft4"; "bv4" ] in

@@ -91,38 +91,26 @@ let lines () =
 
 let generate () = String.concat "\n" (lines ()) ^ "\n"
 
-(* ---- the benchmark-matrix golden corpus (test/goldens/matrix.golden) ----
+(* ---- the benchmark-matrix and optimality-gap golden corpora ----
 
-   The quick subset of `bench --only matrix`: one small instance per
-   family x {line5, grid2x3} x all six routers, one line per cell with
-   cx/swaps/depth plus the depth-overhead and ESP columns in exact
-   (shortest-round-trip) float form.  Cells are deterministic for any
-   worker count; the matrix test checks workers 1 and 4 against the same
-   bytes. *)
+   Both are rendered from the experiments' stored fields by
+   Qbench.Experiment.lines.  test/goldens/matrix.golden pins the quick
+   matrix on its two smallest topologies (line5, grid2x3), so the file
+   stays short and regeneration cheap; its cells are deterministic for any
+   worker count, and the matrix test checks workers 1 and 4 against the
+   same bytes.  test/goldens/gap.golden pins the whole gap corpus: the
+   exact oracle's certified optimum of every (circuit, topology) and each
+   router's inserted SWAPs, which the gap test re-runs (cheap) against the
+   recorded optima (expensive to certify). *)
 
-let generate_matrix ?(workers = 2) () =
-  Qbench.Matrix.golden_lines
-    (Qbench.Matrix.run ~workers
-       ~instances:(Qbench.Matrix.instances ~quick:true)
-       ~topologies:(Qbench.Matrix.golden_topologies ())
-       ())
+let matrix_experiment () =
+  {
+    (Qbench.Experiment.matrix ~full:false) with
+    devices = [ ("line5", Topology.Devices.linear 5); ("grid2x3", Topology.Devices.grid 2 3) ];
+  }
 
-(* ---- the optimality-gap golden corpus (test/goldens/gap.golden) ----
+let experiment_lines ?workers x =
+  String.concat "" (List.map Qbench.Experiment.lines (Qbench.Experiment.run ?workers [ x ]))
 
-   One line per (corpus circuit, small topology): the certified optimal
-   SWAP count from the exact oracle plus each router's inserted-swap
-   count at the canonical seed.  The gap test re-runs the routers (cheap)
-   against the recorded optima (expensive to certify), asserting gaps
-   never grow and the oracle invariant router >= optimal holds. *)
-
-let generate_gap () =
-  String.concat "\n"
-    (List.concat_map
-       (fun (e : Qbench.Gapcorpus.entry) ->
-         List.map
-           (fun (tname, coupling) ->
-             Printf.sprintf "%s %s %s" e.name tname
-               (Qbench.Gapcorpus.fields (Qbench.Gapcorpus.row e coupling)))
-           Qbench.Gapcorpus.topologies)
-       Qbench.Gapcorpus.circuits)
-  ^ "\n"
+let generate_matrix ?(workers = 2) () = experiment_lines ~workers (matrix_experiment ())
+let generate_gap () = experiment_lines (Qbench.Experiment.gap ~full:true)

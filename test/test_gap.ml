@@ -12,7 +12,10 @@
    - no regression: each router's gap never grows (swaps <= recorded,
      improvements are allowed and show up when regenerating);
    - portfolio invariant: hybrid is never worse than NASSC, which
-     Hybrid.route guarantees by construction at equal seeds. *)
+     Hybrid.route guarantees by construction at equal seeds.
+   It also pins the line format: the gap experiment's rows for ghz3
+   (optimum 0, so certifying them is cheap), rendered by
+   Qbench.Experiment.lines, are the golden's first three lines. *)
 
 let read_file path =
   let ic = open_in_bin path in
@@ -70,7 +73,7 @@ let router_of_name name =
 let corpus_entry name =
   match
     List.find_opt
-      (fun (e : Qbench.Gapcorpus.entry) -> e.name = name)
+      (fun (e : Qbench.Suite.entry) -> e.name = name)
       Qbench.Gapcorpus.circuits
   with
   | Some e -> e
@@ -143,6 +146,20 @@ let test_optima_spot_check () =
           Alcotest.fail (Printf.sprintf "%s/%s: spot-check exceeded budget" cname tname))
     spot
 
+let test_lines_format () =
+  let x = Qbench.Experiment.gap ~full:true in
+  let ghz3 = List.filter (fun (e : Qbench.Suite.entry) -> e.name = "ghz3") x.entries in
+  let rendered =
+    String.concat ""
+      (List.map Qbench.Experiment.lines (Qbench.Experiment.run [ { x with entries = ghz3 } ]))
+  in
+  let first_three =
+    match String.split_on_char '\n' (read_file golden_path) with
+    | a :: b :: c :: _ -> String.concat "\n" [ a; b; c ] ^ "\n"
+    | _ -> Alcotest.fail "gap.golden has fewer than three lines"
+  in
+  Alcotest.(check string) "ghz3 rows render as the golden's first lines" first_three rendered
+
 let () =
   Alcotest.run "gap"
     [
@@ -150,5 +167,6 @@ let () =
         [
           Alcotest.test_case "gaps within recorded bounds" `Slow test_corpus;
           Alcotest.test_case "optima spot check" `Slow test_optima_spot_check;
+          Alcotest.test_case "ghz3 lines match the golden" `Quick test_lines_format;
         ] );
     ]

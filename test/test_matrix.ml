@@ -1,11 +1,12 @@
-(* The benchmark-matrix harness (Qbench.Matrix):
-   - the quick-subset golden corpus (test/goldens/matrix.golden) is
-     byte-identical for worker counts 1 and 4,
+(* The benchmark matrix as an experiment (Qbench.Experiment.matrix):
+   - the golden quick subset (test/goldens/matrix.golden) is byte-identical
+     for worker counts 1 and 4, each run transpiling afresh,
    - every cell agrees with a direct Pipeline.transpile run of the same
      (circuit, topology, router, seed, trials) tuple, and its ESP column
      with a direct Qsim.Success.routed_esp evaluation,
-   - the JSON export round-trips through Qbench.Jsonlite exactly,
-   - the markdown table covers every cell. *)
+   - the shared snapshot round-trips through Qbench.Jsonlite exactly,
+   - every instance fits every topology of its size class, so no cell is
+     ever skipped. *)
 
 open Qbench
 
@@ -26,100 +27,98 @@ let golden_path =
   if Sys.file_exists "goldens/matrix.golden" then "goldens/matrix.golden"
   else "test/goldens/matrix.golden"
 
-let quick_cells ~workers =
-  Matrix.run ~workers
-    ~instances:(Matrix.instances ~quick:true)
-    ~topologies:(Matrix.golden_topologies ())
-    ()
+let golden_tables () =
+  match Experiment.run ~workers:2 [ Golden_defs.matrix_experiment () ] with
+  | [ (_, tables) ] -> tables
+  | _ -> Alcotest.fail "one experiment, one result"
+
+let num (r : Experiment.row) key =
+  match List.find_opt (fun (k, _, _) -> k = key) r.fields with
+  | Some (_, _, Jsonlite.Num x) -> x
+  | _ -> Alcotest.failf "%s: no numeric field %s" (Experiment.row_name r) key
 
 let test_golden_workers_1_vs_4 () =
   let expected = read_file golden_path in
-  let w1 = Matrix.golden_lines (quick_cells ~workers:1) in
-  let w4 = Matrix.golden_lines (quick_cells ~workers:4) in
-  checks "workers=1 matches checked-in golden" expected w1;
-  checks "workers=4 matches checked-in golden" expected w4
+  checks "workers=1 matches checked-in golden" expected
+    (Golden_defs.generate_matrix ~workers:1 ());
+  checks "workers=4 matches checked-in golden" expected
+    (Golden_defs.generate_matrix ~workers:4 ())
 
 let test_cell_coverage () =
-  let cells = quick_cells ~workers:2 in
+  let rows = List.concat_map (fun (t : Experiment.table) -> t.rows) (golden_tables ()) in
   (* one instance per family x 2 golden topologies x all 6 routers *)
-  let families = List.sort_uniq compare (List.map (fun c -> c.Matrix.family) cells) in
-  checki "five families" 5 (List.length families);
-  checki "full cross product" (5 * 2 * 6) (List.length cells);
+  let family (r : Experiment.row) = List.hd (String.split_on_char ' ' r.entry) in
+  checki "five families" 5 (List.length (List.sort_uniq compare (List.map family rows)));
+  checki "full cross product" (5 * 2 * 6) (List.length rows);
   List.iter
     (fun (rname, _) ->
       checki
         (Printf.sprintf "%s appears once per (instance, topology)" rname)
         (5 * 2)
-        (List.length (List.filter (fun c -> c.Matrix.router = rname) cells)))
+        (List.length (List.filter (fun (r : Experiment.row) -> r.column = Some rname) rows)))
     Qroute.Pipeline.routers
 
 (* every matrix row must be reproducible by a direct pipeline run of the
    same (circuit, topology, router, seed, trials) tuple *)
 let test_rows_agree_with_pipeline () =
-  let cells = quick_cells ~workers:2 in
-  let params = { Qroute.Engine.default_params with seed = Matrix.default_seed } in
+  let x = Golden_defs.matrix_experiment () in
   List.iter
-    (fun (c : Matrix.cell) ->
-      let i =
-        List.find
-          (fun (i : Matrix.instance) -> i.family = c.family && i.instance = c.instance)
-          (Matrix.instances ~quick:true)
-      in
-      let coupling = List.assoc c.topology (Matrix.golden_topologies ()) in
-      let router = List.assoc c.router Qroute.Pipeline.routers in
-      let r =
-        Qroute.Pipeline.transpile ~params ~trials:Matrix.default_trials ~router coupling
-          (i.build ())
-      in
-      let tag = Printf.sprintf "%s/%s/%s/%s" c.family c.instance c.topology c.router in
-      checki (tag ^ " cx") r.cx_total c.cx_total;
-      checki (tag ^ " depth") r.depth c.depth;
-      checki (tag ^ " swaps") r.n_swaps c.n_swaps;
-      match r.final_layout with
-      | None -> Alcotest.fail (tag ^ ": no final layout")
-      | Some fl ->
-          let cal = Topology.Calibration.generate coupling in
-          let esp = Qsim.Success.routed_esp ~cal ~routed:r.circuit ~final_layout:fl in
-          check (tag ^ " esp") true (esp = c.esp))
-    cells
+    (fun (t : Experiment.table) ->
+      let coupling = List.assoc t.device x.devices in
+      List.iter
+        (fun (r : Experiment.row) ->
+          let e = List.find (fun (e : Suite.entry) -> e.name = r.entry) x.entries in
+          let c = List.find (fun (c : Experiment.column) -> Some c.label = r.column) x.columns in
+          let p =
+            Qroute.Pipeline.transpile ~params:c.params ~trials:c.trials ~router:c.router coupling
+              (e.build ())
+          in
+          let tag = Printf.sprintf "%s/%s" (Experiment.row_name r) t.device in
+          checki (tag ^ " cx") p.cx_total (int_of_float (num r "cx"));
+          checki (tag ^ " depth") p.depth (int_of_float (num r "depth"));
+          checki (tag ^ " swaps") p.n_swaps (int_of_float (num r "swaps"));
+          match p.final_layout with
+          | None -> Alcotest.fail (tag ^ ": no final layout")
+          | Some fl ->
+              let cal = Topology.Calibration.generate coupling in
+              let esp = Qsim.Success.routed_esp ~cal ~routed:p.circuit ~final_layout:fl in
+              check (tag ^ " esp") true (esp = num r "esp"))
+        t.rows)
+    (golden_tables ())
 
 let test_json_roundtrip () =
-  let cells = quick_cells ~workers:2 in
-  let json =
-    Matrix.to_json ~suite:"quick" ~seed:Matrix.default_seed
-      ~trials:Matrix.default_trials cells
+  let tables = golden_tables () in
+  let reparsed =
+    Jsonlite.of_string (Jsonlite.serialize ~indent:2 (Experiment.snapshot tables))
   in
-  let reparsed = Jsonlite.of_string (Jsonlite.serialize ~indent:2 json) in
   let open Jsonlite in
-  checki "schema version"
-    Matrix.schema_version
-    (Option.get (Option.bind (member "schema_version" reparsed) to_int));
-  let rows = Option.get (Option.bind (member "cells" reparsed) to_list) in
-  checki "all cells exported" (List.length cells) (List.length rows);
-  List.iter2
-    (fun (c : Matrix.cell) row ->
-      let f key = Option.get (Option.bind (member key row) to_float) in
-      check "depth_overhead round-trips exactly" true (f "depth_overhead" = c.depth_overhead);
-      check "esp round-trips exactly" true (f "esp" = c.esp);
-      checki "cx" c.cx_total (int_of_float (f "cx_total")))
-    cells rows
+  List.iter
+    (fun (t : Experiment.table) ->
+      let rows = Option.get (Option.bind (member t.device reparsed) (member "rows")) in
+      List.iter
+        (fun (r : Experiment.row) ->
+          let row = Option.get (member (Experiment.row_name r) rows) in
+          let f key = Option.get (Option.bind (member key row) to_float) in
+          check "overhead round-trips exactly" true (f "overhead" = num r "overhead");
+          check "esp round-trips exactly" true (f "esp" = num r "esp");
+          checki "cx" (int_of_float (num r "cx")) (int_of_float (f "cx")))
+        t.rows)
+    tables
 
-let test_markdown () =
-  let cells = quick_cells ~workers:2 in
-  let md = Matrix.markdown cells in
-  let lines = List.filter (fun l -> l <> "") (String.split_on_char '\n' md) in
-  checki "header + separator + one row per cell" (2 + List.length cells)
-    (List.length lines);
-  check "has esp column" true
-    (match lines with
-    | header :: _ ->
-        let contains s sub =
-          let n = String.length sub in
-          let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-          go 0
-        in
-        contains header "esp" && contains header "depth_overhead"
-    | [] -> false)
+let test_instances_fit () =
+  List.iter
+    (fun quick ->
+      List.iter
+        (fun (tname, coupling) ->
+          List.iter
+            (fun (e : Suite.entry) ->
+              check
+                (Printf.sprintf "%s fits %s" e.name tname)
+                true
+                (e.n_qubits <= Topology.Coupling.n_qubits coupling))
+            (Matrix.instances ~quick))
+        (Matrix.topologies ~quick))
+    [ true; false ]
 
 let () =
   Alcotest.run "matrix"
@@ -129,15 +128,12 @@ let () =
           Alcotest.test_case "workers 1 and 4 byte-identical to corpus" `Quick
             test_golden_workers_1_vs_4;
           Alcotest.test_case "cell coverage" `Quick test_cell_coverage;
+          Alcotest.test_case "every instance fits every topology" `Quick test_instances_fit;
         ] );
       ( "agreement",
         [
           Alcotest.test_case "cells reproduce direct pipeline runs" `Quick
             test_rows_agree_with_pipeline;
         ] );
-      ( "export",
-        [
-          Alcotest.test_case "json round-trip exact" `Quick test_json_roundtrip;
-          Alcotest.test_case "markdown table" `Quick test_markdown;
-        ] );
+      ("export", [ Alcotest.test_case "json round-trip exact" `Quick test_json_roundtrip ]);
     ]
