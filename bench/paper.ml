@@ -121,20 +121,23 @@ let keys = List.map (fun x -> x.E.key) (experiments ~full:false ~shots:0 @ opt_i
    BENCH_<sha>-<only>.json for an opt-in one. *)
 let run ~only ~seeds ~shots ~full ?out () =
   let paper = experiments ~full ~shots in
-  let chosen, name =
-    if only = "all" then (paper, "paper")
+  (* the run header names only the settings the chosen experiments read:
+     the opt-in ones route at fixed seeds and sample no shots *)
+  let chosen, name, header =
+    let opt_in_header = [ ("full", J.Bool full) ] in
+    let paper_header = ("seeds", J.int seeds) :: ("shots", J.int shots) :: opt_in_header in
+    if only = "all" then (paper, "paper", paper_header)
     else
       match List.filter (fun x -> x.E.key = only) paper with
-      | [] -> (List.filter (fun x -> x.E.key = only) (opt_in ~full), only)
-      | xs -> (xs, "paper")
+      | [] -> (List.filter (fun x -> x.E.key = only) (opt_in ~full), only, opt_in_header)
+      | xs -> (xs, "paper", paper_header)
   in
   match E.run ~seeds ~print:true chosen with
   | [] -> ()
   | results ->
       let doc =
         Qbench.Snapshot.document ~schema_version:1 ~kind:name
-          ([ ("seeds", J.int seeds); ("shots", J.int shots); ("full", J.Bool full) ]
-          @ List.map (fun (x, ts) -> (x.E.key, E.snapshot ts)) results)
+          (header @ List.map (fun (x, ts) -> (x.E.key, E.snapshot ts)) results)
       in
       Printf.printf "snapshot: %s\n" (Qbench.Snapshot.write ?out ~suffix:("-" ^ name) doc)
 

@@ -512,30 +512,27 @@ let route_core params coupling ~rng ~dist ~bonus ~oracle ~stream ~mapping sd =
   let ext_cap = max 0 params.ext_size in
   let ea = Array.make ext_cap 0 and eb = Array.make ext_cap 0 and ne = ref 0 in
   let scoring = Scoring.create ~n_phys ~capacity:(max ext_cap (n_phys / 2)) in
-  let refresh front =
+  let refresh () =
     if !cached_at <> Streamdag.executed_count sd then begin
       cached_at := Streamdag.executed_count sd;
       nf := 0;
-      List.iter
-        (fun nd ->
-          if Gate.is_two_qubit (Streamdag.gate nd) then
-            match Streamdag.qubits nd with
-            | [ a; b ] ->
-                fa.(!nf) <- a;
-                fb.(!nf) <- b;
-                incr nf
-            | _ -> ())
-        front;
-      ne := 0;
-      List.iter
-        (fun nd ->
-          match Streamdag.qubits nd with
-          | [ a; b ] ->
-              ea.(!ne) <- a;
-              eb.(!ne) <- b;
-              incr ne
-          | _ -> ())
-        (Streamdag.lookahead sd params.ext_size)
+      let h = ref (Streamdag.front_first sd) in
+      while !h >= 0 do
+        let a = Streamdag.qa sd !h in
+        if a >= 0 then begin
+          fa.(!nf) <- a;
+          fb.(!nf) <- Streamdag.qb sd !h;
+          incr nf
+        end;
+        h := Streamdag.front_next sd !h
+      done;
+      (* the lookahead's nodes land in [ea], then become their pairs *)
+      ne := Streamdag.lookahead_into sd ext_cap ea;
+      for i = 0 to !ne - 1 do
+        let h = ea.(i) in
+        ea.(i) <- Streamdag.qa sd h;
+        eb.(i) <- Streamdag.qb sd h
+      done
     end
   in
   (* the cached front as physical pairs, for the oracle, [Routing_stuck]
@@ -566,43 +563,51 @@ let route_core params coupling ~rng ~dist ~bonus ~oracle ~stream ~mapping sd =
         stream_push s op;
         action op
   in
-  let emit_mapped nd =
+  let emit_mapped h =
     match stream with
     | None -> ()
     | Some s ->
         stream_push s
           {
-            gate = Streamdag.gate nd;
-            op_qubits = List.map (fun q -> mapping.l2p.(q)) (Streamdag.qubits nd);
+            gate = Streamdag.gate sd h;
+            op_qubits = List.map (fun q -> mapping.l2p.(q)) (Streamdag.qubits sd h);
             tag = Not_swap;
           }
   in
-  let executable nd =
-    match Streamdag.qubits nd with
-    | [ a; b ] when Gate.is_two_qubit (Streamdag.gate nd) ->
-        Coupling.connected coupling mapping.l2p.(a) mapping.l2p.(b)
-    | _ -> true
+  let executable h =
+    let a = Streamdag.qa sd h in
+    a < 0 || Coupling.connected coupling mapping.l2p.(a) mapping.l2p.(Streamdag.qb sd h)
   in
   (* execute every currently executable front gate, round after round
-     until none is; returns true if any.  The first round reuses the
-     caller's front snapshot (the single front computation of this
-     main-loop iteration); later rounds re-read the front only after gates
-     actually retired. *)
-  let drain front =
-    let ready = ref (List.filter executable front) in
-    let any = !ready <> [] in
-    while !ready <> [] do
-      List.iter
-        (fun nd ->
-          emit_mapped nd;
-          Streamdag.execute sd nd)
-        !ready;
-      ready := List.filter executable (Streamdag.front sd)
+     until none is; returns true if any.  Each round collects the ready
+     nodes into [ready] first, so the gates it promotes wait for the next
+     round, as they did when the round filtered a front list. *)
+  let ready = ref (Array.make (max 1 n_phys) 0) in
+  let drain () =
+    let any = ref false and more = ref true in
+    while !more do
+      let m = ref 0 in
+      let h = ref (Streamdag.front_first sd) in
+      while !h >= 0 do
+        if executable !h then begin
+          if !m = Array.length !ready then
+            ready := Array.append !ready (Array.make !m 0);
+          !ready.(!m) <- !h;
+          incr m
+        end;
+        h := Streamdag.front_next sd !h
+      done;
+      for i = 0 to !m - 1 do
+        let h = !ready.(i) in
+        emit_mapped h;
+        Streamdag.execute sd h
+      done;
+      if !m = 0 then more := false else any := true
     done;
-    any
+    !any
   in
-  let apply_best_swap front =
-    refresh front;
+  let apply_best_swap () =
+    refresh ();
     let nf = !nf and ne = !ne in
     (* candidate swaps: all couplings touching a physical qubit of a front
        gate, in the order a [Hashtbl.create 32] would fold them *)
@@ -728,61 +733,55 @@ let route_core params coupling ~rng ~dist ~bonus ~oracle ~stream ~mapping sd =
      SWAP sequence (the hybrid router's oracle).  Declining (None / empty)
      falls through to the heuristic path untouched; with no hook installed
      this is free and the engine's behavior is byte-identical to before. *)
-  let try_window front =
+  let try_window () =
     match oracle with
     | None -> false
     | Some solve -> (
-        refresh front;
+        refresh ();
         match solve ~front:(front_pairs ()) with
         | None | Some [] -> false
         | Some swaps ->
             List.iter (apply_fixed_swap ~forced:false ~front_n:!nf) swaps;
             true)
   in
-  let force_progress front =
+  let force_progress () =
     (* escape valve: route the first front 2q gate along a shortest path *)
     Qobs.incr c_force;
-    match front with
-    | [] -> ()
-    | nd :: _ -> begin
-        match Streamdag.qubits nd with
-        | [ a; b ] ->
-            let pa = mapping.l2p.(a) and pb = mapping.l2p.(b) in
-            let path = Coupling.shortest_path coupling pa pb in
-            let front_n =
-              if Qobs.Recorder.active () then begin
-                refresh front;
-                !nf
-              end
-              else 0
-            in
-            let rec walk = function
-              | p :: q :: rest when rest <> [] ->
-                  apply_fixed_swap ~forced:true ~front_n (p, q);
-                  walk (q :: rest)
-              | _ -> ()
-            in
-            walk path
+    let h = Streamdag.front_first sd in
+    if h >= 0 && Streamdag.qa sd h >= 0 then begin
+      let pa = mapping.l2p.(Streamdag.qa sd h) and pb = mapping.l2p.(Streamdag.qb sd h) in
+      let path = Coupling.shortest_path coupling pa pb in
+      let front_n =
+        if Qobs.Recorder.active () then begin
+          refresh ();
+          !nf
+        end
+        else 0
+      in
+      let rec walk = function
+        | p :: q :: rest when rest <> [] ->
+            apply_fixed_swap ~forced:true ~front_n (p, q);
+            walk (q :: rest)
         | _ -> ()
-      end
+      in
+      walk path
+    end
   in
   while not (Streamdag.finished sd) do
-    (* the single front snapshot of this iteration: drain tries it first,
-       and on a stuck front the very same nodes feed candidate generation
-       or the escape valve (they cannot have changed: nothing retired) *)
-    let front = Streamdag.front sd in
-    if (not (stuck ())) && drain front then begin
+    (* on a stuck front nothing retired, so candidate generation and the
+       escape valve see the very front the drain just tried *)
+    if (not (stuck ())) && drain () then begin
       stall := 0;
       Array.fill decay 0 n_phys 1.0
     end
-    else if try_window front then stall := 0
+    else if try_window () then stall := 0
     else begin
       if !stall >= params.stall_limit then begin
-        force_progress front;
+        force_progress ();
         stall := 0
       end
       else begin
-        apply_best_swap front;
+        apply_best_swap ();
         incr stall
       end
     end
@@ -795,25 +794,27 @@ let check_sizes name coupling ~dist n_log =
   if Distmat.n dist <> n_phys then
     invalid_arg (name ^ ": distance matrix size does not match device")
 
-(* The DAG of a pass over a materialized circuit.  An unbounded window
-   admits, and so checks, every gate in [create].  A source needs a wire;
-   a circuit without one has no gates, so a spare wire changes nothing. *)
-let circuit_dag c =
-  let open Qcircuit in
-  Streamdag.create ~window:max_int
-    (Source.of_list ~n_qubits:(max 1 (Circuit.n_qubits c)) (Circuit.instrs c))
+type plans = { forward : Streamdag.Plan.t; backward : Streamdag.Plan.t }
 
-let route_once params coupling ~rng ~dist ~bonus ?window ?dag:_ circuit init_layout =
+let plans c =
+  {
+    forward = Streamdag.Plan.of_circuit c;
+    backward = Streamdag.Plan.of_circuit ~reverse:true c;
+  }
+
+let route_once params coupling ~rng ~dist ~bonus ?window ?dag:_ ?plan circuit init_layout =
   Qobs.span "engine.route_once" @@ fun () ->
   check_sizes "Engine.route_once" coupling ~dist (Qcircuit.Circuit.n_qubits circuit);
   let n_phys = Coupling.n_qubits coupling in
   let mapping = mapping_of_layout ~n_phys init_layout in
   let initial_layout = Array.copy mapping.l2p in
-  let sd = circuit_dag circuit in
+  let plan =
+    match plan with Some p -> p | None -> Streamdag.Plan.of_circuit circuit
+  in
   let stream = stream_create ~n_phys () in
   let n_swaps =
     route_core params coupling ~rng ~dist ~bonus ~oracle:window ~stream:(Some stream)
-      ~mapping sd
+      ~mapping (Streamdag.of_plan plan)
   in
   {
     routed = List.rev stream.s_rev;
@@ -845,14 +846,7 @@ let route_stream params coupling ~rng ~dist ~bonus ~window ?(keep = 64) ~sink so
     st_peak_resident = Streamdag.peak_resident sd;
   }
 
-let reverse_circuit c =
-  Qcircuit.Circuit.create (Qcircuit.Circuit.n_qubits c)
-    (List.rev
-       (List.filter
-          (fun (i : Qcircuit.Circuit.instr) -> i.gate <> Gate.Measure)
-          (Qcircuit.Circuit.instrs c)))
-
-let find_layout params coupling ~rng ~dist ~bonus ?dag:_ circuit =
+let find_layout params coupling ~rng ~dist ~bonus ?dag:_ ?plans:given circuit =
   (* a layout pass has no output stream for a bonus to read *)
   if bonus != zero_bonus then invalid_arg "Engine.find_layout: bonus must be zero_bonus";
   Qobs.span "engine.find_layout" @@ fun () ->
@@ -864,21 +858,24 @@ let find_layout params coupling ~rng ~dist ~bonus ?dag:_ circuit =
   check_sizes "Engine.find_layout" coupling ~dist n_log;
   let perm = Rng.permutation rng n_phys in
   let layout = ref (Array.init n_log (fun l -> perm.(l))) in
-  let fwd = circuit and bwd = reverse_circuit circuit in
+  let { forward; backward } = match given with Some p -> p | None -> plans circuit in
+  (* one walk for every pass: each restarts it on a plan *)
+  let sd = Streamdag.of_plan forward in
   (* a layout-only pass: [route_once]'s walk without an output stream,
      keeping only where the qubits end up.  Each pass replays a fresh
      route stream, matching the historical behavior (and SABRE's, where
      every pass is seeded alike). *)
-  let pass c layout =
+  let pass plan layout =
     Qobs.span "engine.route_once" @@ fun () ->
     let mapping = mapping_of_layout ~n_phys layout in
+    Streamdag.reset sd plan;
     ignore
       (route_core params coupling ~rng:(route_rng params) ~dist ~bonus ~oracle:None
-         ~stream:None ~mapping (circuit_dag c));
+         ~stream:None ~mapping sd);
     mapping.l2p
   in
   for _ = 1 to params.iterations do
-    layout := pass bwd (pass fwd !layout)
+    layout := pass backward (pass forward !layout)
   done;
   !layout
 

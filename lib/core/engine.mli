@@ -221,6 +221,18 @@ module Candidates : sig
   val p2 : t -> int -> int
 end
 
+type plans = {
+  forward : Qcircuit.Streamdag.Plan.t;  (** the circuit's DAG *)
+  backward : Qcircuit.Streamdag.Plan.t;
+      (** the DAG of the circuit run backwards without its measurements *)
+}
+(** The two DAGs the routing of one circuit walks: built once, shared
+    read-only by every layout pass, the final route and every trial, on
+    any domain (DESIGN.md §26). *)
+
+val plans : Qcircuit.Circuit.t -> plans
+(** Build both plans.  @raise Invalid_argument as {!route_once}. *)
+
 val route_once :
   params ->
   Topology.Coupling.t ->
@@ -229,6 +241,7 @@ val route_once :
   bonus:bonus_fn ->
   ?window:(front:(int * int) list -> (int * int) list option) ->
   ?dag:Qcircuit.Dag.t ->
+  ?plan:Qcircuit.Streamdag.Plan.t ->
   Qcircuit.Circuit.t ->
   int array ->
   result
@@ -236,9 +249,9 @@ val route_once :
     All tie-breaking randomness is drawn from [rng], which the caller owns;
     pass {!route_rng} for the canonical seeded stream, or an independent
     per-trial stream for multi-trial search.  The input circuit must contain
-    only <=2-qubit gates and directives.  The pass walks a
-    {!Qcircuit.Streamdag} over the whole circuit (an unbounded window).
-    [dag] is accepted and ignored.
+    only <=2-qubit gates and directives.  The pass walks [plan], which
+    must be the circuit's forward plan ([(plans circuit).forward]); without
+    it the pass builds one.  [dag] is accepted and ignored.
 
     [window], when given, is consulted on every stuck front layer with the
     front's two-qubit gates as physical pairs under the current mapping
@@ -286,6 +299,7 @@ val find_layout :
   dist:Topology.Distmat.t ->
   bonus:bonus_fn ->
   ?dag:Qcircuit.Dag.t ->
+  ?plans:plans ->
   Qcircuit.Circuit.t ->
   int array
 (** Random initial layout refined by reverse-traversal rounds (the paper
@@ -296,8 +310,11 @@ val find_layout :
     The passes are layout-only: each one makes the same SWAP decisions as
     {!route_once} with [zero_bonus] (and opens the same
     [engine.route_once] span), but emits no ops and builds no {!result},
-    keeping only the final layout.  A layout pass has no output stream for
-    a bonus to read, so [bonus] must be {!zero_bonus}.  [dag] is accepted
+    keeping only the final layout.  The forward passes walk
+    [plans.forward] and the backward ones [plans.backward], one walk
+    restarted per pass; [plans] must be {!plans} of [circuit], and without
+    it the search builds them.  A layout pass has no output stream for a
+    bonus to read, so [bonus] must be {!zero_bonus}.  [dag] is accepted
     and ignored, as in {!route_once}.
     @raise Invalid_argument if [bonus] is not physically {!zero_bonus}, or
     as {!route_once}. *)

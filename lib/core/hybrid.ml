@@ -61,21 +61,22 @@ let oracle_window cfg coupling ~dist =
           Qobs.incr c_fallback;
           None
 
-let route ?(params = Engine.default_params) ?(config = default_config) coupling
-    circuit =
+let route ?(params = Engine.default_params) ?(config = default_config) ?dist ?plans
+    coupling circuit =
   Qobs.span "hybrid.route" @@ fun () ->
   Qobs.Recorder.in_router "hybrid" @@ fun () ->
-  let dist = Sabre.hop_distance coupling in
+  let dist = match dist with Some d -> d | None -> Sabre.hop_distance coupling in
+  let plans = match plans with Some p -> p | None -> Engine.plans circuit in
   let b = Nassc.bonus config.nassc in
   (* layout search stays heuristic (same mapping algorithm as SABRE/NASSC):
      the oracle only steers the routing passes *)
   let layout =
     Engine.find_layout params coupling ~rng:(Engine.layout_rng params) ~dist
-      ~bonus:Engine.zero_bonus circuit
+      ~bonus:Engine.zero_bonus ~plans circuit
   in
   let pass ?window () =
     Engine.route_once params coupling ~rng:(Engine.route_rng params) ~dist ~bonus:b
-      ?window circuit layout
+      ?window ~plan:plans.forward circuit layout
   in
   let w = oracle_window config coupling ~dist in
   (* portfolio probes stay out of the flight record; only the winning pass

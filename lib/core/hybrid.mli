@@ -39,10 +39,14 @@ val default_config : config
 val route :
   ?params:Engine.params ->
   ?config:config ->
+  ?dist:Topology.Distmat.t ->
+  ?plans:Engine.plans ->
   Topology.Coupling.t ->
   Qcircuit.Circuit.t ->
   Sabre.result
-(** Route [circuit] (lowered to <=2-qubit gates) onto [coupling].  Same
+(** Route [circuit] (lowered to <=2-qubit gates) onto [coupling].  [dist]
+    must be the hop-count matrix ({!Sabre.hop_distance}, built when absent)
+    and [plans] {!Engine.plans} of [circuit] (built when absent).  Same
     contract as {!Nassc.route}: SWAPs are decomposed by {!Nassc.finalize}
     (oriented when the bonus tagged them), and the result carries the
     initial/final layouts and the SWAP count. *)

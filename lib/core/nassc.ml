@@ -296,21 +296,22 @@ let finalize ops =
   Streaming.flush st;
   List.rev !acc
 
-let route ?(params = Engine.default_params) ?(config = default_config) ?dist coupling
-    circuit =
+let route ?(params = Engine.default_params) ?(config = default_config) ?dist ?plans
+    coupling circuit =
   Qobs.span "nassc.route" @@ fun () ->
   Qobs.Recorder.in_router "nassc" @@ fun () ->
   let dist = match dist with Some d -> d | None -> Sabre.hop_distance coupling in
   let b = bonus config in
+  let plans = match plans with Some p -> p | None -> Engine.plans circuit in
   (* layout search uses the plain heuristic (same mapping algorithm as
      SABRE, Section IV-A) *)
   let layout =
     Engine.find_layout params coupling ~rng:(Engine.layout_rng params) ~dist
-      ~bonus:Engine.zero_bonus circuit
+      ~bonus:Engine.zero_bonus ~plans circuit
   in
   let r =
     Engine.route_once params coupling ~rng:(Engine.route_rng params) ~dist ~bonus:b
-      circuit layout
+      ~plan:plans.forward circuit layout
   in
   let instrs = finalize r.routed in
   {

@@ -43,12 +43,14 @@ val route :
   ?params:Engine.params ->
   ?config:config ->
   ?dist:Topology.Distmat.t ->
+  ?plans:Engine.plans ->
   Topology.Coupling.t ->
   Qcircuit.Circuit.t ->
   Sabre.result
 (** Route with optimization-aware cost and SWAP decomposition.  The result
     circuit has SWAPs already decomposed into oriented CNOT triples, with
-    single-qubit gates moved through oriented SWAPs. *)
+    single-qubit gates moved through oriented SWAPs.  [dist] and [plans]
+    as in {!Sabre.route}. *)
 
 val bonus : config -> Engine.bonus_fn
 (** The scoring hook itself (exposed for tests and ablations). *)

@@ -285,19 +285,31 @@ let transpile ?(params = Engine.default_params) ?calibration ?(trials = 1) ?work
   let wall0 = Unix.gettimeofday () in
   let cpu0 = Sys.time () in
   (* shared read-only inputs, computed once before the fan-out: the
-     pre-optimized logical circuit and (for the HA routers) the noise-aware
-     distance matrix.  Per-trial mutable state (mappings, decay, RNG) lives
-     inside the routers, domain-locally. *)
+     pre-optimized logical circuit, the distance matrix and the DAG plans.
+     Per-trial mutable state (mappings, decay, RNG, DAG walks) lives inside
+     the routers, domain-locally. *)
   let logical = pre_optimize (Qobs.span "pipeline.lower_to_2q" (fun () -> lower_to_2q circuit)) in
-  let dist_ha = noise_dist router calibration coupling in
+  (* the routing metric (eq. 3's for the HA routers, hop counts for the
+     rest) and the two DAG plans every layout pass and final route walks *)
+  let dist, plans =
+    match router with
+    | Full_connectivity | Astar_router -> (None, None)
+    | Sabre_router | Sabre_ha | Nassc_router _ | Nassc_ha _ | Hybrid_router _ ->
+        let dist =
+          match noise_dist router calibration coupling with
+          | Some d -> d
+          | None -> Sabre.hop_distance coupling
+        in
+        (Some dist, Some (Engine.plans logical))
+  in
   let route_with params =
     match router with
     | Full_connectivity -> (logical, 0, None)
     | Sabre_router | Sabre_ha ->
-        let r = Sabre.route ~params ?dist:dist_ha coupling logical in
+        let r = Sabre.route ~params ?dist ?plans coupling logical in
         (Sabre.decompose_swaps r.circuit, r.n_swaps, Some (r.initial_layout, r.final_layout))
     | Nassc_router config | Nassc_ha config ->
-        let r = Nassc.route ~params ~config ?dist:dist_ha coupling logical in
+        let r = Nassc.route ~params ~config ?dist ?plans coupling logical in
         (r.circuit, r.n_swaps, Some (r.initial_layout, r.final_layout))
     | Astar_router ->
         let r =
@@ -306,7 +318,7 @@ let transpile ?(params = Engine.default_params) ?calibration ?(trials = 1) ?work
         in
         (Sabre.decompose_swaps r.circuit, r.n_swaps, Some (r.initial_layout, r.final_layout))
     | Hybrid_router config ->
-        let r = Hybrid.route ~params ~config coupling logical in
+        let r = Hybrid.route ~params ~config ?dist ?plans coupling logical in
         (r.circuit, r.n_swaps, Some (r.initial_layout, r.final_layout))
   in
   let report =

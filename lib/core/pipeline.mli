@@ -122,7 +122,9 @@ val transpile :
     the paper's single-shot behavior bit-for-bit, which is what the
     evaluation tables are produced with.  [workers] bounds the domain pool
     (default [Trials.default_workers ()]); results are identical for any
-    worker count. *)
+    worker count.  The distance matrix and the circuit's two DAG plans
+    ({!Engine.plans}) are built once, before the trials, which share them
+    read-only. *)
 
 (** {2 Streaming transpilation}
 

@@ -12,18 +12,19 @@ let hop_distance = Distmat.hops
 
 let c_decomposed = Qobs.counter "sabre.swaps_decomposed"
 
-let route ?(params = Engine.default_params) ?dist coupling circuit =
+let route ?(params = Engine.default_params) ?dist ?plans coupling circuit =
   Qobs.span "sabre.route" @@ fun () ->
   Qobs.Recorder.in_router "sabre" @@ fun () ->
   let dist = match dist with Some d -> d | None -> hop_distance coupling in
   let bonus = Engine.zero_bonus in
+  let plans = match plans with Some p -> p | None -> Engine.plans circuit in
   let layout =
-    Engine.find_layout params coupling ~rng:(Engine.layout_rng params) ~dist ~bonus
+    Engine.find_layout params coupling ~rng:(Engine.layout_rng params) ~dist ~bonus ~plans
       circuit
   in
   let r =
     Engine.route_once params coupling ~rng:(Engine.route_rng params) ~dist ~bonus
-      circuit layout
+      ~plan:plans.forward circuit layout
   in
   {
     circuit = Engine.to_circuit ~n_phys:(Coupling.n_qubits coupling) r.routed;

@@ -20,11 +20,14 @@ val hop_distance : Topology.Coupling.t -> Topology.Distmat.t
 val route :
   ?params:Engine.params ->
   ?dist:Topology.Distmat.t ->
+  ?plans:Engine.plans ->
   Topology.Coupling.t ->
   Qcircuit.Circuit.t ->
   result
-(** Route a (<=2-qubit-gate) circuit.  [dist] overrides the hop-count
-    distance matrix (used by the noise-aware HA variant). *)
+(** Route a (<=2-qubit-gate) circuit.  [dist] is the routing metric,
+    the hop-count matrix when absent (the noise-aware HA variant passes
+    eq. 3's).  [plans], {!Engine.plans} of [circuit], are built when
+    absent. *)
 
 val decompose_swaps : Qcircuit.Circuit.t -> Qcircuit.Circuit.t
 (** Expand each SWAP into the fixed cx(a,b) cx(b,a) cx(a,b) template. *)

@@ -204,12 +204,18 @@ let test_dag_structure () =
    anything else raises [Invalid_argument] and leaves the front
    unchanged.  Both tests check this against a list model of the
    filter-then-append rule, with readiness computed from the instruction
-   list alone, at two bounded windows and at the unbounded one that batch
-   routing and the layout search use. *)
+   list alone, at two bounded windows, at the unbounded one, and on walks
+   of a shared [Plan], the walk batch routing and the layout search use.
+   The property also checks every lookahead against a breadth-first
+   model over the same list. *)
 
 let windows = [ 2; 5; max_int ]
 let walk ~window c = Streamdag.create ~window (Source.of_circuit c)
 let ids = List.map Streamdag.id
+
+let walks =
+  List.map (fun w -> (Printf.sprintf "window %d" w, walk ~window:w)) windows
+  @ [ ("plan", fun c -> Streamdag.of_plan (Streamdag.Plan.of_circuit c)) ]
 
 (* raises Invalid_argument and leaves the front as it was *)
 let rejects sd nd =
@@ -233,16 +239,51 @@ let ready instrs executed j =
                  instrs.(j).Circuit.qubits))
        (List.init (Array.length instrs) Fun.id)
 
-(* Walk [c] to the end, executing the front node [picks] selects and
-   trying to execute a known node off the front, and compare every front
-   with the model.  Handles come from the front and the lookahead, so the
-   off-front nodes tried are executed ones and waiting two-qubit gates.
-   True when every rejection held and every gate executed. *)
-let model_walk ~window c picks =
+(* the lookahead model: breadth first from the front's successors, where
+   [i]'s successors are the next admitted instruction on each of its
+   wires, ascending; up to [k] unexecuted two-qubit gates *)
+let model_lookahead instrs executed ~admitted front k =
+  let succs i =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun q ->
+           let rec next j =
+             if j >= admitted then None
+             else if List.mem q (instrs.(j) : Circuit.instr).qubits then Some j
+             else next (j + 1)
+           in
+           next (i + 1))
+         (instrs.(i) : Circuit.instr).qubits)
+  in
+  let seen = Array.make (Array.length instrs) false in
+  let queue = Queue.create () in
+  List.iter (fun i -> List.iter (fun j -> Queue.add j queue) (succs i)) front;
+  let out = ref [] and count = ref 0 in
+  while !count < k && not (Queue.is_empty queue) do
+    let d = Queue.pop queue in
+    if not seen.(d) then begin
+      seen.(d) <- true;
+      if (not executed.(d)) && Gate.is_two_qubit (instrs.(d) : Circuit.instr).gate then begin
+        out := d :: !out;
+        incr count
+      end;
+      List.iter (fun j -> Queue.add j queue) (succs d)
+    end
+  done;
+  List.rev !out
+
+let show l = String.concat ";" (List.map string_of_int l)
+
+(* Walk [sd] over [c] to the end, executing the front node [picks]
+   selects and trying to execute a known node off the front, and compare
+   every front and every lookahead with the models.  Handles come from
+   the front and the lookahead, so the off-front nodes tried are executed
+   ones and waiting two-qubit gates.  Returns whether every rejection held
+   and every gate executed, and the (front, lookahead) ids of every step. *)
+let model_walk ~name c sd picks =
   let instrs = Array.of_list (Circuit.instrs c) in
   let n = Array.length instrs in
   let executed = Array.make n false in
-  let sd = walk ~window c in
   let handles = Array.make n None in
   let note = List.iter (fun nd -> handles.(Streamdag.id nd) <- Some nd) in
   let picks = ref picks in
@@ -253,11 +294,20 @@ let model_walk ~window c picks =
         p
     | [] -> 0
   in
-  let ok = ref true in
+  let ok = ref true and steps = ref [] in
   while !ok && Streamdag.front sd <> [] do
     let front = Streamdag.front sd in
+    let ahead = Streamdag.lookahead sd n in
+    let model_ahead =
+      model_lookahead instrs executed ~admitted:(Streamdag.admitted_count sd) (ids front) n
+    in
+    let first3 = List.filteri (fun i _ -> i < 3) model_ahead in
+    if ids ahead <> model_ahead || ids (Streamdag.lookahead sd 3) <> first3 then
+      QCheck.Test.fail_reportf "%s: front [%s] has lookahead [%s], model [%s]" name
+        (show (ids front)) (show (ids ahead)) (show model_ahead);
+    steps := (ids front, ids ahead) :: !steps;
     note front;
-    note (Streamdag.lookahead sd n);
+    note ahead;
     let nd = List.nth front (next () mod List.length front) in
     let id = Streamdag.id nd in
     let was_ready j = List.mem j (ids front) in
@@ -274,18 +324,17 @@ let model_walk ~window c picks =
     in
     let model = List.filter (fun x -> x <> id) (ids front) @ appended in
     if ids (Streamdag.front sd) <> model then
-      QCheck.Test.fail_reportf "window %d: executing %d gave front [%s], model [%s]"
-        window id
-        (String.concat ";" (List.map string_of_int (ids (Streamdag.front sd))))
-        (String.concat ";" (List.map string_of_int model))
+      QCheck.Test.fail_reportf "%s: executing %d gave front [%s], model [%s]" name id
+        (show (ids (Streamdag.front sd)))
+        (show model)
   done;
-  !ok && Streamdag.finished sd && Array.for_all Fun.id executed
+  (!ok && Streamdag.finished sd && Array.for_all Fun.id executed, List.rev !steps)
 
 let test_execute_contract () =
   List.iter
-    (fun window ->
-      let name = Printf.sprintf "window %d: " window in
-      let sd = walk ~window (ghz 4) in
+    (fun (name, walk) ->
+      let name = name ^ ": " in
+      let sd = walk (ghz 4) in
       check (name ^ "front is the H") true (ids (Streamdag.front sd) = [ 0 ]);
       let h = List.hd (Streamdag.front sd) in
       let cx01 = List.hd (Streamdag.lookahead sd 1) in
@@ -295,18 +344,18 @@ let test_execute_contract () =
       check (name ^ "promotion appended") true (ids (Streamdag.front sd) = [ 1 ]);
       (* the lookahead surfaces the upcoming CXs in order, clipped to the
          admitted gates *)
-      let sd = walk ~window (ghz 6) in
+      let sd = walk (ghz 6) in
       let ahead = Streamdag.lookahead sd 3 in
       check (name ^ "lookahead") true
         (ids ahead = List.filter (fun i -> i < Streamdag.admitted_count sd) [ 1; 2; 3 ]);
       check (name ^ "lookahead are 2q") true
-        (List.for_all (fun nd -> Gate.is_two_qubit (Streamdag.gate nd)) ahead);
+        (List.for_all (fun nd -> Gate.is_two_qubit (Streamdag.gate sd nd)) ahead);
       check (name ^ "executes all, in dependency order") true
-        (model_walk ~window (ghz 6) [ 0; 3; 0; 1; 0; 4 ]);
-      let empty = walk ~window (Circuit.empty 2) in
+        (fst (model_walk ~name (ghz 6) (walk (ghz 6)) [ 0; 3; 0; 1; 0; 4 ]));
+      let empty = walk (Circuit.empty 2) in
       check (name ^ "empty DAG finished") true
         (Streamdag.finished empty && Streamdag.front empty = []))
-    windows
+    walks
 
 let gen_walk =
   QCheck.Gen.(
@@ -321,14 +370,28 @@ let gen_walk =
     in
     triple (list_size (int_range 1 30) gate) (oneofl windows) (list_size (return 64) nat))
 
+(* The bounded window's walk against the models; then one shared plan,
+   walked twice in a row by one walk, from two domains at once, and the
+   unbounded window's walk: all against the models and step for step
+   against each other. *)
 let prop_front_order (gates, window, picks) =
-  model_walk ~window
-    (Circuit.create 4 (List.map (fun (gate, qubits) -> { Circuit.gate; qubits }) gates))
-    picks
+  let c = Circuit.create 4 (List.map (fun (gate, qubits) -> { Circuit.gate; qubits }) gates) in
+  let run name sd = model_walk ~name c sd picks in
+  let bounded, _ = run (Printf.sprintf "window %d" window) (walk ~window c) in
+  let plan = Streamdag.Plan.of_circuit c in
+  let sd = Streamdag.of_plan plan in
+  let first = run "plan" sd in
+  Streamdag.reset sd plan;
+  let again = run "plan, walked again" sd in
+  let other = Domain.spawn (fun () -> run "plan, on a second domain" (Streamdag.of_plan plan)) in
+  let par1 = run "plan, beside a second domain" (Streamdag.of_plan plan) in
+  let par2 = Domain.join other in
+  let unbounded = run "window max_int" (walk ~window:max_int c) in
+  bounded && List.for_all (fun r -> r = unbounded) [ first; again; par1; par2 ] && fst unbounded
 
 let walker_props =
   [
-    QCheck.Test.make ~name:"front order = filter-then-append model" ~count:300
+    QCheck.Test.make ~name:"front order = filter-then-append model" ~count:300 ~long_factor:10
       (QCheck.make gen_walk) prop_front_order;
   ]
 

@@ -123,6 +123,22 @@ let reference_find_layout params coupling ~rng ~dist circuit =
   done;
   !layout
 
+(* [random_2q_circuit] with measurements and barriers (over 1 to [n]
+   distinct wires) sprinkled between its gates *)
+let with_directives rng c =
+  let n = Circuit.n_qubits c in
+  let directive () =
+    if Rng.int rng 2 = 0 then [ { Circuit.gate = Gate.Measure; qubits = [ Rng.int rng n ] } ]
+    else
+      let wires = List.filter (fun _ -> Rng.int rng 2 = 0) (List.init n Fun.id) in
+      let wires = if wires = [] then [ Rng.int rng n ] else wires in
+      [ { Circuit.gate = Gate.Barrier (List.length wires); qubits = wires } ]
+  in
+  Circuit.create n
+    (List.concat_map
+       (fun i -> if Rng.int rng 4 = 0 then i :: directive () else [ i ])
+       (Circuit.instrs c))
+
 let test_find_layout_matches_reference () =
   let rng = Rng.create 99 in
   List.iter
@@ -132,16 +148,48 @@ let test_find_layout_matches_reference () =
       List.iter
         (fun seed ->
           let params = { Engine.default_params with seed } in
-          let c = random_2q_circuit rng n 40 in
-          let layout =
-            Engine.find_layout params coupling ~rng:(Engine.layout_rng params) ~dist
-              ~bonus:Engine.zero_bonus c
-          in
-          check "find_layout equals whole-pass reference" true
-            (layout
-            = reference_find_layout params coupling ~rng:(Engine.layout_rng params) ~dist c))
+          let plain = random_2q_circuit rng n 40 in
+          List.iter
+            (fun c ->
+              let reference =
+                reference_find_layout params coupling ~rng:(Engine.layout_rng params) ~dist c
+              in
+              let search ?plans () =
+                Engine.find_layout params coupling ~rng:(Engine.layout_rng params) ~dist
+                  ~bonus:Engine.zero_bonus ?plans c
+              in
+              check "find_layout equals whole-pass reference" true (search () = reference);
+              check "and so with the plans given" true
+                (search ~plans:(Engine.plans c) () = reference);
+              (* measurements never steer a pass, so only the plan's size
+                 shows that the backward one drops them *)
+              checki "the backward plan has no measurements"
+                (List.length
+                   (List.filter
+                      (fun (i : Circuit.instr) -> i.gate <> Gate.Measure)
+                      (Circuit.instrs c)))
+                (Streamdag.Plan.size (Engine.plans c).backward))
+            [ plain; with_directives rng plain ])
         [ 1; 5; 11; 23 ])
     Topology.Devices.[ linear 7; ring 7; grid 3 3; heavy_hex 2 2 ]
+
+(* the batch pipeline builds the forward and the backward plan once, not
+   per trial or per layout pass *)
+let test_two_plans_per_transpile () =
+  let coupling = Topology.Devices.montreal in
+  let c = Qbench.Generators.qft 8 in
+  List.iter
+    (fun (name, router) ->
+      List.iter
+        (fun workers ->
+          let before = Streamdag.Plan.count () in
+          ignore (Pipeline.transpile ~trials:4 ~workers ~router coupling c);
+          checki
+            (Printf.sprintf "%s, %d workers: two plans" name workers)
+            2
+            (Streamdag.Plan.count () - before))
+        [ 1; 4 ])
+    (Pipeline.select_routers [ "sabre"; "nassc"; "sabre-ha"; "hybrid" ])
 
 let test_find_layout_rejects_bonus () =
   let coupling = Topology.Devices.linear 5 in
@@ -457,6 +505,7 @@ let () =
           Alcotest.test_case "candidates in stdlib order" `Quick test_candidates_match_stdlib;
           Alcotest.test_case "find_layout reference" `Quick test_find_layout_matches_reference;
           Alcotest.test_case "find_layout needs zero_bonus" `Quick test_find_layout_rejects_bonus;
+          Alcotest.test_case "two plans per transpile" `Quick test_two_plans_per_transpile;
         ] );
       ( "sabre",
         [
