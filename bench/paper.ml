@@ -50,7 +50,7 @@ let experiments ~full ~shots =
       col "SABRE+HA" P.Sabre_ha;
       nassc;
       col "NASSC+HA" (P.Nassc_ha Qroute.Nassc.default_config);
-      col "HYBRID" (P.Hybrid_router Qroute.Hybrid.default_config);
+      col "HYBRID" P.Hybrid_router;
     ]
   in
   let x key title ?(devices = montreal) ?(entries = Suite.small_suite) columns derive =
@@ -79,7 +79,7 @@ let experiments ~full ~shots =
         col "A*-layers" P.Astar_router;
         sabre;
         nassc;
-        col "Hybrid" (P.Hybrid_router Qroute.Hybrid.default_config);
+        col "Hybrid" P.Hybrid_router;
       ]
       Added;
     x "trials"

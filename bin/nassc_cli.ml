@@ -78,9 +78,8 @@ let metrics_arg =
   let doc =
     "Export the run's observability registry as a Prometheus/OpenMetrics text page to \
      $(docv) ('-' = stderr): counters as _total series, per-trial gauges with a trial \
-     label, histograms as cumulative _bucket/_sum/_count.  Implies collecting a trace \
-     and enables the extended pipeline gauges (input sizes, trial settings).  The page \
-     is linted before it is written; violations are reported on stderr."
+     label, histograms as cumulative _bucket/_sum/_count.  Implies collecting a trace.  \
+     The page is linted before it is written; violations are reported on stderr."
   in
   Arg.(
     value & opt ~vopt:(Some "-") (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
@@ -150,9 +149,6 @@ let with_obs ~trace ~times ~record ~fmt ~metrics ~wide ~sample f =
      (engine.step_score_ms); without it the engine never reads the clock on
      the hot path and traces stay deterministic *)
   Qobs.set_timing times;
-  (* extended pipeline gauges (input sizes, trial settings) only exist for
-     exposition: default traces keep their historical bytes *)
-  if metrics <> None then Qobs.set_extended_metrics true;
   (* wide events carry the recorder's savings buckets, so --wide-events
      turns recording on even without --record *)
   let recording = record <> None || wide <> None in
@@ -425,26 +421,9 @@ let verify_cmd files topology size router_name seed corpus jsonl =
       (Qverify.verdict_name v)
   in
   if corpus then
-    List.iter
-      (fun (name, original) ->
-        List.iter
-          (fun (tname, coupling) ->
-            List.iter
-              (fun (rname, router) ->
-                List.iter
-                  (fun trials ->
-                    let params =
-                      { Qroute.Engine.default_params with seed = Golden_defs.seed }
-                    in
-                    let r =
-                      Qroute.Pipeline.transpile ~params ~trials ~workers:2 ~router
-                        coupling original
-                    in
-                    cell ~name ~tname ~rname ~trials ~original r)
-                  Golden_defs.trials_axis)
-              Qroute.Pipeline.routers)
-          (Golden_defs.topologies ()))
-      (Golden_defs.circuits ());
+    ignore
+      (Golden_defs.cells (fun ~cname ~tname ~rname ~trials original r ->
+           cell ~name:cname ~tname ~rname ~trials ~original r));
   let file_errors = ref 0 in
   if files <> [] then begin
     let coupling =

@@ -1,9 +1,9 @@
 open Qgate
 open Topology
 
-type params = { seed : int; max_expansions : int }
-
-let default_params = { seed = 11; max_expansions = 4000 }
+(* the A* node-expansion budget per layer; past it the layer falls back to
+   greedy shortest-path insertion *)
+let max_expansions = 4000
 
 let layers c =
   let rev_layers = ref [] in
@@ -35,7 +35,7 @@ let c_layers = Qobs.counter "astar.layers_solved"
 let encode_mapping l2p =
   String.concat "," (Array.to_list (Array.map string_of_int l2p))
 
-let route ?(params = default_params) coupling circuit =
+let route ~seed coupling circuit =
   Qobs.span "astar.route" @@ fun () ->
   Qobs.Recorder.in_router "astar" @@ fun () ->
   let n_phys = Coupling.n_qubits coupling in
@@ -48,7 +48,7 @@ let route ?(params = default_params) coupling circuit =
     (Qcircuit.Circuit.instrs circuit);
   let dist = Distmat.hops coupling in
   let d = Distmat.raw dist and dn = Distmat.n dist in
-  let rng = Mathkit.Rng.create params.seed in
+  let rng = Mathkit.Rng.create seed in
   let perm = Mathkit.Rng.permutation rng n_phys in
   let l2p = Array.init n_log (fun l -> perm.(l)) in
   let initial_layout = Array.copy l2p in
@@ -103,7 +103,7 @@ let route ?(params = default_params) coupling circuit =
       push { l2p = Array.copy l2p; swaps_rev = []; g = 0 };
       let expansions = ref 0 in
       let result = ref None in
-      while !result = None && (not (Pq.is_empty !queue)) && !expansions < params.max_expansions do
+      while !result = None && (not (Pq.is_empty !queue)) && !expansions < max_expansions do
         let ((_, _, id) as top) = Pq.min_elt !queue in
         queue := Pq.remove top !queue;
         let st = Hashtbl.find states id in

@@ -7,23 +7,13 @@
     a mapping under which every layer gate is executable.  The admissible
     heuristic is the sum over layer gates of [distance - 1] (each SWAP
     reduces one gate's distance by at most one).  Search effort is bounded
-    by [max_expansions]; on exhaustion the layer falls back to greedy
-    shortest-path insertion, so routing always terminates. *)
+    by 4000 node expansions per layer; on exhaustion the layer falls back
+    to greedy shortest-path insertion, so routing always terminates. *)
 
-type params = {
-  seed : int;
-  max_expansions : int;  (** A* node-expansion budget per layer *)
-}
-
-val default_params : params
-
-val route :
-  ?params:params ->
-  Topology.Coupling.t ->
-  Qcircuit.Circuit.t ->
-  Sabre.result
-(** Route a (<=2-qubit-gate) circuit.  SWAPs are emitted as [SWAP] gates
-    (fixed decomposition applied downstream, as for SABRE). *)
+val route : seed:int -> Topology.Coupling.t -> Qcircuit.Circuit.t -> Sabre.result
+(** Route a (<=2-qubit-gate) circuit from the random initial layout drawn
+    with [seed].  SWAPs are emitted as [SWAP] gates ({!Sabre.decompose_swaps}
+    applies the fixed decomposition downstream). *)
 
 val layers : Qcircuit.Circuit.t -> Qcircuit.Circuit.instr list list
 (** The layer partition (exposed for tests): consecutive groups of gates

@@ -6,23 +6,22 @@ module Streamdag = Qcircuit.Streamdag
 type params = {
   ext_size : int;
   ext_weight : float;
-  decay_delta : float;
   stall_limit : int;
   seed : int;
   iterations : int;
-  bonus_weight : float;
 }
 
 let default_params =
   {
     ext_size = 20;
     ext_weight = 0.5;
-    decay_delta = 0.001;
     stall_limit = 30;
     seed = 11;
     iterations = 3;
-    bonus_weight = 1.0;
   }
+
+(* the decay increment per SWAP on a qubit (as in Qiskit's SabreSwap) *)
+let decay_delta = 0.001
 
 exception Routing_stuck of { front : (int * int) list; l2p : int array }
 
@@ -641,7 +640,8 @@ let route_core params coupling ~rng ~dist ~bonus ~oracle ~stream ~mapping sd =
         | Some stream when front_after < base_front -. 1e-9 -> bonus ~stream ~mapping p1 p2
         | _ -> no_bonus
       in
-      let h_basic = ((3.0 *. front_after) -. (params.bonus_weight *. bonus_v)) /. nf_f in
+      (* the bonus enters H_basic at full weight: eq. 1 applied literally *)
+      let h_basic = ((3.0 *. front_after) -. bonus_v) /. nf_f in
       let h_ext =
         if ne = 0 then 0.0 else params.ext_weight /. ne_f *. Scoring.ext_after scoring p1 p2
       in
@@ -702,8 +702,8 @@ let route_core params coupling ~rng ~dist ~bonus ~oracle ~stream ~mapping sd =
        recorded by the pipeline, this turns the paper's central claim
        into a runtime metric. *)
     Qobs.gauge_add g_predicted bonus_v;
-    decay.(p1) <- decay.(p1) +. params.decay_delta;
-    decay.(p2) <- decay.(p2) +. params.decay_delta
+    decay.(p1) <- decay.(p1) +. decay_delta;
+    decay.(p2) <- decay.(p2) +. decay_delta
   in
   (* an unscored SWAP (oracle or escape valve): emitted and applied
      verbatim — Swap_plain, so downstream finalizers treat it like any

@@ -15,15 +15,12 @@
 type params = {
   ext_size : int;  (** |E|, the paper uses 20 *)
   ext_weight : float;  (** W, the paper uses 0.5 *)
-  decay_delta : float;  (** decay increment per swap on a qubit *)
   stall_limit : int;  (** swaps without progress before the escape valve *)
   seed : int;
   iterations : int;  (** forward/backward layout-refinement rounds *)
-  bonus_weight : float;
-      (** scale on the optimization bonus inside H_basic; 1.0 applies the
-          paper's eq. 1 literally, smaller values confine the bonus to
-          tie-breaking between equal-distance candidates *)
 }
+(** The decay penalty adds 0.001 per SWAP on a qubit, and the optimization
+    bonus enters H_basic at full weight (the paper's eq. 1 literally). *)
 
 val default_params : params
 

@@ -1,99 +1,46 @@
-(* Hybrid windowed-exact router: the NASSC engine with an exact-oracle
-   window hook, run as a two-pass portfolio.
-
-   Pass 1 installs Exact.solve_window as the engine's window hook: every
-   stuck front layer within the configured width is routed to adjacency
-   with a provably minimal SWAP sequence (under a node budget); wider
-   fronts and budget trips fall back to the heuristic scoring for that
-   step.  Pass 2 is the plain NASSC route from the same layout.  The
-   router keeps whichever pass inserted fewer SWAPs, ties going to the
-   heuristic — so the hybrid is never worse than NASSC at equal seeds,
-   while the oracle windows win exactly where joint multi-gate fronts
-   defeat the one-swap-at-a-time heuristic.
+(* The hybrid windowed-exact router's oracle: Exact.solve_window as the
+   engine's window hook.  Every stuck front layer of two or three two-qubit
+   gates is routed to adjacency with a provably minimal SWAP sequence
+   (under a node budget); wider fronts and budget trips fall back to the
+   heuristic scoring for that step.  Pipeline.route runs the portfolio
+   around it: an oracle pass and a plain NASSC pass from one layout, the
+   one with fewer SWAPs kept, ties going to the heuristic.
 
    Budgets are node counts, never wall clock, so the router stays a pure
    function of (circuit, coupling, seed) and sits inside the same
    fixed-seed reproducibility envelope as the other routers. *)
 
-type config = {
-  min_window_pairs : int;
-  max_window_pairs : int;
-  node_budget : int;
-  nassc : Nassc.config;
-}
+(* Single-pair fronts are left to the heuristic: with one stuck gate the
+   oracle can only walk the shortest path, which discards the lookahead
+   term for no gain.  Wider than three pairs, the exact search rarely fits
+   its budget. *)
+let min_window_pairs = 2
+let max_window_pairs = 3
 
-let default_config =
-  {
-    min_window_pairs = 2;
-    max_window_pairs = 3;
-    node_budget = 4096;
-    nassc = Nassc.default_config;
-  }
+(* per-window node budget of the exact search *)
+let budget = { Exact.default_budget with max_nodes = 4096 }
 
 let c_windows = Qobs.counter "hybrid.windows_solved"
 let c_fallback = Qobs.counter "hybrid.fallback_steps"
-let c_exact_wins = Qobs.counter "hybrid.exact_pass_selected"
 
-(* The window hook handed to Engine.route_once.  [dist] must be the hop
-   metric: the oracle's admissible bound reads integral distances.
-   Single-pair fronts are left to the heuristic by default
-   ([min_window_pairs = 2]): with one stuck gate the oracle can only walk
-   the shortest path, which discards the lookahead term for no gain. *)
-let oracle_window cfg coupling ~dist =
-  let budget = { Exact.default_budget with max_nodes = cfg.node_budget } in
-  fun ~front ->
-    let n = List.length front in
-    if n < cfg.min_window_pairs || n > cfg.max_window_pairs then None
-    else
-      match Exact.solve_window ~budget coupling ~dist ~pairs:front with
-      | Exact.Optimal ((_ :: _) as swaps) ->
-          Qobs.incr c_windows;
-          Some swaps
-      | Exact.Optimal [] ->
-          (* a stuck front can't be already adjacent, but stay safe *)
-          None
-      | Exact.Budget_exceeded ->
-          Qobs.incr c_fallback;
-          None
-      | exception Invalid_argument _ ->
-          (* unreachable pair (disconnected device): the heuristic path owns
-             the failure mode (Routing_stuck with full context) *)
-          Qobs.incr c_fallback;
-          None
-
-let route ?(params = Engine.default_params) ?(config = default_config) ?dist ?plans
-    coupling circuit =
-  Qobs.span "hybrid.route" @@ fun () ->
-  Qobs.Recorder.in_router "hybrid" @@ fun () ->
-  let dist = match dist with Some d -> d | None -> Sabre.hop_distance coupling in
-  let plans = match plans with Some p -> p | None -> Engine.plans circuit in
-  let b = Nassc.bonus config.nassc in
-  (* layout search stays heuristic (same mapping algorithm as SABRE/NASSC):
-     the oracle only steers the routing passes *)
-  let layout =
-    Engine.find_layout params coupling ~rng:(Engine.layout_rng params) ~dist
-      ~bonus:Engine.zero_bonus ~plans circuit
-  in
-  let pass ?window () =
-    Engine.route_once params coupling ~rng:(Engine.route_rng params) ~dist ~bonus:b
-      ?window ~plan:plans.forward circuit layout
-  in
-  let w = oracle_window config coupling ~dist in
-  (* portfolio probes stay out of the flight record; only the winning pass
-     is replayed under the recorder (the replay is deterministic, so it is
-     the probe, step for step) *)
-  let r_exact, r_plain = Qobs.Recorder.without (fun () -> (pass ~window:w (), pass ())) in
-  let use_exact = r_exact.Engine.n_swaps < r_plain.Engine.n_swaps in
-  if use_exact then Qobs.incr c_exact_wins;
-  let r =
-    if Qobs.Recorder.active () then if use_exact then pass ~window:w () else pass ()
-    else if use_exact then r_exact
-    else r_plain
-  in
-  let instrs = Nassc.finalize r.routed in
-  {
-    Sabre.circuit = Qcircuit.Circuit.create (Topology.Coupling.n_qubits coupling) instrs;
-    initial_layout = r.initial_layout;
-    final_layout = r.final_layout;
-    n_swaps = r.n_swaps;
-  }
+(* [dist] must be the hop metric: the oracle's admissible bound reads
+   integral distances. *)
+let window coupling ~dist ~front =
+  let n = List.length front in
+  if n < min_window_pairs || n > max_window_pairs then None
+  else
+    match Exact.solve_window ~budget coupling ~dist ~pairs:front with
+    | Exact.Optimal ((_ :: _) as swaps) ->
+        Qobs.incr c_windows;
+        Some swaps
+    | Exact.Optimal [] ->
+        (* a stuck front can't be already adjacent, but stay safe *)
+        None
+    | Exact.Budget_exceeded ->
+        Qobs.incr c_fallback;
+        None
+    | exception Invalid_argument _ ->
+        (* unreachable pair (disconnected device): the heuristic path owns
+           the failure mode (Routing_stuck with full context) *)
+        Qobs.incr c_fallback;
+        None

@@ -295,28 +295,3 @@ let finalize ops =
   List.iter (Streaming.push st) ops;
   Streaming.flush st;
   List.rev !acc
-
-let route ?(params = Engine.default_params) ?(config = default_config) ?dist ?plans
-    coupling circuit =
-  Qobs.span "nassc.route" @@ fun () ->
-  Qobs.Recorder.in_router "nassc" @@ fun () ->
-  let dist = match dist with Some d -> d | None -> Sabre.hop_distance coupling in
-  let b = bonus config in
-  let plans = match plans with Some p -> p | None -> Engine.plans circuit in
-  (* layout search uses the plain heuristic (same mapping algorithm as
-     SABRE, Section IV-A) *)
-  let layout =
-    Engine.find_layout params coupling ~rng:(Engine.layout_rng params) ~dist
-      ~bonus:Engine.zero_bonus ~plans circuit
-  in
-  let r =
-    Engine.route_once params coupling ~rng:(Engine.route_rng params) ~dist ~bonus:b
-      ~plan:plans.forward circuit layout
-  in
-  let instrs = finalize r.routed in
-  {
-    Sabre.circuit = Qcircuit.Circuit.create (Topology.Coupling.n_qubits coupling) instrs;
-    initial_layout = r.initial_layout;
-    final_layout = r.final_layout;
-    n_swaps = r.n_swaps;
-  }

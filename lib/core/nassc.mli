@@ -14,7 +14,11 @@
 
     Selected SWAPs are tagged with the decomposition orientation that lets
     {!Qpasses.Cancellation} actually perform the cancellation
-    (optimization-aware SWAP decomposition, Section IV-E). *)
+    (optimization-aware SWAP decomposition, Section IV-E).
+
+    This module holds the two NASSC pieces: the cost hook {!bonus} and the
+    decomposition {!finalize}.  NASSC routing is {!Pipeline.route} with
+    them: SABRE's layout search, then a final pass scored with {!bonus}. *)
 
 type config = {
   enable_2q : bool;
@@ -39,25 +43,16 @@ val reset_weyl_cache : unit -> unit
     function of the trial, whatever domain it lands on.  Caching never
     affects routing decisions — keys are exact bit-level signatures. *)
 
-val route :
-  ?params:Engine.params ->
-  ?config:config ->
-  ?dist:Topology.Distmat.t ->
-  ?plans:Engine.plans ->
-  Topology.Coupling.t ->
-  Qcircuit.Circuit.t ->
-  Sabre.result
-(** Route with optimization-aware cost and SWAP decomposition.  The result
-    circuit has SWAPs already decomposed into oriented CNOT triples, with
-    single-qubit gates moved through oriented SWAPs.  [dist] and [plans]
-    as in {!Sabre.route}. *)
-
 val bonus : config -> Engine.bonus_fn
 (** The scoring hook itself (exposed for tests and ablations). *)
 
 val finalize : Engine.out_op list -> Qcircuit.Circuit.instr list
-(** Decompose tagged SWAPs and move single-qubit gates through oriented
-    ones (exposed for tests). *)
+(** Decompose the routed ops' SWAPs: an oriented one into its oriented CNOT
+    triple, with the single-qubit gates sitting directly before it moved
+    through it; an untagged ([Swap_plain]) one into the fixed
+    cx(a,b) cx(b,a) cx(a,b) template, the instructions
+    {!Sabre.decompose_swaps} gives.  Every engine router's routed ops are
+    finalized here. *)
 
 module Streaming : sig
   (** Incremental {!finalize} for the streaming engine: ops are pushed as

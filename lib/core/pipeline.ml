@@ -7,7 +7,7 @@ type router =
   | Sabre_ha
   | Nassc_ha of Nassc.config
   | Astar_router
-  | Hybrid_router of Hybrid.config
+  | Hybrid_router
 
 type result = {
   circuit : Qcircuit.Circuit.t;
@@ -74,7 +74,7 @@ let routers =
     ("astar", Astar_router);
     ("sabre-ha", Sabre_ha);
     ("nassc-ha", Nassc_ha Nassc.default_config);
-    ("hybrid", Hybrid_router Hybrid.default_config);
+    ("hybrid", Hybrid_router);
   ]
 
 let router_of_name = function
@@ -97,7 +97,7 @@ let select_routers names =
 
 let streamable = function
   | Sabre_router | Nassc_router _ | Sabre_ha | Nassc_ha _ -> true
-  | Full_connectivity | Astar_router | Hybrid_router _ -> false
+  | Full_connectivity | Astar_router | Hybrid_router -> false
 
 let noise_aware = function Sabre_ha | Nassc_ha _ -> true | _ -> false
 
@@ -133,16 +133,98 @@ let g_routed_cx = Qobs.gauge "trial.routed_cx"
 let g_realized = Qobs.gauge "trial.realized_cnot_savings"
 
 (* job-level input gauges for the Qtel telemetry layer (metrics exposition
-   and wide events).  Deterministic — a pure function of the input circuit
-   and the requested trial count — but recorded only under the
-   extended-metrics opt-in so pre-Qtel trace exports stay byte-identical.
-   The worker count is deliberately NOT recorded: every recorded series
-   must be invariant under the worker count. *)
+   and wide events), recorded in every traced transpile.  Deterministic — a
+   pure function of the input circuit and the requested trial count.  The
+   worker count is deliberately NOT recorded: every recorded series must be
+   invariant under the worker count. *)
 let g_gates_in = Qobs.gauge "pipeline.gates_in"
 let g_cx_in = Qobs.gauge "pipeline.cx_in"
 let g_depth_in = Qobs.gauge "pipeline.depth_in"
 let g_qubits_in = Qobs.gauge "pipeline.qubits_in"
 let g_trials_req = Qobs.gauge "pipeline.trials"
+
+(* ---- routing ---- *)
+
+(* The one router -> SWAP-cost table: the NASSC bonus configuration a
+   router's final pass scores with, [None] for the distance-only routers.
+   The batch route and the stream take their bonus from it, and the stream
+   its emitted-op holdback. *)
+let nassc_config = function
+  | Nassc_router config | Nassc_ha config -> Some config
+  | Hybrid_router -> Some Nassc.default_config
+  | Full_connectivity | Sabre_router | Sabre_ha | Astar_router -> None
+
+let bonus_of router =
+  match nassc_config router with Some config -> Nassc.bonus config | None -> Engine.zero_bonus
+
+let c_exact_wins = Qobs.counter "hybrid.exact_pass_selected"
+
+let route ?calibration ~router coupling logical =
+  let n_phys = Topology.Coupling.n_qubits coupling in
+  match router with
+  | Full_connectivity -> invalid_arg "Pipeline.route: Full_connectivity does not route"
+  | Astar_router ->
+      fun params ->
+        let r = Astar.route ~seed:params.Engine.seed coupling logical in
+        { r with Sabre.circuit = Sabre.decompose_swaps r.circuit }
+  | Sabre_router | Sabre_ha | Nassc_router _ | Nassc_ha _ | Hybrid_router ->
+      (* the routing metric (eq. 3's matrix for the HA routers, hop counts
+         for the rest) and the two DAG plans, shared read-only by every
+         call of the returned function *)
+      let dist =
+        match noise_dist router calibration coupling with
+        | Some d -> d
+        | None -> Topology.Distmat.hops coupling
+      in
+      let plans = Engine.plans logical in
+      let bonus = bonus_of router in
+      (* the name the span and the flight recorder carry: the HA variants
+         route as their base router *)
+      let name =
+        match router with
+        | Sabre_router | Sabre_ha -> "sabre"
+        | Hybrid_router -> "hybrid"
+        | _ -> "nassc"
+      in
+      let span = name ^ ".route" in
+      fun params ->
+        Qobs.span span @@ fun () ->
+        Qobs.Recorder.in_router name @@ fun () ->
+        (* layout search uses the plain heuristic for every router (the same
+           mapping algorithm as SABRE, Section IV-A) *)
+        let layout =
+          Engine.find_layout params coupling ~rng:(Engine.layout_rng params) ~dist
+            ~bonus:Engine.zero_bonus ~plans logical
+        in
+        let pass ?window () =
+          Engine.route_once params coupling ~rng:(Engine.route_rng params) ~dist ~bonus
+            ?window ~plan:plans.forward logical layout
+        in
+        let r =
+          match router with
+          | Hybrid_router ->
+              (* the portfolio: an oracle pass and a plain pass from one
+                 layout, fewer SWAPs winning and a tie going to the plain
+                 pass.  The probes stay out of the flight record; only the
+                 winning pass is replayed under the recorder (the replay is
+                 deterministic, so it is the probe, step for step). *)
+              let window = Hybrid.window coupling ~dist in
+              let r_exact, r_plain =
+                Qobs.Recorder.without (fun () -> (pass ~window (), pass ()))
+              in
+              let use_exact = r_exact.Engine.n_swaps < r_plain.Engine.n_swaps in
+              if use_exact then Qobs.incr c_exact_wins;
+              if Qobs.Recorder.active () then if use_exact then pass ~window () else pass ()
+              else if use_exact then r_exact
+              else r_plain
+          | _ -> pass ()
+        in
+        {
+          Sabre.circuit = Qcircuit.Circuit.create n_phys (Nassc.finalize r.routed);
+          initial_layout = r.initial_layout;
+          final_layout = r.final_layout;
+          n_swaps = r.n_swaps;
+        }
 
 (* ---- streaming transpilation ---- *)
 
@@ -159,7 +241,7 @@ type stream_result = {
 }
 
 let transpile_stream ?(params = Engine.default_params) ?calibration ?(window = 4096)
-    ?(chunk = 4096) ?(optimize = false) ~router ~sink coupling source =
+    ?(chunk = 4096) ~router ~sink coupling source =
   if window < 1 then invalid_arg "Pipeline.transpile_stream: window must be >= 1";
   if chunk < 1 then invalid_arg "Pipeline.transpile_stream: chunk must be >= 1";
   if not (streamable router) then
@@ -185,13 +267,12 @@ let transpile_stream ?(params = Engine.default_params) ?calibration ?(window = 4
            n^2 hop matrix *)
         Topology.Distmat.hops_lazy coupling
   in
-  let bonus, keep =
-    match router with
-    | Nassc_router config | Nassc_ha config ->
-        (* the emitted-op holdback must cover the bonus scan window so
-           flushed ops are never retro-tagged (see Engine.stream_create) *)
-        (Nassc.bonus config, max 64 (config.Nassc.scan_limit + 8))
-    | _ -> (Engine.zero_bonus, 64)
+  (* the emitted-op holdback must cover the bonus scan window so flushed
+     ops are never retro-tagged (see Engine.stream_create) *)
+  let keep =
+    match nassc_config router with
+    | Some config -> max 64 (config.Nassc.scan_limit + 8)
+    | None -> 64
   in
   (* layout search runs on a bounded prefix of the stream (the routers'
      bidirectional search needs a materialized circuit); the prefix then
@@ -206,10 +287,10 @@ let transpile_stream ?(params = Engine.default_params) ?calibration ?(window = 4
       ~bonus:Engine.zero_bonus prefix_circuit
   in
   (* chunked emission: finalized instructions accumulate into [chunk]-sized
-     circuits, optionally post-optimized per chunk, then flow to [sink].
-     Output depth/counts are tracked incrementally with the same per-qubit
-     level recurrence as [Circuit.depth], so with [optimize = false] they
-     equal the whole-circuit metrics of the concatenated chunks. *)
+     circuits, then flow to [sink].  Output depth/counts are tracked
+     incrementally with the same per-qubit level recurrence as
+     [Circuit.depth], so they equal the whole-circuit metrics of the
+     concatenated chunks. *)
   let gates_out = ref 0 and cx_out = ref 0 and chunks = ref 0 in
   let level = Array.make (max n_phys 1) 0 in
   let depth_out = ref 0 in
@@ -219,7 +300,6 @@ let transpile_stream ?(params = Engine.default_params) ?calibration ?(window = 4
       let c = Qcircuit.Circuit.create n_phys (List.rev !buf) in
       buf := [];
       buf_n := 0;
-      let c = if optimize then post_optimize c else c in
       incr chunks;
       List.iter
         (fun (i : Qcircuit.Circuit.instr) ->
@@ -245,8 +325,8 @@ let transpile_stream ?(params = Engine.default_params) ?calibration ?(window = 4
      path with 1q pull-through *)
   let fin = Nassc.Streaming.create ~emit:emit_instr in
   let stats =
-    Engine.route_stream params coupling ~rng:(Engine.route_rng params) ~dist ~bonus
-      ~window ~keep
+    Engine.route_stream params coupling ~rng:(Engine.route_rng params) ~dist
+      ~bonus:(bonus_of router) ~window ~keep
       ~sink:(fun op -> Nassc.Streaming.push fin op)
       lowered layout
   in
@@ -273,9 +353,7 @@ let transpile ?(params = Engine.default_params) ?calibration ?(trials = 1) ?work
      transpile call, not of whatever ran earlier in the process *)
   if Qobs.active () then begin
     Qpasses.Commutation.reset_cache ();
-    Nassc.reset_weyl_cache ()
-  end;
-  if Qobs.active () && Qobs.extended_metrics_enabled () then begin
+    Nassc.reset_weyl_cache ();
     Qobs.gauge_set g_gates_in (float_of_int (Qcircuit.Circuit.size circuit));
     Qobs.gauge_set g_cx_in (float_of_int (Qcircuit.Circuit.cx_count circuit));
     Qobs.gauge_set g_depth_in (float_of_int (Qcircuit.Circuit.depth circuit));
@@ -285,41 +363,18 @@ let transpile ?(params = Engine.default_params) ?calibration ?(trials = 1) ?work
   let wall0 = Unix.gettimeofday () in
   let cpu0 = Sys.time () in
   (* shared read-only inputs, computed once before the fan-out: the
-     pre-optimized logical circuit, the distance matrix and the DAG plans.
-     Per-trial mutable state (mappings, decay, RNG, DAG walks) lives inside
-     the routers, domain-locally. *)
+     pre-optimized logical circuit, and inside [route] the routing metric
+     and the DAG plans.  Per-trial mutable state (mappings, decay, RNG, DAG
+     walks) lives inside the routing calls, domain-locally. *)
   let logical = pre_optimize (Qobs.span "pipeline.lower_to_2q" (fun () -> lower_to_2q circuit)) in
-  (* the routing metric (eq. 3's for the HA routers, hop counts for the
-     rest) and the two DAG plans every layout pass and final route walks *)
-  let dist, plans =
+  let route_trial =
     match router with
-    | Full_connectivity | Astar_router -> (None, None)
-    | Sabre_router | Sabre_ha | Nassc_router _ | Nassc_ha _ | Hybrid_router _ ->
-        let dist =
-          match noise_dist router calibration coupling with
-          | Some d -> d
-          | None -> Sabre.hop_distance coupling
-        in
-        (Some dist, Some (Engine.plans logical))
-  in
-  let route_with params =
-    match router with
-    | Full_connectivity -> (logical, 0, None)
-    | Sabre_router | Sabre_ha ->
-        let r = Sabre.route ~params ?dist ?plans coupling logical in
-        (Sabre.decompose_swaps r.circuit, r.n_swaps, Some (r.initial_layout, r.final_layout))
-    | Nassc_router config | Nassc_ha config ->
-        let r = Nassc.route ~params ~config ?dist ?plans coupling logical in
-        (r.circuit, r.n_swaps, Some (r.initial_layout, r.final_layout))
-    | Astar_router ->
-        let r =
-          Astar.route ~params:{ Astar.default_params with seed = params.Engine.seed }
-            coupling logical
-        in
-        (Sabre.decompose_swaps r.circuit, r.n_swaps, Some (r.initial_layout, r.final_layout))
-    | Hybrid_router config ->
-        let r = Hybrid.route ~params ~config ?dist ?plans coupling logical in
-        (r.circuit, r.n_swaps, Some (r.initial_layout, r.final_layout))
+    | Full_connectivity -> fun _ -> (logical, 0, None)
+    | _ ->
+        let route = route ?calibration ~router coupling logical in
+        fun params ->
+          let r = route params in
+          (r.Sabre.circuit, r.n_swaps, Some (r.initial_layout, r.final_layout))
   in
   let report =
     Qobs.span "pipeline.trials" @@ fun () ->
@@ -334,7 +389,7 @@ let transpile ?(params = Engine.default_params) ?calibration ?(trials = 1) ?work
           Nassc.reset_weyl_cache ()
         end;
         let routed, n_swaps, layouts =
-          Qobs.span "trial.route" (fun () -> route_with { params with Engine.seed })
+          Qobs.span "trial.route" (fun () -> route_trial { params with Engine.seed })
         in
         let final = post_optimize routed in
         if Qobs.active () then begin

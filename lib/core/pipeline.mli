@@ -8,7 +8,9 @@
 
     Observability: install a {!Qobs} collector around {!transpile} to
     record per-pass spans ([pipeline.*], [pass.*], [trial.route]), the
-    engine/pass counters, and per-trial gauges — including
+    engine/pass counters, the job's input gauges ([pipeline.gates_in],
+    [cx_in], [depth_in], [qubits_in], [trials]), and per-trial gauges —
+    including
     [engine.predicted_cnot_savings] (eq. 1's estimate summed over chosen
     SWAPs) next to [trial.realized_cnot_savings] (CNOTs the post-routing
     passes actually recovered), which makes the paper's central claim a
@@ -23,8 +25,8 @@ type router =
   | Sabre_ha  (** SABRE with the noise-aware distance matrix (eq. 3) *)
   | Nassc_ha of Nassc.config
   | Astar_router  (** Zulehner-style layered A* baseline (related work) *)
-  | Hybrid_router of Hybrid.config
-      (** NASSC engine with exact-oracle front windows ({!Hybrid.route}) *)
+  | Hybrid_router
+      (** NASSC engine with exact-oracle front windows ({!Hybrid.window}) *)
 
 (** {2 The router registry}
 
@@ -122,9 +124,44 @@ val transpile :
     the paper's single-shot behavior bit-for-bit, which is what the
     evaluation tables are produced with.  [workers] bounds the domain pool
     (default [Trials.default_workers ()]); results are identical for any
-    worker count.  The distance matrix and the circuit's two DAG plans
-    ({!Engine.plans}) are built once, before the trials, which share them
-    read-only. *)
+    worker count.  Each trial is one application of {!route}, partially
+    applied before the trials, so the routing metric and the circuit's two
+    DAG plans ({!Engine.plans}) are built once and shared read-only. *)
+
+(** {2 Routing} *)
+
+val route :
+  ?calibration:Topology.Calibration.t ->
+  router:router ->
+  Topology.Coupling.t ->
+  Qcircuit.Circuit.t ->
+  Engine.params ->
+  Sabre.result
+(** [route ~router coupling logical] is the routing step of {!transpile}
+    for every router but {!Full_connectivity}: applied to [params], it
+    routes [logical] (lowered to <=2-qubit gates) at [params.seed] and
+    returns the physical circuit with every SWAP decomposed.  {!transpile}
+    applies it once per trial.
+
+    The partial application [route ~router coupling logical] builds what
+    every trial shares, read-only: the routing metric (eq. 3's matrix from
+    [calibration], generated when absent, for the HA routers; hop counts
+    otherwise) and the circuit's two DAG plans ({!Engine.plans}).  Each
+    application then runs one driver for SABRE, NASSC, their HA variants
+    and the hybrid, under the span [sabre.route], [nassc.route] or
+    [hybrid.route] and the recorder's router name ["sabre"] (for sabre and
+    sabre-ha), ["nassc"] or ["hybrid"]:
+    - one {!Engine.find_layout} with the zero bonus;
+    - one final {!Engine.route_once} from that layout, scored with the
+      router's bonus ({!Nassc.bonus} for NASSC and the hybrid, none for
+      SABRE).  The hybrid makes two: one with {!Hybrid.window} as the
+      window hook and a plain one; the one with fewer SWAPs wins, a tie
+      going to the plain pass, and only the winner is replayed under the
+      flight recorder;
+    - {!Nassc.finalize} on the routed ops (SABRE's untagged SWAPs take the
+      fixed three-CNOT template).
+    [Astar_router] runs {!Astar.route} and {!Sabre.decompose_swaps}.
+    @raise Invalid_argument for {!Full_connectivity}. *)
 
 (** {2 Streaming transpilation}
 
@@ -143,7 +180,7 @@ type stream_result = {
   sr_cx_out : int;
   sr_depth_out : int;
       (** running circuit depth of the concatenated chunks (the exact
-          [Circuit.depth] of the full output when [optimize] is off) *)
+          [Circuit.depth] of the full output) *)
   sr_n_swaps : int;
   sr_chunks : int;
   sr_peak_resident : int;  (** window high-water mark, in gates *)
@@ -156,7 +193,6 @@ val transpile_stream :
   ?calibration:Topology.Calibration.t ->
   ?window:int ->
   ?chunk:int ->
-  ?optimize:bool ->
   router:router ->
   sink:(Qcircuit.Circuit.t -> unit) ->
   Topology.Coupling.t ->
@@ -165,12 +201,9 @@ val transpile_stream :
 (** Stream-route [source] onto [coupling], delivering routed instructions
     to [sink] as [chunk]-sized circuits (default 4096) on physical qubits.
     [window] (default 4096) bounds the resident DAG window; the layout
-    search runs on the first [window] gates of the stream.  [optimize]
-    (default false) runs the {!post_stages} bundle on each chunk before it
-    reaches the sink (per-chunk, so cross-chunk cancellations are not
-    found).  With [window >= total gates] and [optimize = false] the
-    concatenated chunks are byte-identical to the corresponding batch
-    router's routed circuit ([Sabre.route] + [decompose_swaps], or
-    [Nassc.route]) at the same seed.
+    search runs on the first [window] gates of the stream.  No optimization
+    pass runs.  With [window >= total gates] the concatenated chunks are
+    byte-identical to the same router's {!route} of the lowered circuit at
+    the same seed.
     @raise Invalid_argument when the router is not {!streamable}, or on
     invalid [window]/[chunk]. *)

@@ -1,9 +1,10 @@
-(** SABRE routing (Li, Ding, Xie - ASPLOS 2019), the paper's baseline.
+(** SABRE (Li, Ding, Xie - ASPLOS 2019), the paper's baseline: what is
+    left of it outside the shared engine.
 
-    Random initial layout refined by reverse traversal, then a final forward
-    pass with the distance-only lookahead heuristic.  Inserted SWAPs are
-    left as [SWAP] gates with the fixed three-CNOT decomposition applied by
-    {!decompose_swaps}. *)
+    SABRE routing itself is {!Pipeline.route} with the engine's zero bonus:
+    a random initial layout refined by reverse traversal, then a final
+    forward pass with the distance-only lookahead heuristic, every SWAP
+    decomposed into the fixed three-CNOT template. *)
 
 type result = {
   circuit : Qcircuit.Circuit.t;  (** over the device's physical qubits *)
@@ -11,26 +12,13 @@ type result = {
   final_layout : int array;
   n_swaps : int;
 }
-
-val hop_distance : Topology.Coupling.t -> Topology.Distmat.t
-(** The plain BFS hop-count distance matrix as floats (infinity when
-    disconnected); the default routing metric.  Same as
-    {!Topology.Distmat.hops}. *)
-
-val route :
-  ?params:Engine.params ->
-  ?dist:Topology.Distmat.t ->
-  ?plans:Engine.plans ->
-  Topology.Coupling.t ->
-  Qcircuit.Circuit.t ->
-  result
-(** Route a (<=2-qubit-gate) circuit.  [dist] is the routing metric,
-    the hop-count matrix when absent (the noise-aware HA variant passes
-    eq. 3's).  [plans], {!Engine.plans} of [circuit], are built when
-    absent. *)
+(** A routed circuit with its layouts and inserted SWAP count. *)
 
 val decompose_swaps : Qcircuit.Circuit.t -> Qcircuit.Circuit.t
-(** Expand each SWAP into the fixed cx(a,b) cx(b,a) cx(a,b) template. *)
+(** Expand each SWAP into the fixed cx(a,b) cx(b,a) cx(a,b) template,
+    counting each in [sabre.swaps_decomposed].  The A* router's SWAPs take
+    this path; the engine routers' untagged SWAPs get the same template
+    from {!Nassc.finalize}. *)
 
 val check_routed : Topology.Coupling.t -> Qcircuit.Circuit.t -> bool
 (** Every two-qubit gate acts on coupled physical qubits. *)

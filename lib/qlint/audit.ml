@@ -130,7 +130,10 @@ let cancellation_savings full =
   let opt = Qpasses.Cancellation.run_fixpoint full in
   (Qcircuit.Circuit.cx_count full - Qcircuit.Circuit.cx_count opt, opt)
 
-let savings ?(seed = 2022) ?(samples = 12) () =
+(* random SU(4) blocks whose C_2q bonus is audited per [savings] run *)
+let c2q_samples = 12
+
+let savings ?(seed = 2022) () =
   let rng = Rng.create seed in
   let scenarios = ref 0 in
   let diags = ref [] in
@@ -155,7 +158,7 @@ let savings ?(seed = 2022) ?(samples = 12) () =
     classes;
   (* C_2q: the SWAP-merge bonus (cost(B) + 3) - cost(SWAP.B) equals the
      CNOTs re-synthesis actually recovers, and merging preserves semantics *)
-  for k = 1 to samples do
+  for k = 1 to c2q_samples do
     scenario ();
     let b = Randmat.su4 rng in
     let merged = Mat.mul swap_u b in

@@ -25,7 +25,7 @@ type report = {
 }
 
 val commutation_tables : unit -> report
-val savings : ?seed:int -> ?samples:int -> unit -> report
+val savings : ?seed:int -> unit -> report
 
 val optimality : ?seed:int -> unit -> report
 (** Computes the gap row ({!Qbench.Gapcorpus.row}, routing at [seed],

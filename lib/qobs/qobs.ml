@@ -75,20 +75,6 @@ let timing_flag = Atomic.make false
 let set_timing b = Atomic.set timing_flag b
 let timing_enabled () = Atomic.get timing_flag
 
-(* ---- extended (telemetry) metrics opt-in ----
-
-   The Qtel layer wants a handful of extra gauges recorded by the pipeline
-   (input circuit size, requested trial count) that older traces never
-   carried.  They are deterministic, but unconditionally recording them
-   would change the bytes of every existing `--trace` export, so they hide
-   behind the same process-wide opt-in discipline as [set_timing]: off by
-   default, flipped on by `--metrics` / `--wide-events` / the telemetry
-   benches. *)
-
-let extended_flag = Atomic.make false
-let set_extended_metrics b = Atomic.set extended_flag b
-let extended_metrics_enabled () = Atomic.get extended_flag
-
 let registered reg =
   Mutex.protect registry_lock (fun () -> Array.sub reg.names 0 reg.count)
 

@@ -58,17 +58,6 @@ val set_timing : bool -> unit
 val timing_enabled : unit -> bool
 (** Current state of the {!set_timing} opt-in (process-wide). *)
 
-val set_extended_metrics : bool -> unit
-(** Opt in to the extended telemetry gauges (input-circuit size, requested
-    trial count, and friends) that the Qtel layer consumes.  Off by
-    default: the values are deterministic, but recording them would add
-    lines to every existing [--trace] export, so they follow the same
-    opt-in discipline as {!set_timing}.  Enabled by [--metrics] /
-    [--wide-events] and the telemetry benches. *)
-
-val extended_metrics_enabled : unit -> bool
-(** Current state of the {!set_extended_metrics} opt-in (process-wide). *)
-
 val incr : counter -> unit
 val add : counter -> int -> unit
 

@@ -67,7 +67,11 @@ let apply_readout t n rng outcome =
   done;
   !out
 
-let sample t c ~shots ?(max_error_sims = 400) rng =
+(* distinct noisy re-simulations per [sample] call; later error shots
+   cycle through the cached noisy results *)
+let max_error_sims = 400
+
+let sample t c ~shots rng =
   let n = Qcircuit.Circuit.n_qubits c in
   let instrs = Array.of_list (Qcircuit.Circuit.instrs c) in
   let err = Array.map (fun (i : Qcircuit.Circuit.instr) -> t.gate_err i.gate i.qubits) instrs in

@@ -29,12 +29,11 @@ val esp : t -> Qcircuit.Circuit.t -> measured:int list -> float
     analytic fidelity proxy. *)
 
 val sample :
-  t -> Qcircuit.Circuit.t -> shots:int -> ?max_error_sims:int -> Mathkit.Rng.t ->
-  int array
+  t -> Qcircuit.Circuit.t -> shots:int -> Mathkit.Rng.t -> int array
 (** [sample model circuit ~shots rng] draws [shots] noisy measurement
     outcomes (full basis indices, before readout error is applied to
     non-measured wires is irrelevant - readout flips are applied to every
     wire; project as needed).  Error-free shots reuse one noiseless
-    simulation; shots with injected Paulis re-simulate, up to
-    [max_error_sims] distinct re-simulations (default 400), after which
-    error shots cycle through the cached noisy results. *)
+    simulation; shots with injected Paulis re-simulate, up to 400
+    distinct re-simulations, after which error shots cycle through the
+    cached noisy results. *)

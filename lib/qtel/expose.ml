@@ -15,8 +15,8 @@
 
 let valid_char = function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' -> true | _ -> false
 
-let metric_name ?(prefix = "nassc_") name =
-  prefix ^ String.map (fun c -> if valid_char c then c else '_') name
+let metric_name name =
+  "nassc_" ^ String.map (fun c -> if valid_char c then c else '_') name
 
 (* shortest-round-trip float rendering, shared with the BENCH snapshots *)
 let num = Qbench.Jsonlite.number_to_string
@@ -64,19 +64,19 @@ let gauge_series trace =
       (name, series))
     names
 
-let to_string ?prefix trace =
+let to_string trace =
   let buf = Buffer.create 4096 in
   (* counters: registry totals over the whole trace, sorted by name *)
   List.iter
     (fun (name, v) ->
-      let m = metric_name ?prefix name ^ "_total" in
+      let m = metric_name name ^ "_total" in
       family buf m "counter" ("Qobs counter " ^ name);
       Buffer.add_string buf (Printf.sprintf "%s %d\n" m v))
     (Qobs.Trace.counters_total trace);
   (* gauges: one series per (name, trial), trial-labelled *)
   List.iter
     (fun (name, series) ->
-      let m = metric_name ?prefix name in
+      let m = metric_name name in
       family buf m "gauge" ("Qobs gauge " ^ name);
       List.iter
         (fun (trial, v) ->
@@ -89,7 +89,7 @@ let to_string ?prefix trace =
   (* histograms: merged totals, cumulative buckets *)
   List.iter
     (fun (name, h) ->
-      let m = metric_name ?prefix name in
+      let m = metric_name name in
       family buf m "histogram" ("Qobs histogram " ^ name);
       let cum = ref 0 in
       List.iter
@@ -106,12 +106,3 @@ let to_string ?prefix trace =
     (Qobs.Trace.histograms_total trace);
   Buffer.add_string buf "# EOF\n";
   Buffer.contents buf
-
-let write ?prefix ~dest trace =
-  let s = to_string ?prefix trace in
-  match dest with
-  | "-" -> output_string stderr s
-  | file ->
-      let oc = open_out file in
-      output_string oc s;
-      close_out oc

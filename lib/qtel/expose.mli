@@ -13,18 +13,15 @@
     byte-identical exposition text for any worker count.
 
     Naming: every Qobs identity [foo.bar_baz] becomes
-    [<prefix>foo_bar_baz] (characters outside [[A-Za-z0-9_]] map to [_];
-    the default prefix is ["nassc_"]).  Counters additionally get the
-    conventional [_total] suffix.  Histograms render as cumulative
+    [nassc_foo_bar_baz] (characters outside [[A-Za-z0-9_]] map to [_]).
+    Counters additionally get the conventional [_total] suffix.
+    Histograms render as cumulative
     [_bucket{le="..."}] series over the shared {!Qobs.Hist} bucket layout
     (only buckets up to the last occupied one, then [le="+Inf"]), plus
     [_sum] and [_count]. *)
 
-val metric_name : ?prefix:string -> string -> string
+val metric_name : string -> string
 (** Sanitized exposition name of a Qobs identity (no kind suffix). *)
 
-val to_string : ?prefix:string -> Qobs.Trace.t -> string
+val to_string : Qobs.Trace.t -> string
 (** Render the full exposition page, terminated by [# EOF]. *)
-
-val write : ?prefix:string -> dest:string -> Qobs.Trace.t -> unit
-(** Write {!to_string} to a file, or to stderr when [dest = "-"]. *)

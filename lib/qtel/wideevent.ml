@@ -18,14 +18,13 @@ type t = {
   trace : Qobs.Trace.t option;
   recorder : Qobs.Recorder.totals option;
   lint_errors : int option;
-  verify : string option;
   result : Qroute.Pipeline.result;
 }
 
 let build ?label ?router ?topology ?trials ?workers ?seed ?original ?trace ?recorder
-    ?lint_errors ?verify ~result () =
+    ?lint_errors ~result () =
   { label; router; topology; trials; workers; seed; original; trace; recorder;
-    lint_errors; verify; result }
+    lint_errors; result }
 
 let num_i i = J.Num (float_of_int i)
 
@@ -155,7 +154,6 @@ let to_json ?(times = false) t =
                 ] );
           ])
     @ opt "lint_errors" t.lint_errors num_i
-    @ opt "verify" t.verify (fun s -> J.Str s)
     @
     if not times then []
     else

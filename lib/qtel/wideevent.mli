@@ -6,7 +6,7 @@
     JSON object: identity (label, router, topology, trials, seed), input
     and output circuit metrics, per-trial outcomes, realized-savings
     buckets from the flight recorder, cache hit counters from the trace,
-    and lint/verify verdicts when the caller ran them.
+    and the lint verdict when the caller ran it.
 
     Determinism contract (mirrors the recorder): {!to_json} with the
     default [times:false] is a pure function of the computation —
@@ -29,7 +29,6 @@ val build :
   ?trace:Qobs.Trace.t ->
   ?recorder:Qobs.Recorder.totals ->
   ?lint_errors:int ->
-  ?verify:string ->
   result:Qroute.Pipeline.result ->
   unit ->
   t

@@ -66,12 +66,18 @@ let to_json v =
 
 type rot = { angle : float; str : P.t; rloc : location }
 
+(* The budgets and the tolerance.  Exceeding a budget can only produce
+   [Unknown], never a wrong verdict.  [scan_budget] bounds the commutation
+   scan depth when merging a pushed rotation into the pending list;
+   [max_dense] bounds the symplectic dimension (= dense qubits, so
+   [2^max_dense] matrices) a residue cluster may occupy; every float
+   comparison (angle snapping, dense residue checks) uses [eps]. *)
+let scan_budget = 512
+let max_dense = 6
+let eps = 1e-7
+
 type state = {
   tab : Tableau.t;
-  budget : int;
-  max_dense : int;
-  eps : float;
-  trace : (string -> unit) option;
   mutable pending : rot list;  (** newest first *)
   mutable gates : int;
   mutable cliffords : int;
@@ -82,8 +88,6 @@ type state = {
 
 exception Fail_not_equiv of string * location option
 exception Fail_unknown of string
-
-let tracef st fmt = Printf.ksprintf (fun s -> match st.trace with Some f -> f s | None -> ()) fmt
 
 let two_pi = 2.0 *. Float.pi
 let half_pi = 0.5 *. Float.pi
@@ -206,11 +210,15 @@ let sympl_gs n strings =
   in
   go strings [] [] []
 
-(* Decode [m] as [zeta . X^a Z^b] (entrywise within eps): the xor
+(* the entrywise tolerance of the dense cluster checks below *)
+let dense_eps = 1e-6
+
+(* Decode [m] as [zeta . X^a Z^b] (entrywise within [dense_eps]): the xor
    pattern [a], the sign pattern [b] and the unit scalar [zeta], with
    index bit [p] belonging to qubit [nbits - 1 - p] (the {!Circuit.embed}
    convention).  [None] when [m] is not a global phase times a Pauli. *)
-let decode_phase_pauli ?(eps = 1e-6) m =
+let decode_phase_pauli m =
+  let eps = dense_eps in
   let dim = Mat.rows m in
   let abs2 z = (z.Complex.re *. z.Complex.re) +. (z.Complex.im *. z.Complex.im) in
   (* xor pattern from column 0 *)
@@ -268,8 +276,9 @@ let decode_phase_pauli ?(eps = 1e-6) m =
     end
   end
 
-(* zeta as a power of i (within eps), if it is one *)
-let quarter_phase ?(eps = 1e-6) (z : Complex.t) =
+(* zeta as a power of i (within [dense_eps]), if it is one *)
+let quarter_phase (z : Complex.t) =
+  let eps = dense_eps in
   let cand = [ (0, 1.0, 0.0); (1, 0.0, 1.0); (2, -1.0, 0.0); (3, 0.0, -1.0) ] in
   List.find_map
     (fun (d, re, im) ->
@@ -283,14 +292,15 @@ let z2 = Mat.of_real_rows [ [ 1.0; 0.0 ]; [ 0.0; -1.0 ] ]
 
 (* resolve one contiguous window of a residue cluster exactly on the
    dense representation of its symplectic span *)
-let resolve_window ~eps ~max_dense ~others n members =
+let resolve_window ~others n members =
   let strings = List.map (fun r -> r.str) members in
   let pairs, centrals = sympl_gs n strings in
   let k = List.length pairs in
   let m = k + List.length centrals in
   if m = 0 then `Resolved
   else if m > max_dense then
-    `Unknown (Printf.sprintf "residue cluster spans %d > %d dense qubits" m max_dense)
+    (* the cluster spans more than [max_dense] dense qubits *)
+    `Unknown
   else begin
     (* basis order is fixed: a_1 b_1 ... a_k b_k c_1 ... c_r, with matrix
        images X_1 Z_1 ... X_k Z_k Z_{k+1} ... Z_m; phases of arbitrary span
@@ -403,11 +413,10 @@ let resolve_window ~eps ~max_dense ~others n members =
       !acc
     in
     match product id members with
-    | None -> `Unknown "residue cluster decomposition failed"
+    | None -> (* the cluster did not decompose *) `Unknown
     | Some prod ->
-        if Mat.equal_up_to_phase ~eps:1e-6 prod id then `Resolved
+        if Mat.equal_up_to_phase ~eps:dense_eps prod id then `Resolved
         else begin
-          ignore eps;
           let adj = Mat.adjoint prod in
           (* decode A for a pairing pattern; None when the conjugate is
              provably outside the Pauli group *)
@@ -504,14 +513,14 @@ let resolve_window ~eps ~max_dense ~others n members =
             g_checks;
           if !bad then `Non_clifford
           else if !tainted then
-            `Unknown "residual cluster is entangled with other residues"
+            (* entangled with other residues *) `Unknown
           else begin
             (* the residual is a genuine Clifford on the cluster span: it
                can be absorbed into the frame exactly.  Precheck the
                single-generator transfers so later row rewrites cannot
                fail *)
             if List.exists (fun sg -> transfer sg = None) patterns then
-              `Unknown "residual Clifford cluster did not decode"
+              (* a residual Clifford cluster that did not decode *) `Unknown
             else begin
               let cache = Hashtbl.create 16 in
               let rewrite q =
@@ -616,7 +625,7 @@ let rec scan_pending budget s depth before rest =
   | _ -> `Not_found
 
 let push_rotation st loc theta codes =
-  match snap st.eps theta with
+  match snap eps theta with
   | `Zero -> ()
   | `Quarter k ->
       st.cliffords <- st.cliffords + 1;
@@ -632,11 +641,11 @@ let push_rotation st loc theta codes =
       in
       let prepend () = st.pending <- { angle = th; str = s; rloc = loc } :: st.pending in
       begin
-        match scan_pending st.budget s 0 [] st.pending with
+        match scan_pending scan_budget s 0 [] st.pending with
         | `Not_found | `Blocked -> prepend ()
         | `Found (before, r, tl) -> begin
             st.merges <- st.merges + 1;
-            match snap st.eps (r.angle +. th) with
+            match snap eps (r.angle +. th) with
             | `Zero -> st.pending <- List.rev_append before tl
             | `Quarter k ->
                 (* the merged rotation turned Clifford: it commutes with
@@ -644,8 +653,7 @@ let push_rotation st loc theta codes =
                    it folds into the frame from the right *)
                 st.folds <- st.folds + 1;
                 st.pending <- List.rev_append before tl;
-                Tableau.fold_frame st.tab ~quarters:k s;
-                tracef st "fold %d*pi/2 about %s" k (P.to_string s)
+                Tableau.fold_frame st.tab ~quarters:k s
             | `Generic a ->
                 st.pending <- List.rev_append before ({ r with angle = a } :: tl)
           end
@@ -735,8 +743,7 @@ let check_layout ~what ~n_log ~n_phys a =
       seen.(p) <- true)
     a
 
-let verify_routed ?(budget = 512) ?(max_dense = 6) ?(eps = 1e-7) ?trace ~original
-    ~routed ?initial_layout ?final_layout () =
+let verify_routed ~original ~routed ?initial_layout ?final_layout () =
   Qobs.incr c_runs;
   let n_log = Circuit.n_qubits original and n_phys = Circuit.n_qubits routed in
   if n_log > n_phys then
@@ -748,10 +755,6 @@ let verify_routed ?(budget = 512) ?(max_dense = 6) ?(eps = 1e-7) ?trace ~origina
   let st =
     {
       tab = Tableau.create n_phys;
-      budget;
-      max_dense;
-      eps;
-      trace;
       pending = [];
       gates = 0;
       cliffords = 0;
@@ -788,9 +791,7 @@ let verify_routed ?(budget = 512) ?(max_dense = 6) ?(eps = 1e-7) ?trace ~origina
           process st loc (instr.gate, instr.qubits))
         (Circuit.instrs c)
     in
-    tracef st "sweep original^-1: %d instrs on %d wires" inv_len n_phys;
     sweep "original" ~flip:inv_len inv;
-    tracef st "sweep routed: %d instrs" (List.length (Circuit.instrs routed));
     sweep "routed" routed;
     (* residues: rotations the commutation scan could not cancel *)
     let residues = Array.of_list (List.rev (List.rev st.pending)) in
@@ -799,15 +800,11 @@ let verify_routed ?(budget = 512) ?(max_dense = 6) ?(eps = 1e-7) ?trace ~origina
     let n_clusters = ref 0 in
     let deferred = ref [] in
     if n_residues > 0 then begin
-      tracef st "%d residual rotations" n_residues;
       let clusters = clusters_of residues in
       List.iter
         (fun members ->
           incr n_clusters;
           Qobs.incr c_clusters;
-          tracef st "cluster: %s"
-            (String.concat " "
-               (List.map (fun r -> Printf.sprintf "(%g)%s" r.angle (P.to_string r.str)) members));
           let others =
             List.concat_map
               (fun ms ->
@@ -815,13 +812,12 @@ let verify_routed ?(budget = 512) ?(max_dense = 6) ?(eps = 1e-7) ?trace ~origina
                 else List.map (fun r -> Bv.of_pauli n_phys r.str) ms)
               clusters
           in
-          match resolve_window ~eps ~max_dense ~others n_phys members with
+          match resolve_window ~others n_phys members with
           | `Resolved -> ()
           | `Clifford rewrite ->
               (* absorb the residual Clifford into the frame: every row
                  Q becomes Q . A(Q) *)
               st.folds <- st.folds + 1;
-              tracef st "absorbing residual Clifford cluster into the frame";
               Tableau.map_rows st.tab rewrite
           | `Non_clifford ->
               let first = List.nth members (List.length members - 1) in
@@ -831,12 +827,11 @@ let verify_routed ?(budget = 512) ?(max_dense = 6) ?(eps = 1e-7) ?trace ~origina
                        "non-Clifford rotation residue about %s (angle %g) does not cancel"
                        (P.to_string first.str) first.angle,
                      Some first.rloc ))
-          | `Unknown reason ->
+          | `Unknown ->
               (* the dense bound gave up on this cluster: defer its
                  leftover to symbolic row propagation at the final
                  permutation test (clusters commute, so deferred
                  leftovers concatenate in any cluster order) *)
-              tracef st "deferring cluster (%s) to symbolic row propagation" reason;
               deferred := !deferred @ members)
         clusters
     end;
@@ -855,7 +850,7 @@ let verify_routed ?(budget = 512) ?(max_dense = 6) ?(eps = 1e-7) ?trace ~origina
                   (Fail_unknown
                      (Printf.sprintf "residual row expansion exceeded %d terms" cap))
             | Some terms -> (
-                match collapsed ~eps:(Float.max eps 1e-7) terms with
+                match collapsed ~eps terms with
                 | `Pauli b -> b
                 | `Grey ->
                     raise (Fail_unknown "residual row image is numerically ambiguous")
@@ -943,7 +938,7 @@ let verify_routed ?(budget = 512) ?(max_dense = 6) ?(eps = 1e-7) ?trace ~origina
   | Fail_not_equiv (reason, location) -> finish (Not_equivalent { reason; location })
   | Fail_unknown reason -> finish (Unknown { reason })
 
-let verify_pair ?budget ?max_dense ?eps ?trace a b =
+let verify_pair a b =
   if Circuit.n_qubits a <> Circuit.n_qubits b then
     invalid_arg "Qverify.verify_pair: wire-count mismatch";
-  verify_routed ?budget ?max_dense ?eps ?trace ~original:a ~routed:b ()
+  verify_routed ~original:a ~routed:b ()

@@ -25,8 +25,8 @@
     phase — every pipeline pass promises exact unitary preservation, so
     any such divergence is a transpiler bug); everything the budgets
     cannot decide is {!Unknown}.  All float comparisons (angle snapping,
-    dense residue checks) use [eps], mirroring the tolerance already
-    inherent in the float-parameterized gate set. *)
+    dense residue checks) use a tolerance of 1e-7, mirroring the tolerance
+    already inherent in the float-parameterized gate set. *)
 
 type location = {
   segment : string;  (** ["original"] or ["routed"] *)
@@ -60,10 +60,6 @@ val to_json : verdict -> string
     certificate counters or the reason/location), JSONL-ready. *)
 
 val verify_routed :
-  ?budget:int ->
-  ?max_dense:int ->
-  ?eps:float ->
-  ?trace:(string -> unit) ->
   original:Qcircuit.Circuit.t ->
   routed:Qcircuit.Circuit.t ->
   ?initial_layout:int array ->
@@ -74,21 +70,15 @@ val verify_routed :
     logical->physical injections exactly as {!Qroute.Pipeline.result}
     carries them (default: identity, requiring equal wire counts).
 
-    [budget] (default 512) bounds the commutation scan depth when merging
-    a pushed rotation into the pending list; [max_dense] (default 6)
-    bounds the symplectic dimension (= dense qubits, so [2^max_dense]
-    matrices) a residue cluster may occupy.  Exceeding either can only
-    produce {!Unknown}, never a wrong verdict.  [trace] receives one line
-    per significant event (segment boundaries, folds, residue clusters).
+    A commutation scan of 512 pending rotations bounds each merge of a
+    pushed rotation, and a residue cluster may span at most 6 dense qubits
+    ([2^6]-dimensional matrices).  Exceeding either can only produce
+    {!Unknown}, never a wrong verdict.
 
     Emits [qverify.*] Qobs counters when a collector is installed.
     @raise Invalid_argument on malformed layouts. *)
 
 val verify_pair :
-  ?budget:int ->
-  ?max_dense:int ->
-  ?eps:float ->
-  ?trace:(string -> unit) ->
   Qcircuit.Circuit.t ->
   Qcircuit.Circuit.t ->
   verdict

@@ -45,9 +45,7 @@ let get t a b =
 
 let raw t =
   if is_dense t then t.data
-  else invalid_arg "Distmat.raw: on-demand matrix has no dense backing (use raw_opt/get)"
-
-let raw_opt t = if is_dense t then Some t.data else None
+  else invalid_arg "Distmat.raw: on-demand matrix has no dense backing (use get)"
 
 let rows_materialized t =
   if is_dense t then t.size

@@ -18,11 +18,7 @@ val get : t -> int -> int -> float
 val raw : t -> float array
 (** The backing row-major array, length [n * n]: entry [(a, b)] lives at
     [a * n + b].  Exposed for hot loops; treat as read-only.
-    @raise Invalid_argument on an on-demand matrix (see {!raw_opt}). *)
-
-val raw_opt : t -> float array option
-(** [Some] flat backing for dense matrices, [None] for on-demand ones.
-    Hot loops branch once on this and fall back to {!get}. *)
+    @raise Invalid_argument on an on-demand matrix (see {!is_dense}). *)
 
 val hops : Coupling.t -> t
 (** BFS hop counts as floats ([infinity] when disconnected) — the default

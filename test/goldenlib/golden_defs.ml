@@ -1,8 +1,9 @@
 (* The routing golden corpus: a fixed set of (circuit, topology, router,
    trials) cells whose transpiled outputs are fingerprinted and checked
    into test/goldens/routing.golden.  The corpus is shared between the
-   regeneration tool (tools/golden_gen) and the byte-identity test
-   (test/test_goldens.ml) so both always agree on what is being pinned.
+   regeneration tool (tools/golden_gen), the byte-identity test
+   (test/test_goldens.ml) and `nassc_cli verify --corpus`, so all three
+   always agree on what is being pinned.
 
    These fingerprints capture the pre-incremental-engine outputs: any
    change to candidate enumeration order, tie-breaking, heuristic
@@ -69,7 +70,10 @@ let cell_line cname tname rname trials (r : Qroute.Pipeline.result) =
   Printf.sprintf "%s %s %s trials=%d cx=%d depth=%d swaps=%d %s" cname tname
     rname trials r.cx_total r.depth r.n_swaps (fingerprint r)
 
-let lines () =
+(* [cells f]: [f] applied to every cell of the corpus, in the golden
+   file's order (circuits x topologies x routers x trials), each cell
+   transpiled at [seed] on 2 workers *)
+let cells f =
   List.concat_map
     (fun (cname, circuit) ->
       List.concat_map
@@ -79,15 +83,16 @@ let lines () =
               List.map
                 (fun trials ->
                   let params = { Qroute.Engine.default_params with seed } in
-                  let r =
-                    Qroute.Pipeline.transpile ~params ~trials ~workers:2 ~router
-                      coupling circuit
-                  in
-                  cell_line cname tname rname trials r)
+                  f ~cname ~tname ~rname ~trials circuit
+                    (Qroute.Pipeline.transpile ~params ~trials ~workers:2 ~router coupling
+                       circuit))
                 trials_axis)
             Qroute.Pipeline.routers)
         (topologies ()))
     (circuits ())
+
+let lines () =
+  cells (fun ~cname ~tname ~rname ~trials _ r -> cell_line cname tname rname trials r)
 
 let generate () = String.concat "\n" (lines ()) ^ "\n"
 

@@ -46,8 +46,7 @@ let test_astar_validity_and_semantics () =
   for trial = 1 to 5 do
     let c = random_2q_circuit rng 4 20 in
     let coupling = Topology.Devices.linear 5 in
-    let params = { Qroute.Astar.default_params with seed = trial } in
-    let r = Qroute.Astar.route ~params coupling c in
+    let r = Qroute.Astar.route ~seed:trial coupling c in
     check "astar valid" true (Qroute.Sabre.check_routed coupling r.circuit);
     (* semantic check via statevector, as for the other routers *)
     let expanded = Qroute.Sabre.decompose_swaps r.circuit in
@@ -78,7 +77,7 @@ let test_astar_no_swaps_when_trivially_routable () =
      layout; with a random initial layout swaps may appear, so force via a
      fully-connected device instead *)
   let c = Qbench.Extras.ghz 5 in
-  let r = Qroute.Astar.route (Topology.Devices.fully_connected 5) c in
+  let r = Qroute.Astar.route ~seed:11 (Topology.Devices.fully_connected 5) c in
   checki "no swaps" 0 r.n_swaps
 
 let test_astar_in_pipeline () =
@@ -197,8 +196,12 @@ let test_equiv_routed_detects_errors () =
   let rng = Rng.create 91 in
   let c = random_2q_circuit rng 4 20 in
   let coupling = Topology.Devices.linear 5 in
-  let r = Qroute.Sabre.route coupling c in
-  let routed = Qroute.Sabre.decompose_swaps r.circuit in
+  let sabre c =
+    Qroute.Pipeline.route ~router:Qroute.Pipeline.Sabre_router coupling c
+      Qroute.Engine.default_params
+  in
+  let r = sabre c in
+  let routed = r.circuit in
   check "correct routing accepted" true
     (Qsim.Equiv.routed_equal ~logical:c ~routed ~final_layout:r.final_layout);
   (* corrupt the routed circuit: flip a data wire at the very end (always
@@ -216,8 +219,8 @@ let test_equiv_routed_detects_errors () =
         { gate = Gate.CX; qubits = [ 2; 3 ] };
       ]
   in
-  let ra = Qroute.Sabre.route coupling asym in
-  let routed_a = Qroute.Sabre.decompose_swaps ra.circuit in
+  let ra = sabre asym in
+  let routed_a = ra.circuit in
   check "asym routing correct" true
     (Qsim.Equiv.routed_equal ~logical:asym ~routed:routed_a ~final_layout:ra.final_layout);
   let wrong = Array.copy ra.final_layout in
@@ -231,7 +234,10 @@ let test_equiv_distribution_distance () =
   let rng = Rng.create 92 in
   let c = random_2q_circuit rng 3 15 in
   let coupling = Topology.Devices.linear 4 in
-  let r = Qroute.Nassc.route coupling c in
+  let r =
+    Qroute.Pipeline.route ~router:(Qroute.Pipeline.Nassc_router Qroute.Nassc.default_config)
+      coupling c Qroute.Engine.default_params
+  in
   let d =
     Qsim.Equiv.distribution_distance ~logical:c ~routed:r.circuit
       ~final_layout:r.final_layout

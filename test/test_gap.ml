@@ -12,7 +12,7 @@
    - no regression: each router's gap never grows (swaps <= recorded,
      improvements are allowed and show up when regenerating);
    - portfolio invariant: hybrid is never worse than NASSC, which
-     Hybrid.route guarantees by construction at equal seeds.
+     Pipeline.route guarantees by construction at equal seeds.
    It also pins the line format: the gap experiment's rows for ghz3
    (optimum 0, so certifying them is cheap), rendered by
    Qbench.Experiment.lines, are the golden's first three lines. *)

@@ -21,7 +21,7 @@ let figure1_circuit () =
 
 let route_with_identity_layout router_bonus circuit =
   let coupling = Topology.Devices.linear 3 in
-  let dist = Sabre.hop_distance coupling in
+  let dist = Topology.Distmat.hops coupling in
   let params = { Engine.default_params with seed = 1 } in
   Engine.route_once params coupling ~rng:(Engine.route_rng params) ~dist ~bonus:router_bonus
     circuit [| 0; 1; 2 |]

@@ -261,7 +261,7 @@ let test_routing_stuck () =
   (match
      Qroute.Engine.route_once params edgeless
        ~rng:(Qroute.Engine.route_rng params)
-       ~dist:(Qroute.Sabre.hop_distance edgeless)
+       ~dist:(Topology.Distmat.hops edgeless)
        ~bonus:Qroute.Engine.zero_bonus c [| 0; 1 |]
    with
   | _ -> Alcotest.fail "expected Routing_stuck"
@@ -273,7 +273,7 @@ let test_routing_stuck () =
      ignore
        (Qroute.Engine.route_once params edgeless
           ~rng:(Qroute.Engine.route_rng params)
-          ~dist:(Qroute.Sabre.hop_distance edgeless)
+          ~dist:(Topology.Distmat.hops edgeless)
           ~bonus:Qroute.Engine.zero_bonus c [| 0; 1 |])
    with e ->
      let s = Printexc.to_string e in

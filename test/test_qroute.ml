@@ -20,6 +20,13 @@ let random_2q_circuit rng n len =
   done;
   Circuit.Builder.circuit b
 
+(* one routing call of the pipeline's driver, at [params] *)
+let route ?calibration ?(params = Engine.default_params) router coupling c =
+  Pipeline.route ?calibration ~router coupling c params
+
+let sabre ?params coupling c = route ?params Pipeline.Sabre_router coupling c
+let nassc ?params coupling c = route ?params (Pipeline.Nassc_router Nassc.default_config) coupling c
+
 (* Routed-circuit semantics (see Qsim.Equiv): the routed state restricted
    to the final layout must equal the logical state. *)
 let routing_preserves_semantics routed_circuit final_layout logical =
@@ -31,7 +38,7 @@ let test_fully_connected_no_swaps () =
   let coupling = Topology.Devices.fully_connected 5 in
   let rng = Rng.create 1 in
   let c = random_2q_circuit rng 5 30 in
-  let r = Sabre.route coupling c in
+  let r = sabre coupling c in
   checki "no swaps on full connectivity" 0 r.n_swaps;
   check "still valid" true (Sabre.check_routed coupling r.circuit)
 
@@ -40,7 +47,7 @@ let test_route_rejects_wide_gates () =
   let c = Circuit.create 4 [ { gate = Gate.CCX; qubits = [ 0; 1; 2 ] } ] in
   check "raises" true
     (try
-       ignore (Sabre.route coupling c);
+       ignore (sabre coupling c);
        false
      with Invalid_argument _ -> true)
 
@@ -218,7 +225,7 @@ let test_sabre_validity () =
     (fun (name, coupling, n) ->
       for _ = 1 to 3 do
         let c = random_2q_circuit rng (min n 5) 40 in
-        let r = Sabre.route coupling c in
+        let r = sabre coupling c in
         check (name ^ " routed validly") true (Sabre.check_routed coupling r.circuit)
       done)
     devices
@@ -229,16 +236,15 @@ let test_sabre_semantics () =
     let c = random_2q_circuit rng 4 25 in
     let coupling = Topology.Devices.linear 5 in
     let params = { Engine.default_params with seed = trial } in
-    let r = Sabre.route ~params coupling c in
-    let expanded = Sabre.decompose_swaps r.circuit in
+    let r = sabre ~params coupling c in
     check "sabre preserves semantics" true
-      (routing_preserves_semantics expanded r.final_layout c)
+      (routing_preserves_semantics r.circuit r.final_layout c)
   done
 
 let test_sabre_layout_is_permutation () =
   let rng = Rng.create 3 in
   let c = random_2q_circuit rng 5 30 in
-  let r = Sabre.route Topology.Devices.montreal c in
+  let r = sabre Topology.Devices.montreal c in
   let seen = Hashtbl.create 8 in
   Array.iter
     (fun p ->
@@ -255,7 +261,7 @@ let test_nassc_validity () =
     (fun (name, coupling, n) ->
       for _ = 1 to 3 do
         let c = random_2q_circuit rng (min n 5) 40 in
-        let r = Nassc.route coupling c in
+        let r = nassc coupling c in
         check (name ^ " nassc routed validly") true (Sabre.check_routed coupling r.circuit)
       done)
     devices
@@ -266,7 +272,7 @@ let test_nassc_semantics () =
     let c = random_2q_circuit rng 4 25 in
     let coupling = Topology.Devices.linear 5 in
     let params = { Engine.default_params with seed = 100 + trial } in
-    let r = Nassc.route ~params coupling c in
+    let r = nassc ~params coupling c in
     check "nassc preserves semantics" true
       (routing_preserves_semantics r.circuit r.final_layout c)
   done
@@ -274,7 +280,7 @@ let test_nassc_semantics () =
 let test_nassc_no_swap_gates_left () =
   let rng = Rng.create 19 in
   let c = random_2q_circuit rng 5 40 in
-  let r = Nassc.route (Topology.Devices.linear 6) c in
+  let r = nassc (Topology.Devices.linear 6) c in
   checki "swaps all decomposed" 0 (Circuit.gate_count r.circuit "swap")
 
 let test_nassc_disabled_equals_sabre () =
@@ -288,8 +294,8 @@ let test_nassc_disabled_equals_sabre () =
   for trial = 1 to 5 do
     let c = random_2q_circuit rng 5 40 in
     let params = { Engine.default_params with seed = trial } in
-    let rs = Sabre.route ~params (Topology.Devices.linear 6) c in
-    let rn = Nassc.route ~params ~config:off (Topology.Devices.linear 6) c in
+    let rs = sabre ~params (Topology.Devices.linear 6) c in
+    let rn = route ~params (Pipeline.Nassc_router off) (Topology.Devices.linear 6) c in
     checki "same swap count" rs.n_swaps rn.n_swaps
   done
 
@@ -387,6 +393,35 @@ let test_finalize_oriented_semantics_random () =
       (Mat.equal_up_to_phase (Circuit.unitary finalized) (Circuit.unitary reference))
   done
 
+(* the single finalization's identity for SABRE: on the ops the engine
+   emits for a distance-only route (a circuit's own gates untagged, inserted
+   SWAPs [Swap_plain]), [Nassc.finalize] gives the instructions of the fixed
+   template *)
+let gen_plain_ops =
+  QCheck.Gen.(
+    let q = int_range 0 3 in
+    let pair = map (fun (a, d) -> (a, (a + d) mod 4)) (pair q (int_range 1 3)) in
+    let op =
+      frequency
+        [
+          (3, map (fun (a, b) -> { Engine.gate = Gate.SWAP; op_qubits = [ a; b ]; tag = Engine.Swap_plain }) pair);
+          (3, map (fun (a, b) -> { Engine.gate = Gate.CX; op_qubits = [ a; b ]; tag = Engine.Not_swap }) pair);
+          ( 4,
+            map2
+              (fun g a -> { Engine.gate = g; op_qubits = [ a ]; tag = Engine.Not_swap })
+              (oneof [ oneofl Gate.[ H; T; SX; X; Measure ]; map (fun t -> Gate.RZ t) (float_range 0.0 6.28) ])
+              q );
+          (1, return { Engine.gate = Gate.Barrier 4; op_qubits = [ 0; 1; 2; 3 ]; tag = Engine.Not_swap });
+        ]
+    in
+    list_size (int_range 0 40) op)
+
+let prop_plain_finalize_is_template =
+  QCheck.Test.make ~name:"plain finalize = decompose_swaps" ~count:300
+    (QCheck.make gen_plain_ops) (fun ops ->
+      Nassc.finalize ops
+      = Circuit.instrs (Sabre.decompose_swaps (Engine.to_circuit ~n_phys:4 ops)))
+
 (* ---------- pipeline ---------- *)
 
 let test_pipeline_end_to_end_semantics () =
@@ -405,6 +440,34 @@ let test_pipeline_end_to_end_semantics () =
         | None -> Alcotest.fail "expected layout")
       [ Pipeline.Sabre_router; Pipeline.Nassc_router Nassc.default_config ]
   done
+
+(* [transpile ~trials:1] is [route] between the two optimization bundles,
+   for every registered router on the routing-golden corpus *)
+let test_transpile_is_route_between_bundles () =
+  let params = { Engine.default_params with seed = Golden_defs.seed } in
+  List.iter
+    (fun (cname, c) ->
+      List.iter
+        (fun (tname, coupling) ->
+          List.iter
+            (fun (rname, router) ->
+              let t = Pipeline.transpile ~params ~trials:1 ~router coupling c in
+              let r =
+                Pipeline.route ~router coupling
+                  (Pipeline.pre_optimize (Pipeline.lower_to_2q c))
+                  params
+              in
+              let where = Printf.sprintf "%s/%s/%s" cname tname rname in
+              check (where ^ ": circuit") true
+                (Circuit.instrs t.circuit
+                = Circuit.instrs (Pipeline.post_optimize r.circuit));
+              checki (where ^ ": swaps") r.n_swaps t.n_swaps;
+              check (where ^ ": layouts") true
+                (t.initial_layout = Some r.initial_layout
+                && t.final_layout = Some r.final_layout))
+            Pipeline.routers)
+        (Golden_defs.topologies ()))
+    (Golden_defs.circuits ())
 
 let test_pipeline_baseline_no_layout () =
   let c = Qbench.Generators.grover 4 in
@@ -468,12 +531,11 @@ let test_nassc_beats_sabre_on_average () =
 let test_ha_routing_valid () =
   let coupling = Topology.Devices.montreal in
   let cal = Topology.Calibration.generate coupling in
-  let dist = Topology.Calibration.noise_distmat cal in
   let rng = Rng.create 71 in
   let c = random_2q_circuit rng 6 40 in
-  let r = Sabre.route ~dist coupling c in
+  let r = route ~calibration:cal Pipeline.Sabre_ha coupling c in
   check "ha-routed valid" true (Sabre.check_routed coupling r.circuit);
-  let rn = Nassc.route ~dist coupling c in
+  let rn = route ~calibration:cal (Pipeline.Nassc_ha Nassc.default_config) coupling c in
   check "nassc-ha valid" true (Sabre.check_routed coupling rn.circuit)
 
 (* ---------- metrics ---------- *)
@@ -525,6 +587,7 @@ let () =
           Alcotest.test_case "plain" `Quick test_finalize_plain;
           Alcotest.test_case "oriented moves 1q" `Quick test_finalize_oriented_moves_1q;
           Alcotest.test_case "random semantics" `Quick test_finalize_oriented_semantics_random;
+          QCheck_alcotest.to_alcotest prop_plain_finalize_is_template;
         ] );
       ( "pipeline",
         [
@@ -533,6 +596,8 @@ let () =
           Alcotest.test_case "grover4 calibration" `Quick test_pipeline_grover4_calibration;
           Alcotest.test_case "routing adds gates" `Quick test_pipeline_routers_beat_nothing;
           Alcotest.test_case "router registry" `Quick test_router_registry;
+          Alcotest.test_case "transpile = route between bundles" `Quick
+            test_transpile_is_route_between_bundles;
           Alcotest.test_case "nassc vs sabre" `Quick test_nassc_beats_sabre_on_average;
         ] );
       ("ha", [ Alcotest.test_case "noise-aware routing" `Quick test_ha_routing_valid ]);

@@ -28,7 +28,7 @@ let traced_transpile ?(trials = 2) ?(workers = 1) () =
 let test_metric_name () =
   checks "dots become underscores" "nassc_engine_swaps_emitted"
     (Qtel.Expose.metric_name "engine.swaps_emitted");
-  checks "custom prefix" "x_a_b" (Qtel.Expose.metric_name ~prefix:"x_" "a-b")
+  checks "other characters become underscores" "nassc_a_b" (Qtel.Expose.metric_name "a-b")
 
 (* ---------- exposition round-trip ---------- *)
 
@@ -200,18 +200,30 @@ let contains hay needle =
        (fun i -> String.sub hay i nl = needle)
        (List.init (String.length hay - nl + 1) Fun.id)
 
-let test_extended_metrics_gated () =
-  check "extended metrics default off" true (not (Qobs.extended_metrics_enabled ()));
-  let plain = deterministic_trace () in
-  check "no extended pipeline gauges by default" true
-    (not (contains plain "pipeline.gates_in"));
-  Qobs.set_extended_metrics true;
-  Fun.protect ~finally:(fun () -> Qobs.set_extended_metrics false) @@ fun () ->
-  let extended = deterministic_trace () in
-  check "extended gauges present when opted in" true
-    (contains extended "pipeline.gates_in");
-  check "extended gauges deterministic too" true
-    (String.equal extended (deterministic_trace ()))
+(* the five job-level input gauges are in every traced transpile, with the
+   input's values, and deterministic like the rest of the trace *)
+let test_pipeline_gauges_in_every_trace () =
+  let trace = deterministic_trace () in
+  let root = Qobs.Collector.create ~label:"test" () in
+  ignore
+    (Qobs.with_collector root (fun () ->
+         Qroute.Pipeline.transpile ~trials:2 ~workers:2 ~router:Qroute.Pipeline.Sabre_router
+           coupling (circuit ())));
+  let gauges = Qobs.Collector.gauges root in
+  let c = circuit () in
+  List.iter
+    (fun (name, v) ->
+      check (name ^ " in the trace") true
+        (contains trace (Printf.sprintf "{\"type\":\"gauge\",\"trial\":null,\"name\":%S" name));
+      check (name ^ " value") true (List.assoc_opt name gauges = Some (float_of_int v)))
+    [
+      ("pipeline.gates_in", Qcircuit.Circuit.size c);
+      ("pipeline.cx_in", Qcircuit.Circuit.cx_count c);
+      ("pipeline.depth_in", Qcircuit.Circuit.depth c);
+      ("pipeline.qubits_in", Qcircuit.Circuit.n_qubits c);
+      ("pipeline.trials", 2);
+    ];
+  checks "the gauges are deterministic too" trace (deterministic_trace ())
 
 let test_trace_bytes_stable_across_runs () =
   checks "same run, same bytes" (deterministic_trace ()) (deterministic_trace ())
@@ -251,7 +263,8 @@ let () =
         ] );
       ( "trace-stability",
         [
-          Alcotest.test_case "extended gauges gated" `Quick test_extended_metrics_gated;
+          Alcotest.test_case "pipeline gauges in every trace" `Quick
+            test_pipeline_gauges_in_every_trace;
           Alcotest.test_case "bytes stable across runs" `Quick
             test_trace_bytes_stable_across_runs;
           Alcotest.test_case "exposition does not perturb trace" `Quick

@@ -124,7 +124,7 @@ let test_failing_bonus_skips_trial () =
      run skips that trial per the documented policy and wins with another *)
   let c = Qbench.Generators.qft 5 in
   let coupling = Topology.Devices.linear 6 in
-  let dist = Qroute.Sabre.hop_distance coupling in
+  let dist = Topology.Distmat.hops coupling in
   let report =
     Qroute.Trials.run ~workers:2 ~n:4 ~base_seed:11
       ~measure:(fun (r : Qroute.Engine.result) ->
@@ -265,10 +265,8 @@ let qcheck_props =
         let c = random_circuit seed in
         let coupling = Topology.Devices.linear (Circuit.n_qubits c + 1) in
         let params = { Qroute.Engine.default_params with seed } in
-        let r = Qroute.Sabre.route ~params coupling c in
-        Qsim.Equiv.routed_equal ~logical:c
-          ~routed:(Qroute.Sabre.decompose_swaps r.circuit)
-          ~final_layout:r.final_layout)
+        let r = Qroute.Pipeline.route ~router:Qroute.Pipeline.Sabre_router coupling c params in
+        Qsim.Equiv.routed_equal ~logical:c ~routed:r.circuit ~final_layout:r.final_layout)
   in
   let prop_nassc_routed_equal =
     QCheck.Test.make ~name:"nassc routing preserves semantics" ~count:25
@@ -276,7 +274,11 @@ let qcheck_props =
         let c = random_circuit seed in
         let coupling = Topology.Devices.ring (Circuit.n_qubits c + 2) in
         let params = { Qroute.Engine.default_params with seed } in
-        let r = Qroute.Nassc.route ~params coupling c in
+        let r =
+          Qroute.Pipeline.route
+            ~router:(Qroute.Pipeline.Nassc_router Qroute.Nassc.default_config)
+            coupling c params
+        in
         Qsim.Equiv.routed_equal ~logical:c ~routed:r.circuit
           ~final_layout:r.final_layout)
   in

@@ -36,7 +36,7 @@ let instances =
       let n_phys = Topology.Coupling.n_qubits coupling in
       let scratch = Engine.Scoring.create ~n_phys ~capacity:4 in
       [
-        (tname ^ "/hop", n_phys, Qroute.Sabre.hop_distance coupling, true, scratch);
+        (tname ^ "/hop", n_phys, Topology.Distmat.hops coupling, true, scratch);
         ( tname ^ "/noise",
           n_phys,
           Topology.Calibration.noise_distmat (Topology.Calibration.generate coupling),

@@ -41,17 +41,6 @@ let topologies =
     ("heavyhex2x2", Topology.Devices.heavy_hex 2 2);
   ]
 
-(* the <=2q lowering the pipeline applies before routing (batch and
-   streaming both route the lowered gate sequence) *)
-let lower c =
-  let lowered =
-    Circuit.instrs c
-    |> List.map (fun (i : Circuit.instr) -> (i.gate, i.qubits))
-    |> Qgate.Decompose.to_cx_basis
-    |> List.map (fun (g, qs) -> { Circuit.gate = g; qubits = qs })
-  in
-  Circuit.create (Circuit.n_qubits c) lowered
-
 let stream_route ?calibration ?(window = 4096) ?(chunk = 97) ~router coupling circuit =
   let buf = ref [] in
   let r =
@@ -62,16 +51,13 @@ let stream_route ?calibration ?(window = 4096) ?(chunk = 97) ~router coupling ci
   in
   (Circuit.create (Topology.Coupling.n_qubits coupling) (List.rev !buf), r)
 
-let batch_reference ?dist ~router coupling circuit =
-  let lowered = lower circuit in
-  match (router : Qroute.Pipeline.router) with
-  | Sabre_router | Sabre_ha ->
-      let r = Qroute.Sabre.route ~params ?dist coupling lowered in
-      (Qroute.Sabre.decompose_swaps r.circuit, r.initial_layout, r.final_layout, r.n_swaps)
-  | Nassc_router config | Nassc_ha config ->
-      let r = Qroute.Nassc.route ~params ~config ?dist coupling lowered in
-      (r.circuit, r.initial_layout, r.final_layout, r.n_swaps)
-  | _ -> assert false
+(* the batch route of the lowered circuit, without the optimization
+   bundles the stream skips *)
+let batch_reference ?calibration ~router coupling circuit =
+  let r =
+    Qroute.Pipeline.(route ?calibration ~router coupling (lower_to_2q circuit) params)
+  in
+  (r.circuit, r.initial_layout, r.final_layout, r.n_swaps)
 
 let stream_routers = Qroute.Pipeline.select_routers [ "sabre"; "nassc" ]
 
@@ -89,7 +75,7 @@ let prop_degenerate_window_is_batch (cs, ti, ri, wi, workers) =
   let circuit = random_circuit cs in
   let tname, coupling = List.nth topologies ti in
   let rname, router = List.nth stream_routers ri in
-  let size = Circuit.size (lower circuit) in
+  let size = Circuit.size (Qroute.Pipeline.lower_to_2q circuit) in
   let window = List.nth [ size; size + 13; 4096 ] wi in
   let streamed, sr = stream_route ~window ~router coupling circuit in
   let batch, il, fl, n_swaps = batch_reference ~router coupling circuit in
@@ -122,7 +108,7 @@ let prop_small_window_valid (cs, ti, ri, small) =
   let streamed, sr = stream_route ~window ~router coupling circuit in
   Qroute.Sabre.check_routed coupling streamed
   && sr.Qroute.Pipeline.sr_peak_resident <= window
-  && sr.Qroute.Pipeline.sr_gates_in = Circuit.size (lower circuit)
+  && sr.Qroute.Pipeline.sr_gates_in = Circuit.size (Qroute.Pipeline.lower_to_2q circuit)
 
 let gen_small =
   QCheck.Gen.(
@@ -144,11 +130,10 @@ let test_ha_variants () =
   let circuit = random_circuit 29 in
   let coupling = Topology.Devices.grid 2 4 in
   let cal = Topology.Calibration.generate coupling in
-  let dist = Topology.Calibration.noise_distmat cal in
   List.iter
     (fun (name, router) ->
       let streamed, sr = stream_route ~calibration:cal ~window:8192 ~router coupling circuit in
-      let batch, il, fl, _ = batch_reference ~dist ~router coupling circuit in
+      let batch, il, fl, _ = batch_reference ~calibration:cal ~router coupling circuit in
       check (name ^ ": streamed = batch") true (Circuit.instrs streamed = Circuit.instrs batch);
       check (name ^ ": layouts") true
         (sr.Qroute.Pipeline.sr_initial_layout = il && sr.Qroute.Pipeline.sr_final_layout = fl))
@@ -161,15 +146,13 @@ let test_streamable_guard () =
   let circuit = random_circuit 3 in
   let coupling = Topology.Devices.linear 5 in
   let cal = Topology.Calibration.generate coupling in
-  let noise = Topology.Calibration.noise_distmat cal in
   List.iter
     (fun (name, router) ->
       if Qroute.Pipeline.streamable router then begin
-        let dist = if Qroute.Pipeline.noise_aware router then Some noise else None in
         let streamed, sr =
           stream_route ~calibration:cal ~window:max_int ~router coupling circuit
         in
-        let batch, il, fl, _ = batch_reference ?dist ~router coupling circuit in
+        let batch, il, fl, _ = batch_reference ~calibration:cal ~router coupling circuit in
         check (name ^ ": streamed = batch") true
           (Circuit.instrs streamed = Circuit.instrs batch);
         check (name ^ ": layouts") true

@@ -159,8 +159,7 @@ let test_lazy_distance_rows () =
   done;
   check "lazy = dense hop distances" true !agree;
   checki "all rows materialized after the sweep" n (Distmat.rows_materialized lz);
-  check "raw_opt: dense exposes the flat array" true (Distmat.raw_opt dense <> None);
-  check "raw_opt: lazy has none" true (Distmat.raw_opt lz = None);
+  checki "raw: dense exposes the flat array" (n * n) (Array.length (Distmat.raw dense));
   check "raw on lazy raises" true
     (try
        ignore (Distmat.raw lz);

@@ -151,7 +151,7 @@ let test_hybrid_deterministic_across_runs () =
   let params = { Qroute.Engine.default_params with seed = 11 } in
   let run () =
     Qroute.Pipeline.transpile ~params ~trials:8
-      ~router:(Qroute.Pipeline.Hybrid_router Qroute.Hybrid.default_config) coupling c
+      ~router:Qroute.Pipeline.Hybrid_router coupling c
   in
   let a = run () and b = run () in
   checki "cx stable" a.cx_total b.cx_total;
@@ -165,7 +165,7 @@ let test_hybrid_deterministic_across_workers () =
   let params = { Qroute.Engine.default_params with seed = 11 } in
   let with_workers w =
     Qroute.Pipeline.transpile ~params ~trials:8 ~workers:w
-      ~router:(Qroute.Pipeline.Hybrid_router Qroute.Hybrid.default_config) coupling c
+      ~router:Qroute.Pipeline.Hybrid_router coupling c
   in
   let a = with_workers 1 and b = with_workers 4 in
   checki "cx worker-independent" a.cx_total b.cx_total;
@@ -190,7 +190,7 @@ let test_hybrid_never_worse_than_nassc () =
       let swaps router =
         (Qroute.Pipeline.transpile ~params ~trials:1 ~router coupling c).Qroute.Pipeline.n_swaps
       in
-      let h = swaps (Qroute.Pipeline.Hybrid_router Qroute.Hybrid.default_config) in
+      let h = swaps Qroute.Pipeline.Hybrid_router in
       let n = swaps (Qroute.Pipeline.Nassc_router Qroute.Nassc.default_config) in
       check (Printf.sprintf "seed %d: hybrid %d <= nassc %d" seed h n) true (h <= n))
     [ 2; 5; 23; 42; 77 ]
