@@ -21,21 +21,21 @@ let u_mat theta phi lam =
 let zyz_to_mat { theta; phi; lam; phase } =
   Mat.scale (Cx.exp_i phase) (Mat.mul (rz_mat phi) (Mat.mul (ry_mat theta) (rz_mat lam)))
 
-let zyz_of_unitary u =
-  if Mat.rows u <> 2 || Mat.cols u <> 2 then invalid_arg "Euler.zyz_of_unitary: not 2x2";
+let u_angles_of_unitary u =
+  if Mat.rows u <> 2 || Mat.cols u <> 2 then invalid_arg "Euler: not 2x2";
   (* Normalize to SU(2). *)
-  let d = Mat.det u in
-  let s = Cx.sqrt d in
+  let s = Cx.sqrt (Mat.det u) in
   let su = Mat.scale Cx.(one / s) u in
   let m00 = Mat.get su 0 0
   and m10 = Mat.get su 1 0
   and m11 = Mat.get su 1 1 in
   let theta = 2.0 *. atan2 (Cx.abs m10) (Cx.abs m00) in
-  let phi, lam =
-    if Cx.abs m10 < 1e-10 then (2.0 *. Cx.arg m11, 0.0)
-    else if Cx.abs m00 < 1e-10 then (2.0 *. Cx.arg m10, 0.0)
-    else (Cx.arg m11 +. Cx.arg m10, Cx.arg m11 -. Cx.arg m10)
-  in
+  if Cx.abs m10 < 1e-10 then (theta, 2.0 *. Cx.arg m11, 0.0)
+  else if Cx.abs m00 < 1e-10 then (theta, 2.0 *. Cx.arg m10, 0.0)
+  else (theta, Cx.arg m11 +. Cx.arg m10, Cx.arg m11 -. Cx.arg m10)
+
+let zyz_of_unitary u =
+  let theta, phi, lam = u_angles_of_unitary u in
   (* Recover the global phase by comparing against the reconstruction. *)
   let candidate = { theta; phi; lam; phase = 0.0 } in
   let recon = zyz_to_mat candidate in
@@ -43,7 +43,7 @@ let zyz_of_unitary u =
   | Some z -> { candidate with phase = Cx.arg z }
   | None ->
       (* Should not happen for unitary input; keep best effort. *)
-      { candidate with phase = Cx.arg d /. 2.0 }
+      { candidate with phase = Cx.arg (Mat.det u) /. 2.0 }
 
 let u_params_of_unitary m =
   let { theta; phi; lam; phase } = zyz_of_unitary m in

@@ -23,34 +23,52 @@ let zsx_ops theta phi lam =
     rz (lam -. (Float.pi /. 2.0)) @ [ Gate.SX ] @ rz (phi +. (Float.pi /. 2.0))
   else rz lam @ [ Gate.SX ] @ rz (theta +. Float.pi) @ [ Gate.SX ] @ rz (phi +. Float.pi)
 
-let emit mode q product =
-  let theta, phi, lam, _ = Euler.u_params_of_unitary product in
+let c_runs = Qobs.counter "optimize_1q.runs"
+let c_synthesized = Qobs.counter "optimize_1q.runs_synthesized"
+
+(* the gates the run [first :: rest] becomes, both in circuit order; the
+   product keeps the multiplication order the output's bits depend on *)
+let synthesize mode first rest =
+  let product =
+    List.fold_left (fun acc g -> Mat.mul (Unitary.of_gate g) acc) (Unitary.of_gate first) rest
+  in
+  let theta, phi, lam = Euler.u_angles_of_unitary product in
   if Euler.is_identity_angles ~eps:1e-10 (theta, phi, lam) then []
-  else
-    match mode with
-    | U_gate -> [ { Qcircuit.Circuit.gate = Gate.U (theta, phi, lam); qubits = [ q ] } ]
-    | Zsx ->
-        List.map
-          (fun g -> { Qcircuit.Circuit.gate = g; qubits = [ q ] })
-          (zsx_ops theta phi lam)
+  else match mode with U_gate -> [ Gate.U (theta, phi, lam) ] | Zsx -> zsx_ops theta phi lam
 
 let run mode c =
   let n = Qcircuit.Circuit.n_qubits c in
-  let pending : Mat.t option array = Array.make (max n 1) None in
+  (* each wire's pending run, last-applied gate first *)
+  let pending = Array.make (max n 1) [] in
+  (* a run's output is a function of its gates' exact signatures, so equal
+     keys get equal outputs; the table lives for this call only *)
+  let memo = Hashtbl.create 256 and key = Buffer.create 64 in
   let out = ref [] in
   let flush q =
-    (match pending.(q) with
-    | None -> ()
-    | Some m -> List.iter (fun i -> out := i :: !out) (emit mode q m));
-    pending.(q) <- None
+    match List.rev pending.(q) with
+    | [] -> ()
+    | first :: rest as run ->
+        pending.(q) <- [];
+        Qobs.incr c_runs;
+        Buffer.clear key;
+        List.iter (Gate.add_signature key) run;
+        let k = Buffer.contents key in
+        let gates =
+          match Hashtbl.find_opt memo k with
+          | Some gates -> gates
+          | None ->
+              Qobs.incr c_synthesized;
+              let gates = synthesize mode first rest in
+              Hashtbl.add memo k gates;
+              gates
+        in
+        List.iter (fun g -> out := { Qcircuit.Circuit.gate = g; qubits = [ q ] } :: !out) gates
   in
   let visit (i : Qcircuit.Circuit.instr) =
     match i.gate with
     | g when Gate.is_one_qubit g && g <> Gate.Id ->
         let q = List.hd i.qubits in
-        let u = Unitary.of_gate g in
-        pending.(q) <-
-          Some (match pending.(q) with None -> u | Some acc -> Mat.mul u acc)
+        pending.(q) <- g :: pending.(q)
     | Gate.Id -> ()
     | _ ->
         List.iter flush i.qubits;

@@ -11,7 +11,7 @@ let ops_unitary n ops =
     ops
 
 let one_qubit_ops m q =
-  let theta, phi, lam, _ = Euler.u_params_of_unitary m in
+  let theta, phi, lam = Euler.u_angles_of_unitary m in
   if Euler.is_identity_angles ~eps:1e-10 (theta, phi, lam) then []
   else [ (Gate.U (theta, phi, lam), [ q ]) ]
 

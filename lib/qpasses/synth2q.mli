@@ -26,7 +26,9 @@ val core_length : int -> int
 
 val of_kak : Weyl.t * int -> (Qgate.Gate.t * int list) list
 (** The replacement for a decomposition {!kak} returned: the core
-    circuit dressed with [U(theta,phi,lam)] gates (identities dropped).
+    circuit dressed with [U(theta,phi,lam)] gates (identities dropped),
+    their angles from {!Mathkit.Euler.u_angles_of_unitary}: the output is
+    correct up to global phase, so no dressing's phase is computed.
     @raise Invalid_argument if the core's own decomposition does not land
     on the target's coordinates. *)
 

@@ -498,7 +498,24 @@ let bit_identity_props =
         && Mat.is_unitary ~eps a = Ref.is_unitary ~eps (Ref.of_mat a)
         && Mat.is_unitary u = Ref.is_unitary (Ref.of_mat u))
   in
-  List.map QCheck_alcotest.to_alcotest [ mul_bits; det_bits; kernel_bits; phase_bits ]
+  let angle_bits =
+    prop_bits ~name:"u_angles = u_params angles, bit for bit" ~count:300 (fun rng ->
+        let a () = Rng.float rng 12.6 -. 6.3 in
+        (* off-diagonal, then diagonal, entries of modulus below the 1e-10
+           cut take the two special branches *)
+        let tiny () =
+          Cx.make (Rng.pick rng [ 0.0; -0.0; 1e-12; -5e-11 ]) (Rng.pick rng [ 0.0; -0.0; 3e-11 ])
+        in
+        let diagonal = Mat.of_rows [ [ Cx.exp_i (a ()); tiny () ]; [ tiny (); Cx.exp_i (a ()) ] ] in
+        let anti = Mat.of_rows [ [ tiny (); Cx.exp_i (a ()) ]; [ Cx.exp_i (a ()); tiny () ] ] in
+        List.for_all
+          (fun u ->
+            let t, p, l = Euler.u_angles_of_unitary u
+            and t', p', l', _ = Euler.u_params_of_unitary u in
+            same_bits t t' && same_bits p p' && same_bits l l')
+          [ Randmat.unitary rng 2; diagonal; anti ])
+  in
+  List.map QCheck_alcotest.to_alcotest [ mul_bits; det_bits; kernel_bits; phase_bits; angle_bits ]
 
 (* The row-array solver that [Eig]'s flat one replaced, kept verbatim as
    the reference; [degenerate_blocks] counts the degenerate eigenspaces

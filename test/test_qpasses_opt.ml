@@ -98,6 +98,135 @@ let test_optimize_1q_random () =
       (preserves_unitary (Optimize_1q.run Optimize_1q.Zsx) c)
   done
 
+(* The pass without its memo: every run's product is built in full and
+   read with [Euler.u_params_of_unitary], phase and all.  Also returns the
+   exact signature of each run, in flush order. *)
+let reference_optimize_1q mode c =
+  let n = Circuit.n_qubits c in
+  let pending = Array.make (max n 1) None and keys = Array.make (max n 1) "" in
+  let out = ref [] and runs = ref [] in
+  let flush q =
+    (match pending.(q) with
+    | None -> ()
+    | Some m ->
+        runs := keys.(q) :: !runs;
+        let theta, phi, lam, _ = Euler.u_params_of_unitary m in
+        if not (Euler.is_identity_angles ~eps:1e-10 (theta, phi, lam)) then
+          List.iter
+            (fun g -> out := { Circuit.gate = g; qubits = [ q ] } :: !out)
+            (match mode with
+            | Optimize_1q.U_gate -> [ Gate.U (theta, phi, lam) ]
+            | Optimize_1q.Zsx -> Optimize_1q.zsx_ops theta phi lam));
+    pending.(q) <- None;
+    keys.(q) <- ""
+  in
+  let sig_of g =
+    let b = Buffer.create 32 in
+    Gate.add_signature b g;
+    Buffer.contents b
+  in
+  List.iter
+    (fun (i : Circuit.instr) ->
+      match i.gate with
+      | Gate.Id -> ()
+      | g when Gate.is_one_qubit g ->
+          let q = List.hd i.qubits and u = Unitary.of_gate g in
+          keys.(q) <- keys.(q) ^ sig_of g;
+          pending.(q) <- Some (match pending.(q) with None -> u | Some acc -> Mat.mul u acc)
+      | _ ->
+          List.iter flush i.qubits;
+          out := i :: !out)
+    (Circuit.instrs c);
+  for q = 0 to n - 1 do
+    flush q
+  done;
+  (Circuit.create n (List.rev !out), List.rev !runs)
+
+(* [Circuit.equal] compares angles as floats, so [0.0 = -0.0]; this also
+   compares their bits *)
+let bit_equal a b =
+  let bits c =
+    let buf = Buffer.create 256 in
+    List.iter (fun (i : Circuit.instr) -> Gate.add_signature buf i.gate) (Circuit.instrs c);
+    Buffer.contents buf
+  in
+  Circuit.equal a b && bits a = bits b
+
+(* a small alphabet, so runs repeat within one circuit: both signed zeros,
+   angles at and near +-2 pi, and a pair that differs only past single
+   precision, so a key that drops float bits merges runs whose outputs
+   differ; [Id] inside runs, and 2q gates, barriers and measures to split
+   them *)
+let run_angles =
+  let two_pi = 2.0 *. Float.pi in
+  [| 0.0; -0.0; two_pi; -.two_pi; two_pi -. 1e-12; 1e-12 -. two_pi; 0.7; 0.7 +. 1e-12; Float.pi /. 2.0 |]
+
+let random_runs_circuit rng n len =
+  let b = Circuit.Builder.create n in
+  let angle () = run_angles.(Rng.int rng (Array.length run_angles)) in
+  for _ = 1 to len do
+    let a = Rng.int rng n in
+    match Rng.int rng 14 with
+    | 0 | 1 -> Circuit.Builder.add b Gate.CX [ a; (a + 1 + Rng.int rng (n - 1)) mod n ]
+    | 2 -> Circuit.Builder.add b (Gate.Barrier 1) [ a ]
+    | 3 -> Circuit.Builder.add b (Gate.Barrier n) (List.init n Fun.id)
+    | 4 -> Circuit.Builder.add b Gate.Measure [ a ]
+    | 5 -> Circuit.Builder.add b Gate.Id [ a ]
+    | 6 -> Circuit.Builder.add b Gate.H [ a ]
+    | 7 -> Circuit.Builder.add b Gate.SX [ a ]
+    | 8 -> Circuit.Builder.add b Gate.T [ a ]
+    | 9 | 10 -> Circuit.Builder.add b (Gate.RZ (angle ())) [ a ]
+    | 11 -> Circuit.Builder.add b (Gate.RX (angle ())) [ a ]
+    | _ -> Circuit.Builder.add b (Gate.U (angle (), 0.3, angle ())) [ a ]
+  done;
+  Circuit.Builder.circuit b
+
+let optimize_1q_counters col =
+  let count name =
+    Option.value ~default:0
+      (List.assoc_opt ("optimize_1q." ^ name) (Qobs.Collector.counters col))
+  in
+  (count "runs", count "runs_synthesized")
+
+let qcheck_optimize_1q_memo_matches_reference =
+  QCheck.Test.make ~name:"memoized optimize_1q = per-run products, bit for bit" ~count:200
+    ~long_factor:20
+    (QCheck.make (QCheck.Gen.int_range 0 1_000_000))
+    (fun seed ->
+      let rng = Rng.create seed in
+      let n = 2 + Rng.int rng 3 in
+      let c = random_runs_circuit rng n (10 + Rng.int rng 60) in
+      List.for_all
+        (fun mode ->
+          let col = Qobs.Collector.create () in
+          let out = Qobs.with_collector col (fun () -> Optimize_1q.run mode c) in
+          let expected, runs = reference_optimize_1q mode c in
+          bit_equal out expected
+          (* every run counted, and one synthesis per distinct signature *)
+          && optimize_1q_counters col
+             = (List.length runs, List.length (List.sort_uniq compare runs)))
+        [ Optimize_1q.U_gate; Optimize_1q.Zsx ])
+
+(* the memo is per call: the counters of a transpile do not depend on the
+   trial pool's worker count *)
+let test_optimize_1q_counters_across_workers () =
+  let c = random_circuit (Rng.create 8) 5 80 in
+  let coupling = Topology.Devices.linear 6 in
+  let router = List.assoc "nassc" Qroute.Pipeline.routers in
+  let counters workers =
+    let col = Qobs.Collector.create () in
+    let r =
+      Qobs.with_collector col (fun () ->
+          Qroute.Pipeline.transpile ~trials:4 ~workers ~router coupling c)
+    in
+    (r.Qroute.Pipeline.circuit, optimize_1q_counters col)
+  in
+  let c1, (runs1, synth1) = counters 1 and c4, (runs4, synth4) = counters 4 in
+  check "same circuit" true (bit_equal c1 c4);
+  check "runs counted" true (runs1 > 0 && synth1 > 0 && synth1 < runs1);
+  checki "runs, 1 vs 4 workers" runs1 runs4;
+  checki "runs_synthesized, 1 vs 4 workers" synth1 synth4
+
 (* ---------- Commutation ---------- *)
 
 let test_commute_pairs () =
@@ -1070,6 +1199,9 @@ let () =
           Alcotest.test_case "cancels inverses" `Quick test_optimize_1q_cancels_inverse;
           Alcotest.test_case "stops at 2q" `Quick test_optimize_1q_stops_at_2q;
           Alcotest.test_case "random preserves" `Quick test_optimize_1q_random;
+          QCheck_alcotest.to_alcotest qcheck_optimize_1q_memo_matches_reference;
+          Alcotest.test_case "counters 1 vs 4 workers" `Quick
+            test_optimize_1q_counters_across_workers;
         ] );
       ( "commutation",
         [
