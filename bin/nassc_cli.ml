@@ -113,7 +113,10 @@ let stream_arg =
      pipeline: gates are pulled through a bounded sliding DAG window and routed output \
      is emitted in chunks, so peak memory is independent of circuit length.  Only \
      whole-stream routers are supported (sabre, nassc and their -ha variants) and a \
-     single trial; pre/post optimization bundles are skipped."
+     single trial; pre/post optimization bundles are skipped.  --trace, --trace-times, \
+     --trace-format, --metrics and --sample apply as in batch mode; --record, \
+     --wide-events, --lint and --qasm are refused with a route.stream-unsupported \
+     diagnostic (exit 1)."
   in
   Arg.(value & flag & info [ "stream" ] ~doc)
 
@@ -132,13 +135,30 @@ let trace_format_arg =
     & opt (Arg.enum [ ("jsonl", `Jsonl); ("chrome", `Chrome) ]) `Jsonl
     & info [ "trace-format" ] ~docv:"FMT" ~doc)
 
-let write_dest dest s =
-  match dest with
-  | "-" -> output_string stderr s
-  | file ->
-      let oc = open_out file in
-      output_string oc s;
-      close_out oc
+let write_file file s = Out_channel.with_open_text file (fun oc -> output_string oc s)
+let write_dest dest s = if dest = "-" then output_string stderr s else write_file dest s
+let write_jsonl jsonl buf = Option.iter (fun file -> write_file file (Buffer.contents buf)) jsonl
+
+(* every command resolves its device and router first; a bad name is
+   reported on stderr and exits 1 *)
+let setup topology size router_name =
+  match Topology.Devices.by_name topology size with
+  | exception Invalid_argument m ->
+      prerr_endline m;
+      exit 1
+  | coupling -> (
+      match Qroute.Pipeline.router_of_name router_name with
+      | Ok router -> (coupling, router)
+      | Error e ->
+          prerr_endline e;
+          exit 1)
+
+let params_of_seed seed = { Qroute.Engine.default_params with seed }
+
+(* a diagnostic that ends the run: printed located on stderr, exit 1 *)
+let fail d =
+  Format.eprintf "%a@." Qlint.Diagnostic.pp d;
+  1
 
 (* run [f] under a collector (recording when --record or --wide-events
    asked for the decision trail) and/or the resource sampler as requested,
@@ -243,37 +263,38 @@ let print_trial_stats (r : Qroute.Pipeline.result) =
 
 (* streaming mode: incompatible options are reported as located diagnostics
    (rule route.stream-unsupported), never exceptions *)
-let stream_diag rule msg =
-  Format.eprintf "%a@." Qlint.Diagnostic.pp
-    (Qlint.Diagnostic.error ~loc:(Qlint.Diagnostic.Stage "route") ~rule msg);
-  1
-
-let run_stream ~router_name ~router ~trials ~window ~seed ~cal coupling label circuit =
+let run_stream ~run ~router_name ~router ~trials ~window ~refused ~params ~cal coupling label
+    circuit =
+  let unsupported msg =
+    fail
+      (Qlint.Diagnostic.error ~loc:(Qlint.Diagnostic.Stage "route")
+         ~rule:"route.stream-unsupported" msg)
+  in
   if not (Qroute.Pipeline.streamable router) then
-    stream_diag "route.stream-unsupported"
+    unsupported
       (Printf.sprintf "--stream needs a windowable router (%s); %s requires the whole circuit"
          (String.concat " | "
             (List.filter_map
                (fun (n, r) -> if Qroute.Pipeline.streamable r then Some n else None)
                Qroute.Pipeline.routers))
          router_name)
-  else if trials > 1 then
-    stream_diag "route.stream-unsupported" "--stream routes a single trial; drop --trials"
-  else if window < 1 then stream_diag "route.stream-unsupported" "--window must be >= 1"
-  else begin
-    let params = { Qroute.Engine.default_params with seed } in
-    let t0 = Unix.gettimeofday () in
-    let chunks = ref 0 in
+  else if trials > 1 then unsupported "--stream routes a single trial; drop --trials"
+  else if window < 1 then unsupported "--window must be >= 1"
+  else if refused <> [] then
+    unsupported ("--stream does not support " ^ String.concat ", " refused)
+  else
     match
-      Qroute.Pipeline.transpile_stream ~params ~calibration:cal ~window ~router
-        ~sink:(fun _ -> incr chunks)
-        coupling
-        (Qcircuit.Source.of_circuit circuit)
+      run (fun () ->
+          let t0 = Unix.gettimeofday () in
+          let r =
+            Qroute.Pipeline.transpile_stream ~params ~calibration:cal ~window ~router
+              ~sink:ignore coupling
+              (Qcircuit.Source.of_circuit circuit)
+          in
+          (r, Unix.gettimeofday () -. t0))
     with
-    | exception (Qroute.Engine.Routing_stuck _ as e) ->
-        stream_diag "route.stuck" (Printexc.to_string e)
-    | r ->
-        let dt = Unix.gettimeofday () -. t0 in
+    | Error d -> fail d
+    | Ok ((r, dt), _) ->
         let open Qroute.Pipeline in
         Printf.printf "input:           %s (%d qubits, %d ops)\n" label
           (Qcircuit.Circuit.n_qubits circuit)
@@ -289,74 +310,70 @@ let run_stream ~router_name ~router ~trials ~window ~seed ~cal coupling label ci
         Printf.printf "wall time:       %.3f s (%.0f gates/s)\n" dt
           (float_of_int r.sr_gates_in /. Float.max dt 1e-9);
         0
-  end
 
 (* `transpile` and `transpile-file` differ only in how the circuit is
    loaded: [load] yields it with its label (the benchmark name or the file
    path) and the report's first line *)
-let transpile_cmd load topology size router seed trials workers qasm lint trace trace_times
-    record fmt metrics wide sample stream window =
+let transpile_cmd load topology size router_name seed trials workers qasm lint trace
+    trace_times record fmt metrics wide sample stream window =
   match Result.bind (check_pool_args trials workers) load with
   | Error e ->
       prerr_endline e;
       1
-  | Ok (circuit, label, header) -> begin
-      let coupling =
-        try Topology.Devices.by_name topology size
-        with Invalid_argument m ->
-          prerr_endline m;
-          exit 1
-      in
+  | Ok (circuit, label, header) -> (
+      let coupling, router = setup topology size router_name in
       let cal = Topology.Calibration.generate coupling in
-      let router_name = router in
-      match Qroute.Pipeline.router_of_name router with
-      | Error e ->
-          prerr_endline e;
-          1
-      | Ok router ->
-          if stream then
-            run_stream ~router_name ~router ~trials ~window ~seed ~cal coupling label circuit
-          else begin
-          let params = { Qroute.Engine.default_params with seed } in
-          match
-            with_obs ~trace ~times:trace_times ~record ~fmt ~metrics ~wide ~sample
-              (fun () ->
-                Qroute.Pipeline.transpile ~params ~calibration:cal ~trials ?workers ~router
-                  coupling circuit)
-          with
-          | exception (Qroute.Engine.Routing_stuck _ as e) ->
-              Format.eprintf "%a@." Qlint.Diagnostic.pp
-                (Qlint.Diagnostic.error ~loc:(Qlint.Diagnostic.Stage "route")
-                   ~rule:"route.stuck" (Printexc.to_string e));
-              1
-          | r, collector ->
-          Printf.printf "%s\n" header;
-          Printf.printf "topology:        %s (%d qubits)\n" topology
-            (Topology.Coupling.n_qubits coupling);
-          Printf.printf "cx_total:        %d\n" r.cx_total;
-          Printf.printf "depth:           %d\n" r.depth;
-          Printf.printf "swaps inserted:  %d\n" r.n_swaps;
-          Printf.printf "wall time:       %.3f s\n" r.transpile_time;
-          Printf.printf "cpu time:        %.3f s\n" r.cpu_time;
-          print_trial_stats r;
-          (match r.final_layout with
-          | Some fl ->
-              Printf.printf "final layout:    %s\n"
-                (String.concat " " (Array.to_list (Array.map string_of_int fl)))
-          | None -> ());
-          if qasm then print_string (Qcircuit.Qasm.to_string r.circuit);
-          let lint_diags = if lint then Some (lint_result coupling r) else None in
-          Option.iter
-            (fun dest ->
-              emit_wide ~dest ~label:(Filename.basename label) ~router:router_name
-                ~topology ~trials ~workers ~seed ~original:circuit ~collector ~lint_diags
-                ~times:trace_times r)
-            wide;
-          (match lint_diags with
-          | Some d when Qlint.Diagnostic.has_errors d -> 1
-          | _ -> 0)
-        end
-    end
+      let params = params_of_seed seed in
+      let run f =
+        Qlint.Checked.catch_stuck (fun () ->
+            with_obs ~trace ~times:trace_times ~record ~fmt ~metrics ~wide ~sample f)
+      in
+      if stream then
+        let refused =
+          List.filter_map
+            (fun (flag, set) -> if set then Some flag else None)
+            [
+              ("--record", record <> None);
+              ("--wide-events", wide <> None);
+              ("--lint", lint);
+              ("--qasm", qasm);
+            ]
+        in
+        run_stream ~run ~router_name ~router ~trials ~window ~refused ~params ~cal coupling
+          label circuit
+      else
+        match
+          run (fun () ->
+              Qroute.Pipeline.transpile ~params ~calibration:cal ~trials ?workers ~router
+                coupling circuit)
+        with
+        | Error d -> fail d
+        | Ok (r, collector) -> (
+            Printf.printf "%s\n" header;
+            Printf.printf "topology:        %s (%d qubits)\n" topology
+              (Topology.Coupling.n_qubits coupling);
+            Printf.printf "cx_total:        %d\n" r.cx_total;
+            Printf.printf "depth:           %d\n" r.depth;
+            Printf.printf "swaps inserted:  %d\n" r.n_swaps;
+            Printf.printf "wall time:       %.3f s\n" r.transpile_time;
+            Printf.printf "cpu time:        %.3f s\n" r.cpu_time;
+            print_trial_stats r;
+            (match r.final_layout with
+            | Some fl ->
+                Printf.printf "final layout:    %s\n"
+                  (String.concat " " (Array.to_list (Array.map string_of_int fl)))
+            | None -> ());
+            if qasm then print_string (Qcircuit.Qasm.to_string r.circuit);
+            let lint_diags = if lint then Some (lint_result coupling r) else None in
+            Option.iter
+              (fun dest ->
+                emit_wide ~dest ~label:(Filename.basename label) ~router:router_name
+                  ~topology ~trials ~workers ~seed ~original:circuit ~collector ~lint_diags
+                  ~times:trace_times r)
+              wide;
+            match lint_diags with
+            | Some d when Qlint.Diagnostic.has_errors d -> 1
+            | _ -> 0))
 
 let load_benchmark name () =
   match Qbench.Suite.find name with
@@ -426,43 +443,28 @@ let verify_cmd files topology size router_name seed corpus jsonl =
            cell ~name:cname ~tname ~rname ~trials ~original r));
   let file_errors = ref 0 in
   if files <> [] then begin
-    let coupling =
-      try Topology.Devices.by_name topology size
-      with Invalid_argument m ->
-        prerr_endline m;
-        exit 1
-    in
-    match Qroute.Pipeline.router_of_name router_name with
-    | Error e ->
-        prerr_endline e;
-        incr file_errors
-    | Ok router ->
-        let params = { Qroute.Engine.default_params with seed } in
-        List.iter
-          (fun f ->
-            match Qcircuit.Qasm_parser.parse_file f with
-            | exception Qcircuit.Qasm_parser.Parse_error m ->
-                Printf.eprintf "%s: %s\n" f m;
-                incr file_errors
-            | exception Sys_error m ->
-                Printf.eprintf "%s\n" m;
-                incr file_errors
-            | original ->
-                let r = Qroute.Pipeline.transpile ~params ~router coupling original in
-                cell ~name:(Filename.basename f) ~tname:topology ~rname:router_name
-                  ~trials:1 ~original r)
-          files
+    let coupling, router = setup topology size router_name in
+    let params = params_of_seed seed in
+    List.iter
+      (fun f ->
+        match Qcircuit.Qasm_parser.parse_file f with
+        | exception Qcircuit.Qasm_parser.Parse_error m ->
+            Printf.eprintf "%s: %s\n" f m;
+            incr file_errors
+        | exception Sys_error m ->
+            Printf.eprintf "%s\n" m;
+            incr file_errors
+        | original ->
+            let r = Qroute.Pipeline.transpile ~params ~router coupling original in
+            cell ~name:(Filename.basename f) ~tname:topology ~rname:router_name ~trials:1
+              ~original r)
+      files
   end;
   if not corpus && files = [] then begin
     prerr_endline "verify: nothing to do (give FILEs or --corpus)";
     exit 2
   end;
-  (match jsonl with
-  | None -> ()
-  | Some file ->
-      let oc = open_out file in
-      Buffer.output_buffer oc buf;
-      close_out oc);
+  write_jsonl jsonl buf;
   Printf.printf "verified %d cells: %d not equivalent, %d unknown\n" !n_cells !n_ne
     !n_unknown;
   if !n_ne > 0 || !file_errors > 0 then 1 else if !n_unknown > 0 then 2 else 0
@@ -512,82 +514,62 @@ let check_cmd files topology size router_name seed pipeline suite no_audit jsonl
       diags;
     n_errors := !n_errors + List.length (Qlint.Diagnostic.errors diags)
   in
-  let coupling =
-    try Topology.Devices.by_name topology size
-    with Invalid_argument m ->
-      prerr_endline m;
-      exit 1
-  in
+  let coupling, router = setup topology size router_name in
   let cal = Topology.Calibration.generate coupling in
-  match Qroute.Pipeline.router_of_name router_name with
-  | Error e ->
-      prerr_endline e;
-      1
-  | Ok router ->
-      (* 1. static pipeline validation: the user's --pipeline spec, or the
-         canonical sequence the selected router would run *)
-      (match pipeline with
-      | Some spec ->
-          let names =
-            String.split_on_char ',' spec |> List.map String.trim
-            |> List.filter (fun s -> s <> "")
-          in
-          let diags = Qlint.Contract.validate names in
-          report "pipeline" diags;
-          Printf.printf "pipeline: %d stages, %s\n" (List.length names)
-            (if Qlint.Diagnostic.has_errors diags then "REJECTED" else "legal")
-      | None ->
-          let diags = Qlint.Checked.validate_pipeline ~router in
-          report (Printf.sprintf "pipeline(%s)" router_name) diags;
-          Printf.printf "pipeline(%s): %d stages, %s\n" router_name
-            (List.length (Qlint.Checked.canonical_stage_names ~router))
-            (if Qlint.Diagnostic.has_errors diags then "REJECTED" else "legal"));
-      (* 2. commutation / savings audit against dense-unitary ground truth *)
-      if not no_audit then begin
-        let rep = Qlint.Audit.run ~seed () in
-        report "audit" rep.diags;
-        Printf.printf "audit: %d commutation pairs, %d savings scenarios, %s\n"
-          rep.pairs_checked rep.scenarios_checked
-          (if Qlint.Diagnostic.has_errors rep.diags then "FAILED" else "sound")
-      end;
-      (* 3. lint + guarded transpile of each input circuit *)
-      let params = { Qroute.Engine.default_params with seed } in
-      let check_circuit target circuit =
-        match
-          Qlint.Checked.transpile ~params ~calibration:cal ~router coupling circuit
-        with
-        | Ok r ->
-            let sem =
-              if equiv then Qlint.Checked.verify_result ~original:circuit r else []
-            in
-            report target sem;
-            if not (Qlint.Diagnostic.has_errors sem) then
-              Printf.printf "%s: ok%s (cx=%d depth=%d swaps=%d)\n" target
-                (if equiv && sem = [] then " [equivalent]" else "")
-                r.Qroute.Pipeline.cx_total r.Qroute.Pipeline.depth
-                r.Qroute.Pipeline.n_swaps
-        | Error diags -> report target diags
-        | exception Invalid_argument m ->
-            report target [ Qlint.Diagnostic.error ~rule:"check.invalid-input" m ]
-      in
-      List.iter
-        (fun f ->
-          match Qlint.Rules.lint_qasm_file f with
-          | Error d -> report f [ d ]
-          | Ok circuit -> check_circuit f circuit)
-        files;
-      if suite then
-        List.iter
-          (fun (e : Qbench.Suite.entry) -> check_circuit ("suite:" ^ e.name) (e.build ()))
-          Qbench.Suite.paper_suite;
-      (match jsonl with
-      | None -> ()
-      | Some file ->
-          let oc = open_out file in
-          Buffer.output_buffer oc buf;
-          close_out oc);
-      Printf.printf "checks run: %d, errors: %d\n" (Qlint.Rules.checks_run ()) !n_errors;
-      if !n_errors > 0 then 1 else 0
+  (* 1. static pipeline validation: the user's --pipeline spec, or the
+     canonical sequence the selected router would run *)
+  let target, names, diags =
+    match pipeline with
+    | Some spec ->
+        let names =
+          String.split_on_char ',' spec |> List.map String.trim
+          |> List.filter (fun s -> s <> "")
+        in
+        ("pipeline", names, Qlint.Contract.validate names)
+    | None ->
+        ( Printf.sprintf "pipeline(%s)" router_name,
+          Qroute.Pipeline.stage_names ~router,
+          Qlint.Checked.validate_pipeline ~router )
+  in
+  report target diags;
+  Printf.printf "%s: %d stages, %s\n" target (List.length names)
+    (if Qlint.Diagnostic.has_errors diags then "REJECTED" else "legal");
+  (* 2. commutation / savings audit against dense-unitary ground truth *)
+  if not no_audit then begin
+    let rep = Qlint.Audit.run ~seed () in
+    report "audit" rep.diags;
+    Printf.printf "audit: %d commutation pairs, %d savings scenarios, %s\n"
+      rep.pairs_checked rep.scenarios_checked
+      (if Qlint.Diagnostic.has_errors rep.diags then "FAILED" else "sound")
+  end;
+  (* 3. lint + guarded transpile of each input circuit *)
+  let params = params_of_seed seed in
+  let check_circuit target circuit =
+    match Qlint.Checked.transpile ~params ~calibration:cal ~router coupling circuit with
+    | Ok r ->
+        let sem = if equiv then Qlint.Checked.verify_result ~original:circuit r else [] in
+        report target sem;
+        if not (Qlint.Diagnostic.has_errors sem) then
+          Printf.printf "%s: ok%s (cx=%d depth=%d swaps=%d)\n" target
+            (if equiv && sem = [] then " [equivalent]" else "")
+            r.Qroute.Pipeline.cx_total r.Qroute.Pipeline.depth r.Qroute.Pipeline.n_swaps
+    | Error diags -> report target diags
+    | exception Invalid_argument m ->
+        report target [ Qlint.Diagnostic.error ~rule:"check.invalid-input" m ]
+  in
+  List.iter
+    (fun f ->
+      match Qlint.Rules.lint_qasm_file f with
+      | Error d -> report f [ d ]
+      | Ok circuit -> check_circuit f circuit)
+    files;
+  if suite then
+    List.iter
+      (fun (e : Qbench.Suite.entry) -> check_circuit ("suite:" ^ e.name) (e.build ()))
+      Qbench.Suite.paper_suite;
+  write_jsonl jsonl buf;
+  Printf.printf "checks run: %d, errors: %d\n" (Qlint.Rules.checks_run ()) !n_errors;
+  if !n_errors > 0 then 1 else 0
 
 let list_cmd () =
   Printf.printf "%-24s %7s %6s %6s\n" "name" "qubits" "heavy" "noise";

@@ -69,7 +69,6 @@ type 'a report = {
 }
 
 let better a b =
-  (* deterministic total order: cx_total, then depth, then trial index *)
   if a.cx_total <> b.cx_total then a.cx_total < b.cx_total
   else if a.depth <> b.depth then a.depth < b.depth
   else a.trial < b.trial

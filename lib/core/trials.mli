@@ -60,6 +60,11 @@ type stat = {
 (** Per-trial outcome.  Failed trials carry [max_int] metrics and an
     [error]. *)
 
+val better : stat -> stat -> bool
+(** The order the winner is chosen by: [better a b] when [a] has fewer
+    [cx_total], then (on a tie) smaller [depth], then a lower trial
+    index. *)
+
 type 'a report = {
   best : 'a;
   best_stat : stat;
@@ -78,5 +83,4 @@ val run :
 (** [run ~n ~base_seed ~measure f] executes [f ~trial:k ~seed:(trial_seed
     ~base:base_seed k)] for each [k], scores each finished trial with
     [measure] (returning [(cx_total, depth, n_swaps)]), and returns the
-    winner: minimal [cx_total], ties broken by [depth], then by trial
-    index.  @raise the first trial's exception if all [n] trials fail. *)
+    winner by {!better}.  @raise the first trial's exception if all [n] trials fail. *)

@@ -1,13 +1,5 @@
 open Qgate
 
-let ghz n =
-  let b = Qcircuit.Circuit.Builder.create n in
-  Qcircuit.Circuit.Builder.add b Gate.H [ 0 ];
-  for i = 0 to n - 2 do
-    Qcircuit.Circuit.Builder.add b Gate.CX [ i; i + 1 ]
-  done;
-  Qcircuit.Circuit.Builder.circuit b
-
 (* random near-3-regular graph: 3n/2 distinct edges sampled uniformly *)
 let random_graph rng n =
   let wanted = 3 * n / 2 in
@@ -77,7 +69,7 @@ let extended_suite =
       {
         Suite.name = "GHZ 12-qubits";
         n_qubits = 12;
-        build = (fun () -> ghz 12);
+        build = (fun () -> Generators.ghz_chain 12);
         heavy = false;
         noise_subset = false;
       };

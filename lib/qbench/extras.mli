@@ -1,9 +1,6 @@
 (** Benchmarks beyond the paper's table (QASMBench-style extras), used by
     examples and the extended suite. *)
 
-val ghz : int -> Qcircuit.Circuit.t
-(** H + CX ladder producing (|0...0> + |1...1>)/sqrt2. *)
-
 val qaoa_maxcut : ?p:int -> ?seed:int -> int -> Qcircuit.Circuit.t
 (** [qaoa_maxcut n] builds a depth-[p] (default 2) QAOA ansatz for MaxCut
     on a random 3-regular-ish graph over [n] vertices: per layer, RZZ on

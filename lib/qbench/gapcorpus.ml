@@ -11,9 +11,9 @@ let entry = Suite.entry
 
 let circuits =
   [
-    entry "ghz3" 3 (fun () -> Extras.ghz 3);
-    entry "ghz4" 4 (fun () -> Extras.ghz 4);
-    entry "ghz5" 5 (fun () -> Extras.ghz 5);
+    entry "ghz3" 3 (fun () -> Generators.ghz_chain 3);
+    entry "ghz4" 4 (fun () -> Generators.ghz_chain 4);
+    entry "ghz5" 5 (fun () -> Generators.ghz_chain 5);
     entry "wstate3" 3 (fun () -> Extras.w_state 3);
     entry "wstate4" 4 (fun () -> Extras.w_state 4);
     entry "wstate5" 5 (fun () -> Extras.w_state 5);

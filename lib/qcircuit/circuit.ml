@@ -149,6 +149,15 @@ let equal a b =
        (fun x y -> Gate.equal x.gate y.gate && x.qubits = y.qubits)
        a.instrs b.instrs
 
+let bit_equal a b =
+  let bits g =
+    let buf = Buffer.create 16 in
+    Gate.add_signature buf g;
+    Buffer.contents buf
+  in
+  a.n = b.n
+  && List.equal (fun x y -> x.qubits = y.qubits && bits x.gate = bits y.gate) a.instrs b.instrs
+
 let pp ppf c =
   Format.fprintf ppf "@[<v>circuit %d qubits, %d ops@," c.n (List.length c.instrs);
   List.iter

@@ -55,7 +55,14 @@ val embed : n:int -> Mathkit.Mat.t -> int list -> Mathkit.Mat.t
     most significant) to the full [2^n] space, qubit 0 = most significant. *)
 
 val equal : t -> t -> bool
-(** Structural equality of instruction lists. *)
+(** Structural equality of instruction lists: angles compared as floats
+    (so [RZ 0.0] equals [RZ (-0.0)]), unitary payloads numerically. *)
+
+val bit_equal : t -> t -> bool
+(** Bit-exact equality: same width, and every instruction has the same
+    operands and the same {!Qgate.Gate.add_signature}, so every float
+    parameter and every [Unitary2] entry must agree bit for bit.  The
+    comparison behind every "bit-identical" claim about circuits. *)
 
 val pp : Format.formatter -> t -> unit
 

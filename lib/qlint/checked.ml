@@ -1,142 +1,75 @@
 open Contract
 
-let canonical_stage_names ~router = Qroute.Pipeline.stage_names ~router
-
 let validate_pipeline ~router =
   let goal =
     match router with
     | Qroute.Pipeline.Full_connectivity -> [ Hardware_basis ]
     | _ -> [ Hardware_basis; Routed_for ]
   in
-  Contract.validate ~initial:[] ~goal (canonical_stage_names ~router)
-
-(* cx-basis cost of the whole circuit: the measure Size_preserving bounds
-   (gate *count* may grow — zsx re-emission expands 1q runs — but CX cost
-   must not) *)
-let cx_cost c =
-  List.fold_left
-    (fun acc (i : Qcircuit.Circuit.instr) -> acc + Qpasses.Blocks.gate_cx_cost i.gate)
-    0
-    (Qcircuit.Circuit.instrs c)
+  Contract.validate ~initial:[] ~goal (Qroute.Pipeline.stage_names ~router)
 
 let semantics_limit = 8
 
-let verify_prop ?coupling ~check_semantics ~stage ~before after = function
-  | Lowered_2q ->
-      List.map
-        (fun (d : Diagnostic.t) -> { d with loc = Some (Diagnostic.Stage stage) })
-        (Rules.lowered_2q after)
-  | Hardware_basis ->
-      List.map
-        (fun (d : Diagnostic.t) -> { d with loc = Some (Diagnostic.Stage stage) })
-        (Rules.hardware_basis after)
-  | Routed_for -> begin
-      match coupling with
-      | None -> []
-      | Some cm ->
-          List.map
-            (fun (d : Diagnostic.t) -> { d with loc = Some (Diagnostic.Stage stage) })
-            (Rules.check_map cm after)
-    end
-  | Size_preserving ->
-      let cb = cx_cost before and ca = cx_cost after in
-      if ca > cb then
-        [
-          Diagnostic.errorf ~loc:(Diagnostic.Stage stage) ~rule:"contract.ensures"
-            "stage %s raised the CX-basis cost from %d to %d (Size_preserving violated)"
-            stage cb ca;
-        ]
-      else []
-  | Semantics_preserved ->
-      if
-        check_semantics
-        && Qcircuit.Circuit.n_qubits before = Qcircuit.Circuit.n_qubits after
-      then begin
+(* a relational property compares the stage's input and output; the others
+   are one rule on the output ([Rules.check_prop]) *)
+let verify_prop ?coupling ~check_semantics ~stage ~before after p =
+  let changed_unitary detail =
+    [
+      Diagnostic.errorf ~rule:"contract.ensures"
+        "stage %s changed the circuit unitary (Semantics_preserved violated)%s" stage detail;
+    ]
+  in
+  let diags =
+    match p with
+    | Size_preserving ->
+        (* the CX-basis cost is what Size_preserving bounds: the gate count
+           may grow (zsx re-emission expands 1q runs) *)
+        let cost c = Qpasses.Blocks.ops_cx_cost (Qcircuit.Circuit.instrs c) in
+        let cb = cost before and ca = cost after in
+        if ca > cb then
+          [
+            Diagnostic.errorf ~rule:"contract.ensures"
+              "stage %s raised the CX-basis cost from %d to %d (Size_preserving violated)"
+              stage cb ca;
+          ]
+        else []
+    | Semantics_preserved
+      when check_semantics
+           && Qcircuit.Circuit.n_qubits before = Qcircuit.Circuit.n_qubits after -> begin
         (* symbolic certification first: width-independent, and the
            three-valued verdict never claims a false positive.  Only an
            Unknown (budget exhausted / unsupported gate) falls back to
            dense unitary comparison, and only where that is tractable. *)
         match Qverify.verify_pair before after with
         | Qverify.Equivalent _ -> []
-        | Qverify.Not_equivalent { reason; _ } ->
-            [
-              Diagnostic.errorf ~loc:(Diagnostic.Stage stage) ~rule:"contract.ensures"
-                "stage %s changed the circuit unitary (Semantics_preserved violated): %s"
-                stage reason;
-            ]
+        | Qverify.Not_equivalent { reason; _ } -> changed_unitary (": " ^ reason)
         | Qverify.Unknown _ ->
-            if Qcircuit.Circuit.n_qubits before <= semantics_limit then
-              if Qsim.Equiv.unitary_equal before after then []
-              else
-                [
-                  Diagnostic.errorf ~loc:(Diagnostic.Stage stage) ~rule:"contract.ensures"
-                    "stage %s changed the circuit unitary (Semantics_preserved violated)"
-                    stage;
-                ]
+            if
+              Qcircuit.Circuit.n_qubits before <= semantics_limit
+              && not (Qsim.Equiv.unitary_equal before after)
+            then changed_unitary ""
             else []
       end
-      else []
+    | _ -> Rules.check_prop coupling p after
+  in
+  List.map (fun (d : Diagnostic.t) -> { d with loc = Some (Diagnostic.Stage stage) }) diags
 
 let run_stages ?coupling ?(check_semantics = false) ?(initial = [ Lowered_2q ]) stages
     circuit =
-  let diags = ref [] in
-  let emit ds = diags := !diags @ ds in
+  let verify ~stage ~before after state =
+    List.concat_map (verify_prop ?coupling ~check_semantics ~stage ~before after) state
+  in
   (* the input itself must satisfy the initial property set *)
-  emit
-    (List.concat_map
-       (verify_prop ?coupling ~check_semantics ~stage:"<input>" ~before:circuit circuit)
-       initial);
-  let final, _ =
-    List.fold_left
+  let input = verify ~stage:"<input>" ~before:circuit circuit initial in
+  let (final, _), diags =
+    List.fold_left_map
       (fun (c, state) (name, f) ->
-        (match Contract.find name with
-        | None ->
-            emit
-              [
-                Diagnostic.errorf ~loc:(Diagnostic.Stage name)
-                  ~rule:"contract.unknown-pass" "unknown pass %S: no contract registered"
-                  name;
-              ]
-        | Some ct ->
-            List.iter
-              (fun p ->
-                if not (List.memq p state) then
-                  emit
-                    [
-                      Diagnostic.errorf ~loc:(Diagnostic.Stage name)
-                        ~rule:"contract.requires"
-                        "pass %s requires %s, which does not hold here" name (prop_name p);
-                    ])
-              ct.requires;
-            List.iter
-              (fun p ->
-                if List.memq p state then
-                  emit
-                    [
-                      Diagnostic.errorf ~loc:(Diagnostic.Stage name)
-                        ~rule:"contract.conflict"
-                        "pass %s must run before %s is established (illegal ordering)"
-                        name (prop_name p);
-                    ])
-              ct.conflicts);
+        let state', contract = Contract.step name state in
         let c' = f c in
-        let state' =
-          match Contract.find name with
-          | None -> state
-          | Some ct ->
-              let state = List.filter (fun p -> not (List.memq p ct.invalidates)) state in
-              List.fold_left
-                (fun s p -> if List.memq p s then s else p :: s)
-                state ct.ensures
-        in
-        emit
-          (List.concat_map
-             (verify_prop ?coupling ~check_semantics ~stage:name ~before:c c')
-             state');
-        (c', state'))
+        ((c', state'), contract @ verify ~stage:name ~before:c c' state'))
       (circuit, initial) stages
   in
-  (final, !diags)
+  (final, input @ List.concat diags)
 
 let check_result ~coupling (r : Qroute.Pipeline.result) =
   let c = r.Qroute.Pipeline.circuit in
@@ -175,26 +108,27 @@ let verify_result ~original (r : Qroute.Pipeline.result) =
           (Printf.sprintf "equivalence could not be certified: %s" reason);
       ]
 
+let catch_stuck f =
+  match f () with
+  | v -> Ok v
+  | exception (Qroute.Engine.Routing_stuck _ as e) ->
+      Error
+        (Diagnostic.error ~loc:(Diagnostic.Stage "route") ~rule:"route.stuck"
+           (Printexc.to_string e))
+
 let transpile ?params ?calibration ?trials ?workers ~router coupling circuit =
   match Diagnostic.errors (validate_pipeline ~router) with
   | _ :: _ as errs -> Error errs
   | [] -> begin
       match
-        Qroute.Pipeline.transpile ?params ?calibration ?trials ?workers ~router coupling
-          circuit
+        catch_stuck (fun () ->
+            Qroute.Pipeline.transpile ?params ?calibration ?trials ?workers ~router coupling
+              circuit)
       with
-      | r -> begin
+      | Error d -> Error [ d ]
+      | Ok r -> begin
           match Diagnostic.errors (check_result ~coupling r) with
           | [] -> Ok r
           | errs -> Error errs
         end
-      | exception Qroute.Engine.Routing_stuck { front; l2p } ->
-          Error
-            [
-              Diagnostic.errorf ~loc:(Diagnostic.Stage "route") ~rule:"route.stuck"
-                "router stuck: no swap candidates for front {%s} under mapping [%s]"
-                (String.concat "; "
-                   (List.map (fun (a, b) -> Printf.sprintf "(%d,%d)" a b) front))
-                (String.concat " " (Array.to_list (Array.map string_of_int l2p)));
-            ]
     end

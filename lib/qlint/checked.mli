@@ -6,10 +6,6 @@
     is re-verified on the actual circuit, and violations come back as
     structured diagnostics naming the stage. *)
 
-val canonical_stage_names : router:Qroute.Pipeline.router -> string list
-(** The stage sequence {!Qroute.Pipeline.transpile} runs for a router
-    (delegates to {!Qroute.Pipeline.stage_names}). *)
-
 val validate_pipeline : router:Qroute.Pipeline.router -> Diagnostic.t list
 (** Statically validate the canonical pipeline for [router] against the
     contract registry, with goal {!Contract.Hardware_basis} (plus
@@ -23,16 +19,18 @@ val run_stages :
   Qroute.Pipeline.stage list ->
   Qcircuit.Circuit.t ->
   Qcircuit.Circuit.t * Diagnostic.t list
-(** Run the stages, verifying between every pair of stages that all
-    properties in the symbolic contract state actually hold:
-    {!Contract.Lowered_2q} / {!Contract.Hardware_basis} structurally,
-    {!Contract.Routed_for} against [coupling] (skipped without one),
-    {!Contract.Size_preserving} as CX-cost non-increase across the stage,
-    and — when [check_semantics] is set — {!Contract.Semantics_preserved}
-    symbolically via {!Qverify.verify_pair} at any width, falling back to
-    dense unitary comparison (at most 8 qubits) only when the symbolic
-    checker returns Unknown.
-    Requires/conflicts violations are reported too (the stage still runs).
+(** Run the stages, folding {!Contract.step} around each one: the
+    stage's requires/conflicts/unknown-pass violations are reported before
+    it runs (it still runs), and afterwards every property in the new
+    symbolic state is verified on the actual circuit.
+    {!Contract.Lowered_2q}, {!Contract.Hardware_basis} and
+    {!Contract.Routed_for} go through {!Rules.check_prop} ([Routed_for] is
+    skipped silently without [coupling]); {!Contract.Size_preserving} is
+    CX-cost non-increase across the stage; and, when [check_semantics] is
+    set, {!Contract.Semantics_preserved} is certified symbolically with
+    {!Qverify.verify_pair} at any width, falling back to dense unitary
+    comparison (at most 8 qubits) only when the symbolic checker returns
+    Unknown.  Every diagnostic is located at its stage.
     [initial] (default [[Lowered_2q]]) must hold on the input and seeds the
     symbolic state. *)
 
@@ -58,6 +56,12 @@ val verify_result :
     {!Qverify.Unknown} is a warning (certification budget exhausted, never
     a claim either way). *)
 
+val catch_stuck : (unit -> 'a) -> ('a, Diagnostic.t) result
+(** [catch_stuck f] runs [f] and turns {!Qroute.Engine.Routing_stuck} into
+    the [route.stuck] error, located at the [route] stage, with the text of
+    the engine's registered exception printer.  Every caller that routes
+    reports a stuck router through it. *)
+
 val transpile :
   ?params:Qroute.Engine.params ->
   ?calibration:Topology.Calibration.t ->
@@ -69,7 +73,5 @@ val transpile :
   (Qroute.Pipeline.result, Diagnostic.t list) result
 (** Guarded transpile: statically validate the pipeline first and refuse to
     execute ([Error diags]) on an illegal ordering; otherwise run
-    {!Qroute.Pipeline.transpile} and verify the result with
-    {!check_result}, returning [Error] when any check fails.
-    {!Qroute.Engine.Routing_stuck} is caught and reported as a
-    [route.stuck] diagnostic instead of escaping. *)
+    {!Qroute.Pipeline.transpile} under {!catch_stuck} and verify the result
+    with {!check_result}, returning [Error] when any check fails. *)

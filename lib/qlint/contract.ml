@@ -58,49 +58,40 @@ let all =
 let find name = List.find_opt (fun ct -> ct.cname = name) all
 
 let mem p set = List.memq p set
-let add p set = if mem p set then set else p :: set
-let remove p set = List.filter (fun q -> q != p) set
+
+let step name state =
+  let loc = Diagnostic.Stage name in
+  match find name with
+  | None ->
+      ( state,
+        [
+          Diagnostic.errorf ~loc ~rule:"contract.unknown-pass"
+            "unknown pass %S: no contract registered" name;
+        ] )
+  | Some ct ->
+      let unmet = List.filter (fun p -> not (mem p state)) ct.requires
+      and conflicting = List.filter (fun p -> mem p state) ct.conflicts in
+      let diags =
+        List.map
+          (fun p ->
+            Diagnostic.errorf ~loc ~rule:"contract.requires"
+              "pass %s requires %s, which no earlier stage establishes" name (prop_name p))
+          unmet
+        @ List.map
+            (fun p ->
+              Diagnostic.errorf ~loc ~rule:"contract.conflict"
+                "pass %s must run before %s is established (illegal ordering)" name
+                (prop_name p))
+            conflicting
+      in
+      let state = List.filter (fun p -> not (mem p ct.invalidates)) state in
+      (List.fold_left (fun s p -> if mem p s then s else p :: s) state ct.ensures, diags)
 
 let validate ?(initial = []) ?(goal = []) names =
-  let diags = ref [] in
-  let emit d = diags := d :: !diags in
-  let state =
-    List.fold_left
-      (fun state name ->
-        match find name with
-        | None ->
-            emit
-              (Diagnostic.errorf ~loc:(Diagnostic.Stage name) ~rule:"contract.unknown-pass"
-                 "unknown pass %S: no contract registered" name);
-            state
-        | Some ct ->
-            List.iter
-              (fun p ->
-                if not (mem p state) then
-                  emit
-                    (Diagnostic.errorf ~loc:(Diagnostic.Stage name)
-                       ~rule:"contract.requires"
-                       "pass %s requires %s, which no earlier stage establishes" name
-                       (prop_name p)))
-              ct.requires;
-            List.iter
-              (fun p ->
-                if mem p state then
-                  emit
-                    (Diagnostic.errorf ~loc:(Diagnostic.Stage name)
-                       ~rule:"contract.conflict"
-                       "pass %s must run before %s is established (illegal ordering)" name
-                       (prop_name p)))
-              ct.conflicts;
-            let state = List.fold_left (fun s p -> remove p s) state ct.invalidates in
-            List.fold_left (fun s p -> add p s) state ct.ensures)
-      initial names
-  in
-  List.iter
-    (fun p ->
-      if not (mem p state) then
-        emit
-          (Diagnostic.errorf ~rule:"contract.goal"
-             "pipeline ends without establishing %s" (prop_name p)))
-    goal;
-  List.rev !diags
+  let state, diags = List.fold_left_map (fun state name -> step name state) initial names in
+  List.concat diags
+  @ List.map
+      (fun p ->
+        Diagnostic.errorf ~rule:"contract.goal" "pipeline ends without establishing %s"
+          (prop_name p))
+      (List.filter (fun p -> not (mem p state)) goal)

@@ -7,8 +7,8 @@
     the paper fixes that ordering).  Properties not named in [ensures] or
     [invalidates] are preserved.
 
-    {!validate} runs the resulting dataflow over a pass-name sequence and
-    rejects illegal orderings {e before any gate is touched}: a pass whose
+    {!step} is that dataflow for one stage.  {!validate} folds it over a
+    pass-name sequence and rejects illegal orderings {e before any gate is touched}: a pass whose
     requirement is unmet, a pass conflicting with an established property,
     an unknown pass name, or a pipeline that ends without its goal
     properties all produce [Error] diagnostics located at the offending
@@ -44,11 +44,19 @@ val all : t list
     ([lower_to_2q], [peephole], [optimize_1q.u], [optimize_1q.zsx],
     [cancellation], [unitary_synthesis], [route], [basis]). *)
 
-val find : string -> t option
+val step : string -> prop list -> prop list * Diagnostic.t list
+(** [step name state] is one stage of the contract dataflow, the only
+    place the [requires], [conflicts], [invalidates] and [ensures] lists
+    are read: the property set after stage [name] runs on a circuit
+    satisfying [state], and the stage's violations ([contract.requires],
+    [contract.conflict], [contract.unknown-pass], located at the stage).
+    An unknown stage leaves [state] as it is.  {!validate} folds it over a
+    name sequence; {!Checked.run_stages} folds it around each stage it
+    runs. *)
 
 val validate :
   ?initial:prop list -> ?goal:prop list -> string list -> Diagnostic.t list
-(** [validate ~initial ~goal names] symbolically executes the contract
-    dataflow over the pass sequence.  [initial] (default [[]]) is the
-    property set of the input circuit; [goal] (default [[]]) must hold
-    after the last stage.  Returns only the violations (empty = legal). *)
+(** [validate ~initial ~goal names] folds {!step} over the pass sequence.
+    [initial] (default [[]]) is the property set of the input circuit;
+    [goal] (default [[]]) must hold after the last stage
+    ([contract.goal]).  Returns only the violations (empty = legal). *)

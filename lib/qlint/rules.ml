@@ -222,29 +222,25 @@ let dead_gates c =
     instrs;
   List.rev !diags
 
+let check_prop coupling (p : Contract.prop) c =
+  match (p, coupling) with
+  | Lowered_2q, _ -> lowered_2q c
+  | Hardware_basis, _ -> hardware_basis c
+  | Routed_for, Some cm -> check_map cm c
+  | Routed_for, None | (Size_preserving | Semantics_preserved), _ -> []
+
 let check_circuit ?coupling ?(props = []) c =
-  let base =
-    structural ~n:(Qcircuit.Circuit.n_qubits c) (Qcircuit.Circuit.instrs c)
-    @ dag_consistency c @ dead_gates c
-  in
-  let for_prop (p : Contract.prop) =
-    match p with
-    | Contract.Lowered_2q -> lowered_2q c
-    | Contract.Hardware_basis -> hardware_basis c
-    | Contract.Routed_for -> begin
-        match coupling with
-        | Some cm -> check_map cm c
-        | None ->
-            [
-              Diagnostic.warning ~rule:"route.check-map"
-                "Routed_for requested but no coupling map given; skipped";
-            ]
-      end
-    | Contract.Size_preserving | Contract.Semantics_preserved ->
-        (* relational properties: checked between stages, not on one circuit *)
-        []
-  in
-  base @ List.concat_map for_prop props
+  structural ~n:(Qcircuit.Circuit.n_qubits c) (Qcircuit.Circuit.instrs c)
+  @ dag_consistency c @ dead_gates c
+  @ List.concat_map
+      (fun p ->
+        if p = Contract.Routed_for && coupling = None then
+          [
+            Diagnostic.warning ~rule:"route.check-map"
+              "Routed_for requested but no coupling map given; skipped";
+          ]
+        else check_prop coupling p c)
+      props
 
 let lint_qasm ?path src =
   count_check ();

@@ -44,16 +44,24 @@ val layout : Topology.Coupling.t -> int array -> Diagnostic.t list
 (** [route.layout]: the layout is an injection of logical qubits into the
     device's physical qubits (in range, no duplicates). *)
 
+val check_prop :
+  Topology.Coupling.t option -> Contract.prop -> Qcircuit.Circuit.t -> Diagnostic.t list
+(** [check_prop coupling p c] is the property dispatch: the rule that
+    verifies a contract property on one circuit ({!lowered_2q},
+    {!hardware_basis}, or {!check_map} against the coupling map for
+    {!Contract.Routed_for}).  [[]] for {!Contract.Routed_for} without a
+    coupling map and for the relational properties, which have no
+    single-circuit checker.  A rule that verifies a property is wired in
+    here and nowhere else. *)
+
 val check_circuit :
   ?coupling:Topology.Coupling.t ->
   ?props:Contract.prop list ->
   Qcircuit.Circuit.t ->
   Diagnostic.t list
 (** The full structural rule set ({!structural} + {!dag_consistency} +
-    {!dead_gates}), plus
-    the checker for each property in [props] ({!Contract.Routed_for} needs
-    [coupling] and is skipped with a warning otherwise; the relational
-    properties have no single-circuit checker and are ignored here). *)
+    {!dead_gates}), plus {!check_prop} for each property in [props];
+    {!Contract.Routed_for} without [coupling] gives a warning instead. *)
 
 val lint_qasm : ?path:string -> string -> (Qcircuit.Circuit.t, Diagnostic.t) result
 (** Parse an OpenQASM 2 program; a parse failure becomes a [qasm.parse]

@@ -28,21 +28,15 @@ let build ?label ?router ?topology ?trials ?workers ?seed ?original ?trace ?reco
 
 let num_i i = J.Num (float_of_int i)
 
-(* best trial by the Trials total order (cx, depth, index) over successful
-   trials — recomputed here so the event doesn't depend on internal state *)
+(* best successful trial by the Trials order, recomputed from the stats so
+   the event doesn't depend on internal state *)
 let best_trial stats =
   List.fold_left
     (fun acc (s : Qroute.Trials.stat) ->
-      if s.error <> None then acc
-      else
-        match acc with
-        | None -> Some s
-        | Some (b : Qroute.Trials.stat) ->
-            if
-              s.cx_total < b.cx_total
-              || (s.cx_total = b.cx_total && (s.depth < b.depth || (s.depth = b.depth && s.trial < b.trial)))
-            then Some s
-            else acc)
+      match acc with
+      | _ when s.error <> None -> acc
+      | Some b when not (Qroute.Trials.better s b) -> acc
+      | _ -> Some s)
     None stats
 
 let ratio num den = if den = 0 then J.Null else J.Num (float_of_int num /. float_of_int den)

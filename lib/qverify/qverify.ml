@@ -840,8 +840,10 @@ let verify_routed ~original ~routed ?initial_layout ?final_layout () =
     let residue_tail = !deferred in
     let perm =
       match residue_tail with
-      | [] -> Tableau.permutation st.tab
-      | _ ->
+      | [] ->
+          Tableau.permutation n_phys (fun w ->
+              (Tableau.row_x st.tab w, Tableau.row_z st.tab w))
+      | _ -> (
           let cap = 4096 in
           let img p =
             match propagate ~terms_cap:cap residue_tail p with
@@ -856,53 +858,25 @@ let verify_routed ~original ~routed ?initial_layout ?final_layout () =
                     raise (Fail_unknown "residual row image is numerically ambiguous")
                 | `Mixed -> raise Exit)
           in
-          let tau = Array.make n_phys (-1) in
-          let ok = ref true in
-          (try
-             for w = 0 to n_phys - 1 do
-               let rx = img (Tableau.row_x st.tab w) and rz = img (Tableau.row_z st.tab w) in
-               if P.phase rx <> 0 || P.phase rz <> 0 then raise Exit;
-               match P.support rx with
-               | [ u ] when P.code rx u = 1 -> begin
-                   match P.support rz with
-                   | [ v ] when v = u && P.code rz v = 2 -> tau.(w) <- u
-                   | _ -> raise Exit
-                 end
-               | _ -> raise Exit
-             done;
-             let seen = Array.make n_phys false in
-             Array.iter
-               (fun u -> if u < 0 || seen.(u) then raise Exit else seen.(u) <- true)
-               tau
-           with Exit -> ok := false);
-          if !ok then Some tau else None
+          try
+            Tableau.permutation n_phys (fun w ->
+                let rx = img (Tableau.row_x st.tab w) and rz = img (Tableau.row_z st.tab w) in
+                (rx, rz))
+          with Exit -> Error 0)
     in
     match perm with
-    | None ->
+    | Error w ->
         let reason =
           if residue_tail <> [] then
             "final frame conjugated through the residual rotations is not a wire \
              permutation"
-          else begin
-            let w = ref 0 in
-            (try
-               for i = 0 to n_phys - 1 do
-                 let rx = Tableau.row_x st.tab i and rz = Tableau.row_z st.tab i in
-                 match (P.phase rx, P.support rx, P.phase rz, P.support rz) with
-                 | 0, [ u ], 0, [ v ] when u = v && P.code rx u = 1 && P.code rz v = 2 -> ()
-                 | _ ->
-                     w := i;
-                     raise Exit
-               done
-             with Exit -> ());
-            Printf.sprintf "final frame is not a wire permutation: wire %d maps to %s / %s"
-              !w
-              (P.to_string (Tableau.row_x st.tab !w))
-              (P.to_string (Tableau.row_z st.tab !w))
-          end
+          else
+            Printf.sprintf "final frame is not a wire permutation: wire %d maps to %s / %s" w
+              (P.to_string (Tableau.row_x st.tab w))
+              (P.to_string (Tableau.row_z st.tab w))
         in
         finish (Not_equivalent { reason; location = None })
-    | Some tau ->
+    | Ok tau ->
         let bad = ref None in
         for l = 0 to n_log - 1 do
           if !bad = None && tau.(fl.(l)) <> il.(l) then bad := Some l

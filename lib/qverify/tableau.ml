@@ -114,27 +114,31 @@ let fold_frame t ~quarters s =
     if not (P.commutes t.rz.(w) s) then t.rz.(w) <- folded_row ~quarters t.rz.(w) s
   done
 
-let permutation t =
-  let tau = Array.make t.n (-1) in
-  let ok = ref true in
-  (try
-     for w = 0 to t.n - 1 do
-       let rx = t.rx.(w) and rz = t.rz.(w) in
-       if P.phase rx <> 0 || P.phase rz <> 0 then raise Exit;
-       match P.support rx with
-       | [ u ] when P.code rx u = 1 -> begin
-           match P.support rz with
-           | [ v ] when v = u && P.code rz v = 2 -> tau.(w) <- u
-           | _ -> raise Exit
-         end
-       | _ -> raise Exit
-     done;
-     let seen = Array.make t.n false in
-     Array.iter
-       (fun u -> if seen.(u) then raise Exit else seen.(u) <- true)
-       tau
-   with Exit -> ok := false);
-  if !ok then Some tau else None
+let permutation n row =
+  let tau = Array.make n (-1) in
+  let rec pairs w =
+    if w = n then None
+    else
+      let rx, rz = row w in
+      match (P.phase rx, P.support rx, P.phase rz, P.support rz) with
+      | 0, [ u ], 0, [ v ] when u = v && P.code rx u = 1 && P.code rz v = 2 ->
+          tau.(w) <- u;
+          pairs (w + 1)
+      | _ -> Some w
+  in
+  match pairs 0 with
+  | Some w -> Error w
+  | None ->
+      let seen = Array.make n false in
+      let injective =
+        Array.for_all
+          (fun u ->
+            let fresh = not seen.(u) in
+            seen.(u) <- true;
+            fresh)
+          tau
+      in
+      if injective then Ok tau else Error 0
 
 let map_rows t f =
   for w = 0 to t.n - 1 do

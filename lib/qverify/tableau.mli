@@ -74,7 +74,12 @@ val map_rows : t -> (Pauli.t -> Pauli.t) -> unit
     residual Clifford whose conjugation action is known row-by-row
     ([C <- C V] with [f row = V^dag row V]). *)
 
-val permutation : t -> int array option
-(** [Some tau] when [C] is exactly a wire permutation up to global phase:
-    every row pair is [(+X_{tau w}, +Z_{tau w})] and [tau] is a
-    bijection.  [C = P_sigma] then holds with [tau = sigma^{-1}]. *)
+val permutation : int -> (int -> Pauli.t * Pauli.t) -> (int array, int) result
+(** [permutation n row] tests whether the frame whose wire [w < n] has the
+    row pair [row w] (its X and Z rows) is exactly a wire permutation up to
+    global phase: [Ok tau] when every pair is a signless single-qubit
+    [(X_{tau w}, Z_{tau w})] and [tau] is a bijection (then [C = P_sigma]
+    with [tau = sigma^{-1}]).  Otherwise [Error w], [w] the first wire
+    whose pair is not such a pair, or [0] when only the bijection fails.
+    [row] is called in wire order, and not past the first failing wire;
+    an exception it raises passes through. *)

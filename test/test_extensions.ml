@@ -76,7 +76,7 @@ let test_astar_no_swaps_when_trivially_routable () =
   (* a circuit already matching the line needs no swaps from the identity
      layout; with a random initial layout swaps may appear, so force via a
      fully-connected device instead *)
-  let c = Qbench.Extras.ghz 5 in
+  let c = Qbench.Generators.ghz_chain 5 in
   let r = Qroute.Astar.route ~seed:11 (Topology.Devices.fully_connected 5) c in
   checki "no swaps" 0 r.n_swaps
 
@@ -247,7 +247,7 @@ let test_equiv_distribution_distance () =
 (* ---------- analysis ---------- *)
 
 let test_histogram () =
-  let c = Qbench.Extras.ghz 5 in
+  let c = Qbench.Generators.ghz_chain 5 in
   match Analysis.gate_histogram c with
   | (top, cnt) :: _ ->
       check "cx dominates" true (top = "cx");
@@ -276,7 +276,7 @@ let test_parallelism_profile () =
   check "profile" true (p = [| 2; 1 |])
 
 let test_critical_path () =
-  let c = Qbench.Extras.ghz 6 in
+  let c = Qbench.Generators.ghz_chain 6 in
   let path = Analysis.critical_path c in
   checki "path length = depth" (Circuit.depth c) (List.length path);
   check "monotone indices" true
@@ -297,7 +297,7 @@ let test_two_qubit_layers () =
 
 let test_ghz_state () =
   let s = Qsim.State.create 5 in
-  Qsim.State.apply_circuit s (Qbench.Extras.ghz 5);
+  Qsim.State.apply_circuit s (Qbench.Generators.ghz_chain 5);
   Alcotest.(check (float 1e-9)) "p(00000)" 0.5 (Qsim.State.probability s 0);
   Alcotest.(check (float 1e-9)) "p(11111)" 0.5 (Qsim.State.probability s 31)
 

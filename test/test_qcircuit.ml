@@ -158,6 +158,32 @@ let test_remap () =
   | _ -> Alcotest.fail "remap wrong");
   check "remap identity roundtrip" true (Circuit.equal c (Circuit.remap r [| 1; 0 |]))
 
+(* [equal] compares angles as floats and unitaries numerically; [bit_equal]
+   compares their bits, so it tells the signed zeros and a last-bit
+   difference in a [Unitary2] entry apart *)
+let test_bit_equal () =
+  let one g = Circuit.create 1 [ { Circuit.gate = g; qubits = [ 0 ] } ] in
+  let pos = one (Gate.RZ 0.0) and neg = one (Gate.RZ (-0.0)) in
+  check "equal accepts RZ 0.0 vs RZ -0.0" true (Circuit.equal pos neg);
+  check "bit_equal rejects RZ 0.0 vs RZ -0.0" false (Circuit.bit_equal pos neg);
+  check "bit_equal is reflexive" true (Circuit.bit_equal neg (one (Gate.RZ (-0.0))));
+  let u x =
+    Circuit.create 2
+      [
+        {
+          Circuit.gate =
+            Gate.Unitary2
+              (Mathkit.Mat.init 4 4 (fun r c -> if r = c then { Complex.re = x; im = 0.0 } else Complex.zero));
+          qubits = [ 0; 1 ];
+        };
+      ]
+  in
+  let next = Float.succ 1.0 in
+  check "equal accepts a last-bit Unitary2 difference" true (Circuit.equal (u 1.0) (u next));
+  check "bit_equal rejects it" false (Circuit.bit_equal (u 1.0) (u next));
+  let x q = Circuit.create 2 [ { Circuit.gate = Gate.X; qubits = [ q ] } ] in
+  check "bit_equal compares operands" false (Circuit.bit_equal (x 0) (x 1))
+
 let test_embed_positions () =
   (* CX embedded on qubits (2,0) of a 3-qubit register *)
   let open Mathkit in
@@ -420,6 +446,7 @@ let () =
           Alcotest.test_case "bell unitary" `Quick test_unitary_bell;
           Alcotest.test_case "inverse property" `Quick test_inverse_property;
           Alcotest.test_case "remap" `Quick test_remap;
+          Alcotest.test_case "bit_equal tells signed zeros apart" `Quick test_bit_equal;
           Alcotest.test_case "embed positions" `Quick test_embed_positions;
         ]
         @ List.map QCheck_alcotest.to_alcotest check_props );

@@ -245,12 +245,32 @@ let test_checked_catches_broken_stage () =
   let _, diags = Checked.run_stages ~check_semantics:true [ ("cancellation", evil_cx) ] c in
   let errs = rules_of (Diagnostic.errors diags) in
   check "cost increase caught" true (List.mem "contract.ensures" errs);
-  (* requires-violations surface even in dynamic mode *)
+  (* ordering faults surface in dynamic mode through the same contract
+     step as the static validator: exactly its diagnostics, located at the
+     stage, and the stage still runs *)
   let unlowered = Qcircuit.Circuit.create 3 [ instr Gate.CCX [ 0; 1; 2 ] ] in
-  let _, diags =
-    Checked.run_stages ~initial:[] [ ("cancellation", fun x -> x) ] unlowered
-  in
-  check "requires caught" true (List.mem "contract.requires" (rules_of diags))
+  List.iter
+    (fun (rule, initial, name, input) ->
+      let ran = ref false in
+      let _, diags =
+        Checked.run_stages ~initial
+          [
+            ( name,
+              fun x ->
+                ran := true;
+                x );
+          ]
+          input
+      in
+      check (rule ^ " caught") true (rules_of diags = [ rule ]);
+      check (rule ^ " as the static validator reports it") true
+        (diags = Contract.validate ~initial [ name ]);
+      check (rule ^ ": stage still ran") true !ran)
+    [
+      ("contract.requires", [], "cancellation", unlowered);
+      ("contract.conflict", [ Contract.Lowered_2q; Contract.Hardware_basis ], "route", c);
+      ("contract.unknown-pass", [ Contract.Lowered_2q ], "nonsense", c);
+    ]
 
 (* ---------- typed routing-stuck error ---------- *)
 
@@ -279,7 +299,24 @@ let test_routing_stuck () =
      let s = Printexc.to_string e in
      check "printer names the front" true
        (String.length s > 0
-       && String.sub s 0 (min 20 (String.length s)) = "Engine.Routing_stuck"))
+       && String.sub s 0 (min 20 (String.length s)) = "Engine.Routing_stuck"));
+  (* every path that routes reports it as one diagnostic with that text *)
+  let route () =
+    Qroute.Engine.route_once params edgeless
+      ~rng:(Qroute.Engine.route_rng params)
+      ~dist:(Topology.Distmat.hops edgeless)
+      ~bonus:Qroute.Engine.zero_bonus c [| 0; 1 |]
+  in
+  match Checked.catch_stuck route with
+  | Ok _ -> Alcotest.fail "expected route.stuck"
+  | Error d ->
+      check "route.stuck at the route stage" true
+        (d.rule = "route.stuck" && Diagnostic.is_error d
+        && d.loc = Some (Diagnostic.Stage "route"));
+      Alcotest.(check string)
+        "registered printer text"
+        "Engine.Routing_stuck: no swap candidates for front {(0,1)} under mapping [0 1]"
+        d.message
 
 (* ---------- commutation / savings audit ---------- *)
 

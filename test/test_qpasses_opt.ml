@@ -142,16 +142,6 @@ let reference_optimize_1q mode c =
   done;
   (Circuit.create n (List.rev !out), List.rev !runs)
 
-(* [Circuit.equal] compares angles as floats, so [0.0 = -0.0]; this also
-   compares their bits *)
-let bit_equal a b =
-  let bits c =
-    let buf = Buffer.create 256 in
-    List.iter (fun (i : Circuit.instr) -> Gate.add_signature buf i.gate) (Circuit.instrs c);
-    Buffer.contents buf
-  in
-  Circuit.equal a b && bits a = bits b
-
 (* a small alphabet, so runs repeat within one circuit: both signed zeros,
    angles at and near +-2 pi, and a pair that differs only past single
    precision, so a key that drops float bits merges runs whose outputs
@@ -201,7 +191,7 @@ let qcheck_optimize_1q_memo_matches_reference =
           let col = Qobs.Collector.create () in
           let out = Qobs.with_collector col (fun () -> Optimize_1q.run mode c) in
           let expected, runs = reference_optimize_1q mode c in
-          bit_equal out expected
+          Circuit.bit_equal out expected
           (* every run counted, and one synthesis per distinct signature *)
           && optimize_1q_counters col
              = (List.length runs, List.length (List.sort_uniq compare runs)))
@@ -222,7 +212,7 @@ let test_optimize_1q_counters_across_workers () =
     (r.Qroute.Pipeline.circuit, optimize_1q_counters col)
   in
   let c1, (runs1, synth1) = counters 1 and c4, (runs4, synth4) = counters 4 in
-  check "same circuit" true (bit_equal c1 c4);
+  check "same circuit" true (Circuit.bit_equal c1 c4);
   check "runs counted" true (runs1 > 0 && synth1 > 0 && synth1 < runs1);
   checki "runs, 1 vs 4 workers" runs1 runs4;
   checki "runs_synthesized, 1 vs 4 workers" synth1 synth4
@@ -828,7 +818,7 @@ let qcheck_fixpoint_matches_reference =
         (fun max_rounds ->
           let out, rounds, cancelled, merged = counted_fixpoint ~max_rounds c in
           let out', rounds', cancelled', merged' = reference_fixpoint ~max_rounds c in
-          Circuit.equal out out' && rounds = rounds' && cancelled = cancelled' && merged = merged')
+          Circuit.bit_equal out out' && rounds = rounds' && cancelled = cancelled' && merged = merged')
         [ 1; 2; 3; 4; 5 ])
 
 (* the property above, failing too when fewer than 1 case in 25 had a
@@ -1027,7 +1017,7 @@ let qcheck_resynth_memo_matches_reference =
       let rng = Rng.create seed in
       let n = 3 + Rng.int rng 3 in
       let c = random_repeating_circuit rng n (10 + Rng.int rng 50) in
-      Circuit.equal (Unitary_synthesis.run c) (reference_resynthesis c))
+      Circuit.bit_equal (Unitary_synthesis.run c) (reference_resynthesis c))
 
 (* Single two-wire blocks at, and one op past, the core length of their
    class, where the class-first keep and the build-then-compare rule of
@@ -1115,8 +1105,8 @@ let qcheck_resynth_boundary_matches_reference =
       incr boundary_cases;
       if ops = core then incr boundary_at;
       if ops = core + 1 then incr boundary_past;
-      if ops = core + 1 && not (Circuit.equal reference c) then incr boundary_past_replaced;
-      Circuit.equal (Unitary_synthesis.run c) reference
+      if ops = core + 1 && not (Circuit.bit_equal reference c) then incr boundary_past_replaced;
+      Circuit.bit_equal (Unitary_synthesis.run c) reference
       (* the replacement is the core, [cls] CX among its [core] ops, dressed
          with U gates *)
       && List.length (List.filter (function Gate.U _, _ -> false | _ -> true) built) = core

@@ -208,7 +208,14 @@ let test_pair_basic () =
   (* Clifford mismatch *)
   let cx = circ 2 [ (G.CX, [ 0; 1 ]) ] in
   let cx' = circ 2 [ (G.CX, [ 1; 0 ]) ] in
-  check "CX operand swap" (is_not_equiv (Qverify.verify_pair cx cx'))
+  check "CX operand swap" (is_not_equiv (Qverify.verify_pair cx cx'));
+  (* the permutation test names the first wire whose rows are not a
+     single-qubit X/Z pair *)
+  let reason = function Qverify.Not_equivalent { reason; _ } -> reason | _ -> "" in
+  Alcotest.(check string)
+    "failing wire named" "final frame is not a wire permutation: wire 1 maps to +IXX / +IIZ"
+    (reason
+       (Qverify.verify_pair (circ 3 [ (G.CX, [ 1; 2 ]) ]) (circ 3 [ (G.CX, [ 2; 1 ]) ])))
 
 let test_pair_u_gate () =
   (* U(t,p,l) against its RZ/RY expansion and against KAK-style re-synthesis *)

@@ -42,7 +42,7 @@ let test_single_qubit_only_circuit () =
   checki "no cx" 0 r.cx_total
 
 let test_circuit_exactly_fills_device () =
-  let c = Qbench.Extras.ghz 5 in
+  let c = Qbench.Generators.ghz_chain 5 in
   let coupling = Topology.Devices.linear 5 in
   let r =
     Qroute.Pipeline.transpile
@@ -51,7 +51,7 @@ let test_circuit_exactly_fills_device () =
   check "routed validly at capacity" true (Qroute.Sabre.check_routed coupling r.circuit)
 
 let test_circuit_too_big_raises () =
-  let c = Qbench.Extras.ghz 6 in
+  let c = Qbench.Generators.ghz_chain 6 in
   check "raises" true
     (try
        ignore
@@ -148,7 +148,7 @@ let test_failing_bonus_skips_trial () =
 let test_all_trials_failing_surfaces_one_error () =
   (* circuit wider than the device: every trial fails identically, and the
      multi-trial path raises the same clean error as the single-shot one *)
-  let c = Qbench.Extras.ghz 6 in
+  let c = Qbench.Generators.ghz_chain 6 in
   check "raises Invalid_argument" true
     (try
        ignore

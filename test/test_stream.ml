@@ -84,12 +84,12 @@ let prop_degenerate_window_is_batch (cs, ti, ri, wi) =
   in
   let p1 = pooled 1 and p4 = pooled 4 in
   if
-    Circuit.instrs p1.circuit <> Circuit.instrs p4.circuit
+    (not (Circuit.bit_equal p1.circuit p4.circuit))
     || p1.initial_layout <> p4.initial_layout
     || p1.final_layout <> p4.final_layout
     || p1.n_swaps <> p4.n_swaps
   then QCheck.Test.fail_reportf "%s/%s: transpile differs at workers 1 and 4" tname rname;
-  if Circuit.instrs streamed <> Circuit.instrs batch then
+  if not (Circuit.bit_equal streamed batch) then
     QCheck.Test.fail_reportf "%s/%s window=%d: streamed <> batch (%d vs %d instrs)" tname
       rname window
       (List.length (Circuit.instrs streamed))
@@ -134,7 +134,7 @@ let test_ha_variants () =
     (fun (name, router) ->
       let streamed, sr = stream_route ~calibration:cal ~window:8192 ~router coupling circuit in
       let batch, il, fl, _ = batch_reference ~calibration:cal ~router coupling circuit in
-      check (name ^ ": streamed = batch") true (Circuit.instrs streamed = Circuit.instrs batch);
+      check (name ^ ": streamed = batch") true (Circuit.bit_equal streamed batch);
       check (name ^ ": layouts") true
         (sr.Qroute.Pipeline.sr_initial_layout = il && sr.Qroute.Pipeline.sr_final_layout = fl))
     (List.filter (fun (_, r) -> Qroute.Pipeline.noise_aware r) Qroute.Pipeline.routers)
@@ -153,8 +153,7 @@ let test_streamable_guard () =
           stream_route ~calibration:cal ~window:max_int ~router coupling circuit
         in
         let batch, il, fl, _ = batch_reference ~calibration:cal ~router coupling circuit in
-        check (name ^ ": streamed = batch") true
-          (Circuit.instrs streamed = Circuit.instrs batch);
+        check (name ^ ": streamed = batch") true (Circuit.bit_equal streamed batch);
         check (name ^ ": layouts") true
           (sr.Qroute.Pipeline.sr_initial_layout = il
           && sr.Qroute.Pipeline.sr_final_layout = fl)
@@ -177,7 +176,7 @@ let test_chunking () =
   let coupling = Topology.Devices.grid 2 4 in
   let big, rb = stream_route ~chunk:100_000 ~router:Qroute.Pipeline.Sabre_router coupling circuit in
   let small, rs = stream_route ~chunk:5 ~router:Qroute.Pipeline.Sabre_router coupling circuit in
-  check "chunk=5 concatenation = one chunk" true (Circuit.instrs big = Circuit.instrs small);
+  check "chunk=5 concatenation = one chunk" true (Circuit.bit_equal big small);
   checki "one chunk when chunk is huge" 1 rb.Qroute.Pipeline.sr_chunks;
   check "many chunks when chunk=5" true (rs.Qroute.Pipeline.sr_chunks > 1);
   checki "same depth accounting" rb.Qroute.Pipeline.sr_depth_out rs.Qroute.Pipeline.sr_depth_out

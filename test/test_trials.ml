@@ -84,7 +84,8 @@ let qcheck_props =
 
 (* ---------- determinism ---------- *)
 
-let fingerprint (r : Qroute.Pipeline.result) = Qasm.to_string r.circuit
+let same_circuit (a : Qroute.Pipeline.result) (b : Qroute.Pipeline.result) =
+  Circuit.bit_equal a.circuit b.circuit
 
 let test_trials_deterministic_across_runs () =
   let c = Qbench.Generators.qft 6 in
@@ -97,7 +98,7 @@ let test_trials_deterministic_across_runs () =
   let a = run () and b = run () in
   checki "cx stable" a.cx_total b.cx_total;
   checki "depth stable" a.depth b.depth;
-  check "gate list stable" true (fingerprint a = fingerprint b)
+  check "gate list stable" true (same_circuit a b)
 
 let test_trials_deterministic_across_workers () =
   let c = Qbench.Generators.qft 6 in
@@ -110,7 +111,7 @@ let test_trials_deterministic_across_workers () =
   let a = with_workers 1 and b = with_workers 4 in
   checki "cx worker-independent" a.cx_total b.cx_total;
   checki "depth worker-independent" a.depth b.depth;
-  check "gate list worker-independent" true (fingerprint a = fingerprint b);
+  check "gate list worker-independent" true (same_circuit a b);
   check "per-trial stats worker-independent" true
     (List.map
        (fun (s : Qroute.Trials.stat) -> (s.trial, s.seed, s.cx_total, s.depth, s.n_swaps))
@@ -138,7 +139,7 @@ let test_single_trial_matches_pre_pr_golden () =
       checki "golden cx" cx r1.cx_total;
       checki "golden depth" depth r1.depth;
       checki "golden swaps" swaps r1.n_swaps;
-      check "explicit trials:1 equals default path" true (fingerprint r0 = fingerprint r1))
+      check "explicit trials:1 equals default path" true (same_circuit r0 r1))
     golden
 
 (* the hybrid router adds an exact solver inside the routing loop; its
@@ -157,7 +158,7 @@ let test_hybrid_deterministic_across_runs () =
   checki "cx stable" a.cx_total b.cx_total;
   checki "depth stable" a.depth b.depth;
   checki "swaps stable" a.n_swaps b.n_swaps;
-  check "gate list stable" true (fingerprint a = fingerprint b)
+  check "gate list stable" true (same_circuit a b)
 
 let test_hybrid_deterministic_across_workers () =
   let c = Qbench.Generators.qft 6 in
@@ -170,7 +171,7 @@ let test_hybrid_deterministic_across_workers () =
   let a = with_workers 1 and b = with_workers 4 in
   checki "cx worker-independent" a.cx_total b.cx_total;
   checki "depth worker-independent" a.depth b.depth;
-  check "gate list worker-independent" true (fingerprint a = fingerprint b);
+  check "gate list worker-independent" true (same_circuit a b);
   check "per-trial stats worker-independent" true
     (List.map
        (fun (s : Qroute.Trials.stat) -> (s.trial, s.seed, s.cx_total, s.depth, s.n_swaps))
