@@ -55,13 +55,11 @@ let all =
       ();
   ]
 
-let find name = List.find_opt (fun ct -> ct.cname = name) all
-
 let mem p set = List.memq p set
 
 let step name state =
   let loc = Diagnostic.Stage name in
-  match find name with
+  match List.find_opt (fun ct -> ct.cname = name) all with
   | None ->
       ( state,
         [
