@@ -328,52 +328,55 @@ let transpile_cmd load topology size router_name seed trials workers qasm lint t
         Qlint.Checked.catch_stuck (fun () ->
             with_obs ~trace ~times:trace_times ~record ~fmt ~metrics ~wide ~sample f)
       in
-      if stream then
-        let refused =
-          List.filter_map
-            (fun (flag, set) -> if set then Some flag else None)
-            [
-              ("--record", record <> None);
-              ("--wide-events", wide <> None);
-              ("--lint", lint);
-              ("--qasm", qasm);
-            ]
-        in
-        run_stream ~run ~router_name ~router ~trials ~window ~refused ~params ~cal coupling
-          label circuit
-      else
-        match
-          run (fun () ->
-              Qroute.Pipeline.transpile ~params ~calibration:cal ~trials ?workers ~router
-                coupling circuit)
-        with
-        | Error d -> fail d
-        | Ok (r, collector) -> (
-            Printf.printf "%s\n" header;
-            Printf.printf "topology:        %s (%d qubits)\n" topology
-              (Topology.Coupling.n_qubits coupling);
-            Printf.printf "cx_total:        %d\n" r.cx_total;
-            Printf.printf "depth:           %d\n" r.depth;
-            Printf.printf "swaps inserted:  %d\n" r.n_swaps;
-            Printf.printf "wall time:       %.3f s\n" r.transpile_time;
-            Printf.printf "cpu time:        %.3f s\n" r.cpu_time;
-            print_trial_stats r;
-            (match r.final_layout with
-            | Some fl ->
-                Printf.printf "final layout:    %s\n"
-                  (String.concat " " (Array.to_list (Array.map string_of_int fl)))
-            | None -> ());
-            if qasm then print_string (Qcircuit.Qasm.to_string r.circuit);
-            let lint_diags = if lint then Some (lint_result coupling r) else None in
-            Option.iter
-              (fun dest ->
-                emit_wide ~dest ~label:(Filename.basename label) ~router:router_name
-                  ~topology ~trials ~workers ~seed ~original:circuit ~collector ~lint_diags
-                  ~times:trace_times r)
-              wide;
-            match lint_diags with
-            | Some d when Qlint.Diagnostic.has_errors d -> 1
-            | _ -> 0))
+      let width = Qcircuit.Circuit.n_qubits circuit in
+      match Qlint.Checked.check_width ~router coupling width with
+      | Error d -> fail d
+      | Ok () when stream ->
+          let refused =
+            List.filter_map
+              (fun (flag, set) -> if set then Some flag else None)
+              [
+                ("--record", record <> None);
+                ("--wide-events", wide <> None);
+                ("--lint", lint);
+                ("--qasm", qasm);
+              ]
+          in
+          run_stream ~run ~router_name ~router ~trials ~window ~refused ~params ~cal coupling
+            label circuit
+      | Ok () -> (
+          match
+            run (fun () ->
+                Qroute.Pipeline.transpile ~params ~calibration:cal ~trials ?workers ~router
+                  coupling circuit)
+          with
+          | Error d -> fail d
+          | Ok (r, collector) -> (
+              Printf.printf "%s\n" header;
+              Printf.printf "topology:        %s (%d qubits)\n" topology
+                (Topology.Coupling.n_qubits coupling);
+              Printf.printf "cx_total:        %d\n" r.cx_total;
+              Printf.printf "depth:           %d\n" r.depth;
+              Printf.printf "swaps inserted:  %d\n" r.n_swaps;
+              Printf.printf "wall time:       %.3f s\n" r.transpile_time;
+              Printf.printf "cpu time:        %.3f s\n" r.cpu_time;
+              print_trial_stats r;
+              (match r.final_layout with
+              | Some fl ->
+                  Printf.printf "final layout:    %s\n"
+                    (String.concat " " (Array.to_list (Array.map string_of_int fl)))
+              | None -> ());
+              if qasm then print_string (Qcircuit.Qasm.to_string r.circuit);
+              let lint_diags = if lint then Some (lint_result coupling r) else None in
+              Option.iter
+                (fun dest ->
+                  emit_wide ~dest ~label:(Filename.basename label) ~router:router_name
+                    ~topology ~trials ~workers ~seed ~original:circuit ~collector ~lint_diags
+                    ~times:trace_times r)
+                wide;
+              match lint_diags with
+              | Some d when Qlint.Diagnostic.has_errors d -> 1
+              | _ -> 0)))
 
 let load_benchmark name () =
   match Qbench.Suite.find name with
@@ -454,10 +457,17 @@ let verify_cmd files topology size router_name seed corpus jsonl =
         | exception Sys_error m ->
             Printf.eprintf "%s\n" m;
             incr file_errors
-        | original ->
-            let r = Qroute.Pipeline.transpile ~params ~router coupling original in
-            cell ~name:(Filename.basename f) ~tname:topology ~rname:router_name ~trials:1
-              ~original r)
+        | original -> (
+            match
+              Qlint.Checked.check_width ~router coupling (Qcircuit.Circuit.n_qubits original)
+            with
+            | Error d ->
+                Format.eprintf "%s: %a@." f Qlint.Diagnostic.pp d;
+                incr file_errors
+            | Ok () ->
+                let r = Qroute.Pipeline.transpile ~params ~router coupling original in
+                cell ~name:(Filename.basename f) ~tname:topology ~rname:router_name ~trials:1
+                  ~original r))
       files
   end;
   if not corpus && files = [] then begin

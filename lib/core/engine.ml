@@ -215,34 +215,42 @@ let h_score_time = Qobs.histogram "engine.step_score_ms"
    index of a qubit is a linked list threaded through [next], newest pair
    first.  That fixes the order in which each delta adds its floats, and
    the routing goldens were recorded with it: under a non-integral metric
-   another order can round differently (DESIGN.md §23).
+   another order can round differently (DESIGN.md §23).  A SWAP that
+   retired nothing leaves the step's pairs in place with two qubits
+   exchanged, so the next step renames them ([swap]) instead of loading
+   them again (DESIGN.md §28).
 
    Dense matrices keep the historical single-offset flat read; on-demand
    matrices ([Distmat.hops_lazy], used by the streaming engine on
    mega-scale devices) go through the row cache — same values, so scores
-   and outputs are unchanged either way. *)
+   and outputs are unchanged either way.  One set of loops serves both:
+   the representation is fixed when the scorer is created. *)
 
 module Scoring = struct
   (* Pair [i] is [(a.(i), b.(i))]; index entries [2i] and [2i + 1] stand
      for its endpoints [a.(i)] and [b.(i)] (the second only when
      [b.(i) <> a.(i)]).  [head.(q)] is the newest entry of a pair touching
-     [q], or -1, and [next] links each entry to the next older one. *)
+     [q], or -1, and [next] links each entry to the next older one.
+     [dab.(i)] is pair [i]'s distance and [base.(0)] their sum, added in
+     pair order (a one-cell float array, so adding to it allocates
+     nothing). *)
   type set = {
     mutable a : int array;
     mutable b : int array;
+    mutable dab : float array;
     mutable n : int;
     mutable next : int array;
     head : int array;
-    mutable base : float;
+    base : float array;
   }
 
   type t = {
     front : set;
     ext : set;
-    mutable d : float array;  (* dense flat backing, [||] for on-demand matrices *)
-    mutable dn : int;
-    mutable dm : Distmat.t;
-    mutable dense : bool;
+    d : float array;  (* dense flat backing, [||] for on-demand matrices *)
+    dn : int;
+    dm : Distmat.t;
+    dense : bool;
     mutable finite : bool;  (** both bases finite: delta scoring is valid *)
     mutable evals : int;  (** pair distance evaluations since [prepare] *)
   }
@@ -252,123 +260,181 @@ module Scoring = struct
     {
       a = Array.make capacity 0;
       b = Array.make capacity 0;
+      dab = Array.make capacity 0.0;
       n = 0;
       next = Array.make (2 * capacity) (-1);
       head = Array.make n_phys (-1);
-      base = 0.0;
+      base = [| 0.0 |];
     }
 
-  let create ~n_phys ~capacity =
+  let create ~dist ~capacity =
+    let n_phys = Distmat.n dist and dense = Distmat.is_dense dist in
     {
       front = make_set ~n_phys ~capacity;
       ext = make_set ~n_phys ~capacity;
-      d = [||];
-      dn = 0;
-      dm = Distmat.of_flat ~n:0 [||];
-      dense = true;
+      d = (if dense then Distmat.raw dist else [||]);
+      dn = n_phys;
+      dm = dist;
+      dense;
       finite = true;
       evals = 0;
     }
 
-  let unindex s =
+  let clear_set s =
+    let a = s.a and b = s.b and head = s.head in
     for i = 0 to s.n - 1 do
-      s.head.(s.a.(i)) <- -1;
-      s.head.(s.b.(i)) <- -1
-    done
+      head.(a.(i)) <- -1;
+      head.(b.(i)) <- -1
+    done;
+    s.n <- 0;
+    s.base.(0) <- 0.0
 
   let clear t =
-    unindex t.front;
-    unindex t.ext;
-    t.front.n <- 0;
-    t.ext.n <- 0
+    clear_set t.front;
+    clear_set t.ext
 
-  let add s p q =
-    if s.n = Array.length s.a then begin
+  (* one distance read: the representation is a field of [t], tested on
+     every read but never refetched from the matrix *)
+  let[@inline] dist dense d dn dm x y = if dense then d.((x * dn) + y) else Distmat.get dm x y
+
+  (* append pair [(p, q)], link it into the index as the newest pair of
+     both endpoints and add its distance to the base *)
+  let add t s p q =
+    let i = s.n in
+    if i = Array.length s.a then begin
       let grow arr len = Array.append arr (Array.make len 0) in
-      s.a <- grow s.a s.n;
-      s.b <- grow s.b s.n;
-      s.next <- grow s.next (2 * s.n)
+      s.a <- grow s.a i;
+      s.b <- grow s.b i;
+      s.dab <- Array.append s.dab (Array.make i 0.0);
+      s.next <- grow s.next (2 * i)
     end;
-    s.a.(s.n) <- p;
-    s.b.(s.n) <- q;
-    s.n <- s.n + 1
+    let dpq = dist t.dense t.d t.dn t.dm p q in
+    s.a.(i) <- p;
+    s.b.(i) <- q;
+    s.dab.(i) <- dpq;
+    s.n <- i + 1;
+    let head = s.head and next = s.next in
+    next.(2 * i) <- head.(p);
+    head.(p) <- 2 * i;
+    if q <> p then begin
+      next.((2 * i) + 1) <- head.(q);
+      head.(q) <- (2 * i) + 1
+    end;
+    s.base.(0) <- s.base.(0) +. dpq
 
-  let add_front t p q = add t.front p q
-  let add_ext t p q = add t.ext p q
+  let add_front t p q = add t t.front p q
+  let add_ext t p q = add t t.ext p q
 
-  let[@inline] dget t a b =
-    if t.dense then t.d.((a * t.dn) + b) else Distmat.get t.dm a b
-
-  (* the base sum adds the pairs in order, as a full rescan does, so the
-     unexchanged sums equal the rescan's bit for bit *)
-  let index t s =
-    unindex s;
+  (* The set a fresh [clear] and [add]s would build once the mapping has
+     exchanged [p1] and [p2]: the same pairs in the same order, their
+     endpoints exchanged.  The pairs touching [p1] are renamed first, then
+     those touching [p2] but not [p1] (as [delta] visits them).  Each
+     index list then belongs to the other qubit and keeps its newest-first
+     order, and the distances are read and summed again in pair order. *)
+  let swap_set t s p1 p2 =
+    let a = s.a and b = s.b and next = s.next and head = s.head in
+    let e = ref head.(p1) in
+    while !e >= 0 do
+      let i = !e lsr 1 in
+      let x = a.(i) and y = b.(i) in
+      a.(i) <- (if x = p1 then p2 else if x = p2 then p1 else x);
+      b.(i) <- (if y = p1 then p2 else if y = p2 then p1 else y);
+      e := next.(!e)
+    done;
+    e := head.(p2);
+    while !e >= 0 do
+      let i = !e lsr 1 in
+      let x = a.(i) and y = b.(i) in
+      if x <> p1 && y <> p1 then begin
+        a.(i) <- (if x = p2 then p1 else x);
+        b.(i) <- (if y = p2 then p1 else y)
+      end;
+      e := next.(!e)
+    done;
+    let h1 = head.(p1) in
+    head.(p1) <- head.(p2);
+    head.(p2) <- h1;
+    let dense = t.dense and d = t.d and dn = t.dn and dm = t.dm and dab = s.dab in
     let sum = ref 0.0 in
     for i = 0 to s.n - 1 do
-      let a = s.a.(i) and b = s.b.(i) in
-      sum := !sum +. dget t a b;
-      s.next.(2 * i) <- s.head.(a);
-      s.head.(a) <- 2 * i;
-      if b <> a then begin
-        s.next.((2 * i) + 1) <- s.head.(b);
-        s.head.(b) <- (2 * i) + 1
-      end
+      let v = dist dense d dn dm a.(i) b.(i) in
+      dab.(i) <- v;
+      sum := !sum +. v
     done;
-    s.base <- !sum
+    s.base.(0) <- !sum
 
-  let prepare t ~dist =
-    t.dense <- Distmat.is_dense dist;
-    t.d <- (if t.dense then Distmat.raw dist else [||]);
-    t.dn <- Distmat.n dist;
-    t.dm <- dist;
-    index t t.front;
-    index t t.ext;
-    t.finite <- Float.is_finite t.front.base && Float.is_finite t.ext.base;
+  let swap t p1 p2 =
+    swap_set t t.front p1 p2;
+    swap_set t t.ext p1 p2
+
+  let prepare t =
+    t.finite <- Float.is_finite t.front.base.(0) && Float.is_finite t.ext.base.(0);
     t.evals <- 0
 
-  let base_front t = t.front.base
-  let base_ext t = t.ext.base
+  let base_front t = t.front.base.(0)
+  let base_ext t = t.ext.base.(0)
   let pair_evals t = t.evals
 
-  let[@inline] mapped t p1 p2 a b =
-    let a' = if a = p1 then p2 else if a = p2 then p1 else a in
-    let b' = if b = p1 then p2 else if b = p2 then p1 else b in
-    dget t a' b'
-
   let full_after t p1 p2 s =
+    let dense = t.dense and d = t.d and dn = t.dn and dm = t.dm in
     let sum = ref 0.0 in
     for i = 0 to s.n - 1 do
-      sum := !sum +. mapped t p1 p2 s.a.(i) s.b.(i)
+      let x = s.a.(i) and y = s.b.(i) in
+      let x = if x = p1 then p2 else if x = p2 then p1 else x in
+      let y = if y = p1 then p2 else if y = p2 then p1 else y in
+      sum := !sum +. dist dense d dn dm x y
     done;
     t.evals <- t.evals + s.n;
     !sum
 
-  (* the change over the pairs touching p1, then over those touching p2
-     but not p1 (the others were counted already), each newest first *)
+  (* The change over the pairs touching p1, then over those touching p2
+     but not p1 (the others were counted already), each newest first.
+     An entry's parity says which endpoint is the indexed qubit, so only
+     the other one is looked up; the unexchanged distance is [dab]'s.
+     The evaluations are counted in a local and stored once. *)
   let[@inline] delta t s p1 p2 =
-    let sum = ref 0.0 in
+    let dense = t.dense and d = t.d and dn = t.dn and dm = t.dm in
+    let a = s.a and b = s.b and dab = s.dab and next = s.next in
+    let sum = ref 0.0 and evals = ref 0 in
     let e = ref s.head.(p1) in
     while !e >= 0 do
       let i = !e lsr 1 in
-      let a = s.a.(i) and b = s.b.(i) in
-      t.evals <- t.evals + 1;
-      sum := !sum +. (mapped t p1 p2 a b -. dget t a b);
-      e := s.next.(!e)
+      let moved =
+        if !e land 1 = 0 then
+          let y = b.(i) in
+          dist dense d dn dm p2 (if y = p1 then p2 else if y = p2 then p1 else y)
+        else
+          let x = a.(i) in
+          dist dense d dn dm (if x = p2 then p1 else x) p2
+      in
+      incr evals;
+      sum := !sum +. (moved -. dab.(i));
+      e := next.(!e)
     done;
     e := s.head.(p2);
     while !e >= 0 do
       let i = !e lsr 1 in
-      let a = s.a.(i) and b = s.b.(i) in
-      if a <> p1 && b <> p1 then begin
-        t.evals <- t.evals + 1;
-        sum := !sum +. (mapped t p1 p2 a b -. dget t a b)
+      if !e land 1 = 0 then begin
+        let y = b.(i) in
+        if y <> p1 then begin
+          incr evals;
+          sum := !sum +. (dist dense d dn dm p1 (if y = p2 then p1 else y) -. dab.(i))
+        end
+      end
+      else begin
+        let x = a.(i) in
+        if x <> p1 then begin
+          incr evals;
+          sum := !sum +. (dist dense d dn dm x p1 -. dab.(i))
+        end
       end;
-      e := s.next.(!e)
+      e := next.(!e)
     done;
+    t.evals <- t.evals + !evals;
     !sum
 
   let[@inline] after t s p1 p2 =
-    if t.finite then s.base +. delta t s p1 p2 else full_after t p1 p2 s
+    if t.finite then s.base.(0) +. delta t s p1 p2 else full_after t p1 p2 s
 
   let[@inline] front_after t p1 p2 = after t t.front p1 p2
   let[@inline] ext_after t p1 p2 = after t t.ext p1 p2
@@ -481,22 +547,73 @@ module Candidates = struct
   let p2 t i = t.hi.(t.ord.(i))
 end
 
+(* What a route reuses from step to step and, in [find_layout], from pass
+   to pass: the candidate tables, the scorer, the per-candidate scores,
+   the decay, the front snapshot and the lookahead, and the device's
+   adjacency (read here rather than through [Coupling.connected], a call
+   the dev profile's [-opaque] build cannot inline).  Every pass starts
+   by resetting what it reads. *)
+type workspace = {
+  cands : Candidates.t;
+  scoring : Scoring.t;
+  c_h : float array;
+  c_basic : float array;
+  c_ext : float array;
+  c_bonus : float array;
+  c_action : (out_op -> unit) array;
+  decay : float array;
+  mutable fh : int array;  (* a front snapshot: node handles *)
+  mutable fa : int array;  (* and their qubits (-1 for a one-qubit gate) *)
+  mutable fb : int array;
+  eh : int array;  (* the lookahead: node handles *)
+  ea : int array;  (* and their qubits *)
+  eb : int array;
+  conn : Bytes.t;  (* row-major adjacency: '\001' where two qubits are coupled *)
+}
+
+let workspace params coupling ~dist =
+  let n_phys = Coupling.n_qubits coupling in
+  let cands = Candidates.create ~initial_buckets:32 coupling in
+  let cap = Candidates.capacity cands in
+  let ext_cap = max 0 params.ext_size in
+  {
+    cands;
+    scoring = Scoring.create ~dist ~capacity:(max ext_cap (n_phys / 2));
+    c_h = Array.make cap 0.0;
+    c_basic = Array.make cap 0.0;
+    c_ext = Array.make cap 0.0;
+    c_bonus = Array.make cap 0.0;
+    c_action = Array.make cap no_action;
+    decay = Array.make n_phys 1.0;
+    (* front gates share no wire: as many as the qubits, unless a gate
+       acts on none *)
+    fh = Array.make n_phys 0;
+    fa = Array.make n_phys 0;
+    fb = Array.make n_phys 0;
+    eh = Array.make ext_cap 0;
+    ea = Array.make ext_cap 0;
+    eb = Array.make ext_cap 0;
+    conn =
+      (let conn = Bytes.make (n_phys * n_phys) '\000' in
+       List.iter
+         (fun (a, b) ->
+           Bytes.set conn ((a * n_phys) + b) '\001';
+           Bytes.set conn ((b * n_phys) + a) '\001')
+         (Coupling.edges coupling);
+       conn);
+  }
+
 (* The main routing loop over the circuit's DAG [sd]; returns the SWAP
    count.  [oracle] is the exact-window hook ([?window] of [route_once]).
    With [stream = None] (a layout-search pass) nothing is emitted and
    [bonus] is never called: the pass only moves [mapping]. *)
-let route_core params coupling ~rng ~dist ~bonus ~oracle ~stream ~mapping sd =
+let route_core params coupling ~ws ~rng ~bonus ~oracle ~stream ~mapping sd =
   let n_phys = Coupling.n_qubits coupling in
-  let cands = Candidates.create ~initial_buckets:32 coupling in
-  (* per-candidate scores, reused by every step *)
-  let cap = Candidates.capacity cands in
-  let c_h = Array.make cap 0.0 in
-  let c_basic = Array.make cap 0.0 in
-  let c_ext = Array.make cap 0.0 in
-  let c_bonus = Array.make cap 0.0 in
-  let c_action = Array.make cap no_action in
+  let { cands; scoring; c_h; c_basic; c_ext; c_bonus; c_action; decay; eh; ea; eb; conn; _ } =
+    ws
+  in
   let n_swaps = ref 0 in
-  let decay = Array.make n_phys 1.0 in
+  Array.fill decay 0 n_phys 1.0;
   let stall = ref 0 in
   (* The per-front cache (DESIGN.md §23): the two-qubit gates of the front
      and of the lookahead window as logical pairs.  The front and the
@@ -505,50 +622,58 @@ let route_core params coupling ~rng ~dist ~bonus ~oracle ~stream ~mapping sd =
      executed count has moved past [cached_at], and the SWAPs of a stuck
      front read nothing from the DAG.  It is built on stuck fronts only,
      which hold no one-qubit gate, so while it is fresh the front is
-     exactly these pairs.  Front gates share no wire: at most [n_phys] of them. *)
+     exactly its [nf] pairs, [ws.fa.(i), ws.fb.(i)].  Those arrays also
+     hold [drain]'s front snapshots: a drain runs whenever the cache is
+     stale, and its last round reads the stuck front the cache is built
+     from, at executed count [snap_at]. *)
   let cached_at = ref (-1) in
-  let fa = Array.make n_phys 0 and fb = Array.make n_phys 0 and nf = ref 0 in
-  let ext_cap = max 0 params.ext_size in
-  let ea = Array.make ext_cap 0 and eb = Array.make ext_cap 0 and ne = ref 0 in
-  let scoring = Scoring.create ~n_phys ~capacity:(max ext_cap (n_phys / 2)) in
+  let nf = ref 0 and ne = ref 0 in
+  let snap_n = ref 0 and snap_at = ref (-1) in
+  let snapshot () =
+    let m = Streamdag.front_into sd ws.fh ws.fa ws.fb in
+    if m > Array.length ws.fh then begin
+      ws.fh <- Array.make m 0;
+      ws.fa <- Array.make m 0;
+      ws.fb <- Array.make m 0;
+      ignore (Streamdag.front_into sd ws.fh ws.fa ws.fb)
+    end;
+    snap_n := m;
+    snap_at := Streamdag.executed_count sd
+  in
+  let ext_cap = Array.length ea in
   let refresh () =
-    if !cached_at <> Streamdag.executed_count sd then begin
-      cached_at := Streamdag.executed_count sd;
+    let executed = Streamdag.executed_count sd in
+    if !cached_at <> executed then begin
+      cached_at := executed;
+      if !snap_at <> executed then snapshot ();
+      (* keep the snapshot's two-qubit gates: on a stuck front, all of it *)
+      let fa = ws.fa and fb = ws.fb in
       nf := 0;
-      let h = ref (Streamdag.front_first sd) in
-      while !h >= 0 do
-        let a = Streamdag.qa sd !h in
-        if a >= 0 then begin
-          fa.(!nf) <- a;
-          fb.(!nf) <- Streamdag.qb sd !h;
+      for i = 0 to !snap_n - 1 do
+        if fa.(i) >= 0 then begin
+          fa.(!nf) <- fa.(i);
+          fb.(!nf) <- fb.(i);
           incr nf
-        end;
-        h := Streamdag.front_next sd !h
+        end
       done;
-      (* the lookahead's nodes land in [ea], then become their pairs *)
-      ne := Streamdag.lookahead_into sd ext_cap ea;
-      for i = 0 to !ne - 1 do
-        let h = ea.(i) in
-        ea.(i) <- Streamdag.qa sd h;
-        eb.(i) <- Streamdag.qb sd h
-      done
+      snap_at := -1;
+      ne := Streamdag.lookahead_into sd ext_cap eh ea eb
     end
   in
   (* the cached front as physical pairs, for the oracle, [Routing_stuck]
      and the recorder *)
   let front_pairs () =
-    List.init !nf (fun i -> (mapping.l2p.(fa.(i)), mapping.l2p.(fb.(i))))
+    List.init !nf (fun i -> (mapping.l2p.(ws.fa.(i)), mapping.l2p.(ws.fb.(i))))
   in
+  let[@inline] connected p q = Bytes.get conn ((p * n_phys) + q) = '\001' in
   (* after a SWAP that retired nothing the front is the cached pairs, so
      it can drain only if one of them is now coupled *)
   let stuck () =
     !cached_at = Streamdag.executed_count sd
     &&
+    let fa = ws.fa and fb = ws.fb and l2p = mapping.l2p in
     let i = ref 0 in
-    while
-      !i < !nf
-      && not (Coupling.connected coupling mapping.l2p.(fa.(!i)) mapping.l2p.(fb.(!i)))
-    do
+    while !i < !nf && not (connected l2p.(fa.(!i)) l2p.(fb.(!i))) do
       incr i
     done;
     !i = !nf
@@ -573,87 +698,101 @@ let route_core params coupling ~rng ~dist ~bonus ~oracle ~stream ~mapping sd =
             tag = Not_swap;
           }
   in
-  let executable h =
-    let a = Streamdag.qa sd h in
-    a < 0 || Coupling.connected coupling mapping.l2p.(a) mapping.l2p.(Streamdag.qb sd h)
-  in
   (* execute every currently executable front gate, round after round
-     until none is; returns true if any.  Each round collects the ready
-     nodes into [ready] first, so the gates it promotes wait for the next
-     round, as they did when the round filtered a front list. *)
-  let ready = ref (Array.make (max 1 n_phys) 0) in
+     until none is; returns true if any.  Each round reads the front into
+     a snapshot first, so the gates it promotes wait for the next round,
+     as they did when the round filtered a front list.  The last round
+     finds nothing to execute, so its snapshot is the stuck front. *)
   let drain () =
     let any = ref false and more = ref true in
     while !more do
-      let m = ref 0 in
-      let h = ref (Streamdag.front_first sd) in
-      while !h >= 0 do
-        if executable !h then begin
-          if !m = Array.length !ready then
-            ready := Array.append !ready (Array.make !m 0);
-          !ready.(!m) <- !h;
-          incr m
-        end;
-        h := Streamdag.front_next sd !h
+      snapshot ();
+      let fh = ws.fh and fa = ws.fa and fb = ws.fb and l2p = mapping.l2p in
+      let executed = ref false in
+      for i = 0 to !snap_n - 1 do
+        let a = fa.(i) in
+        if a < 0 || connected l2p.(a) l2p.(fb.(i)) then begin
+          emit_mapped fh.(i);
+          Streamdag.execute sd fh.(i);
+          executed := true
+        end
       done;
-      for i = 0 to !m - 1 do
-        let h = !ready.(i) in
-        emit_mapped h;
-        Streamdag.execute sd h
-      done;
-      if !m = 0 then more := false else any := true
+      if !executed then any := true else more := false
     done;
     !any
   in
+  (* the scorer holds the cached pairs under the mapping before SWAP
+     [(last_p1, last_p2)] while the executed count is [scored_at]; a SWAP
+     the scorer did not choose resets it *)
+  let scored_at = ref (-1) and last_p1 = ref 0 and last_p2 = ref 0 in
   let apply_best_swap () =
     refresh ();
     let nf = !nf and ne = !ne in
+    let traced = Qobs.active () in
+    (* the scorer's pairs: those of the step before, renamed, when only
+       its SWAP has happened since *)
+    if !scored_at = !cached_at then Scoring.swap scoring !last_p1 !last_p2
+    else begin
+      Scoring.clear scoring;
+      let fa = ws.fa and fb = ws.fb and l2p = mapping.l2p in
+      for i = 0 to nf - 1 do
+        Scoring.add_front scoring l2p.(fa.(i)) l2p.(fb.(i))
+      done;
+      for i = 0 to ne - 1 do
+        Scoring.add_ext scoring l2p.(ea.(i)) l2p.(eb.(i))
+      done;
+      scored_at := !cached_at
+    end;
     (* candidate swaps: all couplings touching a physical qubit of a front
-       gate, in the order a [Hashtbl.create 32] would fold them *)
+       gate (the scorer's front pairs, in front order), in the order a
+       [Hashtbl.create 32] would fold them *)
     Candidates.clear cands;
-    Scoring.clear scoring;
+    let pa = scoring.front.a and pb = scoring.front.b in
     for i = 0 to nf - 1 do
-      let pa = mapping.l2p.(fa.(i)) and pb = mapping.l2p.(fb.(i)) in
-      Candidates.add cands pa;
-      Candidates.add cands pb;
-      Scoring.add_front scoring pa pb
-    done;
-    for i = 0 to ne - 1 do
-      Scoring.add_ext scoring mapping.l2p.(ea.(i)) mapping.l2p.(eb.(i))
+      Candidates.add cands pa.(i);
+      Candidates.add cands pb.(i)
     done;
     let n_cand = Candidates.order cands in
-    let timing = Qobs.timing_enabled () && Qobs.active () in
+    let timing = traced && Qobs.timing_enabled () in
     let t0 = if timing then Unix.gettimeofday () else 0.0 in
-    Scoring.prepare scoring ~dist;
+    Scoring.prepare scoring;
     let base_front = Scoring.base_front scoring in
     let nf_f = float_of_int (max 1 nf) in
     let ne_f = float_of_int (max 1 ne) in
+    (* W / |E|, the lookahead's weight: [w /. n *. x] is [(w /. n) *. x] *)
+    let w_ext = params.ext_weight /. ne_f in
     let best_h = ref infinity in
+    (* every decay is at least 1 and no h is NaN or -0.0, so plain
+       comparisons pick what [Float.max] and [Float.min] would *)
     for i = 0 to n_cand - 1 do
       let p1 = Candidates.p1 cands i and p2 = Candidates.p2 cands i in
       let front_after = Scoring.front_after scoring p1 p2 in
       (* Optimization bonuses only discriminate between candidates that
          actually advance the front layer; a SWAP that cancels CNOTs but
          moves no qubit closer is still wasted work. *)
-      let bonus_v, action =
+      let bonus_v =
         match stream with
-        | Some stream when front_after < base_front -. 1e-9 -> bonus ~stream ~mapping p1 p2
-        | _ -> no_bonus
+        | Some stream when front_after < base_front -. 1e-9 ->
+            let v, action = bonus ~stream ~mapping p1 p2 in
+            c_action.(i) <- action;
+            v
+        | Some _ ->
+            c_action.(i) <- no_action;
+            0.0
+        | None -> 0.0
       in
       (* the bonus enters H_basic at full weight: eq. 1 applied literally *)
       let h_basic = ((3.0 *. front_after) -. bonus_v) /. nf_f in
-      let h_ext =
-        if ne = 0 then 0.0 else params.ext_weight /. ne_f *. Scoring.ext_after scoring p1 p2
-      in
-      let h = (h_basic +. h_ext) *. Float.max decay.(p1) decay.(p2) in
+      let h_ext = if ne = 0 then 0.0 else w_ext *. Scoring.ext_after scoring p1 p2 in
+      let d1 = decay.(p1) and d2 = decay.(p2) in
+      let h = (h_basic +. h_ext) *. if d1 >= d2 then d1 else d2 in
       c_h.(i) <- h;
       c_basic.(i) <- h_basic;
       c_ext.(i) <- h_ext;
       c_bonus.(i) <- bonus_v;
-      c_action.(i) <- action;
-      best_h := Float.min !best_h h
+      if h < !best_h then best_h := h
     done;
-    if Qobs.active () then begin
+    if traced then begin
       Qobs.add c_candidates n_cand;
       Qobs.add c_h_basic n_cand;
       if ne > 0 then Qobs.add c_h_lookahead n_cand;
@@ -665,16 +804,22 @@ let route_core params coupling ~rng ~dist ~bonus ~oracle ~stream ~mapping sd =
     if n_cand = 0 then
       raise (Routing_stuck { front = front_pairs (); l2p = Array.copy mapping.l2p });
     let best_h = !best_h in
-    (* the ties in candidate order: [Rng.pick]'s choice depends on it *)
-    let ties = ref [] in
-    for i = n_cand - 1 downto 0 do
-      if c_h.(i) <= best_h +. 1e-12 then ties := i :: !ties
+    (* the ties in candidate order: [Rng.pick] over their list takes the
+       [Rng.int]-th of them *)
+    let n_ties = ref 0 in
+    for i = 0 to n_cand - 1 do
+      if c_h.(i) <= best_h +. 1e-12 then incr n_ties
     done;
-    let chosen = Rng.pick rng !ties in
+    let k = ref (Rng.int rng !n_ties) and chosen = ref 0 in
+    while c_h.(!chosen) > best_h +. 1e-12 || !k > 0 do
+      if c_h.(!chosen) <= best_h +. 1e-12 then decr k;
+      incr chosen
+    done;
+    let chosen = !chosen in
     let p1 = Candidates.p1 cands chosen and p2 = Candidates.p2 cands chosen in
     let bonus_v = c_bonus.(chosen) in
     if timing then Qobs.observe h_score_time ((Unix.gettimeofday () -. t0) *. 1000.0);
-    if Qobs.Recorder.active () then begin
+    if traced && Qobs.Recorder.active () then begin
       Qobs.Recorder.record_step ~front:nf
         ~candidates:
           (List.init n_cand (fun i ->
@@ -695,13 +840,17 @@ let route_core params coupling ~rng ~dist ~bonus ~oracle ~stream ~mapping sd =
     end;
     emit_swap p1 p2 c_action.(chosen);
     apply_swap mapping p1 p2;
+    last_p1 := p1;
+    last_p2 := p2;
     incr n_swaps;
-    Qobs.incr c_swaps;
-    (* eq. 1's prediction for the chosen SWAP: the CNOTs the downstream
-       passes are expected to recover.  Paired with the realized savings
-       recorded by the pipeline, this turns the paper's central claim
-       into a runtime metric. *)
-    Qobs.gauge_add g_predicted bonus_v;
+    if traced then begin
+      Qobs.incr c_swaps;
+      (* eq. 1's prediction for the chosen SWAP: the CNOTs the downstream
+         passes are expected to recover.  Paired with the realized savings
+         recorded by the pipeline, this turns the paper's central claim
+         into a runtime metric. *)
+      Qobs.gauge_add g_predicted bonus_v
+    end;
     decay.(p1) <- decay.(p1) +. decay_delta;
     decay.(p2) <- decay.(p2) +. decay_delta
   in
@@ -710,6 +859,7 @@ let route_core params coupling ~rng ~dist ~bonus ~oracle ~stream ~mapping sd =
      heuristic swap — and recorded as a single-candidate step so flight
      records stay replayable *)
   let apply_fixed_swap ~forced ~front_n (p, q) =
+    scored_at := -1;
     emit_swap p q no_action;
     if Qobs.Recorder.active () then
       Qobs.Recorder.record_step ~front:front_n ~forced
@@ -745,38 +895,33 @@ let route_core params coupling ~rng ~dist ~bonus ~oracle ~stream ~mapping sd =
             true)
   in
   let force_progress () =
-    (* escape valve: route the first front 2q gate along a shortest path *)
+    (* escape valve: route the first front 2q gate along a shortest path
+       (the front is stuck, so that is the first cached pair) *)
     Qobs.incr c_force;
-    let h = Streamdag.front_first sd in
-    if h >= 0 && Streamdag.qa sd h >= 0 then begin
-      let pa = mapping.l2p.(Streamdag.qa sd h) and pb = mapping.l2p.(Streamdag.qb sd h) in
-      let path = Coupling.shortest_path coupling pa pb in
-      let front_n =
-        if Qobs.Recorder.active () then begin
-          refresh ();
-          !nf
-        end
-        else 0
-      in
+    refresh ();
+    if !nf > 0 then begin
+      let l2p = mapping.l2p in
       let rec walk = function
         | p :: q :: rest when rest <> [] ->
-            apply_fixed_swap ~forced:true ~front_n (p, q);
+            apply_fixed_swap ~forced:true ~front_n:!nf (p, q);
             walk (q :: rest)
         | _ -> ()
       in
-      walk path
+      walk (Coupling.shortest_path coupling l2p.(ws.fa.(0)) l2p.(ws.fb.(0)))
     end
   in
   while not (Streamdag.finished sd) do
-    (* on a stuck front nothing retired, so candidate generation and the
-       escape valve see the very front the drain just tried *)
+    (* a drain that executed something ends on a round that executed
+       nothing, so the front it leaves is stuck as well *)
     if (not (stuck ())) && drain () then begin
       stall := 0;
       Array.fill decay 0 n_phys 1.0
-    end
-    else if try_window () then stall := 0
-    else begin
-      if !stall >= params.stall_limit then begin
+    end;
+    (* on a stuck front nothing retired, so candidate generation and the
+       escape valve see the very front the drain just tried *)
+    if not (Streamdag.finished sd) then
+      if try_window () then stall := 0
+      else if !stall >= params.stall_limit then begin
         force_progress ();
         stall := 0
       end
@@ -784,7 +929,6 @@ let route_core params coupling ~rng ~dist ~bonus ~oracle ~stream ~mapping sd =
         apply_best_swap ();
         incr stall
       end
-    end
   done;
   !n_swaps
 
@@ -813,8 +957,8 @@ let route_once params coupling ~rng ~dist ~bonus ?window ?dag:_ ?plan circuit in
   in
   let stream = stream_create ~n_phys () in
   let n_swaps =
-    route_core params coupling ~rng ~dist ~bonus ~oracle:window ~stream:(Some stream)
-      ~mapping (Streamdag.of_plan plan)
+    route_core params coupling ~ws:(workspace params coupling ~dist) ~rng ~bonus
+      ~oracle:window ~stream:(Some stream) ~mapping (Streamdag.of_plan plan)
   in
   {
     routed = List.rev stream.s_rev;
@@ -833,8 +977,8 @@ let route_stream params coupling ~rng ~dist ~bonus ~window ?(keep = 64) ~sink so
   let sd = Streamdag.create ~window source in
   let stream = stream_create ~sink ~keep ~n_phys () in
   let n_swaps =
-    route_core params coupling ~rng ~dist ~bonus ~oracle:None ~stream:(Some stream)
-      ~mapping sd
+    route_core params coupling ~ws:(workspace params coupling ~dist) ~rng ~bonus ~oracle:None
+      ~stream:(Some stream) ~mapping sd
   in
   stream_drain stream;
   Qobs.gauge_set g_window_peak (float_of_int (Streamdag.peak_resident sd));
@@ -859,8 +1003,9 @@ let find_layout params coupling ~rng ~dist ~bonus ?dag:_ ?plans:given circuit =
   let perm = Rng.permutation rng n_phys in
   let layout = ref (Array.init n_log (fun l -> perm.(l))) in
   let { forward; backward } = match given with Some p -> p | None -> plans circuit in
-  (* one walk for every pass: each restarts it on a plan *)
+  (* one walk and one workspace for every pass: each restarts them *)
   let sd = Streamdag.of_plan forward in
+  let ws = workspace params coupling ~dist in
   (* a layout-only pass: [route_once]'s walk without an output stream,
      keeping only where the qubits end up.  Each pass replays a fresh
      route stream, matching the historical behavior (and SABRE's, where
@@ -870,8 +1015,8 @@ let find_layout params coupling ~rng ~dist ~bonus ?dag:_ ?plans:given circuit =
     let mapping = mapping_of_layout ~n_phys layout in
     Streamdag.reset sd plan;
     ignore
-      (route_core params coupling ~rng:(route_rng params) ~dist ~bonus ~oracle:None
-         ~stream:None ~mapping sd);
+      (route_core params coupling ~ws ~rng:(route_rng params) ~bonus ~oracle:None ~stream:None
+         ~mapping sd);
     mapping.l2p
   in
   for _ = 1 to params.iterations do

@@ -125,42 +125,63 @@ val layout_rng : params -> Mathkit.Rng.t
 module Scoring : sig
   (** The incremental candidate scorer (exposed for equivalence tests).
 
-      One [t] serves every step of a route.  Per step, the front and
-      lookahead-window pairs (physical qubits) are loaded with {!clear},
-      {!add_front} and {!add_ext}; {!prepare} then computes the two
-      distance sums once plus a per-physical-qubit -> pairs index, and
-      {!front_after} / {!ext_after} score a candidate SWAP [(p1, p2)] by
-      adjusting only the pairs touching [p1] or [p2] — O(deg) instead of
-      O(|F| + |E|).  Pairs and index live in flat int arrays that grow on
-      demand and are reused, so a step allocates nothing here.
+      One [t] serves every step of a route, and in {!find_layout} every
+      pass.  A step loads the front and lookahead-window pairs (physical
+      qubits) with {!clear}, {!add_front} and {!add_ext}, or, when only the
+      previous step's SWAP has changed the mapping since, renames them with
+      {!swap}; {!prepare} ends the step's loading.  {!front_after} /
+      {!ext_after} then score a candidate SWAP [(p1, p2)] by adjusting only
+      the pairs touching [p1] or [p2]: O(deg) instead of O(|F| + |E|).
+      Pairs, their distances and the per-qubit index live in flat arrays
+      that grow on demand and are reused, so a step allocates nothing here.
 
-      Each sum adds its floats in a fixed order: the base sums in pair
-      order, the deltas over the pairs touching [p1] and then those
-      touching [p2] but not [p1], newest pair first.  For integral (hop)
-      metrics the result is bit-identical to a full rescan; for
-      non-integral metrics it agrees within accumulated ulps (the engine's
-      1e-12 tie tolerance absorbs this).  Infinite base sums (disconnected
-      pairs) fall back to the full rescan internally. *)
+      Order-of-reads invariants.  Each sum adds its floats in a fixed order,
+      and the routing goldens were recorded with it: under a non-integral
+      metric (eq. 3) another order can round differently.
+      - A base sum adds its pairs' distances in pair order, starting from
+        [0.0], as a full rescan does: {!add_front} and {!add_ext} add as they
+        append, and {!swap} sums the renamed pairs again in the same order.
+      - A delta adds [d(moved) -. d(pair)] over the pairs touching [p1],
+        newest pair first, then over those touching [p2] but not [p1],
+        newest first, starting from [0.0]; [front_after] is [base +. delta].
+      - {!swap} leaves the pairs, their order and each qubit's newest-first
+        index list exactly as a fresh {!clear} and the same additions under
+        the exchanged mapping would, so every later sum is the same float.
+      - Dense and on-demand ([Distmat.hops_lazy]) matrices share these
+        loops; the representation is fixed at {!create} and read once per
+        call.  Both give the same values, so the sums agree bit for bit.
+      For integral (hop) metrics the results equal a full rescan bit for
+      bit; for non-integral ones they agree within accumulated ulps (the
+      engine's 1e-12 tie tolerance absorbs this).  An infinite base sum
+      (disconnected pairs) makes scoring fall back to the full rescan. *)
 
   type t
   (** Reusable per-route workspace: the step's pairs, their index and the
       prepared sums.  Not safe to share between concurrent routes. *)
 
-  val create : n_phys:int -> capacity:int -> t
-  (** Room for [capacity] pairs in each of the two sets before the first
-      growth. *)
+  val create : dist:Topology.Distmat.t -> capacity:int -> t
+  (** A scorer over [dist]'s device, with room for [capacity] pairs in each
+      of the two sets before the first growth. *)
 
   val clear : t -> unit
   (** Empty both pair sets. *)
 
   val add_front : t -> int -> int -> unit
-  (** [add_front t a b] appends the physical pair [(a, b)] to the front. *)
+  (** [add_front t a b] appends the physical pair [(a, b)] to the front,
+      indexes it and adds its distance to the front's base sum. *)
 
   val add_ext : t -> int -> int -> unit
   (** Appends a pair to the extended (lookahead) set. *)
 
-  val prepare : t -> dist:Topology.Distmat.t -> unit
-  (** Sums and indexes the pairs added since {!clear} under [dist]. *)
+  val swap : t -> int -> int -> unit
+  (** [swap t p1 p2] exchanges [p1] and [p2] in every pair of both sets:
+      the sets a fresh {!clear} and the same additions would give once the
+      mapping has exchanged the two qubits, at the cost of the pairs
+      touching them plus one pass of distance reads. *)
+
+  val prepare : t -> unit
+  (** Ends a step's loading: decides between delta scoring and the full
+      rescan, and resets {!pair_evals}. *)
 
   val base_front : t -> float
   (** Sum of [D.(a).(b)] over the front pairs under the current mapping. *)

@@ -291,23 +291,33 @@ let create ~window source =
 
 (* ---- the walk ---- *)
 
-let front_first t = t.first
-let front_next t h = t.next.(slot h)
-
 let front t =
   let rec go h acc = if h < 0 then List.rev acc else go t.next.(slot h) (h :: acc) in
   go t.first []
 
+(* a node's two qubits, or -1 twice *)
+let[@inline] pair_a p = if p < 0 then -1 else p lsr slot_bits
+let[@inline] pair_b p = if p < 0 then -1 else p land slot_mask
+
+let front_into t hs qa qb =
+  let cap = min (Array.length hs) (min (Array.length qa) (Array.length qb)) in
+  let next = t.next and pair = t.pair in
+  let n = ref 0 and h = ref t.first in
+  while !h >= 0 do
+    let s = slot !h in
+    if !n < cap then begin
+      let p = pair.(s) in
+      hs.(!n) <- !h;
+      qa.(!n) <- pair_a p;
+      qb.(!n) <- pair_b p
+    end;
+    incr n;
+    h := next.(s)
+  done;
+  !n
+
 let gate t h = t.instrs.(slot h).gate
 let qubits t h = t.instrs.(slot h).qubits
-
-let qa t h =
-  let p = t.pair.(slot h) in
-  if p < 0 then -1 else p lsr slot_bits
-
-let qb t h =
-  let p = t.pair.(slot h) in
-  if p < 0 then -1 else p land slot_mask
 
 let finished t =
   match t.stream with
@@ -362,7 +372,7 @@ let execute t h =
       st.resident <- st.resident - 1;
       refill t st
 
-let push t d =
+let[@inline] push t d =
   if t.tail = Array.length t.queue then begin
     let q' = Array.make ((2 * t.tail) + 16) 0 in
     Array.blit t.queue 0 q' 0 t.tail;
@@ -371,46 +381,55 @@ let push t d =
   t.queue.(t.tail) <- d;
   t.tail <- t.tail + 1
 
-let push_succs t h =
-  let s = slot h in
-  match t.stream with
-  | None ->
-      let p = t.plan in
-      for j = p.off.(s) to p.off.(s + 1) - 1 do
-        push t p.succ.(j)
-      done
-  | Some st -> List.iter (push t) st.succs.(s)
-
-(* BFS forward from the front: seed with the successors of every front
-   node in front order, pop-head / append, collect up to [k] unexecuted
-   two-qubit gates.  Epoch stamps and the queue are reused, so the sweep
-   allocates nothing. *)
-let lookahead_into t k buf =
+(* BFS forward from the front, collecting up to [k] unexecuted two-qubit
+   gates.  The queue starts with the front nodes, which are only expanded:
+   so it holds the successors of every front node in front order before
+   the first node is collected, and then grows pop-head / append.  No
+   front node is a successor of one it can reach, so none is met twice.
+   Epoch stamps and the queue are reused, so on a plan walk the sweep
+   allocates nothing.  Which successor table the walk has (the plan's
+   rows or the stream's lists) is read once per call. *)
+let lookahead_into t k hs qa qb =
   t.epoch <- t.epoch + 1;
   let ep = t.epoch in
   t.tail <- 0;
   let h = ref t.first in
   while !h >= 0 do
-    push_succs t !h;
+    push t !h;
     h := t.next.(slot !h)
   done;
+  let n_front = t.tail in
+  let on_plan = Option.is_none t.stream in
+  let off = t.plan.off and succ = t.plan.succ in
+  let lists = match t.stream with None -> [||] | Some st -> st.succs in
+  let seen = t.seen and indeg = t.indeg and pair = t.pair in
   let head = ref 0 and count = ref 0 in
-  while !count < k && !head < t.tail do
+  while !head < n_front || (!count < k && !head < t.tail) do
     let d = t.queue.(!head) in
     incr head;
     let s = slot d in
-    if t.seen.(s) <> ep then begin
-      t.seen.(s) <- ep;
-      if t.indeg.(s) >= 0 && t.pair.(s) >= 0 then begin
-        buf.(!count) <- d;
-        incr count
+    if !head <= n_front || seen.(s) <> ep then begin
+      if !head > n_front then begin
+        seen.(s) <- ep;
+        let p = pair.(s) in
+        if indeg.(s) >= 0 && p >= 0 then begin
+          hs.(!count) <- d;
+          qa.(!count) <- pair_a p;
+          qb.(!count) <- pair_b p;
+          incr count
+        end
       end;
-      push_succs t d
+      if on_plan then
+        for j = off.(s) to off.(s + 1) - 1 do
+          push t succ.(j)
+        done
+      else List.iter (fun d -> push t d) lists.(s)
     end
   done;
   !count
 
 let lookahead t k =
-  let buf = Array.make (max 0 (min k (capacity t))) 0 in
-  let m = lookahead_into t (Array.length buf) buf in
+  let k = max 0 (min k (capacity t)) in
+  let buf = Array.make k 0 in
+  let m = lookahead_into t k buf (Array.make k 0) (Array.make k 0) in
   Array.to_list (Array.sub buf 0 m)

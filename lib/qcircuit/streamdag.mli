@@ -27,8 +27,8 @@
     rule, so with a window at least the circuit's size both walk the same
     fronts and lookaheads.
 
-    A {!node} is an int handle read by {!gate}, {!qubits}, {!qa} and
-    {!qb} without a lookup.  It belongs to the walk that produced it and
+    A {!node} is an int handle read by {!gate} and {!qubits} without a
+    lookup.  It belongs to the walk that produced it and
     names its node until that node executes; {!execute} rejects it after. *)
 
 module Plan : sig
@@ -68,26 +68,22 @@ val create : window:int -> Source.t -> t
     within the source's qubit count, and a two-qubit gate on exactly two.
     @raise Invalid_argument otherwise (checked per admission). *)
 
-val front_first : t -> node
-(** The first ready (indegree-0, unexecuted) node, or -1 when none is. *)
-
-val front_next : t -> node -> node
-(** The front node after a front node, or -1 at the end. *)
-
 val front : t -> node list
 (** The whole front in order (allocates; for tests). *)
+
+val front_into : t -> node array -> int array -> int array -> int
+(** [front_into t hs qa qb] writes the front in order: the [i]-th node's
+    handle into [hs.(i)] and, for a two-qubit gate, its two qubits into
+    [qa.(i)] and [qb.(i)] (-1 and -1 for any other node).  It
+    returns the front's size and writes only the nodes the shortest array
+    has room for, so a caller whose arrays were too short grows them and
+    calls again.  Allocates nothing. *)
 
 val id : node -> int
 (** Admission index: the gate's position in the plan or the source. *)
 
 val gate : t -> node -> Qgate.Gate.t
 val qubits : t -> node -> int list
-
-val qa : t -> node -> int
-(** The first qubit of a two-qubit gate; -1 for any other node. *)
-
-val qb : t -> node -> int
-(** The second qubit of a two-qubit gate; -1 for any other node. *)
 
 val execute : t -> node -> unit
 (** Retire a front node: decrement its successors' indegrees, append the
@@ -109,11 +105,13 @@ val peak_resident : t -> int
 (** High-water mark of the unexecuted admitted nodes (the O(window)
     claim, measured); a plan's size for a plan walk. *)
 
-val lookahead_into : t -> int -> node array -> int
-(** [lookahead_into t k buf] writes up to [k] two-qubit gates reachable
-    from the front by breadth-first search in dependency order (the paper's
-    extended layer E), restricted to admitted gates, into [buf] (length at
-    least [k]) and returns their number.  Allocates nothing. *)
+val lookahead_into : t -> int -> node array -> int array -> int array -> int
+(** [lookahead_into t k hs qa qb] finds up to [k] two-qubit gates
+    reachable from the front by breadth-first search in dependency order
+    (the paper's extended layer E), restricted to admitted gates, writes
+    the [i]-th one's handle and two qubits into [hs.(i)], [qa.(i)] and
+    [qb.(i)] (each of length at least [k]) and returns their number.
+    Allocates nothing. *)
 
 val lookahead : t -> int -> node list
 (** {!lookahead_into} as a list (allocates; for tests). *)

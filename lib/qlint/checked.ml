@@ -116,19 +116,32 @@ let catch_stuck f =
         (Diagnostic.error ~loc:(Diagnostic.Stage "route") ~rule:"route.stuck"
            (Printexc.to_string e))
 
+let check_width ~router coupling n_qubits =
+  let n_phys = Topology.Coupling.n_qubits coupling in
+  match router with
+  | Qroute.Pipeline.Full_connectivity -> Ok ()
+  | _ when n_qubits <= n_phys -> Ok ()
+  | _ ->
+      Error
+        (Diagnostic.errorf ~loc:(Diagnostic.Stage "route") ~rule:"route.too-wide"
+           "the circuit has %d qubits but the device has %d" n_qubits n_phys)
+
 let transpile ?params ?calibration ?trials ?workers ~router coupling circuit =
   match Diagnostic.errors (validate_pipeline ~router) with
   | _ :: _ as errs -> Error errs
-  | [] -> begin
-      match
-        catch_stuck (fun () ->
-            Qroute.Pipeline.transpile ?params ?calibration ?trials ?workers ~router coupling
-              circuit)
-      with
+  | [] -> (
+      match check_width ~router coupling (Qcircuit.Circuit.n_qubits circuit) with
       | Error d -> Error [ d ]
-      | Ok r -> begin
-          match Diagnostic.errors (check_result ~coupling r) with
-          | [] -> Ok r
-          | errs -> Error errs
-        end
-    end
+      | Ok () -> begin
+          match
+            catch_stuck (fun () ->
+                Qroute.Pipeline.transpile ?params ?calibration ?trials ?workers ~router
+                  coupling circuit)
+          with
+          | Error d -> Error [ d ]
+          | Ok r -> begin
+              match Diagnostic.errors (check_result ~coupling r) with
+              | [] -> Ok r
+              | errs -> Error errs
+            end
+        end)

@@ -62,6 +62,15 @@ val catch_stuck : (unit -> 'a) -> ('a, Diagnostic.t) result
     the engine's registered exception printer.  Every caller that routes
     reports a stuck router through it. *)
 
+val check_width :
+  router:Qroute.Pipeline.router -> Topology.Coupling.t -> int -> (unit, Diagnostic.t) result
+(** [check_width ~router coupling n] refuses a circuit of [n] qubits that
+    does not fit the device: the [route.too-wide] error, located at the
+    [route] stage, naming both sizes.  [Full_connectivity] ignores the
+    device, so it accepts any width.  Every front end that routes a
+    circuit checks it first, so an oversized circuit is a diagnostic and
+    never the engine's [Invalid_argument]. *)
+
 val transpile :
   ?params:Qroute.Engine.params ->
   ?calibration:Topology.Calibration.t ->
@@ -72,6 +81,7 @@ val transpile :
   Qcircuit.Circuit.t ->
   (Qroute.Pipeline.result, Diagnostic.t list) result
 (** Guarded transpile: statically validate the pipeline first and refuse to
-    execute ([Error diags]) on an illegal ordering; otherwise run
+    execute ([Error diags]) on an illegal ordering or a circuit wider than
+    the device ({!check_width}); otherwise run
     {!Qroute.Pipeline.transpile} under {!catch_stuck} and verify the result
     with {!check_result}, returning [Error] when any check fails. *)

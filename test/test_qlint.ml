@@ -318,6 +318,34 @@ let test_routing_stuck () =
         "Engine.Routing_stuck: no swap candidates for front {(0,1)} under mapping [0 1]"
         d.message
 
+(* a circuit wider than the device is one located diagnostic on every
+   routing path, never the engine's Invalid_argument; without routing
+   (Full_connectivity) the device is ignored *)
+let test_too_wide () =
+  let coupling = Topology.Devices.linear 3 in
+  let circuit = Qbench.Generators.qft 4 in
+  let expect what = function
+    | Error (d : Diagnostic.t) ->
+        check (what ^ ": route.too-wide at the route stage") true
+          (d.rule = "route.too-wide" && Diagnostic.is_error d
+          && d.loc = Some (Diagnostic.Stage "route"));
+        Alcotest.(check string)
+          (what ^ ": names both sizes") "the circuit has 4 qubits but the device has 3"
+          d.message
+    | Ok () -> Alcotest.fail (what ^ ": a 4-qubit circuit fits a 3-qubit device")
+  in
+  List.iter
+    (fun (name, router) -> expect name (Checked.check_width ~router coupling 4))
+    Qroute.Pipeline.routers;
+  (match Checked.transpile ~router:Qroute.Pipeline.Sabre_router coupling circuit with
+  | Error [ d ] -> expect "Checked.transpile" (Error d)
+  | Error _ -> Alcotest.fail "Checked.transpile: expected one diagnostic"
+  | Ok _ -> Alcotest.fail "Checked.transpile routed a circuit wider than the device");
+  check "a circuit that fits passes" true
+    (Checked.check_width ~router:Qroute.Pipeline.Sabre_router coupling 3 = Ok ());
+  check "no routing, no width limit" true
+    (Checked.check_width ~router:Qroute.Pipeline.Full_connectivity coupling 4 = Ok ())
+
 (* ---------- commutation / savings audit ---------- *)
 
 let test_audit () =
@@ -374,6 +402,7 @@ let () =
           Alcotest.test_case "transpile results lint clean" `Slow
             test_transpile_passes_lint;
           Alcotest.test_case "routing stuck is typed" `Quick test_routing_stuck;
+          Alcotest.test_case "circuit wider than the device" `Quick test_too_wide;
         ] );
       ("audit", [ Alcotest.test_case "tables vs ground truth" `Slow test_audit ]);
     ]

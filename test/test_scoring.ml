@@ -27,21 +27,25 @@ let topologies =
     ("heavyhex2x2", Topology.Devices.heavy_hex 2 2);
   ]
 
-(* hop and noise-aware metrics per topology, sharing one scorer whose
-   initial capacity (4 pairs) is below the generated pair counts, so the
-   properties also run its growth path and its reset between samples *)
+(* per topology: the dense hop metric, the same hops computed row by row
+   on demand ([Distmat.hops_lazy], the streaming engine's matrix, read
+   through the row cache) and the noise-aware metric.  Each instance keeps
+   one scorer whose initial capacity (4 pairs) is below the generated pair
+   counts, so the properties also run its growth path and its reset
+   between samples *)
 let instances =
   List.concat_map
     (fun (tname, coupling) ->
       let n_phys = Topology.Coupling.n_qubits coupling in
-      let scratch = Engine.Scoring.create ~n_phys ~capacity:4 in
+      let inst name dist integral =
+        (name, n_phys, dist, integral, Engine.Scoring.create ~dist ~capacity:4)
+      in
       [
-        (tname ^ "/hop", n_phys, Topology.Distmat.hops coupling, true, scratch);
-        ( tname ^ "/noise",
-          n_phys,
-          Topology.Calibration.noise_distmat (Topology.Calibration.generate coupling),
-          false,
-          scratch );
+        inst (tname ^ "/hop") (Topology.Distmat.hops coupling) true;
+        inst (tname ^ "/lazy") (Topology.Distmat.hops_lazy coupling) true;
+        inst (tname ^ "/noise")
+          (Topology.Calibration.noise_distmat (Topology.Calibration.generate coupling))
+          false;
       ])
     topologies
 
@@ -56,16 +60,16 @@ let gen_case =
     let* p2 = int_range 0 (n_phys - 1) in
     return (inst, front, ext, p1, if p2 = p1 then (p1 + 1) mod n_phys else p2))
 
-let prepare scratch ~dist ~front ~ext =
+let prepare scratch ~front ~ext =
   Engine.Scoring.clear scratch;
   List.iter (fun (a, b) -> Engine.Scoring.add_front scratch a b) front;
   List.iter (fun (a, b) -> Engine.Scoring.add_ext scratch a b) ext;
-  Engine.Scoring.prepare scratch ~dist;
+  Engine.Scoring.prepare scratch;
   scratch
 
 let prop_delta_equals_full (inst, front, ext, p1, p2) =
   let name, _, dist, integral, scratch = List.nth instances inst in
-  let sc = prepare scratch ~dist ~front ~ext in
+  let sc = prepare scratch ~front ~ext in
   let fa = Engine.Scoring.front_after sc p1 p2 in
   let ea = Engine.Scoring.ext_after sc p1 p2 in
   let fa_ref = ref_sum dist p1 p2 front in
@@ -84,7 +88,7 @@ let prop_delta_equals_full (inst, front, ext, p1, p2) =
 let prop_h_equals_reference (inst, front, ext, p1, p2) =
   let _, _, dist, integral, scratch = List.nth instances inst in
   let params = Engine.default_params in
-  let sc = prepare scratch ~dist ~front ~ext in
+  let sc = prepare scratch ~front ~ext in
   let h_of fa ea =
     let nf = float_of_int (max 1 (List.length front)) in
     let ne = float_of_int (max 1 (List.length ext)) in
@@ -122,7 +126,7 @@ let bits = Int64.bits_of_float
 
 let prop_flat_equals_cons_lists (inst, front, ext, p1, p2) =
   let name, _, dist, _, scratch = List.nth instances inst in
-  let sc = prepare scratch ~dist ~front ~ext in
+  let sc = prepare scratch ~front ~ext in
   let fa = Engine.Scoring.front_after sc p1 p2 in
   let ea = Engine.Scoring.ext_after sc p1 p2 in
   let fa_ref = cons_list_after dist ~front ~ext `Front p1 p2 in
@@ -131,15 +135,66 @@ let prop_flat_equals_cons_lists (inst, front, ext, p1, p2) =
   else
     QCheck.Test.fail_reportf "%s: front %h vs %h, ext %h vs %h" name fa fa_ref ea ea_ref
 
+(* A chain of SWAPs applied to a loaded scorer with [Scoring.swap], against
+   a second scorer loaded afresh with the pairs renamed by the same SWAPs.
+   After each SWAP both sums, the candidate's two scores and the pair
+   evaluations they counted must agree bit for bit *)
+let gen_relabel =
+  QCheck.Gen.(
+    let* case = gen_case in
+    let inst, _, _, _, _ = case in
+    let _, n_phys, _, _, _ = List.nth instances inst in
+    let swap =
+      let* p = int_range 0 (n_phys - 1) in
+      let* q = int_range 0 (n_phys - 2) in
+      return (p, if q >= p then q + 1 else q)
+    in
+    let* swaps = list_size (int_range 1 4) swap in
+    return (case, swaps))
+
+let prop_swap_equals_fresh ((inst, front, ext, p1, p2), swaps) =
+  let name, _, dist, _, scratch = List.nth instances inst in
+  let sc = prepare scratch ~front ~ext in
+  let fresh = Engine.Scoring.create ~dist ~capacity:4 in
+  let exchange (x, y) q = if q = x then y else if q = y then x else q in
+  let rename s (a, b) = (exchange s a, exchange s b) in
+  let state sc =
+    Engine.Scoring.prepare sc;
+    let fa = Engine.Scoring.front_after sc p1 p2 in
+    let ea = Engine.Scoring.ext_after sc p1 p2 in
+    ( bits (Engine.Scoring.base_front sc),
+      bits (Engine.Scoring.base_ext sc),
+      bits fa,
+      bits ea,
+      Engine.Scoring.pair_evals sc )
+  in
+  let rec go front ext = function
+    | [] -> true
+    | ((x, y) as s) :: rest ->
+        Engine.Scoring.swap sc x y;
+        let front = List.map (rename s) front and ext = List.map (rename s) ext in
+        let got = state sc and want = state (prepare fresh ~front ~ext) in
+        if got = want then go front ext rest
+        else
+          let bf, be, fa, ea, ev = got and bf', be', fa', ea', ev' = want in
+          QCheck.Test.fail_reportf
+            "%s: after swap (%d, %d): bases %Lx %Lx vs %Lx %Lx, after %Lx %Lx vs %Lx %Lx, \
+             evals %d vs %d"
+            name x y bf be bf' be' fa ea fa' ea' ev ev'
+  in
+  go front ext swaps
+
 (* QCHECK_LONG=1 multiplies each count by its long_factor *)
 let qcheck_props =
   [
-    QCheck.Test.make ~name:"delta scorer = full rescan (4 topologies x 2 metrics)"
+    QCheck.Test.make ~name:"delta scorer = full rescan (4 topologies x 3 matrices)"
       ~count:500 ~long_factor:20 (QCheck.make gen_case) prop_delta_equals_full;
     QCheck.Test.make ~name:"assembled H = reference H" ~count:500 ~long_factor:20
       (QCheck.make gen_case) prop_h_equals_reference;
     QCheck.Test.make ~name:"flat scorer = cons-list scorer, bit for bit" ~count:500
       ~long_factor:20 (QCheck.make gen_case) prop_flat_equals_cons_lists;
+    QCheck.Test.make ~name:"swapped scorer = fresh scorer, bit for bit" ~count:500
+      ~long_factor:20 (QCheck.make gen_relabel) prop_swap_equals_fresh;
   ]
 
 (* ---- NASSC bonus window semantics over the op stream ---- *)
@@ -201,6 +256,86 @@ let test_score_cache_counter_surfaces () =
     "score_cache_hits positive" true
     (counter_of trace "engine.score_cache_hits" > 0)
 
+(* The engine's work counters and the layouts, pinned at the values the
+   route gave before its SWAP step was rewritten as a kernel: a kernel that
+   drops an evaluation from the count, scores a candidate twice or moves a
+   tie changes one of them.  Seed 3, two trials on one worker, the whole
+   transpile under one collector. *)
+let pinned_counters =
+  [
+    "engine.swap_candidates_scored";
+    "engine.score_cache_hits";
+    "engine.h_basic_evals";
+    "engine.h_lookahead_evals";
+    "engine.swaps_emitted";
+  ]
+
+let pinned =
+  let qft30_init =
+    [| 96; 95; 98; 97; 79; 91; 77; 78; 58; 71; 59; 53; 61; 41; 60; 42; 43; 44; 62; 63; 72;
+       64; 81; 80; 46; 45; 54; 65; 47; 35 |]
+  and sym9_init = [| 10; 22; 8; 13; 16; 19; 5; 12; 14; 9; 11 |] in
+  [
+    ( "QFT 30 on eagle",
+      `Eagle,
+      "sabre",
+      [ 160532; 3004843; 160532; 160532; 9486 ],
+      qft30_init,
+      [| 35; 47; 46; 65; 80; 42; 43; 44; 81; 72; 45; 54; 64; 63; 41; 53; 62; 61; 60; 58; 59;
+         71; 78; 77; 95; 96; 97; 79; 98; 91 |] );
+    ( "QFT 30 on eagle",
+      `Eagle,
+      "nassc",
+      [ 158306; 2953135; 158306; 158306; 9445 ],
+      qft30_init,
+      [| 35; 65; 47; 46; 81; 54; 64; 72; 80; 41; 42; 45; 44; 43; 63; 62; 61; 53; 60; 59; 58;
+         71; 77; 78; 79; 98; 91; 97; 95; 96 |] );
+    ( "sym9_193/4 on montreal",
+      `Montreal,
+      "sabre",
+      [ 271795; 3252053; 271795; 271795; 41570 ],
+      sym9_init,
+      [| 9; 12; 19; 16; 5; 11; 14; 22; 8; 13; 10 |] );
+    ( "sym9_193/4 on montreal",
+      `Montreal,
+      "nassc",
+      [ 275152; 3303043; 275152; 275152; 41906 ],
+      sym9_init,
+      [| 11; 12; 16; 13; 9; 5; 14; 22; 8; 19; 10 |] );
+  ]
+
+let test_pinned_work () =
+  List.iter
+    (fun (name, device, rname, counts, init, final) ->
+      let coupling, circuit =
+        match device with
+        | `Eagle -> (Topology.Devices.eagle (), Qbench.Generators.qft 30)
+        | `Montreal ->
+            (* the sym9_193 stand-in at a quarter of its CNOT total, as in
+               the benchmark's montreal-revlib workload *)
+            ( Topology.Devices.montreal,
+              Qbench.Revlib_like.mct_netlist ~seed:193 ~n:11 ~target_cx:(15232 / 4) )
+      in
+      let router = List.assoc rname Qroute.Pipeline.routers in
+      let root = Qobs.Collector.create ~label:"pinned" () in
+      let r =
+        Qobs.with_collector root (fun () ->
+            Qroute.Pipeline.transpile
+              ~params:{ Engine.default_params with seed = 3 }
+              ~trials:2 ~workers:1 ~router coupling circuit)
+      in
+      let trace = Qobs.Trace.of_root root in
+      let label = name ^ "/" ^ rname in
+      Alcotest.(check (list (pair string int)))
+        (label ^ " counters")
+        (List.combine pinned_counters counts)
+        (List.map (fun c -> (c, counter_of trace c)) pinned_counters);
+      Alcotest.(check (option (array int))) (label ^ " initial layout") (Some init)
+        r.initial_layout;
+      Alcotest.(check (option (array int))) (label ^ " final layout") (Some final)
+        r.final_layout)
+    pinned
+
 let () =
   Alcotest.run "scoring"
     [
@@ -213,5 +348,9 @@ let () =
             test_weyl_cache_counters;
           Alcotest.test_case "score cache counter surfaces" `Quick
             test_score_cache_counter_surfaces;
+        ] );
+      ( "work",
+        [
+          Alcotest.test_case "engine counters and layouts pinned" `Quick test_pinned_work;
         ] );
     ]
