@@ -5,6 +5,7 @@
 type t = { r : int; c : int; m : Float.Array.t }
 
 let rows a = a.r
+let storage a = a.m
 let cols a = a.c
 let zeros r c = { r; c; m = Float.Array.make (2 * r * c) 0.0 }
 
@@ -66,15 +67,6 @@ let gather r c f src =
     done
   done;
   a
-
-let parts a =
-  let n = a.r * a.c in
-  let re = Float.Array.create n and im = Float.Array.create n in
-  for k = 0 to n - 1 do
-    Float.Array.set re k (Float.Array.get a.m (2 * k));
-    Float.Array.set im k (Float.Array.get a.m ((2 * k) + 1))
-  done;
-  (re, im)
 
 let get a i j =
   let k = 2 * ((i * a.c) + j) in

@@ -50,8 +50,11 @@ val gather : int -> int -> (int -> int -> int) -> t -> t
     entry of [src] at row-major position [f i j] (row [f i j / cols src],
     column [f i j mod cols src]), or [0] when [f i j < 0]. *)
 
-val parts : t -> Float.Array.t * Float.Array.t
-(** Real and imaginary parts, each row-major as {!of_real} reads them. *)
+val storage : t -> Float.Array.t
+(** The matrix's own storage (see {b Storage} above), not a copy: writing
+    to it writes the matrix.  For a kernel over raw floats that must not
+    build a [t] per step, such as [Weyl.decompose], which reads its input
+    and fills the [zeros 2 2] factors it returns through it. *)
 
 val argmax_abs : t -> int
 (** Row-major position of the first entry of largest modulus. *)

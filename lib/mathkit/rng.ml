@@ -1,30 +1,47 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in bytes 0-7 and each draw's output in
+   bytes 8-15, so a draw allocates nothing ([Int64] fields and results are
+   boxed). *)
+type t = Bytes.t
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 16 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-(* splitmix64: passes BigCrush, tiny state, trivially splittable. *)
-let next_int64 t =
+let create seed = of_state (Int64.of_int seed)
+
+(* splitmix64: passes BigCrush, tiny state, trivially splittable.  Advances
+   the state and stores the next output at byte 8. *)
+let next t =
   let open Int64 in
-  t.state <- add t.state 0x9E3779B97F4A7C15L;
-  let z = t.state in
+  let z = add (Bytes.get_int64_ne t 0) 0x9E3779B97F4A7C15L in
+  Bytes.set_int64_ne t 0 z;
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
-  logxor z (shift_right_logical z 31)
+  Bytes.set_int64_ne t 8 (logxor z (shift_right_logical z 31))
 
-let split t = { state = next_int64 t }
+let output t = Bytes.get_int64_ne t 8
+
+let split t =
+  next t;
+  of_state (output t)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* keep 62 bits so the Int64 -> int conversion stays non-negative *)
-  let v = Int64.to_int (Int64.logand (next_int64 t) 0x3FFFFFFFFFFFFFFFL) in
+  next t;
+  let v = Int64.to_int (Int64.logand (output t) 0x3FFFFFFFFFFFFFFFL) in
   v mod bound
 
 let float t bound =
   (* 53 high bits -> uniform double in [0,1). *)
-  let bits = Int64.shift_right_logical (next_int64 t) 11 in
+  next t;
+  let bits = Int64.shift_right_logical (output t) 11 in
   Int64.to_float bits /. 9007199254740992.0 *. bound
 
-let bool t = Int64.logand (next_int64 t) 1L = 1L
+let bool t =
+  next t;
+  Int64.logand (output t) 1L = 1L
 
 let gaussian t =
   let rec draw () =

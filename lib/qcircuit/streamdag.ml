@@ -29,28 +29,29 @@ let check_instr n_qubits (i : Circuit.instr) =
     | _ -> invalid_arg "Streamdag: a two-qubit gate needs two qubits"
   else no_pair
 
-(* [f p] once for each distinct node in [wire] (-1: none) on [qs]'s wires:
-   a gate sharing both wires with one predecessor depends on it once *)
-let iter_preds wire qs f =
+(* [p] is among [buf.(k) .. buf.(n - 1)] *)
+let rec mem buf n p k = k < n && (buf.(k) = p || mem buf n p (k + 1))
+
+(* the distinct nodes in [wire] (-1: none) on [qs]'s wires, in wire
+   order, written to [buf] from index [n]; returns the new count.  A gate
+   sharing both wires with one predecessor depends on it once. *)
+let rec preds wire qs buf n =
+  match qs with
+  | [] -> n
+  | q :: rest ->
+      let p = wire.(q) in
+      if p >= 0 && not (mem buf n p 0) then begin
+        buf.(n) <- p;
+        preds wire rest buf (n + 1)
+      end
+      else preds wire rest buf n
+
+let rec set_wires wire qs h =
   match qs with
   | [] -> ()
-  | [ a ] -> if wire.(a) >= 0 then f wire.(a)
-  | [ a; b ] ->
-      let pa = wire.(a) and pb = wire.(b) in
-      if pa >= 0 then f pa;
-      if pb >= 0 && pb <> pa then f pb
-  | _ ->
-      let rec go seen = function
-        | [] -> ()
-        | q :: rest ->
-            let p = wire.(q) in
-            if p >= 0 && not (List.mem p seen) then begin
-              f p;
-              go (p :: seen) rest
-            end
-            else go seen rest
-      in
-      go [] qs
+  | q :: rest ->
+      wire.(q) <- h;
+      set_wires wire rest h
 
 module Plan = struct
   type t = {
@@ -76,13 +77,15 @@ module Plan = struct
     let pair = Array.map (check_instr n_qubits) instrs in
     let indeg = Array.make n 0 in
     let off = Array.make (n + 1) 0 in
-    let wire = Array.make n_qubits (-1) in
+    let wire = Array.make n_qubits (-1) and buf = Array.make n_qubits 0 in
     Array.iteri
       (fun i (ins : Circuit.instr) ->
-        iter_preds wire ins.qubits (fun p ->
-            off.(p + 1) <- off.(p + 1) + 1;
-            indeg.(i) <- indeg.(i) + 1);
-        List.iter (fun q -> wire.(q) <- i) ins.qubits)
+        let k = preds wire ins.qubits buf 0 in
+        for j = 0 to k - 1 do
+          off.(buf.(j) + 1) <- off.(buf.(j) + 1) + 1
+        done;
+        indeg.(i) <- k;
+        set_wires wire ins.qubits i)
       instrs;
     for i = 1 to n do
       off.(i) <- off.(i) + off.(i - 1)
@@ -92,10 +95,12 @@ module Plan = struct
     Array.fill wire 0 n_qubits (-1);
     Array.iteri
       (fun i (ins : Circuit.instr) ->
-        iter_preds wire ins.qubits (fun p ->
-            succ.(fill.(p)) <- handle i i;
-            fill.(p) <- fill.(p) + 1);
-        List.iter (fun q -> wire.(q) <- i) ins.qubits)
+        for j = 0 to preds wire ins.qubits buf 0 - 1 do
+          let p = buf.(j) in
+          succ.(fill.(p)) <- handle i i;
+          fill.(p) <- fill.(p) + 1
+        done;
+        set_wires wire ins.qubits i)
       instrs;
     let n_roots = Array.fold_left (fun acc d -> if d = 0 then acc + 1 else acc) 0 indeg in
     let roots = Array.make n_roots 0 in
@@ -128,7 +133,9 @@ type stream = {
   window : int;
   wire : node array;  (* latest admitted, unexecuted node per wire, or -1 *)
   mutable hd : node array;  (* by slot: the handle of its occupant *)
-  mutable succs : node list array;  (* by slot: ascending id order *)
+  mutable succs : node array array;  (* by slot: [n_succ] successors, ascending id order *)
+  mutable n_succ : int array;
+  preds_buf : node array;  (* an admitted gate's predecessors *)
   mutable free : int array;  (* slots of executed nodes, a stack *)
   mutable n_free : int;
   mutable fresh : int;  (* slots from here on were never used *)
@@ -234,12 +241,24 @@ let take_slot t st =
       t.instrs <- grow t.instrs no_instr;
       t.pair <- grow t.pair no_pair;
       st.hd <- grow st.hd (-1);
-      st.succs <- grow st.succs [];
+      st.succs <- grow st.succs [||];
+      st.n_succ <- grow st.n_succ 0;
       st.free <- grow st.free 0
     end;
     st.fresh <- st.fresh + 1;
     st.fresh - 1
   end
+
+(* append [h] to slot [p]'s successors, doubling its row when full *)
+let add_succ st p h =
+  let n = st.n_succ.(p) in
+  if n = Array.length st.succs.(p) then begin
+    let row = Array.make (max 4 (2 * n)) 0 in
+    Array.blit st.succs.(p) 0 row 0 n;
+    st.succs.(p) <- row
+  end;
+  st.succs.(p).(n) <- h;
+  st.n_succ.(p) <- n + 1
 
 let admit_one t st =
   match Source.pull st.source with
@@ -252,15 +271,15 @@ let admit_one t st =
       t.instrs.(s) <- i;
       t.pair.(s) <- pr;
       st.hd.(s) <- h;
-      let deg = ref 0 in
-      iter_preds st.wire i.qubits (fun p ->
-          st.succs.(slot p) <- st.succs.(slot p) @ [ h ];
-          incr deg);
-      t.indeg.(s) <- !deg;
-      List.iter (fun q -> st.wire.(q) <- h) i.qubits;
+      let deg = preds st.wire i.qubits st.preds_buf 0 in
+      for j = 0 to deg - 1 do
+        add_succ st (slot st.preds_buf.(j)) h
+      done;
+      t.indeg.(s) <- deg;
+      set_wires st.wire i.qubits h;
       st.resident <- st.resident + 1;
       if st.resident > st.peak then st.peak <- st.resident;
-      if !deg = 0 then append t h
+      if deg = 0 then append t h
 
 let refill t st =
   while (not st.exhausted) && st.resident < st.window do
@@ -276,6 +295,8 @@ let create ~window source =
       wire = Array.make (Source.n_qubits source) (-1);
       hd = [||];
       succs = [||];
+      n_succ = [||];
+      preds_buf = Array.make (Source.n_qubits source) 0;
       free = [||];
       n_free = 0;
       fresh = 0;
@@ -347,6 +368,13 @@ let release t d =
   t.indeg.(s) <- k;
   if k = 0 then append t d
 
+let rec clear_wires wire qs h =
+  match qs with
+  | [] -> ()
+  | q :: rest ->
+      if wire.(q) = h then wire.(q) <- -1;
+      clear_wires wire rest h
+
 (* a node is on the front iff it is unexecuted with indegree 0 *)
 let execute t h =
   if not (current t h && t.indeg.(slot h) = 0) then
@@ -362,10 +390,13 @@ let execute t h =
         release t p.succ.(j)
       done
   | Some st ->
-      List.iter (release t) st.succs.(s);
-      st.succs.(s) <- [];
+      let row = st.succs.(s) in
+      for j = 0 to st.n_succ.(s) - 1 do
+        release t row.(j)
+      done;
+      st.n_succ.(s) <- 0;
       (* the slot is free once no wire's tail names it *)
-      List.iter (fun q -> if st.wire.(q) = h then st.wire.(q) <- -1) t.instrs.(s).qubits;
+      clear_wires st.wire t.instrs.(s).qubits h;
       st.hd.(s) <- -1;
       st.free.(st.n_free) <- s;
       st.n_free <- st.n_free + 1;
@@ -386,9 +417,9 @@ let[@inline] push t d =
    so it holds the successors of every front node in front order before
    the first node is collected, and then grows pop-head / append.  No
    front node is a successor of one it can reach, so none is met twice.
-   Epoch stamps and the queue are reused, so on a plan walk the sweep
-   allocates nothing.  Which successor table the walk has (the plan's
-   rows or the stream's lists) is read once per call. *)
+   Epoch stamps and the queue are reused, so the sweep allocates
+   nothing.  Which successor table the walk has (the plan's
+   rows or a stream's successor arrays) is read once per call. *)
 let lookahead_into t k hs qa qb =
   t.epoch <- t.epoch + 1;
   let ep = t.epoch in
@@ -401,7 +432,8 @@ let lookahead_into t k hs qa qb =
   let n_front = t.tail in
   let on_plan = Option.is_none t.stream in
   let off = t.plan.off and succ = t.plan.succ in
-  let lists = match t.stream with None -> [||] | Some st -> st.succs in
+  let rows = match t.stream with None -> [||] | Some st -> st.succs in
+  let n_rows = match t.stream with None -> [||] | Some st -> st.n_succ in
   let seen = t.seen and indeg = t.indeg and pair = t.pair in
   let head = ref 0 and count = ref 0 in
   while !head < n_front || (!count < k && !head < t.tail) do
@@ -423,7 +455,10 @@ let lookahead_into t k hs qa qb =
         for j = off.(s) to off.(s + 1) - 1 do
           push t succ.(j)
         done
-      else List.iter (fun d -> push t d) lists.(s)
+      else
+        for j = 0 to n_rows.(s) - 1 do
+          push t rows.(s).(j)
+        done
     end
   done;
   !count

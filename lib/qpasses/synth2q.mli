@@ -16,7 +16,9 @@
 
 val kak : Mathkit.Mat.t -> Weyl.t * int
 (** [kak u] is [u]'s KAK decomposition and its class (0-3 CNOTs by Weyl
-    chamber position).  Adds one to [synth2q.kak_decompositions].
+    chamber position).  Adds one to [synth2q.kak_decompositions] (and,
+    through [Weyl.decompose], to [weyl.decompositions], which also counts
+    the core decompositions of {!of_kak} and every [Weyl.cnot_cost]).
     @raise Invalid_argument if the input is not a 4x4 unitary. *)
 
 val core_length : int -> int

@@ -35,8 +35,21 @@ val canonical_gate : float -> float -> float -> Mathkit.Mat.t
 (** [canonical_gate x y z] is [N(x,y,z)]. *)
 
 val decompose : Mathkit.Mat.t -> t
-(** Full KAK decomposition with chamber-canonical coordinates.
-    @raise Invalid_argument if the input is not a 4x4 unitary. *)
+(** Full KAK decomposition with chamber-canonical coordinates.  Adds one
+    to the Qobs counter [weyl.decompositions].
+
+    One straight-line kernel over a per-domain float workspace: it builds
+    no intermediate matrix, complex number or list, and allocates only the
+    four 2x2 factors it returns.  Every step performs the float operations
+    of the [Mat], eigensolver and Kronecker-factor code it replaced, in the
+    same order (zero-left-entry skips, [Float.hypot] moduli, [Complex.div]
+    and [Complex.sqrt] written out, [Array.sort]'s order of tied
+    eigenvalues, [List.sort]'s tie rule in the chamber sort), so every
+    result is bit-for-bit that code's; the test suite keeps the old code as
+    the reference.
+    @raise Invalid_argument if the input is not a 4x4 unitary
+    (within 1e-7), or if either local factor fails to split into a
+    Kronecker product within 1e-6. *)
 
 val reconstruct : t -> Mathkit.Mat.t
 (** Multiply the factors back together (inverse of {!decompose}). *)

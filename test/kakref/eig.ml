@@ -106,6 +106,8 @@ let conjugate_by n m p =
   done;
   out
 
+let degenerate_blocks = Atomic.make 0
+
 let simultaneous_diagonalize a b =
   let n = dim a in
   let vals, p = jacobi a in
@@ -129,6 +131,7 @@ let simultaneous_diagonalize a b =
     done;
     let size = !j - !i in
     if size > 1 then begin
+      Atomic.incr degenerate_blocks;
       (* diagonalize the (size x size) block of b' at offset !i *)
       let block = Float.Array.create (size * size) in
       for r = 0 to size - 1 do

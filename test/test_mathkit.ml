@@ -1,4 +1,5 @@
 open Mathkit
+open Kakref
 
 let check = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -48,6 +49,53 @@ let test_rng_gaussian_moments () =
   let var = (!acc2 /. float_of_int n) -. (mean *. mean) in
   check "mean near 0" true (Float.abs mean < 0.05);
   check "variance near 1" true (Float.abs (var -. 1.0) < 0.05)
+
+(* MD5 of the first 64 draws of each kind from a fresh generator, as the
+   boxed-Int64 generator printed them: the unboxed state must keep the
+   exact splitmix64 stream ([split]: one draw from each child) *)
+let pinned_streams =
+  [
+    (0, "int", "8fb30d529a45616514cb7ff265c85c15");
+    (0, "float", "d8d2169f371f1664a05b5b059565cb0f");
+    (0, "bool", "bba5edcb5668098e4c40fef7e6152fd2");
+    (0, "split", "e96258cc957556e991d7f68b6c0d7e07");
+    (1, "int", "64c217c248e1146b6e2d099d886a327b");
+    (1, "float", "512a9c60d7285964da02e3c982eb6fdc");
+    (1, "bool", "91aaf25e0f6f1523ce3237cd84ff8566");
+    (1, "split", "c741ddb9e3d86e7136df046f9c8d0603");
+    (3, "int", "2c0bc3986d61674af24c9ea3434872b3");
+    (3, "float", "b9f525a6e9c67bb323c15039f2cd004b");
+    (3, "bool", "2faa6ab76cf7a31fcfbf34f753d014c9");
+    (3, "split", "c3634bb67a39b238750b97c0cab6fdbd");
+    (-1, "int", "61613c14224edcd7309307558df2e1a6");
+    (-1, "float", "896693892a3f59a453bb2edba1694202");
+    (-1, "bool", "c2f4a1b9abc1da20c0c025516a7af97b");
+    (-1, "split", "7abcb14e58070135a10ab938c73c1427");
+    (max_int, "int", "e8a5243716005059277d658f954e589e");
+    (max_int, "float", "1ab5fdbb164f1d4dc5d1f4f1c5d923a3");
+    (max_int, "bool", "6b0ad63349c78f786a9a9ac07daeade8");
+    (max_int, "split", "9c0f5bd5c3e4fe24c7bfd1710fb4c423")
+  ]
+
+let rng_stream seed kind =
+  let g = Rng.create seed in
+  let draw () =
+    match kind with
+    | "int" -> string_of_int (Rng.int g max_int)
+    | "float" -> Printf.sprintf "%h" (Rng.float g 1.0)
+    | "bool" -> string_of_bool (Rng.bool g)
+    | _ -> string_of_int (Rng.int (Rng.split g) max_int)
+  in
+  String.concat "," (List.init 64 (fun _ -> draw ()))
+
+let test_rng_pinned () =
+  List.iter
+    (fun (seed, kind, digest) ->
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d %s" seed kind)
+        digest
+        (Digest.to_hex (Digest.string (rng_stream seed kind))))
+    pinned_streams
 
 (* ---------- Mat ---------- *)
 
@@ -680,7 +728,7 @@ let kak_pair rng =
   in
   let e = Qpasses.Weyl.magic_basis in
   let m = Mat.mul (Mat.adjoint e) (Mat.mul u e) in
-  let re, im = Mat.parts (Mat.mul (Mat.transpose m) m) in
+  let re, im = Weyl_ref.parts (Mat.mul (Mat.transpose m) m) in
   (unflat 4 re, unflat 4 im)
 
 (* cases seen and cases whose reference split a degenerate eigenspace *)
@@ -789,6 +837,7 @@ let () =
           Alcotest.test_case "permutation" `Quick test_rng_permutation;
           Alcotest.test_case "split" `Quick test_rng_split_independent;
           Alcotest.test_case "gaussian moments" `Quick test_rng_gaussian_moments;
+          Alcotest.test_case "pinned streams" `Quick test_rng_pinned;
         ] );
       ( "mat",
         [
