@@ -43,7 +43,7 @@ let () =
   let ops = Qpasses.Synth2q.synthesize u in
   let cx = List.length (List.filter (fun (g, _) -> g = Qgate.Gate.CX) ops) in
   let exact =
-    Mat.equal_up_to_phase (Qpasses.Synth2q.ops_unitary 2 ops) u
+    Mat.equal_up_to_phase (Qpasses.Blocks.unitary ~zero:0 fst snd ops) u
   in
   Printf.printf "Synthesized with %d gates (%d CNOTs); reconstruction exact: %b\n"
     (List.length ops) cx exact

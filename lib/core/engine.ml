@@ -137,7 +137,6 @@ let stream_drain s =
       s.s_oldest <- s.s_total;
       Array.fill s.s_wire 0 (Array.length s.s_wire) []
 
-let stream_rev s = s.s_rev
 let stream_total s = s.s_total
 let stream_wire s q = s.s_wire.(q)
 

@@ -71,10 +71,6 @@ val stream_push : stream -> out_op -> unit
 val stream_drain : stream -> unit
 (** Deliver every still-retained op to the sink (no-op without one). *)
 
-val stream_rev : stream -> out_op list
-(** All emitted ops, newest first (the classic [out_rev]); under a sink,
-    only the ops not yet flushed. *)
-
 val stream_total : stream -> int
 (** Number of ops emitted so far; the newest op has index [total - 1]. *)
 

@@ -47,31 +47,32 @@ let next_on_pair w1 w2 =
       else if i1 > i2 then Some (h1, t1, w2)
       else Some (h2, w1, t2)
 
-(* ---- the memoized Weyl-cost cache ----
+(* ---- C_2q and its memoized cache ----
 
-   [c2q_bonus] re-synthesizes the trailing block and runs the Weyl
-   invariant analysis for every candidate; across candidates and steps the
-   same local block recurs constantly.  The cache maps an exact bit-level
-   signature of the block (gates with parameter bits, local wires) to the
-   (before, after) CNOT costs.  Domain-local (no sharing, no locks),
-   bounded (reset at [weyl_cache_cap]), and reset per traced trial by the
-   pipeline so hit/miss counters are deterministic for any worker count.
-   Keys are injective, so caching cannot change any routing decision. *)
+   [c2q_bonus] reads the trailing block and classifies it, with and
+   without the SWAP, for every candidate; across candidates and steps the
+   same local block recurs constantly.  The cache maps the block's exact
+   signature ([Qpasses.Blocks.signature], the candidate's first wire as
+   local qubit 0) to its [c2q_saving].  Domain-local (no sharing, no
+   locks), bounded (reset at [weyl_cache_cap]), and reset per traced trial
+   by the pipeline so hit/miss counters are deterministic for any worker
+   count.  Keys are injective, so caching cannot change any routing
+   decision. *)
+
+let c2q_saving block_u =
+  let before = Qpasses.Weyl.cnot_cost_fast block_u in
+  let after = Qpasses.Weyl.cnot_cost_fast (Mathkit.Mat.mul swap_unitary block_u) in
+  max 0 (before + 3 - after)
 
 let weyl_cache_cap = 4096
 
-let weyl_cache_key : (string, int * int) Hashtbl.t Domain.DLS.key =
+let weyl_cache_key : (string, int) Hashtbl.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Hashtbl.create 256)
 
 let reset_weyl_cache () = Hashtbl.reset (Domain.DLS.get weyl_cache_key)
 
-let block_signature ~p1 block =
-  let buf = Buffer.create 64 in
-  List.iter
-    (fun (op : Engine.out_op) ->
-      Qpasses.Blocks.add_op_signature buf ~zero:p1 op.gate op.op_qubits)
-    block;
-  Buffer.contents buf
+let op_gate (op : Engine.out_op) = op.gate
+let op_qubits (op : Engine.out_op) = op.op_qubits
 
 (* C_2q: CNOTs the SWAP saves by merging into the trailing two-qubit block
    on (p1, p2).  The trailing block is the run of ops confined to the pair,
@@ -95,32 +96,23 @@ let c2q_bonus ~stream ~scan_limit p1 p2 =
   in
   if not has2q then 0.0
   else begin
-    let key = block_signature ~p1 block in
+    let key = Qpasses.Blocks.signature ~zero:p1 op_gate op_qubits block in
     let cache = Domain.DLS.get weyl_cache_key in
-    let before, after =
+    let saving =
       match Hashtbl.find_opt cache key with
-      | Some costs ->
+      | Some saving ->
           Qobs.incr c_weyl_hits;
-          costs
+          saving
       | None ->
           Qobs.incr c_weyl_misses;
-          let local q = if q = p1 then 0 else 1 in
-          let block_u =
-            List.fold_left
-              (fun acc (op : Engine.out_op) ->
-                Mathkit.Mat.mul
-                  (Qcircuit.Circuit.embed ~n:2 (Unitary.of_gate op.gate)
-                     (List.map local op.op_qubits))
-                  acc)
-              (Mathkit.Mat.identity 4) block
+          let saving =
+            c2q_saving (Qpasses.Blocks.unitary ~zero:p1 op_gate op_qubits block)
           in
-          let before = Qpasses.Weyl.cnot_cost_fast block_u in
-          let after = Qpasses.Weyl.cnot_cost_fast (Mathkit.Mat.mul swap_unitary block_u) in
           if Hashtbl.length cache >= weyl_cache_cap then Hashtbl.reset cache;
-          Hashtbl.add cache key (before, after);
-          (before, after)
+          Hashtbl.add cache key saving;
+          saving
     in
-    float_of_int (max 0 (before + 3 - after))
+    float_of_int saving
   end
 
 (* Walk back from the candidate SWAP looking for a cancellable CNOT (case 1)

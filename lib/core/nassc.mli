@@ -36,12 +36,21 @@ type config = {
 val default_config : config
 (** All optimizations on (the paper's choice, Section IV-F). *)
 
+val c2q_saving : Mathkit.Mat.t -> int
+(** [C_2q] of a trailing block with 4x4 unitary [b]: the CNOTs a SWAP on
+    its pair saves by merging into it,
+    [max 0 (cost b + 3 - cost (SWAP . b))], both costs by
+    {!Qpasses.Weyl.cnot_cost_fast}.  The one copy of the formula: {!bonus}
+    scores it and [Qlint.Audit.savings] checks it against the CNOTs
+    synthesis realizes. *)
+
 val reset_weyl_cache : unit -> unit
-(** Clear this domain's memoized Weyl-cost cache (trailing-block signature
-    -> (before, after) CNOT costs).  The pipeline resets it per traced
-    trial so the [nassc.weyl_cache_{hits,misses}] counters are a pure
-    function of the trial, whatever domain it lands on.  Caching never
-    affects routing decisions — keys are exact bit-level signatures. *)
+(** Clear this domain's memoized [C_2q] cache, which maps a trailing
+    block's {!Qpasses.Blocks.signature} to its {!c2q_saving}.  The
+    pipeline resets it per traced trial so the
+    [nassc.weyl_cache_{hits,misses}] counters are a pure function of the
+    trial, whatever domain it lands on.  Caching never affects routing
+    decisions — keys are exact bit-level signatures. *)
 
 val bonus : config -> Engine.bonus_fn
 (** The scoring hook itself (exposed for tests and ablations). *)

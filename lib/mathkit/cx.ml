@@ -24,7 +24,6 @@ let approx ?(eps = 1e-9) a b =
   Float.abs (a.Complex.re -. b.Complex.re) <= eps
   && Float.abs (a.Complex.im -. b.Complex.im) <= eps
 
-let is_real ?(eps = 1e-9) z = Float.abs z.Complex.im <= eps
 let is_zero ?(eps = 1e-9) z = Float.abs z.Complex.re <= eps && Float.abs z.Complex.im <= eps
 
 let pp ppf z =

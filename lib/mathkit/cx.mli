@@ -38,6 +38,5 @@ val scale : float -> t -> t
 val approx : ?eps:float -> t -> t -> bool
 (** Componentwise closeness, default [eps] = 1e-9. *)
 
-val is_real : ?eps:float -> t -> bool
 val is_zero : ?eps:float -> t -> bool
 val pp : Format.formatter -> t -> unit

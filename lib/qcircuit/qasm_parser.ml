@@ -364,6 +364,4 @@ let read_file path =
   close_in ic;
   buf
 
-let parse_file_result path = parse_result (read_file path)
-
 let parse_file path = parse (read_file path)

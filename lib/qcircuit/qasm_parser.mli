@@ -25,9 +25,6 @@ exception Parse_error of string
 val parse_result : string -> (Circuit.t, error) result
 (** Parse a full OpenQASM 2 program, returning the structured error. *)
 
-val parse_file_result : string -> (Circuit.t, error) result
-(** Like {!parse_result}, from disk.  @raise Sys_error on I/O failure. *)
-
 val parse : string -> Circuit.t
 (** Parse a full OpenQASM 2 program.  @raise Parse_error on failure. *)
 

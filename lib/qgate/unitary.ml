@@ -103,5 +103,3 @@ let of_gate (g : Gate.t) =
   | MCZ k -> mcz_mat k
   | Unitary2 m -> m
   | Barrier _ | Measure -> invalid_arg "Unitary.of_gate: directive has no unitary"
-
-let global_phase_free_equal a b = Mat.equal_up_to_phase a b

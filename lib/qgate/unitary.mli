@@ -15,6 +15,3 @@ val cnot_rev : Mathkit.Mat.t
 
 val swap_mat : Mathkit.Mat.t
 (** The 4x4 SWAP matrix (cached). *)
-
-val global_phase_free_equal : Mathkit.Mat.t -> Mathkit.Mat.t -> bool
-(** Alias of {!Mathkit.Mat.equal_up_to_phase}; exported for readability. *)

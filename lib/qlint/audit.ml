@@ -112,7 +112,7 @@ let audit_unitary ~what diags u =
       Diagnostic.errorf ~rule:"audit.savings"
         "%s: synthesis spends %d CNOTs, chamber position says %d" what spent exact
       :: !diags;
-  if not (Mat.equal_up_to_phase (Qpasses.Synth2q.ops_unitary 2 ops) u) then
+  if not (Mat.equal_up_to_phase (Qpasses.Blocks.unitary ~zero:0 fst snd ops) u) then
     diags :=
       Diagnostic.errorf ~rule:"audit.savings"
         "%s: synthesized circuit does not reconstruct the unitary" what
@@ -156,8 +156,8 @@ let savings ?(seed = 2022) () =
       scenario ();
       ignore (audit_unitary ~what diags (dress rng n_gate)))
     classes;
-  (* C_2q: the SWAP-merge bonus (cost(B) + 3) - cost(SWAP.B) equals the
-     CNOTs re-synthesis actually recovers, and merging preserves semantics *)
+  (* C_2q: the router's SWAP-merge bonus equals the CNOTs re-synthesis
+     actually recovers, and merging preserves semantics *)
   for k = 1 to c2q_samples do
     scenario ();
     let b = Randmat.su4 rng in
@@ -165,14 +165,13 @@ let savings ?(seed = 2022) () =
     let what = Printf.sprintf "c2q sample %d" k in
     let cost_b = audit_unitary ~what:(what ^ " (block)") diags b in
     let cost_m = audit_unitary ~what:(what ^ " (merged)") diags merged in
-    let claimed =
-      max 0 (Qpasses.Weyl.cnot_cost_fast b + 3 - Qpasses.Weyl.cnot_cost_fast merged)
-    in
-    if claimed <> max 0 (cost_b + 3 - cost_m) then
+    let claimed = Qroute.Nassc.c2q_saving b in
+    let realized = max 0 (cost_b + 3 - cost_m) in
+    if claimed <> realized then
       diags :=
         Diagnostic.errorf ~rule:"audit.savings"
           "%s: C_2q bonus %d disagrees with realized synthesis savings %d" what claimed
-          (max 0 (cost_b + 3 - cost_m))
+          realized
         :: !diags;
     let separate =
       Qcircuit.Circuit.create 2

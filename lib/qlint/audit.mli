@@ -13,8 +13,8 @@
     - {!savings} checks the Weyl-chamber CNOT cost (fast invariant path vs
       exact eigendecomposition vs the CNOTs {!Qpasses.Synth2q.synthesize}
       actually emits, with the synthesis verified to reconstruct its input),
-      the [C_2q] merge bonus [(cost(B) + 3) - cost(SWAP.B)] against
-      realized re-synthesis on random blocks, and the [C_commute1] /
+      the router's own [C_2q] merge bonus ({!Qroute.Nassc.c2q_saving})
+      against realized re-synthesis on random blocks, and the [C_commute1] /
       [C_commute2] cancellation claims against what
       {!Qpasses.Cancellation} actually removes on witness fragments. *)
 

@@ -74,15 +74,14 @@ let collect c =
   end;
   segments
 
-let block_unitary b =
-  let lo, hi = b.pair in
-  let local q = if q = lo then 0 else if q = hi then 1 else invalid_arg "block wire" in
+let unitary ~zero gate qubits ops =
+  let local q = if q = zero then 0 else 1 in
   List.fold_left
-    (fun acc (i : Qcircuit.Circuit.instr) ->
-      let u = Unitary.of_gate i.gate in
-      let qs = List.map local i.qubits in
-      Mathkit.Mat.mul (Qcircuit.Circuit.embed ~n:2 u qs) acc)
-    (Mathkit.Mat.identity 4) b.ops
+    (fun acc op ->
+      Mathkit.Mat.mul
+        (Qcircuit.Circuit.embed ~n:2 (Unitary.of_gate (gate op)) (List.map local (qubits op)))
+        acc)
+    (Mathkit.Mat.identity 4) ops
 
 let to_circuit n segments =
   let instrs =
@@ -102,10 +101,15 @@ let gate_cx_cost (g : Gate.t) =
       List.length (List.filter (fun (x, _) -> x = Gate.CX) lowered)
   | _ -> 0
 
-let add_op_signature buf ~zero g qubits =
-  Gate.add_signature buf g;
-  List.iter (fun q -> Buffer.add_char buf (if q = zero then '\000' else '\001')) qubits;
-  Buffer.add_char buf '\255'
+let signature ~zero gate qubits ops =
+  let buf = Buffer.create 64 in
+  List.iter
+    (fun op ->
+      Gate.add_signature buf (gate op);
+      List.iter (fun q -> Buffer.add_char buf (if q = zero then '\000' else '\001')) (qubits op);
+      Buffer.add_char buf '\255')
+    ops;
+  Buffer.contents buf
 
 let ops_cx_cost ops =
   List.fold_left (fun acc (i : Qcircuit.Circuit.instr) -> acc + gate_cx_cost i.gate) 0 ops

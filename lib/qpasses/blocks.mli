@@ -17,18 +17,26 @@ and block = {
 val collect : Qcircuit.Circuit.t -> segment list
 (** Segments in a valid topological order of the source circuit. *)
 
-val block_unitary : block -> Mathkit.Mat.t
-(** 4x4 unitary of a block, with [fst pair] as the most significant qubit. *)
+val unitary : zero:int -> ('op -> Qgate.Gate.t) -> ('op -> int list) -> 'op list -> Mathkit.Mat.t
+(** [unitary ~zero gate qubits ops]: the 4x4 unitary of ops confined to two
+    wires, read through the accessors [gate] and [qubits], with wire [zero]
+    as local qubit 0 (most significant) and any other wire as local qubit 1.
+    The one block-unitary fold: the synthesis pass reads a block with
+    [~zero:(fst pair)], NASSC's [C_2q] a trailing block with the candidate's
+    first wire, [Synth2q] its local core circuits with [~zero:0].  The
+    accessors let each caller pass the list it holds, unconverted. *)
 
 val to_circuit : int -> segment list -> Qcircuit.Circuit.t
 (** Reassemble segments into a circuit over [n] qubits. *)
 
-val add_op_signature : Buffer.t -> zero:int -> Qgate.Gate.t -> int list -> unit
-(** Append one op of a two-wire block to the block's exact signature: the
-    gate's {!Qgate.Gate.add_signature}, one byte per operand (0 for wire
-    [zero], 1 for the other wire) and a separator.  Two blocks with equal
-    signatures hold the same gates, parameters bit for bit, on the same
-    local wires, so anything computed from their local unitaries agrees. *)
+val signature : zero:int -> ('op -> Qgate.Gate.t) -> ('op -> int list) -> 'op list -> string
+(** The exact signature of ops confined to two wires, read as {!unitary}
+    reads them: per op, the gate's {!Qgate.Gate.add_signature}, one byte
+    per operand (0 for wire [zero], 1 for the other wire) and a separator.
+    Two op lists with equal signatures hold the same gates, parameters bit
+    for bit, on the same local wires, so anything computed from their
+    local unitaries agrees.  NASSC's [C_2q] cache and the synthesis
+    pass's memo are both keyed by it. *)
 
 val ops_cx_cost : Qcircuit.Circuit.instr list -> int
 (** CNOTs spent by an instruction list (2q gates counted by their CX-basis
@@ -36,6 +44,3 @@ val ops_cx_cost : Qcircuit.Circuit.instr list -> int
 
 val block_cx_cost : block -> int
 (** [ops_cx_cost b.ops]: CNOTs currently spent inside the block. *)
-
-val gate_cx_cost : Qgate.Gate.t -> int
-(** CX-basis cost of one gate (0 for one-qubit gates and directives). *)

@@ -3,13 +3,6 @@ open Qgate
 
 let pi = Float.pi
 
-let ops_unitary n ops =
-  List.fold_left
-    (fun acc (g, qs) ->
-      Mat.mul (Qcircuit.Circuit.embed ~n (Unitary.of_gate g) qs) acc)
-    (Mat.identity (1 lsl n))
-    ops
-
 let one_qubit_ops m q =
   let theta, phi, lam = Euler.u_angles_of_unitary m in
   if Euler.is_identity_angles ~eps:1e-10 (theta, phi, lam) then []
@@ -44,14 +37,6 @@ let core_for_class (x, y, z) = function
       ]
   | k -> invalid_arg (Printf.sprintf "Synth2q.core_for_class: %d" k)
 
-let classify (x, y, z) =
-  let eps = 1e-8 in
-  let near a b = Float.abs (a -. b) < eps in
-  if near x 0.0 && near y 0.0 && near z 0.0 then 0
-  else if near x (pi /. 4.0) && near y 0.0 && near z 0.0 then 1
-  else if near z 0.0 then 2
-  else 3
-
 let core_length = function
   | 0 -> 0
   | 1 -> 1
@@ -64,13 +49,13 @@ let c_kak = Qobs.counter "synth2q.kak_decompositions"
 let kak u =
   Qobs.incr c_kak;
   let r = Weyl.decompose u in
-  (r, classify (r.x, r.y, r.z))
+  (r, Weyl.cnot_class r)
 
 (* The class-1 core is the constant CX(0,1), so its decomposition and the
    adjoints of its local factors are computed once, here.  Not a [Lazy]:
    forcing one from several domains at once raises [Lazy.Undefined]. *)
 let cx_core = core_for_class (pi /. 4.0, 0.0, 0.0) 1
-let cx_core_kak = Weyl.decompose (ops_unitary 2 cx_core)
+let cx_core_kak = Weyl.decompose (Blocks.unitary ~zero:0 fst snd cx_core)
 
 (* the adjoints of a core's local factors, as the dressing uses them *)
 let adjoints (rv : Weyl.t) =
@@ -86,7 +71,7 @@ let of_kak ((r : Weyl.t), cls) =
       if cls = 1 then (cx_core, cx_core_kak, cx_core_adjoints)
       else
         let core = core_for_class (r.x, r.y, r.z) cls in
-        let rv = Weyl.decompose (ops_unitary 2 core) in
+        let rv = Weyl.decompose (Blocks.unitary ~zero:0 fst snd core) in
         (core, rv, adjoints rv)
     in
     let close a b = Float.abs (a -. b) < 1e-6 in

@@ -2,7 +2,8 @@
     count (Qiskit's [TwoQubitBasisDecomposer] analog).
 
     Emitted ops act on local qubits 0 (most significant) and 1; the caller
-    maps them onto circuit qubits.  Output is correct up to global phase.
+    maps them onto circuit qubits.  Output is correct up to global phase;
+    [Blocks.unitary ~zero:0 fst snd ops] is the unitary of an emitted list.
 
     Synthesis runs in two steps, so a caller can decide from the first
     whether it wants the second.  {!kak} is one [Weyl.decompose] of the
@@ -15,8 +16,8 @@
     core.  {!synthesize} is both steps. *)
 
 val kak : Mathkit.Mat.t -> Weyl.t * int
-(** [kak u] is [u]'s KAK decomposition and its class (0-3 CNOTs by Weyl
-    chamber position).  Adds one to [synth2q.kak_decompositions] (and,
+(** [kak u] is [u]'s KAK decomposition and its class, the minimal CNOT
+    count {!Weyl.cnot_class} reads off its chamber position.  Adds one to [synth2q.kak_decompositions] (and,
     through [Weyl.decompose], to [weyl.decompositions], which also counts
     the core decompositions of {!of_kak} and every [Weyl.cnot_cost]).
     @raise Invalid_argument if the input is not a 4x4 unitary. *)
@@ -38,7 +39,3 @@ val synthesize : Mathkit.Mat.t -> (Qgate.Gate.t * int list) list
 (** [of_kak (kak u)]: synthesize a 4x4 unitary with 0-3 CNOTs according
     to its Weyl chamber position.
     @raise Invalid_argument if the input is not a 4x4 unitary. *)
-
-val ops_unitary : int -> (Qgate.Gate.t * int list) list -> Mathkit.Mat.t
-(** Dense unitary of an op list over [n] qubits; exposed for reuse in tests
-    and in block resynthesis. *)

@@ -3,11 +3,6 @@ open Qcircuit
 let c_considered = Qobs.counter "synth.blocks_considered"
 let c_accepted = Qobs.counter "synth.blocks_resynthesized"
 
-let resynth_gain b =
-  let current = Blocks.block_cx_cost b in
-  let optimal = Weyl.cnot_cost (Blocks.block_unitary b) in
-  max 0 (current - optimal)
-
 (* What the pass does with one block: keep its ops, or replace them by the
    synthesized body, held on local qubits (0 = low wire, 1 = high wire).
    A replacement spends exactly [cls] CNOTs in at least [core_length cls]
@@ -16,8 +11,11 @@ type decision = Keep | Replace of Circuit.instr list
 
 let keep_by_class ~cls ~cx ~ops = cls > cx || (cls = cx && ops <= Synth2q.core_length cls)
 
+let gate (i : Circuit.instr) = i.gate
+let qubits (i : Circuit.instr) = i.qubits
+
 let decide (b : Blocks.block) =
-  let ((_, cls) as k) = Synth2q.kak (Blocks.block_unitary b) in
+  let ((_, cls) as k) = Synth2q.kak (Blocks.unitary ~zero:(fst b.pair) gate qubits b.ops) in
   let cx = Blocks.block_cx_cost b and ops = List.length b.ops in
   if keep_by_class ~cls ~cx ~ops then Keep
   else
@@ -27,22 +25,15 @@ let decide (b : Blocks.block) =
     in
     if cls < cx || List.length replacement < ops then Replace replacement else Keep
 
-(* the decision reads only the block's local unitary, CX cost and op
-   count, so blocks with equal signatures get equal decisions *)
-let signature (b : Blocks.block) =
-  let buf = Buffer.create 64 in
-  List.iter
-    (fun (i : Circuit.instr) -> Blocks.add_op_signature buf ~zero:(fst b.pair) i.gate i.qubits)
-    b.ops;
-  Buffer.contents buf
-
 let run c =
   let memo = Hashtbl.create 256 in
   let improve = function
     | Blocks.Single i -> [ i ]
     | Blocks.Block b -> (
         Qobs.incr c_considered;
-        let key = signature b in
+        (* the decision reads only the block's local unitary, CX cost and
+           op count, so blocks with equal signatures get equal decisions *)
+        let key = Blocks.signature ~zero:(fst b.pair) gate qubits b.ops in
         let d =
           match Hashtbl.find_opt memo key with
           | Some d -> d

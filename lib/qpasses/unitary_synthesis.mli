@@ -17,8 +17,8 @@
 
     Within one [run] call, each block's decision (keep, or the replacement
     body on the block's two local qubits) is memoized by the block's exact
-    signature ({!Blocks.add_op_signature} over its ops, with the low wire
-    as local qubit 0).  The decision is a pure function of that signature,
+    signature ({!Blocks.signature} of its ops, with the low wire as local
+    qubit 0).  The decision is a pure function of that signature,
     so a hit yields exactly the output an independent re-synthesis would.
     On the [bench/e2e] workloads 84-93% of blocks repeat a signature seen
     earlier in the same call.  The table lives only for the call, so
@@ -34,6 +34,3 @@ val keep_by_class : cls:int -> cx:int -> ops:int -> bool
     unitary is of class [cls], is kept without building a replacement.
     True exactly when even a replacement of {!Synth2q.core_length}[ cls]
     ops, the fewest any replacement has, would not replace the block. *)
-
-val resynth_gain : Blocks.block -> int
-(** CNOTs saved by re-synthesizing the block ([current - optimal], >= 0). *)

@@ -765,23 +765,31 @@ let coords u =
   let r = decompose u in
   (r.x, r.y, r.z)
 
-let cnot_cost u =
-  let x, y, z = coords u in
+(* the chamber rule: the minimal CNOT count of a decomposition's
+   coordinates, each compared within 1e-8 *)
+let cnot_class r =
   let eps = 1e-8 in
   let near a b = Float.abs (a -. b) < eps in
-  if near x 0.0 && near y 0.0 && near z 0.0 then 0
-  else if near x quarter_pi && near y 0.0 && near z 0.0 then 1
-  else if near z 0.0 then 2
+  if near r.x 0.0 && near r.y 0.0 && near r.z 0.0 then 0
+  else if near r.x quarter_pi && near r.y 0.0 && near r.z 0.0 then 1
+  else if near r.z 0.0 then 2
   else 3
 
-let cnot_cost_fast u =
+let cnot_cost u = cnot_class (decompose u)
+
+let yy = Mat.kron y_mat y_mat
+
+(* tr gamma and tr gamma^2 of the det-normalized [u], where
+   gamma = su (Y(x)Y) su^T (Y(x)Y) *)
+let gamma_traces u =
   let det = Mat.det u in
   let phase0 = Cx.arg det /. 4.0 in
   let su = Mat.scale (Cx.exp_i (-.phase0)) u in
-  let yy = Mat.kron y_mat y_mat in
   let gamma = Mat.mul su (Mat.mul yy (Mat.mul (Mat.transpose su) yy)) in
-  let tr = Mat.trace gamma in
-  let tr2 = Mat.trace (Mat.mul gamma gamma) in
+  (Mat.trace gamma, Mat.trace (Mat.mul gamma gamma))
+
+let cnot_cost_fast u =
+  let tr, tr2 = gamma_traces u in
   let eps = 1e-7 in
   (* local class: gamma = +/-I, i.e. trace +/-4 and REAL (gamma = +/-i I,
      trace +/-4i, is the SWAP class and needs 3) *)
@@ -791,13 +799,7 @@ let cnot_cost_fast u =
   else 3
 
 let gamma_invariants u =
-  let det = Mat.det u in
-  let phase0 = Cx.arg det /. 4.0 in
-  let su = Mat.scale (Cx.exp_i (-.phase0)) u in
-  let yy = Mat.kron y_mat y_mat in
-  let gamma = Mat.mul su (Mat.mul yy (Mat.mul (Mat.transpose su) yy)) in
-  let tr = Mat.trace gamma in
-  let tr2 = Mat.trace (Mat.mul gamma gamma) in
+  let tr, tr2 = gamma_traces u in
   let g1 = Cx.scale (1.0 /. 16.0) Cx.(tr * tr) in
   let g2 = Cx.scale 0.25 Cx.((tr * tr) - tr2) in
   (g1, g2)

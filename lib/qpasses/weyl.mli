@@ -57,16 +57,22 @@ val reconstruct : t -> Mathkit.Mat.t
 val coords : Mathkit.Mat.t -> float * float * float
 (** Just the canonical coordinates. *)
 
+val cnot_class : t -> int
+(** Minimal CNOT count (0-3) of a decomposition by its chamber position,
+    each coordinate compared within 1e-8: the one home of the chamber
+    rule, read by {!cnot_cost} and by [Synth2q.kak]. *)
+
 val cnot_cost : Mathkit.Mat.t -> int
-(** Minimal CNOT count (0-3) by chamber position. *)
+(** [cnot_class (decompose u)]. *)
 
 val cnot_cost_fast : Mathkit.Mat.t -> int
 (** Same classification as {!cnot_cost} but via the gamma-trace invariants
-    (no eigendecomposition): 0 iff |tr| = 4; 1 iff tr = 0 and tr gamma^2 =
-    -4; 2 iff tr is real; else 3.  Used in NASSC's hot scoring path. *)
+    (no eigendecomposition), each test within 1e-7: 0 iff |tr| = 4; 1 iff
+    tr = 0 and tr gamma^2 = -4; 2 iff tr is real; else 3.  NASSC's [C_2q]
+    ([Nassc.c2q_saving]) classifies with it. *)
 
 val gamma_invariants : Mathkit.Mat.t -> Mathkit.Cx.t * Mathkit.Cx.t
 (** Makhlin-style local invariants [(tr^2(gamma)/16, (tr^2 - tr gamma^2)/4)]
     of the det-normalized input, where
-    [gamma(u) = u (Y(x)Y) u^T (Y(x)Y)].  Used as an independent
-    cross-check of the chamber classification in tests. *)
+    [gamma(u) = u (Y(x)Y) u^T (Y(x)Y)], from the same two traces
+    {!cnot_cost_fast} reads.  Used as a cross-check in tests. *)

@@ -121,7 +121,6 @@ let apply_circuit s c =
 
 let amplitude s idx = Cx.make s.re.(idx) s.im.(idx)
 let probability s idx = (s.re.(idx) *. s.re.(idx)) +. (s.im.(idx) *. s.im.(idx))
-let probabilities s = Array.init (1 lsl s.n) (probability s)
 
 let norm s =
   let acc = ref 0.0 in

@@ -21,7 +21,6 @@ val apply_circuit : t -> Qcircuit.Circuit.t -> unit
 
 val amplitude : t -> int -> Mathkit.Cx.t
 val probability : t -> int -> float
-val probabilities : t -> float array
 val norm : t -> float
 (** Should stay 1 up to rounding; used as a test invariant. *)
 

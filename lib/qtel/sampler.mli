@@ -46,9 +46,6 @@ val samples : t -> sample list
 val peak_rss_kb : t -> int
 (** Highest RSS seen across retained samples (VmHWM when available). *)
 
-val max_inflight : t -> int
-(** Peak pool utilization across retained samples. *)
-
 val attach : t -> Qobs.Collector.t -> unit
 (** Merge the run's resource story into a collector as [qtel.*] gauges
     (sample count, peak/final RSS, GC words and compactions deltas, peak

@@ -67,9 +67,6 @@ let is_identity_string p =
   let rec go w = w >= n || (Bytes.get p.bits w = '\000' && go (w + 1)) in
   go 0
 
-let is_identity p = p.ph = 0 && is_identity_string p
-let is_hermitian p = p.ph land 1 = 0
-
 let support p =
   let acc = ref [] in
   for w = n_wires p - 1 downto 0 do

@@ -55,12 +55,6 @@ val equal : t -> t -> bool
 val is_identity_string : t -> bool
 (** All letters are [I] (the operator is the scalar [i^phase]). *)
 
-val is_identity : t -> bool
-(** All letters [I] and phase [+1]. *)
-
-val is_hermitian : t -> bool
-(** Phase in [{0, 2}]: the operator is [+/-] a Hermitian Pauli string. *)
-
 val support : t -> int list
 (** Wires with a non-[I] letter, ascending. *)
 

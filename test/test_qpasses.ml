@@ -168,7 +168,7 @@ let count_cx ops = List.length (List.filter (fun (g, _) -> g = Gate.CX) ops)
 
 let roundtrip u =
   let ops = Synth2q.synthesize u in
-  let v = Synth2q.ops_unitary 2 ops in
+  let v = Blocks.unitary ~zero:0 fst snd ops in
   (Mat.equal_up_to_phase u v, count_cx ops)
 
 (* [Synth2q.synthesize] as it was, decomposing the core circuit on every
@@ -211,7 +211,7 @@ let reference_synthesize u =
             (Gate.CX, [ 1; 0 ]);
           ]
     in
-    let rv = Weyl.decompose (Synth2q.ops_unitary 2 core) in
+    let rv = Weyl.decompose (Blocks.unitary ~zero:0 fst snd core) in
     let left_l = Mat.mul r.k1l (Mat.adjoint rv.k1l) in
     let left_r = Mat.mul r.k1r (Mat.adjoint rv.k1r) in
     let right_l = Mat.mul (Mat.adjoint rv.k2l) r.k2l in
@@ -221,10 +221,7 @@ let reference_synthesize u =
   end
 
 (* gates, angle bits and wires of an op list *)
-let ops_signature ops =
-  let buf = Buffer.create 64 in
-  List.iter (fun (g, qs) -> Blocks.add_op_signature buf ~zero:0 g qs) ops;
-  Buffer.contents buf
+let ops_signature ops = Blocks.signature ~zero:0 fst snd ops
 
 let test_synth_constant_core () =
   let rng = rng0 () in
@@ -359,7 +356,7 @@ let qcheck_props =
       (QCheck.make gen_seed) (fun seed ->
         let u = Randmat.su4 (Rng.create seed) in
         let ops = Synth2q.synthesize u in
-        Mat.equal_up_to_phase (Synth2q.ops_unitary 2 ops) u)
+        Mat.equal_up_to_phase (Blocks.unitary ~zero:0 fst snd ops) u)
   in
   let prop_coords_chamber =
     QCheck.Test.make ~name:"coords always in chamber" ~count:80

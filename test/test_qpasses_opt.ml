@@ -905,6 +905,61 @@ let test_collect_roundtrip_random () =
          (Circuit.unitary c))
   done
 
+(* a block's unitary, its low wire as local qubit 0, as the synthesis pass
+   reads it *)
+let block_unitary (b : Blocks.block) =
+  Blocks.unitary ~zero:(fst b.pair)
+    (fun (i : Circuit.instr) -> i.gate)
+    (fun (i : Circuit.instr) -> i.qubits)
+    b.ops
+
+(* The one block-unitary fold against the circuit semantics: a random run
+   of 1q and 2q gates on one pair of a 5-qubit register, read with either
+   wire as local qubit 0, equals [Circuit.unitary] of the same run moved
+   onto wires 0 (the [zero] wire) and 1, every entry bit for bit *)
+let qcheck_block_unitary_bits =
+  QCheck.Test.make ~name:"Blocks.unitary = Circuit.unitary on wires 0/1, bit for bit"
+    ~count:300 ~long_factor:20
+    (QCheck.make (QCheck.Gen.int_range 0 1_000_000))
+    (fun seed ->
+      let rng = Rng.create seed in
+      let a = Rng.int rng 5 in
+      let b = (a + 1 + Rng.int rng 4) mod 5 in
+      let zero = if Rng.bool rng then a else b in
+      let on_pair () = if Rng.bool rng then [ a; b ] else [ b; a ] in
+      let one () = [ Rng.pick rng [ a; b ] ] in
+      let ops =
+        List.init (1 + Rng.int rng 12) (fun _ ->
+            let gate, qubits =
+              match Rng.int rng 9 with
+              | 0 -> (Gate.H, one ())
+              | 1 -> (Gate.RZ (Rng.float rng 6.28), one ())
+              | 2 -> (Gate.U (Rng.float rng 3.0, Rng.float rng 3.0, Rng.float rng 3.0), one ())
+              | 3 -> (Gate.SX, one ())
+              | 4 -> (Gate.CX, on_pair ())
+              | 5 -> (Gate.CP (Rng.float rng 3.0), on_pair ())
+              | 6 -> (Gate.RZZ (Rng.float rng 3.0), on_pair ())
+              | 7 -> (Gate.SWAP, on_pair ())
+              | _ -> (Gate.Unitary2 (Randmat.su4 rng), on_pair ())
+            in
+            { Circuit.gate; qubits })
+      in
+      let moved =
+        Circuit.create 2
+          (List.map
+             (fun (i : Circuit.instr) ->
+               { i with qubits = List.map (fun q -> if q = zero then 0 else 1) i.qubits })
+             ops)
+      in
+      let got =
+        Mat.storage
+          (Blocks.unitary ~zero (fun (i : Circuit.instr) -> i.gate)
+             (fun (i : Circuit.instr) -> i.qubits)
+             ops)
+      and want = Mat.storage (Circuit.unitary moved) in
+      let bits a = Array.init (Float.Array.length a) (fun k -> Int64.bits_of_float (Float.Array.get a k)) in
+      bits got = bits want)
+
 let test_block_unitary () =
   let c =
     Circuit.create 2
@@ -913,7 +968,7 @@ let test_block_unitary () =
   match Blocks.collect c with
   | [ Blocks.Block b ] ->
       check "block unitary equals circuit" true
-        (Mat.equal_up_to_phase (Blocks.block_unitary b) (Circuit.unitary c))
+        (Mat.equal_up_to_phase (block_unitary b) (Circuit.unitary c))
   | _ -> Alcotest.fail "expected a single block"
 
 (* ---------- Unitary synthesis ---------- *)
@@ -953,18 +1008,17 @@ let test_resynth_free_swap () =
   check "swap absorbed for free" true (Circuit.cx_count final <= 3)
 
 let test_resynth_gain () =
-  (* swap . cx block: 4 cx spent, 2 needed -> gain 2 *)
-  let b =
-    {
-      Blocks.pair = (0, 1);
-      ops =
-        [
-          { Circuit.gate = Gate.SWAP; qubits = [ 0; 1 ] };
-          { Circuit.gate = Gate.CX; qubits = [ 0; 1 ] };
-        ];
-    }
+  (* swap . cx block: 4 cx spent, 2 needed -> the pass saves 2 *)
+  let c =
+    Circuit.create 2
+      [
+        { Circuit.gate = Gate.SWAP; qubits = [ 0; 1 ] };
+        { Circuit.gate = Gate.CX; qubits = [ 0; 1 ] };
+      ]
   in
-  checki "gain swap+cx" 2 (Unitary_synthesis.resynth_gain b)
+  checki "gain swap+cx" 2
+    (Blocks.ops_cx_cost (Circuit.instrs c)
+    - Blocks.ops_cx_cost (Circuit.instrs (Unitary_synthesis.run c)))
 
 let test_resynth_random_preserves () =
   let rng = Rng.create 99 in
@@ -983,7 +1037,7 @@ let reference_resynthesis c =
           List.map
             (fun (g, qs) ->
               { Circuit.gate = g; qubits = List.map (fun q -> if q = 0 then lo else hi) qs })
-            (Synth2q.synthesize (Blocks.block_unitary b))
+            (Synth2q.synthesize (block_unitary b))
         in
         let old_cx = Blocks.block_cx_cost b and new_cx = Blocks.ops_cx_cost replacement in
         if new_cx < old_cx || (new_cx = old_cx && List.length replacement < List.length b.ops)
@@ -1098,7 +1152,7 @@ let qcheck_resynth_boundary_matches_reference =
     (fun seed ->
       let c = boundary_block (Rng.create seed) in
       let b = { Blocks.pair = (0, 1); ops = Circuit.instrs c } in
-      let ((_, cls) as k) = Synth2q.kak (Blocks.block_unitary b) in
+      let ((_, cls) as k) = Synth2q.kak (block_unitary b) in
       let core = Synth2q.core_length cls and built = Synth2q.of_kak k in
       let cx = Blocks.block_cx_cost b and ops = List.length b.ops in
       let reference = reference_resynthesis c in
@@ -1222,6 +1276,7 @@ let () =
           Alcotest.test_case "single block" `Quick test_collect_single_block;
           Alcotest.test_case "random roundtrip" `Quick test_collect_roundtrip_random;
           Alcotest.test_case "block unitary" `Quick test_block_unitary;
+          QCheck_alcotest.to_alcotest qcheck_block_unitary_bits;
         ] );
       ( "unitary_synthesis",
         [

@@ -304,37 +304,75 @@ let pinned =
       [| 11; 12; 16; 13; 9; 5; 14; 22; 8; 19; 10 |] );
   ]
 
+(* one pinned transpile: seed 3, two trials on one worker, the whole call
+   under one collector *)
+let pinned_run device rname =
+  let coupling, circuit =
+    match device with
+    | `Eagle -> (Topology.Devices.eagle (), Qbench.Generators.qft 30)
+    | `Montreal_qft -> (Topology.Devices.montreal, Qbench.Generators.qft 15)
+    | `Montreal ->
+        (* the sym9_193 stand-in at a quarter of its CNOT total, as in
+           the benchmark's montreal-revlib workload *)
+        ( Topology.Devices.montreal,
+          Qbench.Revlib_like.mct_netlist ~seed:193 ~n:11 ~target_cx:(15232 / 4) )
+  in
+  let router = List.assoc rname Qroute.Pipeline.routers in
+  let root = Qobs.Collector.create ~label:"pinned" () in
+  let r =
+    Qobs.with_collector root (fun () ->
+        Qroute.Pipeline.transpile
+          ~params:{ Engine.default_params with seed = 3 }
+          ~trials:2 ~workers:1 ~router coupling circuit)
+  in
+  (r, Qobs.Trace.of_root root)
+
+let check_counters label names counts trace =
+  Alcotest.(check (list (pair string int)))
+    (label ^ " counters") (List.combine names counts)
+    (List.map (fun c -> (c, counter_of trace c)) names)
+
 let test_pinned_work () =
   List.iter
     (fun (name, device, rname, counts, init, final) ->
-      let coupling, circuit =
-        match device with
-        | `Eagle -> (Topology.Devices.eagle (), Qbench.Generators.qft 30)
-        | `Montreal ->
-            (* the sym9_193 stand-in at a quarter of its CNOT total, as in
-               the benchmark's montreal-revlib workload *)
-            ( Topology.Devices.montreal,
-              Qbench.Revlib_like.mct_netlist ~seed:193 ~n:11 ~target_cx:(15232 / 4) )
-      in
-      let router = List.assoc rname Qroute.Pipeline.routers in
-      let root = Qobs.Collector.create ~label:"pinned" () in
-      let r =
-        Qobs.with_collector root (fun () ->
-            Qroute.Pipeline.transpile
-              ~params:{ Engine.default_params with seed = 3 }
-              ~trials:2 ~workers:1 ~router coupling circuit)
-      in
-      let trace = Qobs.Trace.of_root root in
+      let r, trace = pinned_run device rname in
       let label = name ^ "/" ^ rname in
-      Alcotest.(check (list (pair string int)))
-        (label ^ " counters")
-        (List.combine pinned_counters counts)
-        (List.map (fun c -> (c, counter_of trace c)) pinned_counters);
+      check_counters label pinned_counters counts trace;
       Alcotest.(check (option (array int))) (label ^ " initial layout") (Some init)
         r.initial_layout;
       Alcotest.(check (option (array int))) (label ^ " final layout") (Some final)
         r.final_layout)
     pinned
+
+(* The two-qubit cost model's cache and synthesis counters, pinned at the
+   values they had while the router, the synthesis pass and the audit each
+   kept their own block unitary, block signature, chamber rule and C_2q
+   formula: a shared version that drops a cache lookup, decomposes a block
+   once more or changes a cache key moves one of them *)
+let cost_model_counters =
+  [
+    "nassc.weyl_cache_hits";
+    "nassc.weyl_cache_misses";
+    "synth.blocks_considered";
+    "synth.blocks_resynthesized";
+    "synth2q.kak_decompositions";
+    "weyl.decompositions";
+  ]
+
+let cost_model_pinned =
+  [
+    ("QFT 15 on montreal", `Montreal_qft, "sabre", [ 0; 0; 504; 49; 149; 270 ]);
+    ("QFT 15 on montreal", `Montreal_qft, "nassc", [ 41; 41; 492; 28; 170; 282 ]);
+    ("sym9_193/4 on montreal", `Montreal, "sabre", [ 0; 0; 15218; 996; 786; 1084 ]);
+    ("sym9_193/4 on montreal", `Montreal, "nassc", [ 2078; 295; 14516; 240; 871; 1060 ]);
+  ]
+
+let test_cost_model_counters () =
+  List.iter
+    (fun (name, device, rname, counts) ->
+      let _, trace = pinned_run device rname in
+      check_counters (name ^ "/" ^ rname) cost_model_counters counts trace)
+    cost_model_pinned
 
 let () =
   Alcotest.run "scoring"
@@ -352,5 +390,6 @@ let () =
       ( "work",
         [
           Alcotest.test_case "engine counters and layouts pinned" `Quick test_pinned_work;
+          Alcotest.test_case "cost-model counters pinned" `Quick test_cost_model_counters;
         ] );
     ]

@@ -71,7 +71,7 @@ let test_boundary_synthesis () =
       let u = Weyl.canonical_gate x y z in
       let ops = Synth2q.synthesize u in
       check (name ^ " synthesis") true
-        (Mat.equal_up_to_phase (Synth2q.ops_unitary 2 ops) u))
+        (Mat.equal_up_to_phase (Blocks.unitary ~zero:0 fst snd ops) u))
     boundary_points
 
 let test_degenerate_spectra () =
